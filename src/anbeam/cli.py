@@ -22,6 +22,7 @@ from .model import (
     alpha_for_threshold,
     derive_model,
     noise_residual_scale,
+    relay_snr,
     relay_snrs,
     simulate_noise_residual,
     strongest_relay,
@@ -74,8 +75,7 @@ def _random_scenario(rng: np.random.Generator, m: int, sigma2: float = 1.0):
     instance = experiments.sample_instance(
         m, experiments.ChannelVariances(), rng, sigma2)
     p1 = float(rng.uniform(0.5, 8.0))
-    e = strongest_relay(instance)
-    ceiling = abs(instance.h_sr[e]) ** 2 * p1 / sigma2
+    ceiling = relay_snr(instance, p1, 1.0, strongest_relay(instance))
     gamma = float(rng.uniform(0.2, 0.9)) * ceiling
     return instance, p1, gamma
 

@@ -118,6 +118,16 @@ class ExperimentSpec:
                                tuple(float(a) for a in self.alpha_values))
         if (self.alpha_values is None) == (self.gamma is None):
             raise ValueError("give exactly one of alpha_values or gamma")
+        if not all(0.0 <= a <= 1.0 for a in self.alpha_values or ()):
+            raise ValueError("alpha_values must lie in [0, 1]")
+        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be finite and positive")
+        if not all(0.0 < p < math.inf for p in self.p1_values):
+            raise ValueError("p1_values must be finite and positive")
+        if not 0.0 < self.p_s < math.inf:
+            raise ValueError("p_s must be finite and positive")
+        if not 0.0 <= self.p_i < math.inf:
+            raise ValueError("p_i must be finite and nonnegative")
         if self.budget_mode not in ("total", "individual", "both"):
             raise ValueError(f"unknown budget_mode {self.budget_mode!r}")
         if self.n_instances < 1:
@@ -212,10 +222,6 @@ def solve_grid_point(spec: ExperimentSpec, m: int, p1: float,
     return GridPointResult(c_d=values, resamples=resamples)
 
 
-def _solve_grid_point_star(args) -> GridPointResult:
-    return solve_grid_point(*args)
-
-
 def grid_points(spec: ExperimentSpec) -> List[Tuple[int, float, Optional[float]]]:
     """Grid-point order is the row order of the emitted CSV."""
     return [(m, p1, alpha)
@@ -234,8 +240,7 @@ def run_sweep(spec: ExperimentSpec, workers: Optional[int] = None) -> List[Exper
     n_workers = resolve_workers(workers)
     if n_workers > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_solve_grid_point_star,
-                                    [(spec, m, p1, a) for m, p1, a in points]))
+            results = list(pool.map(solve_grid_point, [spec] * len(points), *zip(*points)))
     else:
         results = [solve_grid_point(spec, m, p1, a) for m, p1, a in points]
     total_resamples = sum(r.resamples for r in results)

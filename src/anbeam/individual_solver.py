@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InfeasibleBudget, NoFeasibleRoot
+from .errors import DegenerateAlpha, InfeasibleBudget, NoFeasibleRoot
 from .model import capacity_dest, derive_model, resolve_alpha, second_phase_power
 from .tolerances import Tolerances, from_env
 from .types import (
@@ -149,9 +149,13 @@ def solve_source_only(problem: MagnitudeProblem) -> Tuple[float, np.ndarray, flo
     tau, c1 = problem.tau, problem.c1
     if tau <= 0.0:
         return math.sqrt(problem.eta1), np.zeros(len(problem.u_max)), 0.0
-    r = math.sqrt(tau ** 2 * problem.eta1
-                  / (problem.eta2 * tau ** 4
-                     + (problem.eta1 + tau ** 2 * problem.eta2) ** 2 * c1 ** 2))
+    try:  # overflows as alpha -> 0, as a Python float or a numpy scalar
+        with np.errstate(over="raise"):
+            r = math.sqrt(tau ** 2 * problem.eta1
+                          / (problem.eta2 * tau ** 4
+                             + (problem.eta1 + tau ** 2 * problem.eta2) ** 2 * c1 ** 2))
+    except (OverflowError, FloatingPointError) as err:
+        raise DegenerateAlpha(f"alpha too small: eta1={problem.eta1!r} overflows r*") from err
     u = np.zeros(len(problem.u_max))
     for i in problem.active:
         u[i] = problem.c[i + 1] / tau * r

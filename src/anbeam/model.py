@@ -61,19 +61,21 @@ def alpha_for_threshold(instance: NetworkInstance, p1: float, gamma: float) -> f
     return (1.0 + instance.sigma2 / (gain2 * p1)) / (1.0 + 1.0 / gamma)
 
 
-def relay_snr(instance: NetworkInstance, p1: float, alpha: float, i: int) -> float:
-    """First-phase SNR at relay i: the artificial noise acts as interference.
+def _phase1_sinr(gain2, sigma2: float, p1: float, alpha: float):
+    """First-phase SINR of a receiver with channel power gain2 (scalar or
+    array), the artificial noise acting as interference:
+    gain2 alpha p1 / (sigma2 + gain2 (1-alpha) p1)."""
+    return gain2 * alpha * p1 / (sigma2 + gain2 * (1.0 - alpha) * p1)
 
-    Gamma_i = |h_si|^2 alpha p1 / (sigma2 + |h_si|^2 (1-alpha) p1).
-    """
-    gain2 = abs(instance.h_sr[i]) ** 2
-    return gain2 * alpha * p1 / (instance.sigma2 + gain2 * (1.0 - alpha) * p1)
+
+def relay_snr(instance: NetworkInstance, p1: float, alpha: float, i: int) -> float:
+    """First-phase SNR at relay i: the artificial noise acts as interference."""
+    return _phase1_sinr(abs(instance.h_sr[i]) ** 2, instance.sigma2, p1, alpha)
 
 
 def relay_snrs(instance: NetworkInstance, p1: float, alpha: float) -> np.ndarray:
     """Vector of relay_snr over all relays."""
-    gain2 = np.abs(instance.h_sr) ** 2
-    return gain2 * alpha * p1 / (instance.sigma2 + gain2 * (1.0 - alpha) * p1)
+    return _phase1_sinr(np.abs(instance.h_sr) ** 2, instance.sigma2, p1, alpha)
 
 
 def capacity_relay(instance: NetworkInstance, p1: float, alpha: float, i: int) -> float:
@@ -83,8 +85,7 @@ def capacity_relay(instance: NetworkInstance, p1: float, alpha: float, i: int) -
 def direct_sinr(instance: NetworkInstance, p1: float, alpha: float) -> float:
     """First-phase destination SINR on the direct link, artificial noise
     counted as interference."""
-    gain2 = abs(instance.h_sd) ** 2
-    return gain2 * alpha * p1 / (instance.sigma2 + gain2 * (1.0 - alpha) * p1)
+    return _phase1_sinr(abs(instance.h_sd) ** 2, instance.sigma2, p1, alpha)
 
 
 def combined_gains(instance: NetworkInstance) -> np.ndarray:
@@ -154,11 +155,9 @@ def alpha_monotonicity_threshold(instance: NetworkInstance, p1: float,
 def secrecy_monotone_in_alpha(instance: NetworkInstance, p1: float, w: np.ndarray,
                               tol: Optional[Tolerances] = None) -> bool:
     """True when the fixed-w beam factor clears alpha_monotonicity_threshold,
-    i.e. the sufficient condition for d(secrecy)/d(alpha) >= 0 holds."""
-    w = np.asarray(w, dtype=complex)
-    b = np.dot(combined_gains(instance), w)
-    dh = noise_amp_diag(instance)
-    f = abs(b) ** 2 * p1 / (instance.sigma2 * (1.0 + float(np.sum(dh * np.abs(w) ** 2))))
+    i.e. the sufficient condition for d(secrecy)/d(alpha) >= 0 holds.  The
+    beam factor f(w) is the beam SINR at alpha = 1."""
+    f = beam_sinr(instance, p1, 1.0, w)
     return f >= alpha_monotonicity_threshold(instance, p1, tol)
 
 
@@ -174,38 +173,18 @@ def relay_input_powers(instance: NetworkInstance, p1: float) -> np.ndarray:
     return np.abs(instance.h_sr) ** 2 * p1 + instance.sigma2
 
 
-def power_matrix(instance: NetworkInstance, p1: float, alpha: float) -> np.ndarray:
-    """Hermitian PSD matrix D with second-phase transmit power = w' D w.
-
-    Block structure: D[0,0] = alpha p1 (source message weight); the relay
-    block is diag(|h_si|^2 p1 + sigma2) plus the rank-1 term
-    (1-alpha) p1 conj(g) g^T from the source's cancellation signal.
-    """
-    m = instance.m
-    g = cancellation_gains(instance)
-    d = np.zeros((m + 1, m + 1), dtype=complex)
-    d[0, 0] = alpha * p1
-    if m:
-        d[1:, 1:] = ((1.0 - alpha) * p1 * np.outer(np.conj(g), g)
-                     + np.diag(relay_input_powers(instance, p1)))
-    return d
-
-
 def second_phase_power(instance: NetworkInstance, p1: float, alpha: float,
                        w: np.ndarray) -> float:
     """Total transmit power spent in the second phase by source and relays.
 
     alpha p1 |w_0|^2 + (1-alpha) p1 |sum_i g_i w_i|^2
-    + sum_i (|h_si|^2 p1 + sigma2) |w_i|^2.
+    + sum_i (|h_si|^2 p1 + sigma2) |w_i|^2, i.e. the quadratic form w' D w
+    of D = blockdiag(alpha p1, diag(T) + (1-alpha) p1 conj(g) g^T) in O(M).
     """
     w = np.asarray(w, dtype=complex)
-    g = cancellation_gains(instance)
-    source = alpha * p1 * abs(w[0]) ** 2
-    if instance.m:
-        source += (1.0 - alpha) * p1 * abs(np.dot(g, w[1:])) ** 2
-        relays = float(np.sum(relay_input_powers(instance, p1) * np.abs(w[1:]) ** 2))
-    else:
-        relays = 0.0
+    source = (alpha * p1 * abs(w[0]) ** 2
+              + (1.0 - alpha) * p1 * abs(np.dot(cancellation_gains(instance), w[1:])) ** 2)
+    relays = float(np.sum(relay_input_powers(instance, p1) * np.abs(w[1:]) ** 2))
     return float(source + relays)
 
 
@@ -275,8 +254,7 @@ def second_phase_source_tx(instance: NetworkInstance, p1: float, alpha: float,
                            w: np.ndarray, realization: SignalRealization) -> complex:
     """Source's phase-2 signal: its own beam share of the message minus the
     term that cancels the relays' forwarded artificial noise."""
-    g = cancellation_gains(instance)
-    cancel = np.dot(g, np.asarray(w, dtype=complex)[1:]) if instance.m else 0.0
+    cancel = np.dot(cancellation_gains(instance), np.asarray(w, dtype=complex)[1:])
     return (math.sqrt(alpha * p1) * w[0] * realization.x
             - math.sqrt((1.0 - alpha) * p1) * cancel * realization.u)
 
@@ -288,7 +266,7 @@ def destination_phase2_rx(instance: NetworkInstance, p1: float, alpha: float,
     w = np.asarray(w, dtype=complex)
     s1 = first_phase_tx(p1, alpha, realization)
     relay_rx = instance.h_sr * s1 + realization.z[:instance.m]
-    relay_contrib = np.dot(instance.h_rd, w[1:] * relay_rx) if instance.m else 0.0
+    relay_contrib = np.dot(instance.h_rd, w[1:] * relay_rx)
     direct = instance.h_sd * second_phase_source_tx(instance, p1, alpha, w, realization)
     return complex(direct + relay_contrib + realization.z[-1])
 
@@ -313,8 +291,8 @@ def simulate_noise_residual(instance: NetworkInstance, p1: float, alpha: float,
         base = destination_phase2_rx(instance, p1, alpha, w, zeroed)
         return complex((full - base) / realization.u)
     an = math.sqrt((1.0 - alpha) * p1)
-    forwarded = np.dot(instance.h_rd * instance.h_sr, w[1:]) if instance.m else 0.0
-    cancel = np.dot(cancellation_gains(instance), w[1:]) if instance.m else 0.0
+    forwarded = np.dot(combined_gains(instance)[1:], w[1:])
+    cancel = np.dot(cancellation_gains(instance), w[1:])
     return complex(an * forwarded - an * instance.h_sd * cancel)
 
 
@@ -323,7 +301,5 @@ def noise_residual_scale(instance: NetworkInstance, p1: float, alpha: float,
     """Natural magnitude scale of the two cancelling u-terms, for judging a
     residual 'small': sqrt((1-alpha) p1) sum_i |w_i h_si h_id|."""
     w = np.asarray(w, dtype=complex)
-    if instance.m == 0:
-        return 0.0
     return float(math.sqrt((1.0 - alpha) * p1)
-                 * np.sum(np.abs(w[1:] * instance.h_sr * instance.h_rd)))
+                 * np.sum(np.abs(w[1:] * combined_gains(instance)[1:])))

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import OracleEvalError, OracleTooLarge
 from .individual_solver import optimal_phases, solve_individual
-from .model import capacity_dest, derive_model, direct_sinr, resolve_alpha
+from .model import (cancellation_gains, capacity_dest, combined_gains, derive_model,
+                    direct_sinr, noise_amp_diag, resolve_alpha)
 from .tolerances import Tolerances
 from .total_solver import dense_power_matrix, solve_total
 from .types import IndividualBudget, NetworkInstance, SystemParams, TotalBudget
@@ -116,10 +117,8 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float,
 def _cd_batch(instance: NetworkInstance, p1: float, alpha: float,
               w_batch: np.ndarray) -> np.ndarray:
     """capacity_dest for a batch of weight vectors (rows of w_batch)."""
-    h = np.concatenate(([instance.h_sd], instance.h_sr * instance.h_rd))
-    dh = np.concatenate(([0.0], np.abs(instance.h_rd) ** 2))
-    b = w_batch @ h
-    den = 1.0 + np.abs(w_batch) ** 2 @ dh
+    b = w_batch @ combined_gains(instance)
+    den = 1.0 + np.abs(w_batch) ** 2 @ noise_amp_diag(instance)
     snr2 = alpha * p1 * np.abs(b) ** 2 / (instance.sigma2 * den)
     return 0.5 * np.log2(1.0 + direct_sinr(instance, p1, alpha) + snr2)
 
@@ -191,7 +190,7 @@ def oracle_total(instance: NetworkInstance, params: SystemParams,
             for i in range(n_chunks)]
     if workers > 1 and n_chunks > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_total_chunk_star, args))
+            results = list(pool.map(_total_chunk, *zip(*args)))
     else:
         results = [_total_chunk(*arg) for arg in args]
     best_cd, best_w = max(results, key=lambda t: t[0])
@@ -212,10 +211,6 @@ def oracle_total(instance: NetworkInstance, params: SystemParams,
         argmax_distance=dist,
         samples_or_evals=n_samples + ascent_evals,
     )
-
-
-def _total_chunk_star(arg):
-    return _total_chunk(*arg)
 
 
 def power_iteration_rank1(d_tilde: np.ndarray, h_bar: np.ndarray,
@@ -365,9 +360,8 @@ def empirical_snr(instance: NetworkInstance, p1: float, alpha: float,
     m = instance.m
     amp_x = math.sqrt(alpha * p1)
     amp_u = math.sqrt((1.0 - alpha) * p1)
-    g = instance.h_sr * instance.h_rd / instance.h_sd if m else np.zeros(0, complex)
-    cancel = np.dot(g, w[1:]) if m else 0.0
-    beam_coeff = amp_x * (w[0] * instance.h_sd + (np.dot(w[1:], instance.h_sr * instance.h_rd) if m else 0.0))
+    cancel = np.dot(cancellation_gains(instance), w[1:])
+    beam_coeff = amp_x * np.dot(combined_gains(instance), w)
 
     relay_sig = np.zeros(m)
     relay_int = np.zeros(m)
@@ -387,25 +381,20 @@ def empirical_snr(instance: NetworkInstance, p1: float, alpha: float,
 
         x = cn(n, math.sqrt(0.5))
         u = cn(n, math.sqrt(0.5))
-        z_relay = cn((n, m), noise_sd) if m else np.zeros((n, 0), complex)
+        z_relay = cn((n, m), noise_sd)
         z_d1 = cn(n, noise_sd)
         z_d2 = cn(n, noise_sd)
 
         s1 = amp_x * x + amp_u * u
-        if m:
-            relay_rx = np.outer(s1, instance.h_sr) + z_relay
-            relay_sig += np.sum(np.abs(np.outer(amp_x * x, instance.h_sr)) ** 2, axis=0)
-            relay_int += np.sum(np.abs(np.outer(amp_u * u, instance.h_sr) + z_relay) ** 2, axis=0)
+        relay_rx = np.outer(s1, instance.h_sr) + z_relay
+        relay_sig += np.sum(np.abs(np.outer(amp_x * x, instance.h_sr)) ** 2, axis=0)
+        relay_int += np.sum(np.abs(np.outer(amp_u * u, instance.h_sr) + z_relay) ** 2, axis=0)
         direct_sig += float(np.sum(np.abs(instance.h_sd * amp_x * x) ** 2))
         direct_int += float(np.sum(np.abs(instance.h_sd * amp_u * u + z_d1) ** 2))
 
         src2 = amp_x * w[0] * x - amp_u * cancel * u
-        if m:
-            y2 = instance.h_sd * src2 + (relay_rx * w[1:]) @ instance.h_rd + z_d2
-            noise_part = z_relay @ (w[1:] * instance.h_rd) + z_d2
-        else:
-            y2 = instance.h_sd * src2 + z_d2
-            noise_part = z_d2
+        y2 = instance.h_sd * src2 + (relay_rx * w[1:]) @ instance.h_rd + z_d2
+        noise_part = z_relay @ (w[1:] * instance.h_rd) + z_d2
         signal_part = beam_coeff * x
         u_part = y2 - signal_part - noise_part
         beam_sig += float(np.sum(np.abs(signal_part) ** 2))
@@ -416,7 +405,7 @@ def empirical_snr(instance: NetworkInstance, p1: float, alpha: float,
     return EmpiricalSnr(
         direct=direct_sig / direct_int,
         beam=beam_sig / beam_noise,
-        relays=relay_sig / relay_int if m else np.zeros(0),
+        relays=relay_sig / relay_int,
         u_leak_power=leak / n_symbols,
         n_symbols=n_symbols,
     )

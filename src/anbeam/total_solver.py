@@ -4,11 +4,14 @@ Maximizing the destination SINR subject to w' D w <= P_tot is a generalized
 Rayleigh quotient in disguise: substituting the power constraint (tight at the
 optimum) turns the objective into |h^T w|^2 / (w' (D/P_tot + D_h) w), whose
 maximizer for the rank-1 numerator is w* = mu * D_tilde^{-1} conj(h) scaled
-back onto the power boundary.
+back onto the power boundary.  D_tilde is diagonal plus rank one, so the
+solve is an O(M) Sherman-Morrison update; the dense assemblies below are the
+reference for the validate eigen check and the tests, never the solve path.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -26,7 +29,7 @@ from .types import (
 
 
 def dense_power_matrix(derived: DerivedModel) -> np.ndarray:
-    """Assemble D = blockdiag(alpha*p1, diag(T) + (1-alpha)*p1*conj(g)g^T)."""
+    """Dense D = blockdiag(alpha*p1, diag(T) + (1-alpha)*p1*conj(g)g^T)."""
     m = derived.m
     d = np.zeros((m + 1, m + 1), dtype=complex)
     d[0, 0] = derived.alpha * derived.p1
@@ -38,8 +41,8 @@ def dense_power_matrix(derived: DerivedModel) -> np.ndarray:
 
 
 def build_d_tilde(derived: DerivedModel, p_tot: float) -> np.ndarray:
-    """D_tilde = D/P_tot + D_h, the Hermitian positive definite denominator of
-    the substituted Rayleigh quotient.
+    """Dense D_tilde = D/P_tot + D_h, the Hermitian positive definite
+    denominator of the substituted Rayleigh quotient.
 
     Definiteness needs alpha > 0: the source row of D_h is zero, so with
     alpha = 0 the first row/column of D_tilde vanishes entirely.
@@ -60,17 +63,33 @@ def solve_total(instance: NetworkInstance, params: SystemParams,
     constraint holds with equality; the achieved SINR ratio equals the
     Rayleigh value h^T v.  The returned w is rotated so the beam gain h^T w
     is real nonnegative (the objective is blind to a global phase).
+
+    D_tilde = blockdiag(alpha p1/P_tot, diag(d) + k conj(g) g^T) with
+    d = T/P_tot + |h_rd|^2 and k = (1-alpha) p1/P_tot, so v_0 =
+    conj(h_sd) P_tot/(alpha p1) and the relay block is the Sherman-Morrison
+    update y - z k (g^T y)/(1 + k g^T z), y = conj(h_r)/d, z = conj(g)/d.
+    As h_r = h_sd g, y = conj(h_sd) z and the update is y/(1 + k g^T z)
+    exactly; this form skips a subtraction that cancels when |h_sd| is small.
     """
     budget = params.budget
     if not isinstance(budget, TotalBudget):
         raise TypeError("solve_total requires a TotalBudget")
     a = resolve_alpha(instance, params.p1, params.gamma, alpha)
+    if a <= 0.0:
+        raise DegenerateAlpha("alpha=0 leaves D_tilde singular in the source coordinate")
     derived = derive_model(instance, params.p1, a)
-    d_tilde = build_d_tilde(derived, budget.p_tot)
+    p_tot = budget.p_tot
     h_bar = np.conj(derived.h)
-    v = np.linalg.solve(d_tilde, h_bar)
-    d = dense_power_matrix(derived)
-    mu = float(np.sqrt(budget.p_tot / np.real(np.conj(v) @ d @ v)))
+    d = derived.t_diag / p_tot + derived.d_h_diag[1:]
+    k = (1.0 - a) * params.p1 / p_tot
+    g_z = float(np.sum(np.abs(derived.g) ** 2 / d))
+    v = np.concatenate(([h_bar[0] * p_tot / (a * params.p1)],
+                        h_bar[1:] / d / (1.0 + k * g_z)))
+    # |v_0|^2 overflows as alpha -> 0, so mu is taken on v rescaled to max 1
+    scale = float(np.max(np.abs(v)))
+    if not math.isfinite(scale):
+        raise DegenerateAlpha(f"alpha={a!r} is so small that D_tilde^-1 conj(h) overflows")
+    mu = math.sqrt(p_tot / second_phase_power(instance, params.p1, a, v / scale)) / scale
     w = mu * v
     b = np.dot(derived.h, w)
     if abs(b) > 0:

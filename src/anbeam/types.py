@@ -6,7 +6,8 @@ values can be shared freely across threads and processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -46,12 +47,15 @@ class NetworkInstance:
         _set(self, "h_sr", _frozen_array(self.h_sr, complex))
         _set(self, "h_rd", _frozen_array(self.h_rd, complex))
         _set(self, "sigma2", float(self.sigma2))
+        for name in ("h_sd", "h_sr", "h_rd"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if self.h_sr.ndim != 1 or self.h_rd.ndim != 1:
             raise ValueError("h_sr and h_rd must be one-dimensional")
         if len(self.h_sr) != len(self.h_rd):
             raise ValueError("h_sr and h_rd must have the same length")
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0 < self.sigma2 < math.inf:
+            raise ValueError("sigma2 must be finite and positive")
         if abs(self.h_sd) < EPS_GAIN:
             raise ValueError(f"|h_sd| < {EPS_GAIN:g}: direct gain too small to "
                              "divide by in the cancellation signal")
@@ -70,8 +74,8 @@ class TotalBudget:
 
     def __post_init__(self):
         _set(self, "p_tot", float(self.p_tot))
-        if self.p_tot <= 0:
-            raise ValueError("p_tot must be positive")
+        if not 0 < self.p_tot < math.inf:
+            raise ValueError("p_tot must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +88,10 @@ class IndividualBudget:
     def __post_init__(self):
         _set(self, "p_s", float(self.p_s))
         _set(self, "p_i", _frozen_array(self.p_i, float))
-        if self.p_s <= 0:
-            raise ValueError("p_s must be positive")
-        if self.p_i.ndim != 1 or np.any(self.p_i < 0):
-            raise ValueError("p_i must be a vector of nonnegative reals")
+        if not 0 < self.p_s < math.inf:
+            raise ValueError("p_s must be finite and positive")
+        if self.p_i.ndim != 1 or not np.all((self.p_i >= 0) & (self.p_i < math.inf)):
+            raise ValueError("p_i must be a vector of finite nonnegative reals")
 
 
 Budget = Union[TotalBudget, IndividualBudget]
@@ -108,12 +112,12 @@ class SystemParams:
 
     def __post_init__(self):
         _set(self, "p1", float(self.p1))
-        if self.p1 <= 0:
-            raise ValueError("p1 must be positive")
+        if not 0 < self.p1 < math.inf:
+            raise ValueError("p1 must be finite and positive")
         if self.gamma is not None:
             _set(self, "gamma", float(self.gamma))
-            if self.gamma <= 0:
-                raise ValueError("gamma must be positive when given")
+            if not 0 < self.gamma < math.inf:
+                raise ValueError("gamma must be finite and positive when given")
 
 
 @dataclass(frozen=True, eq=False)

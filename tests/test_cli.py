@@ -63,6 +63,19 @@ def test_solve_infeasible_threshold_is_clean_error(tmp_path, rng, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_vanishing_alpha_is_clean_error(tmp_path, rng, capsys):
+    # gamma = 1e-160 pins alpha near 1e-160, where the individual solver's
+    # closed-form radius overflows a float
+    inst = make_instance(rng, 3)
+    path = tmp_path / "tiny.json"
+    dump_scenario(inst, SystemParams(2.0, 1e-160, IndividualBudget(5.0, np.full(3, 0.1))),
+                  path)
+    assert main(["solve", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "alpha" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_end_to_end(tmp_path):
     spec = relay_count_sweep_spec(seed=1, n_instances=2)
     spec_path = tmp_path / "spec.json"

@@ -113,6 +113,26 @@ def test_spec_rejects_bad_mode_and_counts():
         _tiny_spec(sigma2=-1.0)
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(p_s=-1.0), dict(p_s=0.0), dict(p_s=float("nan")), dict(p_s=float("inf")),
+    dict(p_i=-0.1), dict(p_i=float("nan")), dict(p_i=float("inf")),
+    dict(p1_values=(2.0, 0.0)), dict(p1_values=(-1.0,)),
+    dict(p1_values=(float("nan"),)), dict(p1_values=(float("inf"),)),
+    dict(alpha_values=(2.0,)), dict(alpha_values=(0.5, -0.1)),
+    dict(alpha_values=(float("nan"),)), dict(alpha_values=(float("inf"),)),
+    dict(alpha_values=None, gamma=0.0), dict(alpha_values=None, gamma=-1.0),
+    dict(alpha_values=None, gamma=float("nan")), dict(alpha_values=None, gamma=float("inf")),
+])
+def test_spec_rejects_bad_budgets_powers_and_splits(overrides):
+    with pytest.raises(ValueError):
+        _tiny_spec(**overrides)
+
+
+def test_spec_accepts_boundary_values():
+    _tiny_spec(p_i=0.0, alpha_values=(0.0, 1.0))
+    _tiny_spec(alpha_values=None, gamma=1e-6)
+
+
 def test_spec_round_trip():
     spec = power_sweep_spec(seed=9, n_instances=13)
     assert spec_from_dict(spec_to_dict(spec)) == spec

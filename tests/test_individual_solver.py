@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anbeam.errors import InfeasibleBudget, NoFeasibleRoot
+from anbeam.errors import DegenerateAlpha, InfeasibleBudget, NoFeasibleRoot
 from anbeam.individual_solver import (
     MagnitudeProblem,
     after_clamp,
@@ -344,3 +344,15 @@ def test_after_clamp_bookkeeping(rng):
     assert nxt.tau == pytest.approx(math.hypot(prob.c[1], prob.c[3]))
     with pytest.raises(ValueError):
         after_clamp(nxt, 1)
+
+
+@pytest.mark.parametrize("tiny", [1e-160, 1e-300])
+@pytest.mark.parametrize("via", ["alpha", "gamma"])
+def test_vanishing_alpha_raises_degenerate_alpha(rng, tiny, via):
+    # an explicit alpha is a Python float, which overflows with OverflowError;
+    # one derived from gamma is a numpy scalar, which overflows to inf
+    inst = make_instance(rng, 3)
+    gamma, alpha = (tiny, None) if via == "gamma" else (None, tiny)
+    params = SystemParams(2.0, gamma, IndividualBudget(5.0, np.full(3, 0.1)))
+    with pytest.raises(DegenerateAlpha, match="alpha"):
+        solve_individual(inst, params, alpha=alpha)

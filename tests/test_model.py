@@ -23,7 +23,6 @@ from anbeam.model import (
     destination_phase2_rx,
     direct_sinr,
     noise_residual_scale,
-    power_matrix,
     relay_snr,
     relay_snrs,
     second_phase_power,
@@ -32,10 +31,13 @@ from anbeam.model import (
     simulate_noise_residual,
     strongest_relay,
 )
+from anbeam.total_solver import dense_power_matrix
 from anbeam.types import (
     IndividualBudget,
     NetworkInstance,
     SignalRealization,
+    SystemParams,
+    TotalBudget,
 )
 from conftest import make_instance, random_weights
 
@@ -57,6 +59,28 @@ def test_instance_rejects_vanishing_direct_gain():
 def test_instance_rejects_mismatched_relay_vectors():
     with pytest.raises(ValueError):
         NetworkInstance(h_sd=1.0, h_sr=[1.0, 2.0], h_rd=[1.0], sigma2=1.0)
+
+
+# one constructor per validated field, with that field set to the given value
+_FIELD_BUILDERS = {
+    "h_sd": lambda x: NetworkInstance(h_sd=x, h_sr=[1.0], h_rd=[1.0], sigma2=1.0),
+    "h_sr": lambda x: NetworkInstance(h_sd=1.0, h_sr=[1.0, x], h_rd=[1.0, 1.0], sigma2=1.0),
+    "h_rd": lambda x: NetworkInstance(h_sd=1.0, h_sr=[1.0, 1.0], h_rd=[x, 1.0], sigma2=1.0),
+    "sigma2": lambda x: NetworkInstance(h_sd=1.0, h_sr=[1.0], h_rd=[1.0], sigma2=x),
+    "p_tot": lambda x: TotalBudget(x),
+    "p_s": lambda x: IndividualBudget(x, [0.1]),
+    "p_i": lambda x: IndividualBudget(5.0, [0.1, x]),
+    "p1": lambda x: SystemParams(x, 0.5, TotalBudget(1.0)),
+    "gamma": lambda x: SystemParams(2.0, x, TotalBudget(1.0)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(_FIELD_BUILDERS))
+def test_domain_types_reject_non_finite_fields(name, value):
+    _FIELD_BUILDERS[name](1.0)  # the finite baseline is accepted
+    with pytest.raises(ValueError, match=name):
+        _FIELD_BUILDERS[name](value)
 
 
 def test_instance_arrays_are_immutable():
@@ -268,7 +292,7 @@ def test_power_block_formula_matches_dense_quadratic(rng):
         inst = make_instance(rng, m)
         a = float(rng.uniform(0.0, 1.0))
         w = random_weights(rng, m)
-        d = power_matrix(inst, 2.2, a)
+        d = dense_power_matrix(derive_model(inst, 2.2, a))
         dense = float(np.real(np.conj(w) @ d @ w))
         assert second_phase_power(inst, 2.2, a, w) == pytest.approx(dense, rel=1e-12)
 
@@ -359,7 +383,7 @@ def test_derive_model_power_matrix_definite(rng):
     for _ in range(20):
         inst = make_instance(rng, 3)
         a = float(rng.uniform(0.05, 0.999))
-        d = power_matrix(inst, 2.0, a)
+        d = dense_power_matrix(derive_model(inst, 2.0, a))
         assert np.allclose(d, d.conj().T)
         eigs = np.linalg.eigvalsh(d)
         assert np.all(eigs > 0)

@@ -1,10 +1,12 @@
 """Closed-form total-budget solver against its own contracts and the dense
 matrix assembly."""
 
+import math
+
 import numpy as np
 import pytest
 
-from anbeam.errors import DegenerateAlpha
+from anbeam.errors import BeamformingError, DegenerateAlpha
 from anbeam.model import capacity_dest, derive_model, second_phase_power, strongest_relay
 from anbeam.total_solver import build_d_tilde, dense_power_matrix, solve_total
 from anbeam.types import (
@@ -193,3 +195,65 @@ def test_explicit_alpha_overrides_gamma(rng):
     # just confirm power accounting still closes
     assert second_phase_power(inst, params.p1, 0.37, sol.w) == \
         pytest.approx(params.budget.p_tot, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the structured O(M) solve against the dense reference
+
+
+def _dense_solution(inst, params, alpha):
+    """The dense solve: v = D_tilde^{-1} conj(h) by LU, mu from the dense D."""
+    derived = derive_model(inst, params.p1, alpha)
+    v = np.linalg.solve(build_d_tilde(derived, params.budget.p_tot), np.conj(derived.h))
+    mu = np.sqrt(params.budget.p_tot
+                 / np.real(np.conj(v) @ dense_power_matrix(derived) @ v))
+    return v, capacity_dest(inst, params.p1, alpha, mu * v)
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-160, 0.05, 0.6, 1.0])
+@pytest.mark.parametrize("m", [0, 1, 4, 10, 64, 256])
+def test_structured_solve_matches_dense_reference(rng, m, alpha):
+    for _ in range(3):
+        inst = make_instance(rng, m)
+        params = SystemParams(float(rng.uniform(0.5, 8.0)), None,
+                              TotalBudget(float(rng.uniform(1.0, 10.0))))
+        sol = solve_total(inst, params, alpha=alpha)
+        v_dense, c_d_dense = _dense_solution(inst, params, alpha)
+        v = sol.diagnostics.v
+        # max norms: the 2-norm of v overflows at alpha = 1e-300
+        assert np.max(np.abs(v - v_dense)) <= 1e-12 * np.max(np.abs(v_dense))
+        assert sol.c_d == pytest.approx(c_d_dense, rel=1e-12)
+        assert sol.second_phase_power == pytest.approx(params.budget.p_tot, rel=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-160])
+def test_vanishing_alpha_keeps_the_dense_answer(alpha):
+    # |v_0|^2 overflows a float here; the solve must still return the finite
+    # value of the dense path, which tends to 0.5 log2(1 + |h_sd|^2 P/sigma2)
+    inst = NetworkInstance(h_sd=0.3 - 0.4j, h_sr=[1.0 + 0.5j, -0.7 + 0.2j, 0.1 - 1.2j],
+                           h_rd=[0.4 - 0.9j, 1.1 + 0.3j, -0.6 - 0.6j], sigma2=1.0)
+    params = SystemParams(2.0, None, TotalBudget(5.0))
+    sol = solve_total(inst, params, alpha=alpha)
+    assert sol.c_d == pytest.approx(0.5849625007211562, rel=1e-12)
+    assert sol.c_d == pytest.approx(0.5 * math.log2(1.0 + 0.25 * 5.0), rel=1e-12)
+    assert second_phase_power(inst, params.p1, alpha, sol.w) == pytest.approx(5.0, rel=1e-8)
+
+
+def test_extreme_gains_where_the_dense_solve_is_singular():
+    # D_tilde is numerically singular in double precision here (a dense LU
+    # solve raises LinAlgError); the reference C_d was computed at 80 digits
+    inst = NetworkInstance(h_sd=1e-8, h_sr=[1e4, 1e4j], h_rd=[1e4, -1e4], sigma2=1e-12)
+    params = SystemParams(2.0, None, TotalBudget(5.0))
+    try:
+        sol = solve_total(inst, params, alpha=0.6)
+    except BeamformingError:
+        return
+    assert np.all(np.isfinite(sol.w))
+    assert sol.second_phase_power == pytest.approx(5.0, rel=1e-8)
+    assert sol.c_d == pytest.approx(0.00098756285716464173, rel=1e-10)
+
+
+def test_solve_rejects_zero_alpha(rng):
+    inst, params = _random_case(rng, 3)
+    with pytest.raises(DegenerateAlpha):
+        solve_total(inst, params, alpha=0.0)
