@@ -36,12 +36,12 @@ from .experiments import (
 from .individual_solver import (
     MagnitudeProblem,
     QuarticCoeffs,
-    after_clamp,
     initial_problem,
     optimal_phases,
     quartic_coeffs,
     select_root,
     solve_individual,
+    solve_individual_batch,
     solve_source_only,
 )
 from .model import (
@@ -68,11 +68,13 @@ from .oracles import (
     power_iteration_rank1,
 )
 from .tolerances import PROFILES, Tolerances
-from .total_solver import build_d_tilde, solve_total
+from .total_solver import build_d_tilde, solve_total, solve_total_batch
 from .types import (
+    BatchSolution,
     BeamSolution,
     DerivedModel,
     IndividualBudget,
+    InstanceBatch,
     NetworkInstance,
     SignalRealization,
     SystemParams,

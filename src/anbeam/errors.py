@@ -1,5 +1,7 @@
 """Exception hierarchy for solver and oracle failure modes."""
 
+import numpy as np
+
 
 class BeamformingError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -35,3 +37,21 @@ class OracleEvalError(BeamformingError):
 
 class OracleTooLarge(BeamformingError):
     """Requested oracle run exceeds its built-in cost guard."""
+
+
+class RowErrors:
+    """Errors of the rows of a batch solve, one exception object per failed
+    row.  A row keeps the first error it raises; `failed` masks the rows that
+    later steps skip."""
+
+    def __init__(self, n: int):
+        self.errors = [None] * n
+        self.failed = np.zeros(n, dtype=bool)
+
+    def fail(self, rows, make) -> None:
+        """Record make(i) as the error of each still-ok row i in `rows` (an
+        index array)."""
+        for i in rows:
+            if self.errors[i] is None:
+                self.errors[i] = make(i)
+        self.failed[rows] = True

@@ -12,8 +12,13 @@ p1, alpha or M therefore hold instance-by-instance, not just on average, and
 sweeps are byte-identical across worker counts (grid points are independent
 tasks; aggregation happens in fixed slot order).
 
-A solver failure at one grid point (e.g. an infeasible SNR threshold at low
-p1) advances that slot's attempt counter there; the replacement is logged and
+A grid point is solved as one batch per budget mode: every slot's instance
+is drawn, stacked into an InstanceBatch and handed to solve_total_batch and
+solve_individual_batch, which report failures per row (a batch larger than
+BATCH_ELEMENTS rows x relays is split in equal parts, which changes no
+value).  A slot that fails in either mode (e.g. an infeasible SNR threshold
+at low p1) advances its attempt counter at that grid point; the failed slots
+are redrawn together as a smaller batch, and each replacement is logged and
 counted, never silently dropped.
 """
 
@@ -28,10 +33,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BeamformingError
-from .individual_solver import solve_individual
-from .total_solver import solve_total
-from .types import IndividualBudget, NetworkInstance, SystemParams, TotalBudget
+from .individual_solver import solve_individual_batch
+from .total_solver import solve_total_batch
+from .types import (IndividualBudget, InstanceBatch, NetworkInstance, SystemParams,
+                    TotalBudget)
 
 log = logging.getLogger(__name__)
 
@@ -118,8 +123,9 @@ class ExperimentSpec:
                                tuple(float(a) for a in self.alpha_values))
         if (self.alpha_values is None) == (self.gamma is None):
             raise ValueError("give exactly one of alpha_values or gamma")
-        if not all(0.0 <= a <= 1.0 for a in self.alpha_values or ()):
-            raise ValueError("alpha_values must lie in [0, 1]")
+        if not all(0.0 < a <= 1.0 for a in self.alpha_values or ()):
+            # alpha = 0 sends no message power: both solvers reject it
+            raise ValueError("alpha_values must lie in (0, 1]")
         if self.gamma is not None and not 0.0 < self.gamma < math.inf:
             raise ValueError("gamma must be finite and positive")
         if not all(0.0 < p < math.inf for p in self.p1_values):
@@ -184,41 +190,55 @@ def alpha_label(spec: ExperimentSpec, alpha: Optional[float]) -> str:
     return _fmt(alpha) if alpha is not None else f"gamma={_fmt(spec.gamma)}"
 
 
+# Largest batch the solvers get, in rows x relays.  Their working set is a few
+# dozen arrays of that size, so this bounds a grid point's memory at large M or
+# n_instances; with 100 slots, every M <= 163 is still one batch.
+BATCH_ELEMENTS = 1 << 14
+
+
 def solve_grid_point(spec: ExperimentSpec, m: int, p1: float,
                      alpha: Optional[float]) -> GridPointResult:
     """Solve all instance slots at one grid point, in every requested budget
-    mode, sharing the instance set across modes.  A slot whose solve fails in
-    any mode is resampled (new attempt) for all modes together."""
+    mode, sharing the instance set across modes.
+
+    Each round draws the pending slots' instances and solves them as one
+    batch per mode (split in equal parts of at most BATCH_ELEMENTS rows x
+    relays).  A slot whose solve fails in any mode is redrawn (next attempt)
+    for all modes together in the next round; the first mode's error is the
+    one logged.
+    """
     p_tot = spec.p_s + m * spec.p_i
-    p_i_vec = np.full(m, spec.p_i)
+    params = {"total": SystemParams(p1, spec.gamma, TotalBudget(p_tot)),
+              "individual": SystemParams(p1, spec.gamma,
+                                         IndividualBudget(spec.p_s, np.full(m, spec.p_i)))}
+    solvers = {"total": solve_total_batch, "individual": solve_individual_batch}
     values = {mode: np.empty(spec.n_instances) for mode in spec.modes}
+    attempts = np.zeros(spec.n_instances, dtype=int)
+    pending = np.arange(spec.n_instances)
     resamples = 0
-    for slot in range(spec.n_instances):
-        attempt = 0
-        while True:
-            instance = sample_instance(m, spec.variances,
-                                       instance_stream(spec.seed, slot, attempt),
-                                       spec.sigma2)
-            try:
-                got = {}
-                for mode in spec.modes:
-                    if mode == "total":
-                        params = SystemParams(p1, spec.gamma, TotalBudget(p_tot))
-                        got[mode] = solve_total(instance, params, alpha=alpha).c_d
-                    else:
-                        params = SystemParams(p1, spec.gamma, IndividualBudget(spec.p_s, p_i_vec))
-                        got[mode] = solve_individual(instance, params, alpha=alpha).c_d
-                break
-            except BeamformingError as err:
-                resamples += 1
-                attempt += 1
-                log.warning("slot %d at (m=%d, p1=%g, %s) resampled (attempt %d): %s",
-                            slot, m, p1, alpha_label(spec, alpha), attempt, err)
-                if attempt > 100:
-                    raise RuntimeError(
-                        f"slot {slot} failed 100 consecutive resamples") from err
-        for mode in spec.modes:
-            values[mode][slot] = got[mode]
+    while pending.size:
+        failed = []
+        for rows in np.array_split(pending, -(-pending.size * m // BATCH_ELEMENTS)):
+            batch = InstanceBatch.stack(
+                sample_instance(m, spec.variances,
+                                instance_stream(spec.seed, int(slot), int(attempts[slot])),
+                                spec.sigma2)
+                for slot in rows)
+            errors = [None] * len(rows)
+            for mode in spec.modes:
+                solved = solvers[mode](batch, params[mode], alpha=alpha)
+                values[mode][rows] = solved.c_d  # a failed slot's is rewritten on redraw
+                errors = [first or err for first, err in zip(errors, solved.errors)]
+            failed += [(int(slot), err) for slot, err in zip(rows, errors) if err is not None]
+        for slot, err in failed:
+            resamples += 1
+            attempts[slot] += 1
+            log.warning("slot %d at (m=%d, p1=%g, %s) resampled (attempt %d): %s",
+                        slot, m, p1, alpha_label(spec, alpha), attempts[slot], err)
+            if attempts[slot] > 100:
+                raise RuntimeError(
+                    f"slot {slot} failed 100 consecutive resamples") from err
+        pending = np.array([slot for slot, _ in failed], dtype=int)
     return GridPointResult(c_d=values, resamples=resamples)
 
 

@@ -18,6 +18,15 @@ The quartic here is the exact stationarity condition of the reduced
 objective obtained by squaring the derivative once; squaring can introduce
 spurious roots, so the root is always selected by direct objective
 comparison rather than sign reasoning.
+
+solve_individual_batch runs the greedy loop for every row of an
+InstanceBatch in lockstep: each round, every row that still has a violator
+clamps one relay, and all of them re-solve together (one eigvals call on the
+stacked 4x4 companion matrices of their quartics).  A row leaves the loop
+when its caps hold or it fails; its clamp sequence is the one it would take
+alone.  solve_individual is the N = 1 call, and MagnitudeProblem,
+solve_source_only, quartic_coeffs and select_root are one-row views of the
+same array expressions.
 """
 
 from __future__ import annotations
@@ -29,27 +38,167 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateAlpha, InfeasibleBudget, NoFeasibleRoot
-from .model import capacity_dest, derive_model, resolve_alpha, second_phase_power
+from .model import (_dot, _per_relay, capacity_dest, derive_model, resolve_alphas,
+                    second_phase_power)
 from .tolerances import Tolerances, from_env
 from .types import (
+    CANDIDATE_KINDS,
+    BatchSolution,
     BeamSolution,
     DerivedModel,
+    IndividualBatchDiagnostics,
     IndividualBudget,
-    IndividualSolveDiagnostics,
+    InstanceBatch,
     NetworkInstance,
+    RootCandidate,
     SystemParams,
     _frozen_array,
     _set,
+    root_candidates,
 )
+
+_MAX_CANDIDATES = len(CANDIDATE_KINDS)
 
 
 def optimal_phases(instance: NetworkInstance) -> np.ndarray:
     """Weight phases aligning every beam-gain term to the positive real axis:
-    arg(w_0) = -arg(h_sd), arg(w_i) = -(arg(h_si) + arg(h_id))."""
+    arg(w_0) = -arg(h_sd), arg(w_i) = -(arg(h_si) + arg(h_id)).  Works over
+    a trailing relay axis, so a batch gets one row of phases per instance."""
     return np.concatenate((
-        [-np.angle(instance.h_sd)],
+        -_per_relay(np.angle(instance.h_sd)),
         -(np.angle(instance.h_sr) + np.angle(instance.h_rd)),
-    ))
+    ), axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# Array expressions of the magnitude problem; each takes floats or arrays.
+
+
+def _radicand(eta1, eta2, t1, tau, r):
+    """(y, u1^2) at total relay contribution r: y = t1 + tau r and
+    u1^2 = eta1 - eta2 y^2."""
+    y = t1 + tau * r
+    return y, eta1 - eta2 * y * y
+
+
+def _surface_value(y, rad, c1, t2, r):
+    """Scaled destination SINR (y + c1 u1)^2 / (t2 + r^2) with u1 = sqrt(rad)
+    on the source-power surface."""
+    return (y + c1 * np.sqrt(rad)) ** 2 / (t2 + r * r)
+
+
+def _active_norm(c2: np.ndarray, active: Optional[np.ndarray] = None):
+    """tau = ||c2 over the active relays||, over a trailing relay axis."""
+    if active is not None:
+        c2 = np.where(active, c2, 0.0)
+    return np.sqrt(_dot(c2, c2))
+
+
+def _source_only_r(tau, eta1, eta2, c1):
+    """(r*, finite) of the unclamped problem:
+    r* = sqrt(tau^2 eta1 / (eta2 tau^4 + (eta1 + tau^2 eta2)^2 c1^2)).
+    Every term overflows as alpha -> 0, and an infinite denominator gives
+    r* = 0 rather than an error, so `finite` covers the intermediates too."""
+    tau, c1 = np.asarray(tau, dtype=float), np.asarray(c1, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = tau ** 2 * eta1
+        den = eta2 * tau ** 4 + (eta1 + tau ** 2 * eta2) ** 2 * c1 ** 2
+        r = np.sqrt(num / den)
+    return r, np.isfinite(num) & np.isfinite(den) & np.isfinite(r)
+
+
+def _quartic(e1, e2, e3, t1, t2, tau, c1):
+    """Coefficients (q0, ..., q4), highest power first, of the stationarity
+    quartic of the clamped 1-D problem (see quartic_coeffs)."""
+    x = tau * tau * t2 - t1 * t1
+    q0 = e2 * e3 * tau * tau * t1 * t1
+    q1 = -2.0 * e2 * t1 * tau * (e3 * x + c1 * c1 * e1)
+    q2 = (-e1 * t1 * t1
+          + e2 * e3 * (x * x - 2.0 * t1 * t1 * t2 * tau * tau)
+          + c1 * c1 * e1 * (e1 + 2.0 * e2 * x))
+    q3 = 2.0 * tau * t2 * t1 * e3 * (e1 - e2 * t1 * t1 + e2 * tau * tau * t2)
+    q4 = -t2 * t2 * tau * tau * (e1 - e2 * e3 * t1 * t1)
+    return q0, q1, q2, q3, q4
+
+
+def _quartic_roots(q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Roots of each row of q (K, 5), padded to (K, 4), and the mask of the
+    slots filled.
+
+    Leading coefficients below 1e-14 of a row's largest are stripped first.
+    Rows that keep degree 4 with q4 != 0 share one eigvals call on their
+    stacked companion matrices (the matrices np.roots builds); the others go
+    through np.roots.  Rows with a non-finite coefficient get no roots.
+    """
+    k = len(q)
+    roots = np.zeros((k, 4), dtype=complex)
+    filled = np.zeros((k, 4), dtype=bool)
+    mag = np.abs(q)
+    scale = np.max(mag, axis=1)
+    usable = np.isfinite(scale) & (scale > 0.0)
+    first = np.argmax(mag > 1e-14 * scale[:, None], axis=1)
+    full = usable & (first == 0) & (q[:, 4] != 0.0)
+    if full.any():
+        lead = q[full]
+        companion = np.zeros((len(lead), 4, 4))
+        companion[:, 0, :] = -lead[:, 1:] / lead[:, :1]
+        companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+        roots[full] = np.linalg.eigvals(companion)
+        filled[full] = True
+    for i in np.flatnonzero(usable & ~full & (first < 4)):
+        z = np.roots(q[i, first[i]:])
+        roots[i, :len(z)] = z
+        filled[i, :len(z)] = True
+    return roots, filled
+
+
+def _candidates(q, eta1, eta2, t1, t2, tau, c1, tol: Tolerances):
+    """Candidates of K clamped 1-D problems at once, as (r, value, valid),
+    each (K, 6) with the columns of types.CANDIDATE_KINDS: r = 0, the
+    radicand-zero boundary where u1 hits 0, and the real positive quartic
+    roots.
+
+    A present candidate is valid when its radicand is not below
+    -radicand_guard * max(eta1, 1) and its value is finite; a radicand inside
+    that guard band is scored as the u1 = 0 boundary point.
+    """
+    k = len(q)
+    r = np.zeros((k, _MAX_CANDIDATES))
+    present = np.zeros((k, _MAX_CANDIDATES), dtype=bool)
+    present[:, 0] = True
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r_ub = (np.sqrt(eta1 / eta2) - t1) / tau
+        present[:, 1] = (eta2 > 0.0) & (tau > 0.0) & (r_ub > 0.0)
+        r[:, 1] = np.where(present[:, 1], r_ub, 0.0)
+        roots, filled = _quartic_roots(q)
+        present[:, 2:] = (filled & (roots.real > 0.0)
+                          & (np.abs(roots.imag)
+                             <= tol.real_root * np.maximum(1.0, np.abs(roots.real))))
+        r[:, 2:] = np.where(present[:, 2:], roots.real, 0.0)
+        col = (slice(None), None)
+        y, rad = _radicand(eta1[col], eta2[col], t1[col], tau[col], r)
+        value = np.where(rad >= 0.0, _surface_value(y, rad, c1[col], t2[col], r),
+                         y * y / (t2[col] + r * r))
+    guard = tol.radicand_guard * np.maximum(eta1, 1.0)
+    valid = present & ~(rad < -guard[col]) & np.isfinite(value)
+    return r, value, valid
+
+
+def _best(r: np.ndarray, value: np.ndarray, valid: np.ndarray):
+    """(column of each row's best valid candidate by (value, -r), first
+    column on ties; whether the row has a valid candidate at all)."""
+    top = np.max(np.where(valid, value, -np.inf), axis=1)
+    tied = valid & (value == top[:, None])
+    return np.argmin(np.where(tied, r, np.inf), axis=1), valid.any(axis=1)
+
+
+def _no_root_message(rad0) -> str:
+    return ("no admissible r: even r=0 violates the source-power radicand "
+            f"(eta1 - eta2 t1^2 = {float(rad0)!r})")
+
+
+# ---------------------------------------------------------------------------
+# One-row views
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,50 +236,29 @@ class MagnitudeProblem:
 
     def radicand(self, r: float) -> float:
         """eta1 - eta2 (t1 + tau r)^2 = u1^2 at total relay contribution r."""
-        y = self.t1 + self.tau * r
-        return self.eta1 - self.eta2 * y * y
+        return _radicand(self.eta1, self.eta2, self.t1, self.tau, r)[1]
 
     def objective(self, r: float) -> float:
         """Scaled destination SINR (c1 u1 + c2.u)^2 / (t2 + r^2) at radius r,
         with u1 on the source-power surface; -inf when r is infeasible."""
-        rad = self.radicand(r)
+        y, rad = _radicand(self.eta1, self.eta2, self.t1, self.tau, r)
         if rad < 0:
             return -math.inf
-        y = self.t1 + self.tau * r
-        return (y + self.c1 * math.sqrt(rad)) ** 2 / (self.t2 + r * r)
+        return float(_surface_value(y, rad, self.c1, self.t2, r))
 
 
 def initial_problem(derived: DerivedModel) -> MagnitudeProblem:
     """Magnitude problem before any clamping: all relays active, no offsets."""
     if derived.u_max is None:
         raise ValueError("derived model lacks individual-budget quantities")
-    active = tuple(range(derived.m))
     return MagnitudeProblem(
         c=derived.c,
         u_max=derived.u_max,
         eta1=derived.eta1,
         eta2=derived.eta2,
         eta3=derived.eta3,
-        active=active,
-        tau=float(np.linalg.norm(derived.c[1:])),
-    )
-
-
-def after_clamp(problem: MagnitudeProblem, i: int) -> MagnitudeProblem:
-    """Fix relay i at its amplitude cap and fold it into the offsets."""
-    if i not in problem.active:
-        raise ValueError(f"relay {i} is not active")
-    active = tuple(j for j in problem.active if j != i)
-    return MagnitudeProblem(
-        c=problem.c,
-        u_max=problem.u_max,
-        eta1=problem.eta1,
-        eta2=problem.eta2,
-        eta3=problem.eta3,
-        t1=problem.t1 + problem.c[i + 1] * problem.u_max[i],
-        t2=problem.t2 + problem.u_max[i] ** 2,
-        active=active,
-        tau=float(np.linalg.norm(problem.c[1:][list(active)])) if active else 0.0,
+        active=tuple(range(derived.m)),
+        tau=float(_active_norm(derived.c[1:])),
     )
 
 
@@ -146,21 +274,17 @@ def solve_source_only(problem: MagnitudeProblem) -> Tuple[float, np.ndarray, flo
         raise InfeasibleBudget(f"eta1={problem.eta1!r} <= 0: no source power available")
     if problem.t1 != 0.0 or problem.t2 != 1.0:
         raise ValueError("solve_source_only expects the unclamped problem")
-    tau, c1 = problem.tau, problem.c1
-    if tau <= 0.0:
-        return math.sqrt(problem.eta1), np.zeros(len(problem.u_max)), 0.0
-    try:  # overflows as alpha -> 0, as a Python float or a numpy scalar
-        with np.errstate(over="raise"):
-            r = math.sqrt(tau ** 2 * problem.eta1
-                          / (problem.eta2 * tau ** 4
-                             + (problem.eta1 + tau ** 2 * problem.eta2) ** 2 * c1 ** 2))
-    except (OverflowError, FloatingPointError) as err:
-        raise DegenerateAlpha(f"alpha too small: eta1={problem.eta1!r} overflows r*") from err
+    tau = problem.tau
     u = np.zeros(len(problem.u_max))
-    for i in problem.active:
-        u[i] = problem.c[i + 1] / tau * r
-    u1 = math.sqrt(max(problem.radicand(r), 0.0))
-    return u1, u, r
+    if tau <= 0.0:
+        return math.sqrt(problem.eta1), u, 0.0
+    r, finite = _source_only_r(tau, problem.eta1, problem.eta2, problem.c1)
+    if not finite:
+        raise DegenerateAlpha(f"alpha too small: eta1={problem.eta1!r} overflows r*")
+    r = float(r)
+    active = list(problem.active)
+    u[active] = problem.c[1:][active] / tau * r
+    return math.sqrt(max(problem.radicand(r), 0.0)), u, r
 
 
 @dataclass(frozen=True)
@@ -189,26 +313,9 @@ def quartic_coeffs(problem: MagnitudeProblem) -> QuarticCoeffs:
     coefficients vanish and -q4/q2 is the square of the closed-form r* of
     solve_source_only.
     """
-    e1, e2, e3 = problem.eta1, problem.eta2, problem.eta3
-    t1, t2, tau, c1 = problem.t1, problem.t2, problem.tau, problem.c1
-    x = tau * tau * t2 - t1 * t1
-    q0 = e2 * e3 * tau * tau * t1 * t1
-    q1 = -2.0 * e2 * t1 * tau * (e3 * x + c1 * c1 * e1)
-    q2 = (-e1 * t1 * t1
-          + e2 * e3 * (x * x - 2.0 * t1 * t1 * t2 * tau * tau)
-          + c1 * c1 * e1 * (e1 + 2.0 * e2 * x))
-    q3 = 2.0 * tau * t2 * t1 * e3 * (e1 - e2 * t1 * t1 + e2 * tau * tau * t2)
-    q4 = -t2 * t2 * tau * tau * (e1 - e2 * e3 * t1 * t1)
-    return QuarticCoeffs(q0, q1, q2, q3, q4)
-
-
-@dataclass(frozen=True)
-class RootCandidate:
-    """One admissible point of the 1-D problem with its objective value."""
-
-    r: float
-    value: float
-    kind: str  # "root" | "zero" | "radicand-boundary"
+    return QuarticCoeffs(*(float(q) for q in _quartic(
+        problem.eta1, problem.eta2, problem.eta3, problem.t1, problem.t2,
+        problem.tau, problem.c1)))
 
 
 def select_root(coeffs: QuarticCoeffs, problem: MagnitudeProblem,
@@ -223,67 +330,29 @@ def select_root(coeffs: QuarticCoeffs, problem: MagnitudeProblem,
     equation only, and those lose the comparison automatically.
     """
     tol = tol or from_env()
-    candidates = []
-
-    def consider(r: float, kind: str):
-        rad = problem.radicand(r)
-        guard = tol.radicand_guard * max(problem.eta1, 1.0)
-        if rad < -guard:
-            return
-        if rad >= 0:
-            value = problem.objective(r)
-        else:
-            # inside the guard band: score as the u1 = 0 boundary point
-            y = problem.t1 + problem.tau * r
-            value = y * y / (problem.t2 + r * r)
-        if math.isfinite(value):
-            candidates.append(RootCandidate(float(r), float(value), kind))
-
-    consider(0.0, "zero")
-    if problem.eta2 > 0 and problem.tau > 0:
-        r_ub = (math.sqrt(problem.eta1 / problem.eta2) - problem.t1) / problem.tau
-        if r_ub > 0:
-            consider(r_ub, "radicand-boundary")
-    arr = coeffs.as_array()
-    scale = float(np.max(np.abs(arr)))
-    if scale > 0:
-        # strip numerically-zero leading coefficients before the companion solve
-        keep = np.abs(arr) > 1e-14 * scale
-        first = int(np.argmax(keep))
-        reduced = arr[first:]
-        if len(reduced) > 1:
-            for z in np.roots(reduced):
-                if abs(z.imag) <= tol.real_root * max(1.0, abs(z.real)) and z.real > 0:
-                    consider(float(z.real), "root")
-    if not candidates:
-        raise NoFeasibleRoot(
-            "no admissible r: even r=0 violates the source-power radicand "
-            f"(eta1 - eta2 t1^2 = {problem.radicand(0.0)!r})")
-    best = max(candidates, key=lambda cand: (cand.value, -cand.r))
-    return best, tuple(candidates)
+    row = [np.array([x], dtype=float) for x in (
+        problem.eta1, problem.eta2, problem.t1, problem.t2, problem.tau, problem.c1)]
+    r, value, valid = _candidates(coeffs.as_array()[None, :], *row, tol)
+    best, ok = _best(r, value, valid)
+    if not ok[0]:
+        raise NoFeasibleRoot(_no_root_message(problem.radicand(0.0)))
+    return (root_candidates(r[0], value[0], best)[0],
+            root_candidates(r[0], value[0], np.flatnonzero(valid[0])))
 
 
-def _resolve_active(problem: MagnitudeProblem, first_pass: bool,
-                    tol: Tolerances) -> Tuple[float, np.ndarray, Tuple[RootCandidate, ...]]:
-    """One inner solve: closed form on the first pass, quartic afterwards.
-    Returns (r, u over all relays, candidates examined)."""
-    u = np.zeros(len(problem.u_max))
-    if not problem.active or problem.tau <= 0.0:
-        return 0.0, u, ()
-    if first_pass:
-        _, u, r = solve_source_only(problem)
-        return r, u, ()
-    best, candidates = select_root(quartic_coeffs(problem), problem, tol)
-    r = best.r
-    for i in problem.active:
-        u[i] = problem.c[i + 1] / problem.tau * r
-    return r, u, candidates
+# ---------------------------------------------------------------------------
+# The solvers
 
 
-def solve_individual(instance: NetworkInstance, params: SystemParams,
-                     alpha: Optional[float] = None,
-                     tol: Optional[Tolerances] = None) -> BeamSolution:
-    """Optimal weights under separate source and per-relay power caps.
+# Failed rows carry alpha = 1 and their arithmetic runs on quietly: it is
+# never read, and every non-finite value a healthy row can reach is tested for
+# explicitly.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
+                           alpha: Optional[float] = None,
+                           tol: Optional[Tolerances] = None) -> BatchSolution:
+    """Optimal weights under separate source and per-relay power caps for
+    every row of a batch.
 
     Greedy active-set loop: solve ignoring relay caps; while some active
     relay exceeds its cap, clamp the proportionally worst violator (ties to
@@ -292,67 +361,108 @@ def solve_individual(instance: NetworkInstance, params: SystemParams,
     Terminates in at most M clamps.  The source amplitude then follows from
     power equality, phases are applied, and relay weights are recovered as
     w_i = u_i/|h_id| * exp(j phi_i).
+
+    Rows fail independently: InfeasibleThreshold (gamma out of reach),
+    DegenerateAlpha (alpha outside (0, 1], or so small that the closed form
+    overflows) or InfeasibleBudget (the source cannot cancel the noise the
+    clamped relays forward).
     """
     budget = params.budget
     if not isinstance(budget, IndividualBudget):
         raise TypeError("solve_individual requires an IndividualBudget")
     tol = tol or from_env()
-    a = resolve_alpha(instance, params.p1, params.gamma, alpha)
-    derived = derive_model(instance, params.p1, a, budget)
-    problem = initial_problem(derived)
+    p1 = params.p1
+    a, errors = resolve_alphas(batch, p1, params.gamma, alpha)
+    errors.fail(np.flatnonzero(~((0.0 < a) & (a <= 1.0))), lambda i: DegenerateAlpha(
+        f"alpha={float(a[i])!r}: the individual-budget constants divide by alpha"))
+    a_ok = np.where(errors.failed, 1.0, a)
+    derived = derive_model(batch, p1, a_ok, budget)
+    c1, c2 = derived.c[:, 0], derived.c[:, 1:]
+    u_max, eta1, eta2, eta3 = derived.u_max, derived.eta1, derived.eta2, derived.eta3
+    n, m = batch.n, batch.m
+    active = np.ones((n, m), dtype=bool)
+    t1, t2 = np.zeros(n), np.ones(n)
+    tau = _active_norm(c2)
+    r = np.zeros(n)
+    u = np.zeros((n, m))
+    cand_r = np.zeros((n, _MAX_CANDIDATES))
+    cand_value = np.zeros((n, _MAX_CANDIDATES))
+    cand_valid = np.zeros((n, _MAX_CANDIDATES), dtype=bool)
 
-    m = instance.m
-    u = np.zeros(m)
-    clamped: list[int] = []
-    candidates: Tuple[RootCandidate, ...] = ()
-    r = 0.0
-    iterations = 0
-    while True:
-        iterations += 1
-        try:
-            r, u_active, candidates = _resolve_active(
-                problem, first_pass=(iterations == 1), tol=tol)
-        except NoFeasibleRoot as err:
-            raise InfeasibleBudget(
-                "clamped relay amplitudes exceed what the source can cancel: "
-                + str(err)) from err
-        for i in problem.active:
-            u[i] = u_active[i]
-        worst_idx, worst_ratio = -1, 1.0 + tol.bound_slack
-        for i in problem.active:
-            cap = problem.u_max[i]
-            ratio = math.inf if cap <= 0.0 else u[i] / cap
-            if ratio > worst_ratio:
-                worst_idx, worst_ratio = i, ratio
-        if worst_idx < 0:
+    rows = np.flatnonzero(~errors.failed & (tau > 0.0))
+    r_rows, finite = _source_only_r(tau[rows], eta1[rows], eta2[rows], c1[rows])
+    errors.fail(rows[~finite], lambda i: DegenerateAlpha(
+        f"alpha too small: eta1={float(eta1[i])!r} overflows r*"))
+    r[rows] = r_rows
+    u[rows] = c2[rows] / tau[rows, None] * r_rows[:, None]
+
+    live = np.flatnonzero(~errors.failed & active.any(axis=1))
+    while live.size:
+        cap = u_max[live]
+        ratio = np.where(cap > 0.0, u[live] / cap, np.inf)
+        ratio[~active[live]] = -np.inf
+        worst = np.argmax(ratio, axis=1)
+        violating = ratio[np.arange(len(live)), worst] > 1.0 + tol.bound_slack
+        live, worst = live[violating], worst[violating]
+        if not live.size:
             break
-        u[worst_idx] = problem.u_max[worst_idx]
-        clamped.append(worst_idx)
-        problem = after_clamp(problem, worst_idx)
+        cap = u_max[live, worst]
+        u[live, worst] = cap
+        active[live, worst] = False
+        t1[live] = t1[live] + c2[live, worst] * cap
+        t2[live] = t2[live] + cap ** 2
+        tau[live] = _active_norm(c2[live], active[live])
 
-    total = problem.t1 + problem.tau * r
-    rad = problem.eta1 - problem.eta2 * total * total
-    if rad < -tol.radicand_guard * max(problem.eta1, 1.0):
-        raise InfeasibleBudget(
-            f"source power cannot cancel the forwarded noise (radicand {rad!r})")
-    u1 = math.sqrt(max(rad, 0.0))
+        rest = live[tau[live] <= 0.0]  # nothing left to re-solve: r = 0
+        r[rest] = 0.0
+        u[rest] = np.where(active[rest], 0.0, u[rest])
+        cand_valid[rest] = False
+        rows = live[tau[live] > 0.0]
+        if rows.size:
+            q = np.stack(_quartic(eta1[rows], eta2[rows], eta3[rows], t1[rows], t2[rows],
+                                  tau[rows], c1[rows]), axis=-1)
+            errors.fail(rows[~np.isfinite(q).all(axis=1)], lambda i: DegenerateAlpha(
+                f"alpha={float(a[i])!r} is so small that the stationarity quartic overflows"))
+            cand = _candidates(q, eta1[rows], eta2[rows], t1[rows], t2[rows], tau[rows],
+                               c1[rows], tol)
+            best, ok = _best(*cand)
+            errors.fail(rows[~ok], lambda i: InfeasibleBudget(
+                "clamped relay amplitudes exceed what the source can cancel: "
+                + _no_root_message(eta1[i] - eta2[i] * t1[i] * t1[i])))
+            cand_r[rows], cand_value[rows], cand_valid[rows] = cand
+            r[rows] = cand[0][np.arange(len(rows)), best]
+            u[rows] = np.where(active[rows], c2[rows] / tau[rows, None] * r[rows, None],
+                               u[rows])
+        live = live[~errors.failed[live]]
 
-    phases = optimal_phases(instance)
-    w = np.zeros(m + 1, dtype=complex)
-    w[0] = u1 * np.exp(1j * phases[0])
-    gains_rd = np.abs(instance.h_rd)
-    for i in range(m):
-        if gains_rd[i] > 0 and u[i] > 0:
-            w[i + 1] = u[i] / gains_rd[i] * np.exp(1j * phases[i + 1])
-    return BeamSolution(
+    total = t1 + tau * r
+    rad = eta1 - eta2 * total * total
+    errors.fail(np.flatnonzero(rad < -tol.radicand_guard * np.maximum(eta1, 1.0)),
+                lambda i: InfeasibleBudget("source power cannot cancel the forwarded "
+                                           f"noise (radicand {float(rad[i])!r})"))
+    phases = optimal_phases(batch)
+    gains_rd = np.abs(batch.h_rd)
+    relay_w = np.where((gains_rd > 0.0) & (u > 0.0),
+                       u / gains_rd * np.exp(1j * phases[:, 1:]), 0.0)
+    w = np.concatenate(
+        ((np.sqrt(np.maximum(rad, 0.0)) * np.exp(1j * phases[:, 0]))[:, None], relay_w),
+        axis=-1)
+    return BatchSolution(
         w=w,
         alpha=a,
-        c_d=capacity_dest(instance, params.p1, a, w),
-        second_phase_power=second_phase_power(instance, params.p1, a, w),
-        diagnostics=IndividualSolveDiagnostics(
-            clamped=tuple(sorted(clamped)),
-            iterations=iterations,
-            chosen_r=float(r),
-            root_candidates=candidates,
-        ),
+        c_d=capacity_dest(batch, p1, a_ok, w),
+        second_phase_power=second_phase_power(batch, p1, a_ok, w),
+        errors=tuple(errors.errors),
+        diagnostics=IndividualBatchDiagnostics(
+            clamped=~active, t1=t1, t2=t2, tau=tau, chosen_r=r,
+            candidate_r=cand_r, candidate_value=cand_value, candidate_valid=cand_valid),
     )
+
+
+def solve_individual(instance: NetworkInstance, params: SystemParams,
+                     alpha: Optional[float] = None,
+                     tol: Optional[Tolerances] = None) -> BeamSolution:
+    """Optimal weights under separate source and per-relay power caps for one
+    instance: the N = 1 case of solve_individual_batch."""
+    return solve_individual_batch(InstanceBatch.stack([instance]), params, alpha,
+                                  tol).solution(0)

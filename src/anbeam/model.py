@@ -11,6 +11,11 @@ Conventions used throughout:
 * The beam gain is the plain (unconjugated) product h^T w of combined channel
   gains and weights, matching the physical received coefficient of the
   message symbol.
+* The solver-side formulas (phase-1 SINRs, gain vectors, beam SINR,
+  capacity, second-phase power, the threshold split and derive_model) work
+  over a trailing relay axis.  They take a NetworkInstance or an
+  InstanceBatch alike, with alpha a scalar or one value per row, so the
+  batched solvers share every formula with the single-instance ones.
 """
 
 from __future__ import annotations
@@ -20,15 +25,23 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateAlpha, NoRelays, InfeasibleThreshold, SingularObservation
+from .errors import (DegenerateAlpha, NoRelays, InfeasibleThreshold, RowErrors,
+                     SingularObservation)
 from .tolerances import Tolerances, from_env
 from .types import (
     Budget,
     DerivedModel,
     IndividualBudget,
+    InstanceBatch,
     NetworkInstance,
     SignalRealization,
 )
+
+
+def _per_relay(x) -> np.ndarray:
+    """x with a trailing axis, so a per-instance value (a scalar, or one per
+    row of a batch) broadcasts against per-relay arrays."""
+    return np.asarray(x)[..., None]
 
 
 def strongest_relay(instance: NetworkInstance) -> int:
@@ -43,6 +56,22 @@ def strongest_relay(instance: NetworkInstance) -> int:
     return int(np.argmax(np.abs(instance.h_sr) ** 2))
 
 
+def _threshold_split(instance, p1: float, gamma: float):
+    """(alpha, ceiling) of alpha_for_threshold over a trailing relay axis,
+    without the feasibility test: gamma > ceiling means infeasible."""
+    if instance.m == 0:
+        raise NoRelays("the relay SNR threshold needs at least one relay")
+    gain2 = np.max(np.abs(instance.h_sr) ** 2, axis=-1)
+    ceiling = gain2 * p1 / instance.sigma2
+    return (1.0 + instance.sigma2 / (gain2 * p1)) / (1.0 + 1.0 / gamma), ceiling
+
+
+def _infeasible_threshold(gamma: float, ceiling: float) -> InfeasibleThreshold:
+    return InfeasibleThreshold(
+        f"gamma={gamma:g} exceeds the strongest relay's full-power SNR "
+        f"{ceiling:g}; no alpha <= 1 can reach it")
+
+
 def alpha_for_threshold(instance: NetworkInstance, p1: float, gamma: float) -> float:
     """Message-power fraction alpha that puts the strongest relay exactly at
     SNR gamma.
@@ -51,20 +80,16 @@ def alpha_for_threshold(instance: NetworkInstance, p1: float, gamma: float) -> f
     this value would push the strongest relay past the threshold; lowering it
     only wastes destination SNR, so the solvers pin alpha here.
     """
-    e = strongest_relay(instance)
-    gain2 = abs(instance.h_sr[e]) ** 2
-    ceiling = gain2 * p1 / instance.sigma2
+    alpha, ceiling = _threshold_split(instance, p1, gamma)
     if gamma > ceiling:
-        raise InfeasibleThreshold(
-            f"gamma={gamma:g} exceeds the strongest relay's full-power SNR "
-            f"{ceiling:g}; no alpha <= 1 can reach it")
-    return (1.0 + instance.sigma2 / (gain2 * p1)) / (1.0 + 1.0 / gamma)
+        raise _infeasible_threshold(gamma, ceiling)
+    return alpha
 
 
-def _phase1_sinr(gain2, sigma2: float, p1: float, alpha: float):
+def _phase1_sinr(gain2, sigma2: float, p1: float, alpha):
     """First-phase SINR of a receiver with channel power gain2 (scalar or
-    array), the artificial noise acting as interference:
-    gain2 alpha p1 / (sigma2 + gain2 (1-alpha) p1)."""
+    array, alpha broadcasting against it), the artificial noise acting as
+    interference: gain2 alpha p1 / (sigma2 + gain2 (1-alpha) p1)."""
     return gain2 * alpha * p1 / (sigma2 + gain2 * (1.0 - alpha) * p1)
 
 
@@ -73,34 +98,41 @@ def relay_snr(instance: NetworkInstance, p1: float, alpha: float, i: int) -> flo
     return _phase1_sinr(abs(instance.h_sr[i]) ** 2, instance.sigma2, p1, alpha)
 
 
-def relay_snrs(instance: NetworkInstance, p1: float, alpha: float) -> np.ndarray:
+def relay_snrs(instance: NetworkInstance, p1: float, alpha) -> np.ndarray:
     """Vector of relay_snr over all relays."""
-    return _phase1_sinr(np.abs(instance.h_sr) ** 2, instance.sigma2, p1, alpha)
+    return _phase1_sinr(np.abs(instance.h_sr) ** 2, instance.sigma2, p1, _per_relay(alpha))
 
 
 def capacity_relay(instance: NetworkInstance, p1: float, alpha: float, i: int) -> float:
     return 0.5 * math.log2(1.0 + relay_snr(instance, p1, alpha, i))
 
 
-def direct_sinr(instance: NetworkInstance, p1: float, alpha: float) -> float:
+def direct_sinr(instance: NetworkInstance, p1: float, alpha) -> float:
     """First-phase destination SINR on the direct link, artificial noise
     counted as interference."""
-    return _phase1_sinr(abs(instance.h_sd) ** 2, instance.sigma2, p1, alpha)
+    return _phase1_sinr(np.abs(instance.h_sd) ** 2, instance.sigma2, p1, alpha)
 
 
 def combined_gains(instance: NetworkInstance) -> np.ndarray:
     """Length-(M+1) vector [h_sd, h_s1*h_1d, ..., h_sM*h_Md] of end-to-end
     gains seen by the second-phase weights."""
-    return np.concatenate(([instance.h_sd], instance.h_sr * instance.h_rd))
+    return np.concatenate((_per_relay(instance.h_sd), instance.h_sr * instance.h_rd),
+                          axis=-1)
 
 
 def noise_amp_diag(instance: NetworkInstance) -> np.ndarray:
     """Diagonal [0, |h_1d|^2, ...]: how relay weights amplify relay noise at
     the destination (the source's own weight forwards no receiver noise)."""
-    return np.concatenate(([0.0], np.abs(instance.h_rd) ** 2))
+    gains = np.abs(instance.h_rd) ** 2
+    return np.concatenate((np.zeros(gains.shape[:-1] + (1,)), gains), axis=-1)
 
 
-def beam_sinr(instance: NetworkInstance, p1: float, alpha: float, w: np.ndarray) -> float:
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Unconjugated sum over the trailing axis."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def beam_sinr(instance: NetworkInstance, p1: float, alpha, w: np.ndarray) -> float:
     """Second-phase destination SINR for weights w.
 
     alpha p1 |h^T w|^2 / (sigma2 (1 + sum_i |w_i|^2 |h_id|^2)).  The
@@ -108,17 +140,17 @@ def beam_sinr(instance: NetworkInstance, p1: float, alpha: float, w: np.ndarray)
     the forwarded copies exactly.
     """
     w = np.asarray(w, dtype=complex)
-    b = np.dot(combined_gains(instance), w)
+    b = _dot(combined_gains(instance), w)
     dh = noise_amp_diag(instance)
-    return float(alpha * p1 * abs(b) ** 2
-                 / (instance.sigma2 * (1.0 + np.sum(dh * np.abs(w) ** 2))))
+    return (alpha * p1 * np.abs(b) ** 2
+            / (instance.sigma2 * (1.0 + np.sum(dh * np.abs(w) ** 2, axis=-1))))
 
 
-def capacity_dest(instance: NetworkInstance, p1: float, alpha: float, w: np.ndarray) -> float:
+def capacity_dest(instance: NetworkInstance, p1: float, alpha, w: np.ndarray) -> float:
     """Destination capacity with MRC over the direct phase-1 reception and the
     beamformed phase-2 reception."""
-    return 0.5 * math.log2(1.0 + direct_sinr(instance, p1, alpha)
-                           + beam_sinr(instance, p1, alpha, w))
+    return 0.5 * np.log2(1.0 + direct_sinr(instance, p1, alpha)
+                         + beam_sinr(instance, p1, alpha, w))
 
 
 def secrecy_rate(instance: NetworkInstance, p1: float, alpha: float, w: np.ndarray) -> float:
@@ -164,7 +196,7 @@ def secrecy_monotone_in_alpha(instance: NetworkInstance, p1: float, w: np.ndarra
 def cancellation_gains(instance: NetworkInstance) -> np.ndarray:
     """g_i = h_si h_id / h_sd: per-relay coefficient the source needs in its
     second-phase transmission so the forwarded artificial noise cancels."""
-    return instance.h_sr * instance.h_rd / instance.h_sd
+    return instance.h_sr * instance.h_rd / _per_relay(instance.h_sd)
 
 
 def relay_input_powers(instance: NetworkInstance, p1: float) -> np.ndarray:
@@ -173,7 +205,7 @@ def relay_input_powers(instance: NetworkInstance, p1: float) -> np.ndarray:
     return np.abs(instance.h_sr) ** 2 * p1 + instance.sigma2
 
 
-def second_phase_power(instance: NetworkInstance, p1: float, alpha: float,
+def second_phase_power(instance: NetworkInstance, p1: float, alpha,
                        w: np.ndarray) -> float:
     """Total transmit power spent in the second phase by source and relays.
 
@@ -182,15 +214,17 @@ def second_phase_power(instance: NetworkInstance, p1: float, alpha: float,
     of D = blockdiag(alpha p1, diag(T) + (1-alpha) p1 conj(g) g^T) in O(M).
     """
     w = np.asarray(w, dtype=complex)
-    source = (alpha * p1 * abs(w[0]) ** 2
-              + (1.0 - alpha) * p1 * abs(np.dot(cancellation_gains(instance), w[1:])) ** 2)
-    relays = float(np.sum(relay_input_powers(instance, p1) * np.abs(w[1:]) ** 2))
-    return float(source + relays)
+    relay_w = w[..., 1:]
+    source = (alpha * p1 * np.abs(w[..., 0]) ** 2
+              + (1.0 - alpha) * p1 * np.abs(_dot(cancellation_gains(instance), relay_w)) ** 2)
+    relays = np.sum(relay_input_powers(instance, p1) * np.abs(relay_w) ** 2, axis=-1)
+    return source + relays
 
 
 def derive_model(instance: NetworkInstance, p1: float, alpha: float,
                  budget: Optional[Budget] = None) -> DerivedModel:
-    """Bundle every vector the solvers need for one (instance, p1, alpha).
+    """Bundle every vector the solvers need for one (instance, p1, alpha), or
+    for every row of an InstanceBatch with alpha one value per row.
 
     With an IndividualBudget, also computes the per-relay amplitude caps and
     the eta constants of the magnitude problem:
@@ -201,13 +235,13 @@ def derive_model(instance: NetworkInstance, p1: float, alpha: float,
     * eta1 = P_s/(alpha p1), eta2 = (1-alpha)/(alpha c1^2), eta3 = 1+eta2 c1^2.
     """
     extras = {}
+    c1 = np.abs(instance.h_sd)
     if isinstance(budget, IndividualBudget):
-        if not 0.0 < alpha <= 1.0:
+        if not np.all((0.0 < alpha) & (alpha <= 1.0)):
             raise DegenerateAlpha(
                 f"alpha={alpha!r}: the individual-budget constants divide by alpha")
         if len(budget.p_i) != instance.m:
             raise ValueError("budget.p_i length must equal the relay count")
-        c1 = abs(instance.h_sd)
         extras = dict(
             u_max=np.abs(instance.h_rd)
             * np.sqrt(budget.p_i / relay_input_powers(instance, p1)),
@@ -221,7 +255,7 @@ def derive_model(instance: NetworkInstance, p1: float, alpha: float,
         sigma2=instance.sigma2,
         h=combined_gains(instance),
         g=cancellation_gains(instance),
-        c=np.concatenate(([abs(instance.h_sd)], np.abs(instance.h_sr))),
+        c=np.concatenate((_per_relay(c1), np.abs(instance.h_sr)), axis=-1),
         d_h_diag=noise_amp_diag(instance),
         t_diag=relay_input_powers(instance, p1),
         **extras,
@@ -239,6 +273,20 @@ def resolve_alpha(instance: NetworkInstance, p1: float, gamma: Optional[float],
     if gamma is None:
         raise ValueError("either alpha or gamma must be given")
     return alpha_for_threshold(instance, p1, gamma)
+
+
+def resolve_alphas(batch: InstanceBatch, p1: float, gamma: Optional[float],
+                   alpha: Optional[float]) -> "tuple[np.ndarray, RowErrors]":
+    """resolve_alpha for every row of a batch: (alpha per row, RowErrors
+    holding InfeasibleThreshold for each row whose strongest relay cannot
+    reach gamma)."""
+    errors = RowErrors(batch.n)
+    if alpha is not None or gamma is None:
+        return np.full(batch.n, resolve_alpha(batch, p1, gamma, alpha)), errors
+    alphas, ceiling = _threshold_split(batch, p1, gamma)
+    errors.fail(np.flatnonzero(gamma > ceiling),
+                lambda i: _infeasible_threshold(gamma, ceiling[i]))
+    return alphas, errors
 
 
 # ---------------------------------------------------------------------------

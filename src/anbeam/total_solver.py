@@ -11,20 +11,21 @@ reference for the validate eigen check and the tests, never the solve path.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateAlpha
-from .model import capacity_dest, derive_model, resolve_alpha, second_phase_power
+from .model import _dot, capacity_dest, derive_model, resolve_alphas, second_phase_power
 from .types import (
+    BatchSolution,
     BeamSolution,
     DerivedModel,
+    InstanceBatch,
     NetworkInstance,
     SystemParams,
+    TotalBatchDiagnostics,
     TotalBudget,
-    TotalSolveDiagnostics,
 )
 
 
@@ -54,14 +55,17 @@ def build_d_tilde(derived: DerivedModel, p_tot: float) -> np.ndarray:
     return dense_power_matrix(derived) / p_tot + np.diag(derived.d_h_diag)
 
 
-def solve_total(instance: NetworkInstance, params: SystemParams,
-                alpha: Optional[float] = None) -> BeamSolution:
-    """Optimal weights under the total budget; alpha from params.gamma unless
-    given explicitly.
+# Failed rows compute numbers that are never read, quietly; a healthy row's
+# overflow is caught by the finiteness test on v.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def solve_total_batch(batch: InstanceBatch, params: SystemParams,
+                      alpha: Optional[float] = None) -> BatchSolution:
+    """Optimal weights under the total budget for every row of a batch;
+    alpha from params.gamma (per row) unless given explicitly.
 
     w* = mu * v with v = D_tilde^{-1} conj(h) and mu chosen so the power
     constraint holds with equality; the achieved SINR ratio equals the
-    Rayleigh value h^T v.  The returned w is rotated so the beam gain h^T w
+    Rayleigh value h^T v.  Each returned w is rotated so the beam gain h^T w
     is real nonnegative (the objective is blind to a global phase).
 
     D_tilde = blockdiag(alpha p1/P_tot, diag(d) + k conj(g) g^T) with
@@ -70,35 +74,47 @@ def solve_total(instance: NetworkInstance, params: SystemParams,
     update y - z k (g^T y)/(1 + k g^T z), y = conj(h_r)/d, z = conj(g)/d.
     As h_r = h_sd g, y = conj(h_sd) z and the update is y/(1 + k g^T z)
     exactly; this form skips a subtraction that cancels when |h_sd| is small.
+
+    Rows fail independently: InfeasibleThreshold (gamma out of reach) or
+    DegenerateAlpha (alpha = 0, or so small that v overflows).
     """
     budget = params.budget
     if not isinstance(budget, TotalBudget):
         raise TypeError("solve_total requires a TotalBudget")
-    a = resolve_alpha(instance, params.p1, params.gamma, alpha)
-    if a <= 0.0:
-        raise DegenerateAlpha("alpha=0 leaves D_tilde singular in the source coordinate")
-    derived = derive_model(instance, params.p1, a)
-    p_tot = budget.p_tot
-    h_bar = np.conj(derived.h)
-    d = derived.t_diag / p_tot + derived.d_h_diag[1:]
-    k = (1.0 - a) * params.p1 / p_tot
-    g_z = float(np.sum(np.abs(derived.g) ** 2 / d))
-    v = np.concatenate(([h_bar[0] * p_tot / (a * params.p1)],
-                        h_bar[1:] / d / (1.0 + k * g_z)))
+    p1, p_tot = params.p1, budget.p_tot
+    a, errors = resolve_alphas(batch, p1, params.gamma, alpha)
+    errors.fail(np.flatnonzero(a <= 0.0), lambda i: DegenerateAlpha(
+        "alpha=0 leaves D_tilde singular in the source coordinate"))
+    derived = derive_model(batch, p1, a)
+    h = derived.h
+    h_bar = np.conj(h)
+    d = derived.t_diag / p_tot + derived.d_h_diag[:, 1:]
+    k = (1.0 - a) * p1 / p_tot
+    g_z = np.sum(np.abs(derived.g) ** 2 / d, axis=-1)
+    v = np.concatenate(((h_bar[:, 0] * p_tot / (a * p1))[:, None],
+                        h_bar[:, 1:] / d / (1.0 + k * g_z)[:, None]), axis=-1)
     # |v_0|^2 overflows as alpha -> 0, so mu is taken on v rescaled to max 1
-    scale = float(np.max(np.abs(v)))
-    if not math.isfinite(scale):
-        raise DegenerateAlpha(f"alpha={a!r} is so small that D_tilde^-1 conj(h) overflows")
-    mu = math.sqrt(p_tot / second_phase_power(instance, params.p1, a, v / scale)) / scale
-    w = mu * v
-    b = np.dot(derived.h, w)
-    if abs(b) > 0:
-        w = w * (np.conj(b) / abs(b))
-    rayleigh = float(np.real(np.dot(derived.h, v)))
-    return BeamSolution(
+    scale = np.max(np.abs(v), axis=-1)
+    errors.fail(np.flatnonzero(~np.isfinite(scale)), lambda i: DegenerateAlpha(
+        f"alpha={float(a[i])!r} is so small that D_tilde^-1 conj(h) overflows"))
+    mu = np.sqrt(p_tot / second_phase_power(batch, p1, a, v / scale[:, None])) / scale
+    w = mu[:, None] * v
+    b = _dot(h, w)
+    gain = np.abs(b)
+    w = w * np.where(gain > 0, np.conj(b) / gain, 1.0)[:, None]
+    return BatchSolution(
         w=w,
         alpha=a,
-        c_d=capacity_dest(instance, params.p1, a, w),
-        second_phase_power=second_phase_power(instance, params.p1, a, w),
-        diagnostics=TotalSolveDiagnostics(v=v, mu=mu, rayleigh_value=rayleigh),
+        c_d=capacity_dest(batch, p1, a, w),
+        second_phase_power=second_phase_power(batch, p1, a, w),
+        errors=tuple(errors.errors),
+        diagnostics=TotalBatchDiagnostics(
+            v=v, mu=mu, rayleigh_value=np.real(_dot(h, v))),
     )
+
+
+def solve_total(instance: NetworkInstance, params: SystemParams,
+                alpha: Optional[float] = None) -> BeamSolution:
+    """Optimal weights under the total budget for one instance: the N = 1
+    case of solve_total_batch."""
+    return solve_total_batch(InstanceBatch.stack([instance]), params, alpha).solution(0)

@@ -27,6 +27,13 @@ def _set(obj, name, value):
     object.__setattr__(obj, name, value)
 
 
+def _freeze_in_place(obj, names) -> None:
+    """Mark the named array fields read-only without copying them; for
+    batch results, whose arrays the solver built for them alone."""
+    for name in names:
+        getattr(obj, name).setflags(write=False)
+
+
 @dataclass(frozen=True, eq=False)
 class NetworkInstance:
     """One channel realization of the two-hop network.
@@ -47,23 +54,79 @@ class NetworkInstance:
         _set(self, "h_sr", _frozen_array(self.h_sr, complex))
         _set(self, "h_rd", _frozen_array(self.h_rd, complex))
         _set(self, "sigma2", float(self.sigma2))
-        for name in ("h_sd", "h_sr", "h_rd"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite")
-        if self.h_sr.ndim != 1 or self.h_rd.ndim != 1:
-            raise ValueError("h_sr and h_rd must be one-dimensional")
-        if len(self.h_sr) != len(self.h_rd):
-            raise ValueError("h_sr and h_rd must have the same length")
-        if not 0 < self.sigma2 < math.inf:
-            raise ValueError("sigma2 must be finite and positive")
-        if abs(self.h_sd) < EPS_GAIN:
-            raise ValueError(f"|h_sd| < {EPS_GAIN:g}: direct gain too small to "
-                             "divide by in the cancellation signal")
+        _check_channels(self, relay_ndim=1, min_gain_sd=abs(self.h_sd))
 
     @property
     def m(self) -> int:
         """Number of relays."""
         return len(self.h_sr)
+
+
+@dataclass(frozen=True, eq=False)
+class InstanceBatch:
+    """N channel realizations with a common relay count and noise power, as
+    stacked arrays: h_sd (N,), h_sr and h_rd (N, M).
+
+    Row i is one NetworkInstance.  Every model formula reads these fields
+    over a trailing relay axis, so it serves a batch as it serves a single
+    instance.
+    """
+
+    h_sd: np.ndarray
+    h_sr: np.ndarray
+    h_rd: np.ndarray
+    sigma2: float
+
+    def __post_init__(self):
+        _set(self, "h_sd", _frozen_array(self.h_sd, complex))
+        _set(self, "h_sr", _frozen_array(self.h_sr, complex))
+        _set(self, "h_rd", _frozen_array(self.h_rd, complex))
+        _set(self, "sigma2", float(self.sigma2))
+        _check_channels(self, relay_ndim=2,
+                        min_gain_sd=float(np.min(np.abs(self.h_sd), initial=math.inf)))
+        if self.h_sd.shape != self.h_sr.shape[:1]:
+            raise ValueError("h_sd must hold one gain per row of h_sr")
+
+    @classmethod
+    def stack(cls, instances) -> "InstanceBatch":
+        """Batch of the given instances, in order; they must share M and sigma2."""
+        instances = list(instances)
+        if not instances:
+            raise ValueError("cannot stack an empty list of instances")
+        sigma2 = instances[0].sigma2
+        if any(inst.sigma2 != sigma2 for inst in instances):
+            raise ValueError("stacked instances must share sigma2")
+        return cls(h_sd=np.array([inst.h_sd for inst in instances]),
+                   h_sr=np.stack([inst.h_sr for inst in instances]),
+                   h_rd=np.stack([inst.h_rd for inst in instances]),
+                   sigma2=sigma2)
+
+    @property
+    def n(self) -> int:
+        """Number of instances."""
+        return len(self.h_sd)
+
+    @property
+    def m(self) -> int:
+        """Number of relays of every instance."""
+        return self.h_sr.shape[-1]
+
+
+def _check_channels(obj, relay_ndim: int, min_gain_sd: float) -> None:
+    """Checks shared by NetworkInstance and InstanceBatch; min_gain_sd is the
+    smallest |h_sd|."""
+    for name in ("h_sd", "h_sr", "h_rd"):
+        if not np.isfinite(getattr(obj, name)).all():
+            raise ValueError(f"{name} must be finite")
+    if obj.h_sr.ndim != relay_ndim or obj.h_rd.ndim != relay_ndim:
+        raise ValueError(f"h_sr and h_rd must be {relay_ndim}-dimensional")
+    if obj.h_sr.shape != obj.h_rd.shape:
+        raise ValueError("h_sr and h_rd must have the same shape")
+    if not 0 < obj.sigma2 < math.inf:
+        raise ValueError("sigma2 must be finite and positive")
+    if min_gain_sd < EPS_GAIN:
+        raise ValueError(f"|h_sd| < {EPS_GAIN:g}: direct gain too small to "
+                         "divide by in the cancellation signal")
 
 
 @dataclass(frozen=True)
@@ -124,6 +187,10 @@ class SystemParams:
 class DerivedModel:
     """Precomputed vectors for one (instance, p1, alpha) triple.
 
+    For an InstanceBatch every field gains a leading row axis: alpha and the
+    eta constants are (N,) arrays and the vectors below are (N, M) or
+    (N, M+1).
+
     h: length-(M+1) combined gains [h_sd, h_s1*h_1d, ...] seen by the
        second-phase beam at the destination.
     g: length-M cancellation gains h_si*h_id/h_sd.
@@ -159,7 +226,7 @@ class DerivedModel:
 
     @property
     def m(self) -> int:
-        return len(self.g)
+        return self.g.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,6 +257,16 @@ class TotalSolveDiagnostics:
 
 
 @dataclass(frozen=True)
+class RootCandidate:
+    """One admissible point of the clamped 1-D magnitude problem with its
+    objective value."""
+
+    r: float
+    value: float
+    kind: str  # "root" | "zero" | "radicand-boundary"
+
+
+@dataclass(frozen=True)
 class IndividualSolveDiagnostics:
     """State of the clamping loop at termination."""
 
@@ -211,3 +288,93 @@ class BeamSolution:
 
     def __post_init__(self):
         _set(self, "w", _frozen_array(self.w, complex))
+
+
+@dataclass(frozen=True, eq=False)
+class TotalBatchDiagnostics:
+    """TotalSolveDiagnostics of every row of a batch: v (N, M+1), mu (N,),
+    rayleigh_value (N,)."""
+
+    v: np.ndarray
+    mu: np.ndarray
+    rayleigh_value: np.ndarray
+
+    def __post_init__(self):
+        _freeze_in_place(self, ("v", "mu", "rayleigh_value"))
+
+    def row(self, i: int) -> TotalSolveDiagnostics:
+        return TotalSolveDiagnostics(v=self.v[i], mu=float(self.mu[i]),
+                                     rayleigh_value=float(self.rayleigh_value[i]))
+
+
+# Kind of each candidate column of IndividualBatchDiagnostics: r = 0, the
+# radicand-zero boundary, then up to four roots of the stationarity quartic.
+CANDIDATE_KINDS = ("zero", "radicand-boundary", "root", "root", "root", "root")
+
+
+def root_candidates(r: np.ndarray, value: np.ndarray, columns) -> tuple:
+    """RootCandidates of the given candidate columns of one row."""
+    return tuple(RootCandidate(float(r[j]), float(value[j]), CANDIDATE_KINDS[j])
+                 for j in columns)
+
+
+@dataclass(frozen=True, eq=False)
+class IndividualBatchDiagnostics:
+    """State of every row's clamping loop at termination.
+
+    clamped: (N, M) mask of relays fixed at their amplitude caps.
+    t1, t2, tau: (N,) offsets and active norm of the final magnitude problem.
+    chosen_r: (N,) radius of the last solve.
+    candidate_r, candidate_value, candidate_valid: (N, 6) candidates of each
+        row's last quartic re-solve, columns as in CANDIDATE_KINDS.
+    """
+
+    clamped: np.ndarray
+    t1: np.ndarray
+    t2: np.ndarray
+    tau: np.ndarray
+    chosen_r: np.ndarray
+    candidate_r: np.ndarray
+    candidate_value: np.ndarray
+    candidate_valid: np.ndarray
+
+    def __post_init__(self):
+        _freeze_in_place(self, ("clamped", "t1", "t2", "tau", "chosen_r", "candidate_r",
+                                "candidate_value", "candidate_valid"))
+
+    def row(self, i: int) -> IndividualSolveDiagnostics:
+        clamped = tuple(int(j) for j in np.flatnonzero(self.clamped[i]))
+        return IndividualSolveDiagnostics(
+            clamped=clamped,
+            iterations=1 + len(clamped),
+            chosen_r=float(self.chosen_r[i]),
+            root_candidates=root_candidates(self.candidate_r[i], self.candidate_value[i],
+                                            np.flatnonzero(self.candidate_valid[i])),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class BatchSolution:
+    """Solutions of the rows of an InstanceBatch, solved together.
+
+    errors[i] is the BeamformingError row i raised, or None; the numbers of
+    a failed row are unspecified.  One failed row never changes another.
+    """
+
+    w: np.ndarray                   # (N, M+1)
+    alpha: np.ndarray               # (N,)
+    c_d: np.ndarray                 # (N,)
+    second_phase_power: np.ndarray  # (N,)
+    errors: tuple
+    diagnostics: Union[TotalBatchDiagnostics, IndividualBatchDiagnostics]
+
+    def __post_init__(self):
+        _freeze_in_place(self, ("w", "alpha", "c_d", "second_phase_power"))
+
+    def solution(self, i: int) -> BeamSolution:
+        """Row i as a BeamSolution; raises the row's error if it failed."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return BeamSolution(w=self.w[i], alpha=float(self.alpha[i]), c_d=float(self.c_d[i]),
+                            second_phase_power=float(self.second_phase_power[i]),
+                            diagnostics=self.diagnostics.row(i))

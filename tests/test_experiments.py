@@ -2,11 +2,15 @@
 
 import csv
 import io
+import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from anbeam import experiments
+from anbeam.errors import BeamformingError, InfeasibleBudget, InfeasibleThreshold
 from anbeam.experiments import (
     CSV_HEADER,
     ChannelVariances,
@@ -24,6 +28,12 @@ from anbeam.experiments import (
     spec_from_dict,
     spec_to_dict,
 )
+from anbeam.individual_solver import solve_individual, solve_individual_batch
+from anbeam.total_solver import solve_total, solve_total_batch
+from anbeam.types import (IndividualBudget, InstanceBatch, NetworkInstance, SystemParams,
+                          TotalBudget)
+
+GOLDEN = Path(__file__).with_name("data") / "grid_point_golden.json"
 
 
 def _tiny_spec(**overrides):
@@ -122,6 +132,7 @@ def test_spec_rejects_bad_mode_and_counts():
     dict(alpha_values=(float("nan"),)), dict(alpha_values=(float("inf"),)),
     dict(alpha_values=None, gamma=0.0), dict(alpha_values=None, gamma=-1.0),
     dict(alpha_values=None, gamma=float("nan")), dict(alpha_values=None, gamma=float("inf")),
+    dict(alpha_values=(0.0,)),
 ])
 def test_spec_rejects_bad_budgets_powers_and_splits(overrides):
     with pytest.raises(ValueError):
@@ -129,8 +140,14 @@ def test_spec_rejects_bad_budgets_powers_and_splits(overrides):
 
 
 def test_spec_accepts_boundary_values():
-    _tiny_spec(p_i=0.0, alpha_values=(0.0, 1.0))
+    _tiny_spec(p_i=0.0, alpha_values=(1.0,))
     _tiny_spec(alpha_values=None, gamma=1e-6)
+
+
+def test_spec_rejection_of_zero_alpha_names_the_field():
+    # both solvers reject alpha = 0, so a sweep over it could only fail
+    with pytest.raises(ValueError, match="alpha_values"):
+        _tiny_spec(alpha_values=(0.6, 0.0))
 
 
 def test_spec_round_trip():
@@ -209,6 +226,185 @@ def test_run_sweep_mean_matches_direct_average():
     arr = point.c_d["individual"]
     assert rows[0].mean_c_d == float(np.mean(arr))
     assert rows[0].std_c_d == float(np.std(arr))
+
+
+# ---------------------------------------------------------------------------
+# batched grid points
+
+
+def _params(spec, m, p1):
+    return {"total": SystemParams(p1, spec.gamma, TotalBudget(spec.p_s + m * spec.p_i)),
+            "individual": SystemParams(p1, spec.gamma,
+                                       IndividualBudget(spec.p_s, np.full(m, spec.p_i)))}
+
+
+def _slot_by_slot(spec, m, p1, alpha):
+    """The per-slot loop that the batched solve_grid_point replaced: draw a
+    slot's instance and solve it alone in each mode, redrawing until every
+    mode succeeds.  Returns the final instances, the solutions per mode and
+    the resample count."""
+    solvers = {"total": solve_total, "individual": solve_individual}
+    params = _params(spec, m, p1)
+    instances, solutions, resamples = [], {mode: [] for mode in spec.modes}, 0
+    for slot in range(spec.n_instances):
+        attempt = 0
+        while True:
+            inst = sample_instance(m, spec.variances,
+                                   instance_stream(spec.seed, slot, attempt), spec.sigma2)
+            try:
+                got = {mode: solvers[mode](inst, params[mode], alpha=alpha)
+                       for mode in spec.modes}
+                break
+            except BeamformingError:
+                attempt += 1
+                resamples += 1
+        instances.append(inst)
+        for mode in spec.modes:
+            solutions[mode].append(got[mode])
+    return instances, solutions, resamples
+
+
+@pytest.mark.parametrize("m", [1, 4, 10, 64, 256])
+@pytest.mark.parametrize("split", ["alpha", "gamma"])
+def test_batched_grid_point_matches_slot_by_slot_solves(m, split):
+    # tight relay caps so the larger arrays clamp; gamma = 1 at p1 = 2 makes
+    # some slots resample at small M
+    alpha, gamma = (0.6, None) if split == "alpha" else (None, 1.0)
+    spec = ExperimentSpec(m_values=(m,), p1_values=(2.0,),
+                          alpha_values=None if alpha is None else (alpha,), gamma=gamma,
+                          p_i=0.01, n_instances=12, seed=11)
+    result = solve_grid_point(spec, m, 2.0, alpha)
+    instances, solutions, resamples = _slot_by_slot(spec, m, 2.0, alpha)
+    assert result.resamples == resamples
+    for mode in spec.modes:
+        expected = np.array([sol.c_d for sol in solutions[mode]])
+        np.testing.assert_allclose(result.c_d[mode], expected, rtol=1e-13, atol=0)
+    batch = solve_individual_batch(InstanceBatch.stack(instances),
+                                   _params(spec, m, 2.0)["individual"], alpha=alpha)
+    clamped = [batch.solution(i).diagnostics.clamped for i in range(len(instances))]
+    assert clamped == [sol.diagnostics.clamped for sol in solutions["individual"]]
+    if m >= 10:
+        assert any(clamped)
+
+
+def test_split_batches_give_the_same_grid_point(monkeypatch):
+    # gamma = 1 at p1 = 0.5 resamples many slots, so later rounds split too
+    spec = ExperimentSpec(m_values=(10,), p1_values=(0.5,), gamma=1.0, p_i=0.01,
+                          n_instances=30, seed=0)
+    whole = solve_grid_point(spec, 10, 0.5, None)
+    monkeypatch.setattr(experiments, "BATCH_ELEMENTS", 35)  # batches of at most 3 rows
+    split = solve_grid_point(spec, 10, 0.5, None)
+    assert whole.resamples > 0 and split.resamples == whole.resamples
+    for mode in spec.modes:
+        assert np.array_equal(split.c_d[mode], whole.c_d[mode])
+
+
+def test_batch_with_infeasible_rows_leaves_feasible_rows_unchanged():
+    # weak relays cannot reach gamma: those rows fail, the rest must get
+    # exactly what they get alone
+    spec = _tiny_spec(m_values=(4,), alpha_values=None, gamma=1.5, n_instances=16)
+    instances = [sample_instance(4, spec.variances, instance_stream(3, slot))
+                 for slot in range(spec.n_instances)]
+    instances[5] = NetworkInstance(h_sd=instances[5].h_sd, h_sr=instances[5].h_sr * 1e-3,
+                                   h_rd=instances[5].h_rd, sigma2=1.0)
+    params = _params(spec, 4, 2.0)
+    batch = InstanceBatch.stack(instances)
+    for mode, kernel, single in (("total", solve_total_batch, solve_total),
+                                 ("individual", solve_individual_batch, solve_individual)):
+        solved = kernel(batch, params[mode])
+        failed = [i for i, err in enumerate(solved.errors) if err is not None]
+        assert 5 in failed and len(failed) < len(instances)
+        for i, inst in enumerate(instances):
+            if i in failed:
+                assert isinstance(solved.errors[i], InfeasibleThreshold)
+                with pytest.raises(InfeasibleThreshold):
+                    single(inst, params[mode])
+                continue
+            alone = single(inst, params[mode])
+            row = solved.solution(i)
+            assert (row.c_d, row.alpha) == (alone.c_d, alone.alpha)
+            assert np.array_equal(row.w, alone.w)
+
+
+@pytest.mark.parametrize("point", json.loads(GOLDEN.read_text()),
+                         ids=lambda p: f"{p['sweep']}-m{p['m']}-p1={p['p1']}")
+def test_grid_point_matches_values_recorded_before_batching(point):
+    """Per-slot C_d and resample counts at three sweep grid points, recorded
+    from the slot-by-slot solver that batching replaced."""
+    if point["sweep"] == "power-sweep":
+        spec = power_sweep_spec(seed=0)
+    else:
+        spec = ExperimentSpec(m_values=(10, 64, 256), p1_values=(0.5, 2.0, 5.0, 10.0),
+                              gamma=1.0, p_i=0.01, seed=0)
+    result = solve_grid_point(spec, point["m"], point["p1"], point["alpha"])
+    assert result.resamples == point["resamples"]
+    for mode, values in point["c_d"].items():
+        np.testing.assert_allclose(result.c_d[mode], values, rtol=1e-12, atol=0)
+
+
+def _count_draws(monkeypatch):
+    """Record (slot, attempt) of every instance drawn through the module
+    globals solve_grid_point uses."""
+    draws = []
+    stream, sample = experiments.instance_stream, experiments.sample_instance
+
+    def counting_stream(seed, slot, attempt=0):
+        draws.append((slot, attempt))
+        return stream(seed, slot, attempt)
+
+    def counting_sample(*args, **kwargs):
+        counting_sample.calls += 1
+        return sample(*args, **kwargs)
+
+    counting_sample.calls = 0
+    monkeypatch.setattr(experiments, "instance_stream", counting_stream)
+    monkeypatch.setattr(experiments, "sample_instance", counting_sample)
+    return draws, counting_sample
+
+
+def test_resamples_draw_once_and_log_their_exception(monkeypatch, caplog):
+    draws, sample = _count_draws(monkeypatch)
+    spec = ExperimentSpec(m_values=(10,), p1_values=(0.5,), gamma=1.0, p_i=0.01,
+                          n_instances=40, seed=0)
+    with caplog.at_level(logging.WARNING, logger="anbeam.experiments"):
+        result = solve_grid_point(spec, 10, 0.5, None)
+    assert result.resamples > 0
+    assert sample.calls == spec.n_instances + result.resamples == len(draws)
+    records = [rec for rec in caplog.records if "resampled" in rec.message]
+    assert len(records) == result.resamples
+    assert all(isinstance(rec.args[-1], InfeasibleThreshold) for rec in records)
+    # every slot is drawn at attempts 0, 1, ... without gaps
+    for slot in range(spec.n_instances):
+        attempts = [a for s, a in draws if s == slot]
+        assert attempts == list(range(len(attempts)))
+
+
+def test_slot_failing_only_in_individual_mode_is_redrawn_for_both(monkeypatch, caplog):
+    draws, sample = _count_draws(monkeypatch)
+    kernel = experiments.solve_individual_batch
+
+    def fail_first_row_once(batch, params, alpha=None):
+        solved = kernel(batch, params, alpha=alpha)
+        if not fail_first_row_once.done:
+            fail_first_row_once.done = True
+            errors = (InfeasibleBudget("injected"),) + solved.errors[1:]
+            object.__setattr__(solved, "errors", errors)
+        return solved
+
+    fail_first_row_once.done = False
+    monkeypatch.setattr(experiments, "solve_individual_batch", fail_first_row_once)
+    spec = _tiny_spec(n_instances=3)
+    with caplog.at_level(logging.WARNING, logger="anbeam.experiments"):
+        result = solve_grid_point(spec, 2, 2.0, 0.6)
+    assert result.resamples == 1 and sample.calls == 4
+    assert draws == [(0, 0), (1, 0), (2, 0), (0, 1)]
+    [record] = [rec for rec in caplog.records if "resampled" in rec.message]
+    assert isinstance(record.args[-1], InfeasibleBudget)
+    redrawn = sample_instance(2, spec.variances, instance_stream(spec.seed, 0, 1))
+    params = _params(spec, 2, 2.0)
+    assert result.c_d["total"][0] == solve_total(redrawn, params["total"], alpha=0.6).c_d
+    assert result.c_d["individual"][0] == \
+        solve_individual(redrawn, params["individual"], alpha=0.6).c_d
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from anbeam.errors import DegenerateAlpha, InfeasibleBudget, NoFeasibleRoot
 from anbeam.individual_solver import (
     MagnitudeProblem,
-    after_clamp,
     initial_problem,
     optimal_phases,
     quartic_coeffs,
     select_root,
     solve_individual,
+    solve_individual_batch,
     solve_source_only,
 )
 from anbeam.model import (
@@ -29,6 +29,7 @@ from anbeam.model import (
 from anbeam.oracles import golden_section
 from anbeam.types import (
     IndividualBudget,
+    InstanceBatch,
     NetworkInstance,
     SystemParams,
     TotalBudget,
@@ -333,17 +334,27 @@ def test_rejects_total_budget(rng):
         solve_individual(inst, SystemParams(2.0, 0.4, TotalBudget(5.0)))
 
 
-def test_after_clamp_bookkeeping(rng):
+def test_clamp_bookkeeping_on_the_kernel(rng):
+    """A clamp folds the relay's cap into (t1, t2) and drops it from tau; a
+    row of the same batch whose caps hold keeps the unclamped problem."""
     inst = make_instance(rng, 3)
-    derived = derive_model(inst, 2.0, 0.6, IndividualBudget(5.0, np.full(3, 0.1)))
-    prob = initial_problem(derived)
-    nxt = after_clamp(prob, 1)
-    assert nxt.active == (0, 2)
-    assert nxt.t1 == pytest.approx(prob.c[2] * prob.u_max[1])
-    assert nxt.t2 == pytest.approx(1.0 + prob.u_max[1] ** 2)
-    assert nxt.tau == pytest.approx(math.hypot(prob.c[1], prob.c[3]))
-    with pytest.raises(ValueError):
-        after_clamp(nxt, 1)
+    h_sr = inst.h_sr.copy()
+    h_sr[1] = 1e-6  # relay 1 then receives almost nothing and stays under its cap
+    quiet = NetworkInstance(h_sd=inst.h_sd, h_sr=h_sr, h_rd=inst.h_rd, sigma2=inst.sigma2)
+    budget = IndividualBudget(5.0, np.array([1e9, 1e-4, 1e9]))
+    sol = solve_individual_batch(InstanceBatch.stack([inst, quiet]),
+                                 SystemParams(2.0, None, budget), alpha=0.6)
+    assert sol.errors == (None, None)
+    diag = sol.diagnostics
+    prob = initial_problem(derive_model(inst, 2.0, 0.6, budget))
+    assert tuple(np.flatnonzero(diag.clamped[0])) == (1,)
+    assert diag.t1[0] == pytest.approx(prob.c[2] * prob.u_max[1])
+    assert diag.t2[0] == pytest.approx(1.0 + prob.u_max[1] ** 2)
+    assert diag.tau[0] == pytest.approx(math.hypot(prob.c[1], prob.c[3]))
+    quiet_prob = initial_problem(derive_model(quiet, 2.0, 0.6, budget))
+    assert not diag.clamped[1].any()
+    assert (diag.t1[1], diag.t2[1]) == (0.0, 1.0)
+    assert diag.tau[1] == pytest.approx(quiet_prob.tau)
 
 
 @pytest.mark.parametrize("tiny", [1e-160, 1e-300])

@@ -205,7 +205,7 @@ def test_capacity_dest_with_zero_weights_is_direct_formula(rng):
         a = float(rng.uniform(0.0, 1.0))
         w = np.zeros(4, dtype=complex)
         assert capacity_dest(inst, 2.0, a, w) == \
-            0.5 * math.log2(1.0 + direct_sinr(inst, 2.0, a))
+            0.5 * np.log2(1.0 + direct_sinr(inst, 2.0, a))
 
 
 def test_secrecy_rate_is_worst_case_over_relays(rng):
