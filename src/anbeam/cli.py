@@ -16,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import experiments, oracles, serialization
-from .errors import BeamformingError
+from .errors import BeamformingError, OracleEvalError
 from .individual_solver import solve_individual
 from .model import (
     alpha_for_threshold,
@@ -93,7 +93,11 @@ def _suite_total(seed: int, count: int, workers: int, failures: List[str]) -> No
         solution = solve_total(instance, params)
         derived = derive_model(instance, p1, solution.alpha)
         d_tilde = build_d_tilde(derived, params.budget.p_tot)
-        eigen, iters = oracles.power_iteration_rank1(d_tilde, np.conj(derived.h))
+        try:
+            eigen, iters = oracles.power_iteration_rank1(d_tilde, np.conj(derived.h))
+        except OracleEvalError as err:
+            _check(False, f"total-eigen[{k}]", str(err), failures)
+            continue
         rel = abs(eigen - solution.diagnostics.rayleigh_value) / max(eigen, 1e-300)
         _check(rel <= VALIDATE_EIGEN_REL, f"total-eigen[{k}]",
                f"rel={rel:.3e} iters={iters}", failures)

@@ -9,9 +9,9 @@ The solve decomposes cleanly:
 2. Magnitudes: with u_i = |w_i h_id| and u1 = |w_0|, the source power
    constraint is an ellipse in (u1, c2.u) and the SINR reduces to a
    one-dimensional problem in r = ||u_active||.  Unconstrained in the relay
-   bounds, r* has a closed form; with bounds, a greedy active-set loop clamps
-   the worst violator at its cap and re-solves the 1-D problem, now with
-   offset terms t1 (clamped amplitude mass, weighted by c) and t2
+   bounds, r* has a closed form; with bounds, the greedy active-set answer
+   clamps the worst violators at their caps and re-solves the 1-D problem,
+   now with offset terms t1 (clamped amplitude mass, weighted by c) and t2
    (1 + clamped squared amplitudes), via a quartic stationarity polynomial.
 
 The quartic here is the exact stationarity condition of the reduced
@@ -19,14 +19,14 @@ objective obtained by squaring the derivative once; squaring can introduce
 spurious roots, so the root is always selected by direct objective
 comparison rather than sign reasoning.
 
-solve_individual_batch runs the greedy loop for every row of an
-InstanceBatch in lockstep: each round, every row that still has a violator
-clamps one relay, and all of them re-solve together (one eigvals call on the
-stacked 4x4 companion matrices of their quartics).  A row leaves the loop
-when its caps hold or it fails; its clamp sequence is the one it would take
-alone.  solve_individual is the N = 1 call, and MagnitudeProblem,
-solve_source_only, quartic_coeffs and select_root are one-row views of the
-same array expressions.
+The greedy never needs to be run: it clamps in the fixed order of the
+closed form's ratios u_i/u_max,i, so one sort, prefix sums of the offsets and
+a sign test of the reduced objective's slope at each breakpoint give the
+number of clamps directly (_clamp_scan).  solve_individual_batch then solves
+one quartic per row, all rows in one eigvals call on the stacked 4x4
+companion matrices.  solve_individual is the N = 1 call, and
+MagnitudeProblem, solve_source_only, quartic_coeffs and select_root are
+one-row views of the same array expressions.
 """
 
 from __future__ import annotations
@@ -344,6 +344,64 @@ def select_root(coeffs: QuarticCoeffs, problem: MagnitudeProblem,
 # The solvers
 
 
+def _clamp_scan(ratio0, cap, c1, c2, eta1, eta2, slack):
+    """Where the greedy clamp sequence of each row stops, found in one pass.
+
+    On the active relays u_i = c_i r / tau, so every active ratio u_i/cap_i
+    scales by the same factor after each re-solve, and the greedy clamps the
+    relays in one fixed order: descending ratio0 = u/cap at the closed form,
+    first index on ties (ratio0 is inf where the cap is 0).  With the first K
+    of that order clamped, the offsets are prefix sums (np.cumsum adds in the
+    greedy's order, so they are its t1 and t2 bit for bit) and tau_K is a
+    suffix sum.  The K-clamped objective psi_K(r) = N(r)^2 / (t2 + r^2),
+    N = y + c1 sqrt(eta1 - eta2 y^2) and y = t1 + tau r, is quasi-concave on
+    its feasible interval (N concave and >= 0 over a convex positive
+    sqrt(t2 + r^2)), so its optimum passes the breakpoint x of relay
+    order[K] exactly when psi_K'(x) > 0:
+
+        tau (1 - c1 eta2 y / s) (t2 + x^2) - (y + c1 s) x > 0,  s = sqrt(rad).
+
+    A relay with a zero cap is always clamped.  Every row must violate at
+    K = 0 (the greedy's ratio test on the closed form, which the caller
+    applies).  A row stops at the first K that does not violate, which is
+    also where a greedy re-solve without admissible candidates stops: that
+    needs rad < 0 at r = 0, hence at x.  A quartic that overflows at an
+    earlier K is not tested for: with only zero caps clamped (t1 = 0, t2 = 1)
+    its q2 is the closed form's finite denominator, and an alpha small enough
+    to overflow it otherwise shrinks r* like sqrt(alpha), far below the
+    breakpoints of positive caps.  Returns
+    (clamped, t1, t2): the (N, M) mask of its first K relays in clamp order,
+    and the offsets after those K clamps (N,).
+    """
+    n, m = cap.shape
+    order = np.argsort(-ratio0, axis=1, kind="stable")
+    cap = np.take_along_axis(cap, order, axis=1)
+    c2 = np.take_along_axis(c2, order, axis=1)
+    t1 = np.zeros((n, m + 1))
+    np.multiply(c2, cap, out=t1[:, 1:])
+    np.cumsum(t1, axis=1, out=t1)
+    t2 = np.ones((n, m + 1))
+    np.multiply(cap, cap, out=t2[:, 1:])
+    np.cumsum(t2, axis=1, out=t2)
+    tau = np.cumsum((c2 * c2)[:, ::-1], axis=1)[:, ::-1]
+    np.sqrt(tau, out=tau)
+
+    # relay order[K]'s breakpoint x in r, and the sign of psi_K'(x)
+    col = (slice(None), None)
+    x = (1.0 + slack) * (cap / c2) * tau
+    y, rad = _radicand(eta1[col], eta2[col], t1[:, :m], tau, x)
+    s = np.sqrt(rad)
+    slope = (tau * (1.0 - c1[col] * eta2[col] * y / s) * (t2[:, :m] + x * x)
+             - (y + c1[col] * s) * x)
+    violates = (rad > 0.0) & (tau > 0.0) & np.isfinite(x) & (slope > 0.0)
+    violates |= cap == 0.0
+    violates[:, 0] = True  # the caller's ratio test on the closed form
+    k = np.where(violates.all(axis=1), m, np.argmin(violates, axis=1))
+    clamped = np.zeros((n, m), dtype=bool)
+    np.put_along_axis(clamped, order, np.arange(m) < k[:, None], axis=1)
+    return clamped, t1[np.arange(n), k], t2[np.arange(n), k]
+
+
 # Failed rows carry alpha = 1 and their arithmetic runs on quietly: it is
 # never read, and every non-finite value a healthy row can reach is tested for
 # explicitly.
@@ -354,18 +412,20 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
     """Optimal weights under separate source and per-relay power caps for
     every row of a batch.
 
-    Greedy active-set loop: solve ignoring relay caps; while some active
-    relay exceeds its cap, clamp the proportionally worst violator (ties to
-    the lowest index) at the cap exactly, fold it into (t1, t2) and re-solve
-    the 1-D problem over the remaining relays via the stationarity quartic.
-    Terminates in at most M clamps.  The source amplitude then follows from
-    power equality, phases are applied, and relay weights are recovered as
-    w_i = u_i/|h_id| * exp(j phi_i).
+    The closed form solves the problem without relay caps.  Where a cap is
+    exceeded, the greedy active-set answer follows: the proportionally worst
+    violators are clamped at their caps exactly (ties to the lowest index),
+    folded into (t1, t2), and the 1-D problem over the remaining relays is
+    re-solved by the stationarity quartic.  The clamp count comes from one
+    breakpoint scan per row (_clamp_scan), so each row solves one quartic,
+    and all of them share one eigvals call.  The source amplitude then
+    follows from power equality, phases are applied, and relay weights are
+    recovered as w_i = u_i/|h_id| * exp(j phi_i).
 
     Rows fail independently: InfeasibleThreshold (gamma out of reach),
     DegenerateAlpha (alpha outside (0, 1], or so small that the closed form
-    overflows) or InfeasibleBudget (the source cannot cancel the noise the
-    clamped relays forward).
+    or the quartic overflows) or InfeasibleBudget (the source cannot cancel
+    the noise the clamped relays forward).
     """
     budget = params.budget
     if not isinstance(budget, IndividualBudget):
@@ -380,7 +440,7 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
     c1, c2 = derived.c[:, 0], derived.c[:, 1:]
     u_max, eta1, eta2, eta3 = derived.u_max, derived.eta1, derived.eta2, derived.eta3
     n, m = batch.n, batch.m
-    active = np.ones((n, m), dtype=bool)
+    clamped = np.zeros((n, m), dtype=bool)
     t1, t2 = np.zeros(n), np.ones(n)
     tau = _active_norm(c2)
     r = np.zeros(n)
@@ -396,44 +456,33 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
     r[rows] = r_rows
     u[rows] = c2[rows] / tau[rows, None] * r_rows[:, None]
 
-    live = np.flatnonzero(~errors.failed & active.any(axis=1))
-    while live.size:
-        cap = u_max[live]
-        ratio = np.where(cap > 0.0, u[live] / cap, np.inf)
-        ratio[~active[live]] = -np.inf
-        worst = np.argmax(ratio, axis=1)
-        violating = ratio[np.arange(len(live)), worst] > 1.0 + tol.bound_slack
-        live, worst = live[violating], worst[violating]
-        if not live.size:
-            break
-        cap = u_max[live, worst]
-        u[live, worst] = cap
-        active[live, worst] = False
-        t1[live] = t1[live] + c2[live, worst] * cap
-        t2[live] = t2[live] + cap ** 2
-        tau[live] = _active_norm(c2[live], active[live])
+    live = np.flatnonzero(~errors.failed)
+    ratio0 = np.where(u_max[live] > 0.0, u[live] / u_max[live], np.inf)
+    over = np.max(ratio0, axis=1, initial=-np.inf) > 1.0 + tol.bound_slack
+    live = live[over]
+    clamped[live], t1[live], t2[live] = _clamp_scan(
+        ratio0[over], u_max[live], c1[live], c2[live], eta1[live], eta2[live],
+        tol.bound_slack)
 
-        rest = live[tau[live] <= 0.0]  # nothing left to re-solve: r = 0
-        r[rest] = 0.0
-        u[rest] = np.where(active[rest], 0.0, u[rest])
-        cand_valid[rest] = False
-        rows = live[tau[live] > 0.0]
-        if rows.size:
-            q = np.stack(_quartic(eta1[rows], eta2[rows], eta3[rows], t1[rows], t2[rows],
-                                  tau[rows], c1[rows]), axis=-1)
-            errors.fail(rows[~np.isfinite(q).all(axis=1)], lambda i: DegenerateAlpha(
-                f"alpha={float(a[i])!r} is so small that the stationarity quartic overflows"))
-            cand = _candidates(q, eta1[rows], eta2[rows], t1[rows], t2[rows], tau[rows],
-                               c1[rows], tol)
-            best, ok = _best(*cand)
-            errors.fail(rows[~ok], lambda i: InfeasibleBudget(
-                "clamped relay amplitudes exceed what the source can cancel: "
-                + _no_root_message(eta1[i] - eta2[i] * t1[i] * t1[i])))
-            cand_r[rows], cand_value[rows], cand_valid[rows] = cand
-            r[rows] = cand[0][np.arange(len(rows)), best]
-            u[rows] = np.where(active[rows], c2[rows] / tau[rows, None] * r[rows, None],
-                               u[rows])
-        live = live[~errors.failed[live]]
+    tau[live] = _active_norm(c2[live], ~clamped[live])
+    r[live] = 0.0  # also the answer where nothing is left to re-solve
+    u[live] = np.where(clamped[live], u_max[live], 0.0)
+    rows = live[tau[live] > 0.0]
+    if rows.size:
+        q = np.stack(_quartic(eta1[rows], eta2[rows], eta3[rows], t1[rows], t2[rows],
+                              tau[rows], c1[rows]), axis=-1)
+        errors.fail(rows[~np.isfinite(q).all(axis=1)], lambda i: DegenerateAlpha(
+            f"alpha={float(a[i])!r} is so small that the stationarity quartic overflows"))
+        cand = _candidates(q, eta1[rows], eta2[rows], t1[rows], t2[rows], tau[rows],
+                           c1[rows], tol)
+        best, ok = _best(*cand)
+        errors.fail(rows[~ok], lambda i: InfeasibleBudget(
+            "clamped relay amplitudes exceed what the source can cancel: "
+            + _no_root_message(eta1[i] - eta2[i] * t1[i] * t1[i])))
+        cand_r[rows], cand_value[rows], cand_valid[rows] = cand
+        r[rows] = cand[0][np.arange(len(rows)), best]
+        u[rows] = np.where(clamped[rows], u[rows],
+                           c2[rows] / tau[rows, None] * r[rows, None])
 
     total = t1 + tau * r
     rad = eta1 - eta2 * total * total
@@ -454,7 +503,7 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
         second_phase_power=second_phase_power(batch, p1, a_ok, w),
         errors=tuple(errors.errors),
         diagnostics=IndividualBatchDiagnostics(
-            clamped=~active, t1=t1, t2=t2, tau=tau, chosen_r=r,
+            clamped=clamped, t1=t1, t2=t2, tau=tau, chosen_r=r,
             candidate_r=cand_r, candidate_value=cand_value, candidate_valid=cand_valid),
     )
 

@@ -114,13 +114,22 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float,
 # Total-budget oracle: random boundary sampling + projected coordinate ascent
 
 
-def _cd_batch(instance: NetworkInstance, p1: float, alpha: float,
-              w_batch: np.ndarray) -> np.ndarray:
-    """capacity_dest for a batch of weight vectors (rows of w_batch)."""
-    b = w_batch @ combined_gains(instance)
-    den = 1.0 + np.abs(w_batch) ** 2 @ noise_amp_diag(instance)
-    snr2 = alpha * p1 * np.abs(b) ** 2 / (instance.sigma2 * den)
-    return 0.5 * np.log2(1.0 + direct_sinr(instance, p1, alpha) + snr2)
+def _cd_evaluator(instance: NetworkInstance, p1: float, alpha: float,
+                  ) -> Callable[[np.ndarray], np.ndarray]:
+    """capacity_dest for batches of weight vectors (rows of w_batch), as a
+    function of the batch; the gains and the direct SINR are computed once."""
+    h = combined_gains(instance)
+    d_h = noise_amp_diag(instance)
+    direct = direct_sinr(instance, p1, alpha)
+    gain = alpha * p1
+
+    def values(w_batch: np.ndarray) -> np.ndarray:
+        b = w_batch @ h
+        den = 1.0 + np.abs(w_batch) ** 2 @ d_h
+        snr2 = gain * np.abs(b) ** 2 / (instance.sigma2 * den)
+        return 0.5 * np.log2(1.0 + direct + snr2)
+
+    return values
 
 
 def _total_chunk(instance: NetworkInstance, p1: float, alpha: float,
@@ -132,7 +141,7 @@ def _total_chunk(instance: NetworkInstance, p1: float, alpha: float,
     w = rng.normal(size=(n, m1)) + 1j * rng.normal(size=(n, m1))
     power = np.real(np.einsum("ni,ij,nj->n", np.conj(w), d, w))
     w *= np.sqrt(p_tot / power)[:, None]
-    values = _cd_batch(instance, p1, alpha, w)
+    values = _cd_evaluator(instance, p1, alpha)(w)
     best = int(np.argmax(values))
     return float(values[best]), w[best]
 
@@ -142,23 +151,28 @@ def _projected_ascent(instance: NetworkInstance, p1: float, alpha: float,
                       max_sweeps: int = 200, min_step: float = 1e-7,
                       ) -> Tuple[float, np.ndarray, int]:
     """Greedy coordinate ascent on the power boundary w' D w = p_tot."""
+    cd = _cd_evaluator(instance, p1, alpha)
     w = w0.copy()
-    best = float(_cd_batch(instance, p1, alpha, w[None, :])[0])
+    best = float(cd(w[None, :])[0])
     evals = 1
     step = 0.3
     sweeps = 0
     while step > min_step and sweeps < max_sweeps:
         sweeps += 1
         improved = False
+        steps = np.array([step, -step, 1j * step, -1j * step])
         for k in range(len(w)):
             trial = np.repeat(w[None, :], 4, axis=0)
-            trial[:, k] += np.array([step, -step, 1j * step, -1j * step])
+            trial[:, k] += steps
             power = np.real(np.einsum("ni,ij,nj->n", np.conj(trial), d, trial))
             ok = power > 0
-            if not np.any(ok):
+            if ok.all():
+                trial = trial * np.sqrt(p_tot / power)[:, None]
+            elif ok.any():
+                trial = trial[ok] * np.sqrt(p_tot / power[ok])[:, None]
+            else:
                 continue
-            trial = trial[ok] * np.sqrt(p_tot / power[ok])[:, None]
-            values = _cd_batch(instance, p1, alpha, trial)
+            values = cd(trial)
             evals += len(values)
             j = int(np.argmax(values))
             if values[j] > best:
@@ -213,6 +227,13 @@ def oracle_total(instance: NetworkInstance, params: SystemParams,
     )
 
 
+def _solve_d_tilde(d_tilde: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(d_tilde, rhs)
+    except np.linalg.LinAlgError as err:
+        raise OracleEvalError(f"D_tilde is singular in double precision ({err})") from err
+
+
 def power_iteration_rank1(d_tilde: np.ndarray, h_bar: np.ndarray,
                           tol: float = 1e-12, max_iter: int = 100,
                           ) -> Tuple[float, int]:
@@ -220,17 +241,18 @@ def power_iteration_rank1(d_tilde: np.ndarray, h_bar: np.ndarray,
 
     The operator has rank one, so the iteration lands on the eigenvector in a
     single application; the return value should match the Rayleigh value
-    h_bar' D_tilde^{-1} h_bar of the closed-form solve.
+    h_bar' D_tilde^{-1} h_bar of the closed-form solve.  A D_tilde that
+    np.linalg.solve finds singular raises OracleEvalError.
     """
     x = h_bar / np.linalg.norm(h_bar)
     value = 0.0
     for iteration in range(1, max_iter + 1):
-        y = np.linalg.solve(d_tilde, h_bar * np.vdot(h_bar, x))
+        y = _solve_d_tilde(d_tilde, h_bar * np.vdot(h_bar, x))
         norm = np.linalg.norm(y)
         if norm == 0:
             return 0.0, iteration
         y = y / norm
-        new_value = float(np.real(np.vdot(y, np.linalg.solve(d_tilde, h_bar)
+        new_value = float(np.real(np.vdot(y, _solve_d_tilde(d_tilde, h_bar)
                                           * np.vdot(h_bar, y))))
         if abs(new_value - value) <= tol * max(1.0, abs(new_value)):
             return new_value, iteration

@@ -268,12 +268,12 @@ class RootCandidate:
 
 @dataclass(frozen=True)
 class IndividualSolveDiagnostics:
-    """State of the clamping loop at termination."""
+    """The clamped set and the final magnitude solve."""
 
     clamped: tuple = ()           # relay indices fixed at their amplitude caps
-    iterations: int = 1
-    chosen_r: float = 0.0         # active-subvector norm picked in the last re-solve
-    root_candidates: tuple = ()   # (r, objective) pairs examined in the last re-solve
+    iterations: int = 1           # 1 + clamps: the solves of the greedy active-set loop
+    chosen_r: float = 0.0         # active-subvector norm of the final solve
+    root_candidates: tuple = ()   # (r, objective) pairs examined in the quartic solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,13 +320,14 @@ def root_candidates(r: np.ndarray, value: np.ndarray, columns) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class IndividualBatchDiagnostics:
-    """State of every row's clamping loop at termination.
+    """Every row's clamped set and final magnitude solve.
 
     clamped: (N, M) mask of relays fixed at their amplitude caps.
     t1, t2, tau: (N,) offsets and active norm of the final magnitude problem.
-    chosen_r: (N,) radius of the last solve.
+    chosen_r: (N,) radius of the final solve.
     candidate_r, candidate_value, candidate_valid: (N, 6) candidates of each
-        row's last quartic re-solve, columns as in CANDIDATE_KINDS.
+        row's quartic solve, columns as in CANDIDATE_KINDS (none valid where
+        no relay was clamped or none is left active).
     """
 
     clamped: np.ndarray

@@ -1,0 +1,94 @@
+"""The greedy active-set loop that solve_individual_batch used to run, kept as
+the independent reference for its breakpoint scan.
+
+Each round, every row whose proportionally worst active relay exceeds its cap
+(by more than bound_slack, first index on ties, inf where the cap is 0)
+clamps that relay at its cap, folds it into (t1, t2) and re-solves the 1-D
+problem over the remaining relays with the stationarity quartic.  The loop
+ends when no row has a violator left; rows fail independently.
+"""
+
+import numpy as np
+
+from anbeam.errors import DegenerateAlpha, InfeasibleBudget
+from anbeam.individual_solver import (_active_norm, _best, _candidates, _quartic,
+                                      _source_only_r, optimal_phases)
+from anbeam.model import capacity_dest, derive_model, resolve_alphas
+from anbeam.tolerances import from_env
+from anbeam.types import InstanceBatch, SystemParams
+
+
+def greedy_reference(batch: InstanceBatch, params: SystemParams, alpha=None, tol=None):
+    """(errors, clamped, t1, t2, tau, c_d) of every row: errors holds one
+    exception object or None per row, clamped is the (N, M) mask of clamped
+    relays, and the rest are (N,) arrays."""
+    tol = tol or from_env()
+    p1 = params.p1
+    a, errors = resolve_alphas(batch, p1, params.gamma, alpha)
+    errors.fail(np.flatnonzero(~((0.0 < a) & (a <= 1.0))), lambda i: DegenerateAlpha(""))
+    a_ok = np.where(errors.failed, 1.0, a)
+    derived = derive_model(batch, p1, a_ok, params.budget)
+    c1, c2 = derived.c[:, 0], derived.c[:, 1:]
+    u_max, eta1, eta2, eta3 = derived.u_max, derived.eta1, derived.eta2, derived.eta3
+    n, m = batch.n, batch.m
+    active = np.ones((n, m), dtype=bool)
+    t1, t2 = np.zeros(n), np.ones(n)
+    tau = _active_norm(c2)
+    r = np.zeros(n)
+    u = np.zeros((n, m))
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rows = np.flatnonzero(~errors.failed & (tau > 0.0))
+        r_rows, finite = _source_only_r(tau[rows], eta1[rows], eta2[rows], c1[rows])
+        errors.fail(rows[~finite], lambda i: DegenerateAlpha(""))
+        r[rows] = r_rows
+        u[rows] = c2[rows] / tau[rows, None] * r_rows[:, None]
+
+        live = np.flatnonzero(~errors.failed & active.any(axis=1))
+        while live.size:
+            cap = u_max[live]
+            ratio = np.where(cap > 0.0, u[live] / cap, np.inf)
+            ratio[~active[live]] = -np.inf
+            worst = np.argmax(ratio, axis=1)
+            violating = ratio[np.arange(len(live)), worst] > 1.0 + tol.bound_slack
+            live, worst = live[violating], worst[violating]
+            if not live.size:
+                break
+            cap = u_max[live, worst]
+            u[live, worst] = cap
+            active[live, worst] = False
+            t1[live] = t1[live] + c2[live, worst] * cap
+            t2[live] = t2[live] + cap ** 2
+            tau[live] = _active_norm(c2[live], active[live])
+
+            rest = live[tau[live] <= 0.0]  # nothing left to re-solve: r = 0
+            r[rest] = 0.0
+            u[rest] = np.where(active[rest], 0.0, u[rest])
+            rows = live[tau[live] > 0.0]
+            if rows.size:
+                q = np.stack(_quartic(eta1[rows], eta2[rows], eta3[rows], t1[rows],
+                                      t2[rows], tau[rows], c1[rows]), axis=-1)
+                errors.fail(rows[~np.isfinite(q).all(axis=1)],
+                            lambda i: DegenerateAlpha(""))
+                cand = _candidates(q, eta1[rows], eta2[rows], t1[rows], t2[rows],
+                                   tau[rows], c1[rows], tol)
+                best, ok = _best(*cand)
+                errors.fail(rows[~ok], lambda i: InfeasibleBudget(""))
+                r[rows] = cand[0][np.arange(len(rows)), best]
+                u[rows] = np.where(active[rows],
+                                   c2[rows] / tau[rows, None] * r[rows, None], u[rows])
+            live = live[~errors.failed[live]]
+
+        total = t1 + tau * r
+        rad = eta1 - eta2 * total * total
+        errors.fail(np.flatnonzero(rad < -tol.radicand_guard * np.maximum(eta1, 1.0)),
+                    lambda i: InfeasibleBudget(""))
+        phases = optimal_phases(batch)
+        gains_rd = np.abs(batch.h_rd)
+        relay_w = np.where((gains_rd > 0.0) & (u > 0.0),
+                           u / gains_rd * np.exp(1j * phases[:, 1:]), 0.0)
+        w = np.concatenate(
+            ((np.sqrt(np.maximum(rad, 0.0)) * np.exp(1j * phases[:, 0]))[:, None],
+             relay_w), axis=-1)
+        c_d = capacity_dest(batch, p1, a_ok, w)
+    return errors.errors, ~active, t1, t2, tau, c_d

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from anbeam import cli
 from anbeam.cli import main
 from anbeam.experiments import relay_count_sweep_spec, spec_to_dict
 from anbeam.serialization import dump_scenario
@@ -128,6 +129,18 @@ def test_validate_suites_pass(suite, capsys):
     out = capsys.readouterr().out
     assert "[ok  ]" in out
     assert "[FAIL]" not in out
+
+
+def test_validate_singular_d_tilde_is_a_failed_check(monkeypatch, capsys):
+    """The eigen check reports a singular dense D_tilde as its own FAIL line
+    and the suite goes on, rather than crashing the command."""
+    monkeypatch.setattr(cli, "build_d_tilde",
+                        lambda derived, p_tot: np.zeros((derived.m + 1, derived.m + 1)))
+    assert main(["validate", "--suite", "total", "--seed", "3", "--count", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "[ok  ] total[1]" in out
+    assert "[FAIL] total-eigen[0]: D_tilde is singular" in out
+    assert "[FAIL] total-eigen[1]: D_tilde is singular" in out
 
 
 def test_validate_unknown_suite_rejected():

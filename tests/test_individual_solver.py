@@ -1,5 +1,5 @@
 """Phase alignment, the closed-form source-only optimum, the stationarity
-quartic and the greedy clamping loop."""
+quartic and the clamp scan, checked against the greedy loop it replaces."""
 
 import math
 
@@ -27,6 +27,7 @@ from anbeam.model import (
     relay_input_powers,
 )
 from anbeam.oracles import golden_section
+from anbeam.tolerances import PROFILES
 from anbeam.types import (
     IndividualBudget,
     InstanceBatch,
@@ -35,6 +36,7 @@ from anbeam.types import (
     TotalBudget,
 )
 from conftest import make_instance
+from greedy_reference import greedy_reference
 
 
 def _params(m, p_s=5.0, p_i=0.1, p1=2.0, gamma=None):
@@ -243,7 +245,7 @@ def test_select_root_infeasible_offsets():
 
 
 # ---------------------------------------------------------------------------
-# the full greedy solve
+# the full solve
 
 
 def test_generous_bounds_reduce_to_source_only(rng):
@@ -367,3 +369,49 @@ def test_vanishing_alpha_raises_degenerate_alpha(rng, tiny, via):
     params = SystemParams(2.0, gamma, IndividualBudget(5.0, np.full(3, 0.1)))
     with pytest.raises(DegenerateAlpha, match="alpha"):
         solve_individual(inst, params, alpha=alpha)
+
+
+def _random_batch(rng, n, m):
+    """CN gains as in the experiments, with about one gain in ten set to 0."""
+    def cn(size, var):
+        sd = math.sqrt(var / 2.0)
+        return rng.normal(0.0, sd, size) + 1j * rng.normal(0.0, sd, size)
+
+    h_sr, h_rd = cn((n, m), 1.0), cn((n, m), 1.0)
+    h_sr[rng.random((n, m)) < 0.1] = 0.0
+    h_rd[rng.random((n, m)) < 0.1] = 0.0
+    return InstanceBatch(h_sd=cn(n, 0.25), h_sr=h_sr, h_rd=h_rd, sigma2=1.0)
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_clamp_scan_reproduces_the_greedy_loop(profile):
+    """The scan stops where the greedy loop stops: same error class, clamped
+    set and offsets (t1, t2 bit for bit: both add in clamp order), and the
+    same C_d.  bound_slack enters the scan's breakpoints, so every tolerance
+    profile is checked.  Besides the fixed alphas, alpha = 1e-160 fails every
+    row in the closed form, and gamma = 1 gives each row its own alpha and
+    fails the rows that cannot reach it."""
+    tol = PROFILES[profile]
+    rng = np.random.default_rng(0x5CA7)
+    multi_clamp = failed = 0
+    for m in (1, 2, 3, 5, 17, 40, 100):
+        for alpha, gamma in ((1e-150, None), (1e-30, None), (1e-6, None), (0.3, None),
+                             (1.0, None), (1e-160, None), (None, 1.0)):
+            p_i = 10.0 ** rng.uniform(-4.0, 1.0, m)
+            p_i[rng.random(m) < 0.1] = 0.0
+            params = SystemParams(float(10.0 ** rng.uniform(-1.0, 1.5)), gamma,
+                                  IndividualBudget(float(10.0 ** rng.uniform(-1.0, 1.5)), p_i))
+            batch = _random_batch(rng, 30, m)
+            errors, clamped, t1, t2, tau, c_d = greedy_reference(batch, params, alpha, tol)
+            sol = solve_individual_batch(batch, params, alpha=alpha, tol=tol)
+            diag = sol.diagnostics
+            assert [type(e) for e in sol.errors] == [type(e) for e in errors]
+            np.testing.assert_array_equal(diag.clamped, clamped)
+            np.testing.assert_array_equal(diag.t1, t1)
+            np.testing.assert_array_equal(diag.t2, t2)
+            np.testing.assert_array_equal(diag.tau, tau)
+            ok = np.array([e is None for e in errors])
+            np.testing.assert_allclose(sol.c_d[ok], c_d[ok], rtol=1e-13, atol=0.0)
+            multi_clamp += int(np.sum(clamped[ok].sum(axis=1) >= 2))
+            failed += int(np.sum(~ok))
+    assert multi_clamp >= 200 and failed >= 30

@@ -1,7 +1,9 @@
 """The verifiers themselves: golden section, sampling/ascent, grid search,
 power iteration and the signal-level Monte Carlo."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from anbeam.model import (
     strongest_relay,
 )
 from anbeam.oracles import (
+    OracleReport,
     empirical_snr,
     golden_section,
     oracle_individual_grid,
@@ -111,6 +114,27 @@ def test_oracle_total_deterministic_in_seed(rng):
     assert r1 == r2
 
 
+def _complex(pair):
+    return np.asarray(pair[0]) + 1j * np.asarray(pair[1])
+
+
+@pytest.mark.parametrize(
+    "case", json.loads((Path(__file__).with_name("data") / "oracle_total_golden.json")
+                       .read_text()),
+    ids=lambda case: f"m{len(case['instance']['h_sr'][0])}-seed{case['seed']}")
+def test_oracle_total_reproduces_recorded_reports(case):
+    """oracle_total (sampling plus projected ascent) reproduces three recorded
+    reports exactly, so any change to the ascent's arithmetic shows here."""
+    inst = NetworkInstance(h_sd=complex(*case["instance"]["h_sd"]),
+                           h_sr=_complex(case["instance"]["h_sr"]),
+                           h_rd=_complex(case["instance"]["h_rd"]),
+                           sigma2=case["instance"]["sigma2"])
+    params = SystemParams(case["p1"], case["gamma"], TotalBudget(case["p_tot"]))
+    report = oracle_total(inst, params, case["n_samples"], seed=case["seed"],
+                          **case["kwargs"])
+    assert report == OracleReport(**case["report"])
+
+
 def test_oracle_total_worker_count_does_not_change_result(rng):
     inst = make_instance(rng, 2)
     params = SystemParams(2.0, _gamma_for(inst, 2.0), TotalBudget(5.0))
@@ -139,6 +163,12 @@ def test_power_iteration_rank1_immediate_convergence(rng):
         direct = float(np.real(np.dot(derived.h, np.linalg.solve(d_tilde, h_bar))))
         assert value == pytest.approx(direct, rel=1e-12)
         assert iterations <= 2
+
+
+def test_power_iteration_rank1_singular_d_tilde_is_oracle_error():
+    d_tilde = np.diag([1.0, 0.0, 2.0]).astype(complex)  # exactly singular
+    with pytest.raises(OracleEvalError, match="D_tilde is singular"):
+        power_iteration_rank1(d_tilde, np.ones(3, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
