@@ -67,7 +67,6 @@ from .oracles import (
     oracle_total,
     power_iteration_rank1,
 )
-from .tolerances import PROFILES, Tolerances
 from .total_solver import build_d_tilde, solve_total, solve_total_batch
 from .types import (
     BatchSolution,

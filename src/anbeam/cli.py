@@ -1,8 +1,7 @@
 """Command-line entry points: solve one scenario, run a sweep, validate
 solvers against the brute-force oracles.
 
-Environment variables: ANBEAM_WORKERS sets the default worker count,
-ANBEAM_TOLERANCE_PROFILE selects the tolerance profile (default/strict/loose).
+Environment variable: ANBEAM_WORKERS sets the default worker count.
 """
 
 from __future__ import annotations

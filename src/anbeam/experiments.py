@@ -344,9 +344,4 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
 
 
 def spec_from_dict(doc: dict) -> ExperimentSpec:
-    kwargs = dict(doc)
-    kwargs["m_values"] = tuple(kwargs["m_values"])
-    kwargs["p1_values"] = tuple(kwargs["p1_values"])
-    if "alpha_values" in kwargs and kwargs["alpha_values"] is not None:
-        kwargs["alpha_values"] = tuple(kwargs["alpha_values"])
-    return ExperimentSpec(**kwargs)
+    return ExperimentSpec(**doc)

@@ -40,7 +40,6 @@ import numpy as np
 from .errors import DegenerateAlpha, InfeasibleBudget, NoFeasibleRoot
 from .model import (_dot, _per_relay, capacity_dest, derive_model, resolve_alphas,
                     second_phase_power)
-from .tolerances import Tolerances, from_env
 from .types import (
     CANDIDATE_KINDS,
     BatchSolution,
@@ -58,6 +57,15 @@ from .types import (
 )
 
 _MAX_CANDIDATES = len(CANDIDATE_KINDS)
+
+# Relative slack accepted on the per-relay amplitude caps before a relay counts
+# as violating its cap.
+BOUND_SLACK = 1e-10
+# A polynomial root counts as real when |Im| <= REAL_ROOT * max(1, |Re|).
+REAL_ROOT = 1e-9
+# A source-power radicand in [-RADICAND_GUARD * max(eta1, 1), 0) is rounding:
+# it is scored as u1 = 0 rather than rejected.
+RADICAND_GUARD = 1e-12
 
 
 def optimal_phases(instance: NetworkInstance) -> np.ndarray:
@@ -152,14 +160,14 @@ def _quartic_roots(q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return roots, filled
 
 
-def _candidates(q, eta1, eta2, t1, t2, tau, c1, tol: Tolerances):
+def _candidates(q, eta1, eta2, t1, t2, tau, c1):
     """Candidates of K clamped 1-D problems at once, as (r, value, valid),
     each (K, 6) with the columns of types.CANDIDATE_KINDS: r = 0, the
     radicand-zero boundary where u1 hits 0, and the real positive quartic
     roots.
 
     A present candidate is valid when its radicand is not below
-    -radicand_guard * max(eta1, 1) and its value is finite; a radicand inside
+    -RADICAND_GUARD * max(eta1, 1) and its value is finite; a radicand inside
     that guard band is scored as the u1 = 0 boundary point.
     """
     k = len(q)
@@ -173,13 +181,13 @@ def _candidates(q, eta1, eta2, t1, t2, tau, c1, tol: Tolerances):
         roots, filled = _quartic_roots(q)
         present[:, 2:] = (filled & (roots.real > 0.0)
                           & (np.abs(roots.imag)
-                             <= tol.real_root * np.maximum(1.0, np.abs(roots.real))))
+                             <= REAL_ROOT * np.maximum(1.0, np.abs(roots.real))))
         r[:, 2:] = np.where(present[:, 2:], roots.real, 0.0)
         col = (slice(None), None)
         y, rad = _radicand(eta1[col], eta2[col], t1[col], tau[col], r)
         value = np.where(rad >= 0.0, _surface_value(y, rad, c1[col], t2[col], r),
                          y * y / (t2[col] + r * r))
-    guard = tol.radicand_guard * np.maximum(eta1, 1.0)
+    guard = RADICAND_GUARD * np.maximum(eta1, 1.0)
     valid = present & ~(rad < -guard[col]) & np.isfinite(value)
     return r, value, valid
 
@@ -319,7 +327,6 @@ def quartic_coeffs(problem: MagnitudeProblem) -> QuarticCoeffs:
 
 
 def select_root(coeffs: QuarticCoeffs, problem: MagnitudeProblem,
-                tol: Optional[Tolerances] = None,
                 ) -> Tuple[RootCandidate, Tuple[RootCandidate, ...]]:
     """Pick the best admissible candidate of the clamped 1-D problem.
 
@@ -329,10 +336,9 @@ def select_root(coeffs: QuarticCoeffs, problem: MagnitudeProblem,
     derivation can introduce roots that are stationary points of the squared
     equation only, and those lose the comparison automatically.
     """
-    tol = tol or from_env()
     row = [np.array([x], dtype=float) for x in (
         problem.eta1, problem.eta2, problem.t1, problem.t2, problem.tau, problem.c1)]
-    r, value, valid = _candidates(coeffs.as_array()[None, :], *row, tol)
+    r, value, valid = _candidates(coeffs.as_array()[None, :], *row)
     best, ok = _best(r, value, valid)
     if not ok[0]:
         raise NoFeasibleRoot(_no_root_message(problem.radicand(0.0)))
@@ -344,7 +350,7 @@ def select_root(coeffs: QuarticCoeffs, problem: MagnitudeProblem,
 # The solvers
 
 
-def _clamp_scan(ratio0, cap, c1, c2, eta1, eta2, slack):
+def _clamp_scan(ratio0, cap, c1, c2, eta1, eta2):
     """Where the greedy clamp sequence of each row stops, found in one pass.
 
     On the active relays u_i = c_i r / tau, so every active ratio u_i/cap_i
@@ -388,7 +394,7 @@ def _clamp_scan(ratio0, cap, c1, c2, eta1, eta2, slack):
 
     # relay order[K]'s breakpoint x in r, and the sign of psi_K'(x)
     col = (slice(None), None)
-    x = (1.0 + slack) * (cap / c2) * tau
+    x = (1.0 + BOUND_SLACK) * (cap / c2) * tau
     y, rad = _radicand(eta1[col], eta2[col], t1[:, :m], tau, x)
     s = np.sqrt(rad)
     slope = (tau * (1.0 - c1[col] * eta2[col] * y / s) * (t2[:, :m] + x * x)
@@ -407,8 +413,7 @@ def _clamp_scan(ratio0, cap, c1, c2, eta1, eta2, slack):
 # explicitly.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
-                           alpha: Optional[float] = None,
-                           tol: Optional[Tolerances] = None) -> BatchSolution:
+                           alpha: Optional[float] = None) -> BatchSolution:
     """Optimal weights under separate source and per-relay power caps for
     every row of a batch.
 
@@ -430,7 +435,6 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
     budget = params.budget
     if not isinstance(budget, IndividualBudget):
         raise TypeError("solve_individual requires an IndividualBudget")
-    tol = tol or from_env()
     p1 = params.p1
     a, errors = resolve_alphas(batch, p1, params.gamma, alpha)
     errors.fail(np.flatnonzero(~((0.0 < a) & (a <= 1.0))), lambda i: DegenerateAlpha(
@@ -458,11 +462,10 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
 
     live = np.flatnonzero(~errors.failed)
     ratio0 = np.where(u_max[live] > 0.0, u[live] / u_max[live], np.inf)
-    over = np.max(ratio0, axis=1, initial=-np.inf) > 1.0 + tol.bound_slack
+    over = np.max(ratio0, axis=1, initial=-np.inf) > 1.0 + BOUND_SLACK
     live = live[over]
     clamped[live], t1[live], t2[live] = _clamp_scan(
-        ratio0[over], u_max[live], c1[live], c2[live], eta1[live], eta2[live],
-        tol.bound_slack)
+        ratio0[over], u_max[live], c1[live], c2[live], eta1[live], eta2[live])
 
     tau[live] = _active_norm(c2[live], ~clamped[live])
     r[live] = 0.0  # also the answer where nothing is left to re-solve
@@ -474,7 +477,7 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
         errors.fail(rows[~np.isfinite(q).all(axis=1)], lambda i: DegenerateAlpha(
             f"alpha={float(a[i])!r} is so small that the stationarity quartic overflows"))
         cand = _candidates(q, eta1[rows], eta2[rows], t1[rows], t2[rows], tau[rows],
-                           c1[rows], tol)
+                           c1[rows])
         best, ok = _best(*cand)
         errors.fail(rows[~ok], lambda i: InfeasibleBudget(
             "clamped relay amplitudes exceed what the source can cancel: "
@@ -486,7 +489,7 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
 
     total = t1 + tau * r
     rad = eta1 - eta2 * total * total
-    errors.fail(np.flatnonzero(rad < -tol.radicand_guard * np.maximum(eta1, 1.0)),
+    errors.fail(np.flatnonzero(rad < -RADICAND_GUARD * np.maximum(eta1, 1.0)),
                 lambda i: InfeasibleBudget("source power cannot cancel the forwarded "
                                            f"noise (radicand {float(rad[i])!r})"))
     phases = optimal_phases(batch)
@@ -509,9 +512,8 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
 
 
 def solve_individual(instance: NetworkInstance, params: SystemParams,
-                     alpha: Optional[float] = None,
-                     tol: Optional[Tolerances] = None) -> BeamSolution:
+                     alpha: Optional[float] = None) -> BeamSolution:
     """Optimal weights under separate source and per-relay power caps for one
     instance: the N = 1 case of solve_individual_batch."""
-    return solve_individual_batch(InstanceBatch.stack([instance]), params, alpha,
-                                  tol).solution(0)
+    return solve_individual_batch(InstanceBatch.stack([instance]), params,
+                                  alpha).solution(0)

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (DegenerateAlpha, NoRelays, InfeasibleThreshold, RowErrors,
                      SingularObservation)
-from .tolerances import Tolerances, from_env
 from .types import (
     Budget,
     DerivedModel,
@@ -36,6 +35,9 @@ from .types import (
     NetworkInstance,
     SignalRealization,
 )
+
+# alpha_monotonicity_threshold rejects rho_e within this distance of its pole 2.
+SINGULAR_GUARD = 1e-9
 
 
 def _per_relay(x) -> np.ndarray:
@@ -63,7 +65,10 @@ def _threshold_split(instance, p1: float, gamma: float):
         raise NoRelays("the relay SNR threshold needs at least one relay")
     gain2 = np.max(np.abs(instance.h_sr) ** 2, axis=-1)
     ceiling = gain2 * p1 / instance.sigma2
-    return (1.0 + instance.sigma2 / (gain2 * p1)) / (1.0 + 1.0 / gamma), ceiling
+    # a zero gain gives alpha = inf, but its ceiling 0 < gamma marks it infeasible
+    with np.errstate(divide="ignore"):
+        alpha = (1.0 + instance.sigma2 / (gain2 * p1)) / (1.0 + 1.0 / gamma)
+    return alpha, ceiling
 
 
 def _infeasible_threshold(gamma: float, ceiling: float) -> InfeasibleThreshold:
@@ -163,8 +168,7 @@ def secrecy_rate(instance: NetworkInstance, p1: float, alpha: float, w: np.ndarr
     return capacity_dest(instance, p1, alpha, w) - capacity_relay(instance, p1, alpha, e)
 
 
-def alpha_monotonicity_threshold(instance: NetworkInstance, p1: float,
-                                 tol: Optional[Tolerances] = None) -> float:
+def alpha_monotonicity_threshold(instance: NetworkInstance, p1: float) -> float:
     """Threshold on the normalized beam factor above which the secrecy rate is
     nondecreasing in alpha.
 
@@ -174,23 +178,21 @@ def alpha_monotonicity_threshold(instance: NetworkInstance, p1: float,
     against it.  The condition is sufficient only when rho_e > 2 (noisy relay
     link); no claim is made for rho_e < 2, and rho_e = 2 is rejected outright.
     """
-    tol = tol or from_env()
     e = strongest_relay(instance)
     rho_d = instance.sigma2 / (abs(instance.h_sd) ** 2 * p1) + 1.0
     rho_e = instance.sigma2 / (abs(instance.h_sr[e]) ** 2 * p1) + 1.0
-    if abs(rho_e - 2.0) < tol.singular_guard:
+    if abs(rho_e - 2.0) < SINGULAR_GUARD:
         raise SingularObservation(
             f"rho_e = {rho_e!r} is at the excluded value 2; the threshold is undefined")
     return (rho_d - rho_e) * rho_d / ((rho_d - 1.0) ** 2 * (rho_e - 2.0))
 
 
-def secrecy_monotone_in_alpha(instance: NetworkInstance, p1: float, w: np.ndarray,
-                              tol: Optional[Tolerances] = None) -> bool:
+def secrecy_monotone_in_alpha(instance: NetworkInstance, p1: float, w: np.ndarray) -> bool:
     """True when the fixed-w beam factor clears alpha_monotonicity_threshold,
     i.e. the sufficient condition for d(secrecy)/d(alpha) >= 0 holds.  The
     beam factor f(w) is the beam SINR at alpha = 1."""
     f = beam_sinr(instance, p1, 1.0, w)
-    return f >= alpha_monotonicity_threshold(instance, p1, tol)
+    return f >= alpha_monotonicity_threshold(instance, p1)
 
 
 def cancellation_gains(instance: NetworkInstance) -> np.ndarray:
@@ -327,21 +329,16 @@ def simulate_noise_residual(instance: NetworkInstance, p1: float, alpha: float,
 
     By construction the relays' forwarded noise and the source's cancellation
     term are equal and opposite, so the result is zero up to floating
-    rounding.  The residual is extracted by differencing the propagation
-    against a u=0 copy of the same realization (falling back to the direct
-    linear coefficient when u = 0), so genuine cancellation error shows up
-    rather than an algebraic identity.
+    rounding.  The reception is affine in u, so the coefficient is the
+    propagated reception at u = 1 minus the one at u = 0, both with the
+    realization's x and z: genuine cancellation error shows up rather than an
+    algebraic identity, whatever the realization's own u.
     """
     w = np.asarray(w, dtype=complex)
-    if realization.u != 0:
-        zeroed = SignalRealization(x=realization.x, u=0.0, z=realization.z)
-        full = destination_phase2_rx(instance, p1, alpha, w, realization)
-        base = destination_phase2_rx(instance, p1, alpha, w, zeroed)
-        return complex((full - base) / realization.u)
-    an = math.sqrt((1.0 - alpha) * p1)
-    forwarded = np.dot(combined_gains(instance)[1:], w[1:])
-    cancel = np.dot(cancellation_gains(instance), w[1:])
-    return complex(an * forwarded - an * instance.h_sd * cancel)
+    unit = SignalRealization(x=realization.x, u=1.0, z=realization.z)
+    zeroed = SignalRealization(x=realization.x, u=0.0, z=realization.z)
+    return complex(destination_phase2_rx(instance, p1, alpha, w, unit)
+                   - destination_phase2_rx(instance, p1, alpha, w, zeroed))
 
 
 def noise_residual_scale(instance: NetworkInstance, p1: float, alpha: float,

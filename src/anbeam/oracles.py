@@ -26,7 +26,6 @@ from .errors import OracleEvalError, OracleTooLarge
 from .individual_solver import optimal_phases, solve_individual
 from .model import (cancellation_gains, capacity_dest, combined_gains, derive_model,
                     direct_sinr, noise_amp_diag, resolve_alpha)
-from .tolerances import Tolerances
 from .total_solver import dense_power_matrix, solve_total
 from .types import IndividualBudget, NetworkInstance, SystemParams, TotalBudget
 
@@ -70,12 +69,13 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def golden_section(f: Callable[[float], float], lo: float, hi: float,
-                   tol: float = 1e-10, max_iter: int = 200) -> GoldenResult:
+                   tol: float = 1e-10) -> GoldenResult:
     """Golden-section maximization of a unimodal f on [lo, hi].
 
     The bracket shrinks by the golden ratio each iteration, so the iteration
-    count is ~ log((hi-lo)/tol) / log(1/invphi).  For non-unimodal f the
-    result is still the best of the interior search and both endpoints.
+    count is ~ log((hi-lo)/tol) / log(1/invphi), at most 200.  For
+    non-unimodal f the result is still the best of the interior search and
+    both endpoints.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -95,7 +95,7 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float,
     d = a + _INVPHI * (b - a)
     fc, fd = fx(c), fx(d)
     iterations = 0
-    while (b - a) > tol and iterations < max_iter:
+    while (b - a) > tol and iterations < 200:
         iterations += 1
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -234,18 +234,19 @@ def _solve_d_tilde(d_tilde: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise OracleEvalError(f"D_tilde is singular in double precision ({err})") from err
 
 
-def power_iteration_rank1(d_tilde: np.ndarray, h_bar: np.ndarray,
-                          tol: float = 1e-12, max_iter: int = 100,
-                          ) -> Tuple[float, int]:
-    """Dominant eigenvalue of D_tilde^{-1} h_bar h_bar' by power iteration.
+def power_iteration_rank1(d_tilde: np.ndarray, h_bar: np.ndarray) -> Tuple[float, int]:
+    """Dominant eigenvalue of D_tilde^{-1} h_bar h_bar' by power iteration,
+    and the iteration count.
 
     The operator has rank one, so the iteration lands on the eigenvector in a
     single application; the return value should match the Rayleigh value
-    h_bar' D_tilde^{-1} h_bar of the closed-form solve.  A D_tilde that
-    np.linalg.solve finds singular raises OracleEvalError.
+    h_bar' D_tilde^{-1} h_bar of the closed-form solve.  The iteration stops
+    when the value moves by at most 1e-12 relative, or after 100 steps.  A
+    D_tilde that np.linalg.solve finds singular raises OracleEvalError.
     """
     x = h_bar / np.linalg.norm(h_bar)
     value = 0.0
+    max_iter = 100
     for iteration in range(1, max_iter + 1):
         y = _solve_d_tilde(d_tilde, h_bar * np.vdot(h_bar, x))
         norm = np.linalg.norm(y)
@@ -254,7 +255,7 @@ def power_iteration_rank1(d_tilde: np.ndarray, h_bar: np.ndarray,
         y = y / norm
         new_value = float(np.real(np.vdot(y, _solve_d_tilde(d_tilde, h_bar)
                                           * np.vdot(h_bar, y))))
-        if abs(new_value - value) <= tol * max(1.0, abs(new_value)):
+        if abs(new_value - value) <= 1e-12 * max(1.0, abs(new_value)):
             return new_value, iteration
         x, value = y, new_value
     return value, max_iter
@@ -267,17 +268,15 @@ _GRID_MAX_RELAYS = 3
 
 
 def oracle_individual_grid(instance: NetworkInstance, params: SystemParams,
-                           *, alpha: Optional[float] = None,
-                           grid_step: float = 1e-3,
-                           tol: Optional[Tolerances] = None) -> OracleReport:
+                           *, alpha: Optional[float] = None) -> OracleReport:
     """Brute-force check of solve_individual on the box of relay amplitudes.
 
     Exhaustive grid over [0, u_max,1] x ... x [0, u_max,M] with the source
     amplitude taken from power equality wherever feasible, then repeated
     zoom-in refinement around the best cell until the cell size drops below
-    grid_step relative to the search box.  Each axis is pre-clipped at the
-    source-budget feasibility bound sqrt(eta1/eta2)/c_i so that generous
-    relay caps do not inflate the box.  Guarded to M <= 3.
+    1e-3 of the search box.  Each axis is pre-clipped at the source-budget
+    feasibility bound sqrt(eta1/eta2)/c_i so that generous relay caps do not
+    inflate the box.  Guarded to M <= 3.
     """
     m = instance.m
     if m > _GRID_MAX_RELAYS:
@@ -300,7 +299,7 @@ def oracle_individual_grid(instance: NetworkInstance, params: SystemParams,
         value[~feasible] = -np.inf
         return value
 
-    solution = solve_individual(instance, params, alpha=a, tol=tol)
+    solution = solve_individual(instance, params, alpha=a)
     u_analytic = np.abs(np.asarray(solution.w)[1:]) * np.abs(instance.h_rd)
 
     lo = np.zeros(m)
@@ -310,7 +309,7 @@ def oracle_individual_grid(instance: NetworkInstance, params: SystemParams,
         feas = math.sqrt(max(eta1, 0.0) / eta2) * (1.0 + 1e-9)
         positive = c2 > 0
         hi[positive] = np.minimum(hi[positive], feas / c2[positive])
-    target = grid_step * max(float(np.max(hi, initial=0.0)), 1e-12)
+    target = 1e-3 * max(float(np.max(hi, initial=0.0)), 1e-12)
     n = 41 if m >= 3 else 61
     evals = 0
     best_u = np.zeros(m)

@@ -271,7 +271,7 @@ class IndividualSolveDiagnostics:
     """The clamped set and the final magnitude solve."""
 
     clamped: tuple = ()           # relay indices fixed at their amplitude caps
-    iterations: int = 1           # 1 + clamps: the solves of the greedy active-set loop
+    iterations: int = 1           # 1 + clamps: the greedy rounds the clamp scan replaces
     chosen_r: float = 0.0         # active-subvector norm of the final solve
     root_candidates: tuple = ()   # (r, objective) pairs examined in the quartic solve
 

@@ -2,27 +2,28 @@
 the independent reference for its breakpoint scan.
 
 Each round, every row whose proportionally worst active relay exceeds its cap
-(by more than bound_slack, first index on ties, inf where the cap is 0)
+(by more than BOUND_SLACK, first index on ties, inf where the cap is 0)
 clamps that relay at its cap, folds it into (t1, t2) and re-solves the 1-D
 problem over the remaining relays with the stationarity quartic.  The loop
-ends when no row has a violator left; rows fail independently.
+ends when no row has a violator left; rows fail independently.  The guards
+are read from individual_solver at call time, so a test that patches them
+there changes both sides.
 """
 
 import numpy as np
 
+from anbeam import individual_solver
 from anbeam.errors import DegenerateAlpha, InfeasibleBudget
 from anbeam.individual_solver import (_active_norm, _best, _candidates, _quartic,
                                       _source_only_r, optimal_phases)
 from anbeam.model import capacity_dest, derive_model, resolve_alphas
-from anbeam.tolerances import from_env
 from anbeam.types import InstanceBatch, SystemParams
 
 
-def greedy_reference(batch: InstanceBatch, params: SystemParams, alpha=None, tol=None):
+def greedy_reference(batch: InstanceBatch, params: SystemParams, alpha=None):
     """(errors, clamped, t1, t2, tau, c_d) of every row: errors holds one
     exception object or None per row, clamped is the (N, M) mask of clamped
     relays, and the rest are (N,) arrays."""
-    tol = tol or from_env()
     p1 = params.p1
     a, errors = resolve_alphas(batch, p1, params.gamma, alpha)
     errors.fail(np.flatnonzero(~((0.0 < a) & (a <= 1.0))), lambda i: DegenerateAlpha(""))
@@ -50,7 +51,7 @@ def greedy_reference(batch: InstanceBatch, params: SystemParams, alpha=None, tol
             ratio = np.where(cap > 0.0, u[live] / cap, np.inf)
             ratio[~active[live]] = -np.inf
             worst = np.argmax(ratio, axis=1)
-            violating = ratio[np.arange(len(live)), worst] > 1.0 + tol.bound_slack
+            violating = ratio[np.arange(len(live)), worst] > 1.0 + individual_solver.BOUND_SLACK
             live, worst = live[violating], worst[violating]
             if not live.size:
                 break
@@ -71,7 +72,7 @@ def greedy_reference(batch: InstanceBatch, params: SystemParams, alpha=None, tol
                 errors.fail(rows[~np.isfinite(q).all(axis=1)],
                             lambda i: DegenerateAlpha(""))
                 cand = _candidates(q, eta1[rows], eta2[rows], t1[rows], t2[rows],
-                                   tau[rows], c1[rows], tol)
+                                   tau[rows], c1[rows])
                 best, ok = _best(*cand)
                 errors.fail(rows[~ok], lambda i: InfeasibleBudget(""))
                 r[rows] = cand[0][np.arange(len(rows)), best]
@@ -81,7 +82,8 @@ def greedy_reference(batch: InstanceBatch, params: SystemParams, alpha=None, tol
 
         total = t1 + tau * r
         rad = eta1 - eta2 * total * total
-        errors.fail(np.flatnonzero(rad < -tol.radicand_guard * np.maximum(eta1, 1.0)),
+        guard = individual_solver.RADICAND_GUARD * np.maximum(eta1, 1.0)
+        errors.fail(np.flatnonzero(rad < -guard),
                     lambda i: InfeasibleBudget(""))
         phases = optimal_phases(batch)
         gains_rd = np.abs(batch.h_rd)

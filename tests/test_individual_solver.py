@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anbeam import individual_solver
 from anbeam.errors import DegenerateAlpha, InfeasibleBudget, NoFeasibleRoot
 from anbeam.individual_solver import (
     MagnitudeProblem,
@@ -27,7 +28,6 @@ from anbeam.model import (
     relay_input_powers,
 )
 from anbeam.oracles import golden_section
-from anbeam.tolerances import PROFILES
 from anbeam.types import (
     IndividualBudget,
     InstanceBatch,
@@ -383,15 +383,15 @@ def _random_batch(rng, n, m):
     return InstanceBatch(h_sd=cn(n, 0.25), h_sr=h_sr, h_rd=h_rd, sigma2=1.0)
 
 
-@pytest.mark.parametrize("profile", sorted(PROFILES))
-def test_clamp_scan_reproduces_the_greedy_loop(profile):
+@pytest.mark.parametrize("slack", (1e-12, 1e-10, 1e-8), ids=("strict", "default", "loose"))
+def test_clamp_scan_reproduces_the_greedy_loop(slack, monkeypatch):
     """The scan stops where the greedy loop stops: same error class, clamped
     set and offsets (t1, t2 bit for bit: both add in clamp order), and the
-    same C_d.  bound_slack enters the scan's breakpoints, so every tolerance
-    profile is checked.  Besides the fixed alphas, alpha = 1e-160 fails every
-    row in the closed form, and gamma = 1 gives each row its own alpha and
-    fails the rows that cannot reach it."""
-    tol = PROFILES[profile]
+    same C_d.  BOUND_SLACK enters the scan's breakpoints, so slacks on both
+    sides of the default are checked as well.  Besides the fixed alphas,
+    alpha = 1e-160 fails every row in the closed form, and gamma = 1 gives
+    each row its own alpha and fails the rows that cannot reach it."""
+    monkeypatch.setattr(individual_solver, "BOUND_SLACK", slack)
     rng = np.random.default_rng(0x5CA7)
     multi_clamp = failed = 0
     for m in (1, 2, 3, 5, 17, 40, 100):
@@ -402,8 +402,8 @@ def test_clamp_scan_reproduces_the_greedy_loop(profile):
             params = SystemParams(float(10.0 ** rng.uniform(-1.0, 1.5)), gamma,
                                   IndividualBudget(float(10.0 ** rng.uniform(-1.0, 1.5)), p_i))
             batch = _random_batch(rng, 30, m)
-            errors, clamped, t1, t2, tau, c_d = greedy_reference(batch, params, alpha, tol)
-            sol = solve_individual_batch(batch, params, alpha=alpha, tol=tol)
+            errors, clamped, t1, t2, tau, c_d = greedy_reference(batch, params, alpha)
+            sol = solve_individual_batch(batch, params, alpha=alpha)
             diag = sol.diagnostics
             assert [type(e) for e in sol.errors] == [type(e) for e in errors]
             np.testing.assert_array_equal(diag.clamped, clamped)

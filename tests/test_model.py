@@ -1,6 +1,7 @@
 """Formula-level tests for the channel model, capacities and signal propagation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,16 @@ def test_alpha_for_half_threshold():
 def test_alpha_infeasible_threshold():
     with pytest.raises(InfeasibleThreshold):
         alpha_for_threshold(UNIT, p1=1.0, gamma=2.0)
+
+
+def test_alpha_for_zero_relay_gains_is_infeasible_without_warnings():
+    """With every h_sr zero the strongest relay's ceiling is 0: the split
+    reports InfeasibleThreshold and does not warn about the zero gain."""
+    inst = NetworkInstance(h_sd=0.5, h_sr=[0.0, 0.0], h_rd=[1.0, 1.0], sigma2=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasibleThreshold):
+            alpha_for_threshold(inst, p1=2.0, gamma=1.0)
 
 
 def test_alpha_round_trip_and_dominance(rng):
@@ -329,14 +340,19 @@ def _random_realization(rng, m):
 
 
 def test_noise_residual_small_for_random_draws(rng):
+    """The residual is within 1e-12 of its scale, and a realization with
+    u = 0 is propagated like any other: same x and z, same coefficient."""
     for _ in range(1000):
         m = int(rng.integers(1, 5))
         inst = make_instance(rng, m)
         a = float(rng.uniform(0.0, 1.0))
         w = random_weights(rng, m)
-        res = simulate_noise_residual(inst, 3.0, a, w, _random_realization(rng, m))
+        realization = _random_realization(rng, m)
+        res = simulate_noise_residual(inst, 3.0, a, w, realization)
         scale = noise_residual_scale(inst, 3.0, a, w)
         assert abs(res) <= 1e-12 * max(scale, 1e-300)
+        silent = SignalRealization(x=realization.x, u=0.0, z=realization.z)
+        assert simulate_noise_residual(inst, 3.0, a, w, silent) == res
 
 
 def test_noise_residual_zero_weights(rng):
