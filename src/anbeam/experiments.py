@@ -12,24 +12,29 @@ p1, alpha or M therefore hold instance-by-instance, not just on average, and
 sweeps are byte-identical across worker counts (grid points are independent
 tasks; aggregation happens in fixed slot order).
 
-A grid point is solved as one batch per budget mode: every slot's instance
-is drawn, stacked into an InstanceBatch and handed to solve_total_batch and
-solve_individual_batch, which report failures per row (a batch larger than
-BATCH_ELEMENTS rows x relays is split in equal parts, which changes no
-value).  A slot that fails in either mode (e.g. an infeasible SNR threshold
-at low p1) advances its attempt counter at that grid point; the failed slots
+All grid points of one relay count are solved as one batch per budget mode
+(solve_grid_points): each row is one (grid point, slot), with p1 and a fixed
+alpha per row.  Every row's instance is drawn, stacked into an InstanceBatch
+and handed to solve_total_batch and solve_individual_batch, which report
+failures per row (the batch is split in equal parts of at most
+BATCH_ELEMENTS rows x relays and BATCH_ROWS rows, which changes no value).
+A row that fails in either mode (e.g. an infeasible SNR threshold at low p1)
+advances its slot's attempt counter at its own grid point; the failed rows
 are redrawn together as a smaller batch, and each replacement is logged and
-counted, never silently dropped.
+counted, never silently dropped.  run_sweep hands each worker a contiguous
+chunk of a relay count's grid points; solve_grid_point is the one-point
+call.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import MISSING, dataclass, fields
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +59,12 @@ def resolve_workers(explicit: Optional[int] = None) -> int:
     if explicit is not None:
         return max(1, int(explicit))
     env = os.environ.get(ENV_WORKERS)
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(f"{ENV_WORKERS}={env!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -66,8 +76,8 @@ class ChannelVariances:
     sd: float = 0.25
 
     def __post_init__(self):
-        if min(self.sr, self.rd, self.sd) <= 0:
-            raise ValueError("all channel variances must be positive")
+        if not all(0.0 < v < math.inf for v in (self.sr, self.rd, self.sd)):
+            raise ValueError("all channel variances must be finite and positive")
 
 
 def instance_stream(seed: int, slot: int, attempt: int = 0) -> np.random.Generator:
@@ -83,12 +93,36 @@ def sample_instance(m: int, variances: ChannelVariances,
     count consumes a prefix of the same stream."""
     if m < 1:
         raise ValueError("need at least one relay")
-    raw = stream.standard_normal(2 + 4 * m)
-    h_sd = complex(raw[0], raw[1]) * math.sqrt(variances.sd / 2.0)
-    rest = raw[2:].reshape(m, 4)
-    h_sr = (rest[:, 0] + 1j * rest[:, 1]) * math.sqrt(variances.sr / 2.0)
-    h_rd = (rest[:, 2] + 1j * rest[:, 3]) * math.sqrt(variances.rd / 2.0)
-    return NetworkInstance(h_sd=h_sd, h_sr=h_sr, h_rd=h_rd, sigma2=sigma2)
+    # read as complex: h_sd, then (h_si, h_id) for each relay
+    gains = stream.standard_normal(2 + 4 * m).view(complex)
+    return NetworkInstance(h_sd=complex(gains[0]) * math.sqrt(variances.sd / 2.0),
+                           h_sr=gains[1::2] * math.sqrt(variances.sr / 2.0),
+                           h_rd=gains[2::2] * math.sqrt(variances.rd / 2.0),
+                           sigma2=sigma2)
+
+
+def _values(values, name: str, convert) -> tuple:
+    """A spec's list field as a nonempty tuple of convert(value, name)."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a list, got {values!r}") from None
+    if not values:
+        raise ValueError(f"{name} must not be empty")
+    return tuple(convert(x, name) for x in values)
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; a bool or a non-integral number is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: expected a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -116,11 +150,17 @@ class ExperimentSpec:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
-        object.__setattr__(self, "p1_values", tuple(float(p) for p in self.p1_values))
+        object.__setattr__(self, "m_values", _values(self.m_values, "m_values", _integer))
+        object.__setattr__(self, "p1_values", _values(self.p1_values, "p1_values", _real))
         if self.alpha_values is not None:
             object.__setattr__(self, "alpha_values",
-                               tuple(float(a) for a in self.alpha_values))
+                               _values(self.alpha_values, "alpha_values", _real))
+        for name in ("n_instances", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("p_s", "p_i", "variance_sr", "variance_rd", "variance_sd", "sigma2"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", _real(self.gamma, "gamma"))
         if (self.alpha_values is None) == (self.gamma is None):
             raise ValueError("give exactly one of alpha_values or gamma")
         if not all(0.0 < a <= 1.0 for a in self.alpha_values or ()):
@@ -138,11 +178,13 @@ class ExperimentSpec:
             raise ValueError(f"unknown budget_mode {self.budget_mode!r}")
         if self.n_instances < 1:
             raise ValueError("n_instances must be >= 1")
-        if min(self.m_values, default=1) < 1:
-            raise ValueError("relay counts must be >= 1")
-        ChannelVariances(self.variance_sr, self.variance_rd, self.variance_sd)
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if min(self.m_values) < 1:
+            raise ValueError("m_values: relay counts must be >= 1")
+        for name in ("variance_sr", "variance_rd", "variance_sd", "sigma2"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     @property
     def variances(self) -> ChannelVariances:
@@ -191,55 +233,82 @@ def alpha_label(spec: ExperimentSpec, alpha: Optional[float]) -> str:
 
 
 # Largest batch the solvers get, in rows x relays.  Their working set is a few
-# dozen arrays of that size, so this bounds a grid point's memory at large M or
-# n_instances; with 100 slots, every M <= 163 is still one batch.
+# dozen arrays of that size, so this bounds a batch's memory at large M or
+# n_instances; with 100 slots, every M <= 163 is still one part per grid point.
 BATCH_ELEMENTS = 1 << 14
+# Largest batch the solvers get, in rows.  At a few hundred rows the per-call
+# cost of the solvers is already spread thin; larger parts only raise the peak
+# memory (the 3,300 rows of the power sweep as one part: +13% peak RSS).
+BATCH_ROWS = 512
+
+
+def solve_grid_points(spec: ExperimentSpec, m: int,
+                      points: Sequence[Tuple[float, Optional[float]]]) -> List[GridPointResult]:
+    """Solve all instance slots of the given (p1, alpha) grid points of one
+    relay count, in every requested budget mode, sharing the instance set
+    across modes; one GridPointResult per point, in order.
+
+    Row j * n_instances + s of the batch is slot s of point j; p1 and a
+    fixed alpha are per-row values (alpha is None at every point, meaning
+    derived per row from gamma, or at none).  Each round draws the pending
+    rows' instances and solves them as one batch per mode, split in equal
+    parts of at most BATCH_ELEMENTS rows x relays and BATCH_ROWS rows.  A row
+    whose solve fails in any mode is redrawn (next attempt of its slot at its
+    own grid point) for all modes together in the next round; the first
+    mode's error is the one logged.
+    """
+    n = spec.n_instances
+    p1_rows = np.repeat([p1 for p1, _ in points], n)
+    fixed = [alpha is not None for _, alpha in points]
+    if any(fixed) and not all(fixed):
+        raise ValueError("grid points must all fix alpha or all derive it from gamma")
+    alpha_rows = np.repeat([alpha for _, alpha in points], n) if any(fixed) else None
+    variances = spec.variances
+    budgets = {"total": TotalBudget(spec.p_s + m * spec.p_i),
+               "individual": IndividualBudget(spec.p_s, np.full(m, spec.p_i))}
+    solvers = {"total": solve_total_batch, "individual": solve_individual_batch}
+    values = {mode: np.empty(p1_rows.size) for mode in spec.modes}
+    attempts = np.zeros(p1_rows.size, dtype=int)
+    resamples = np.zeros(len(points), dtype=int)
+    pending = np.arange(p1_rows.size)
+    while pending.size:
+        failed = []
+        parts = max(-(-pending.size * m // BATCH_ELEMENTS), -(-pending.size // BATCH_ROWS))
+        for rows in np.array_split(pending, parts):
+            batch = InstanceBatch.stack(
+                sample_instance(m, variances,
+                                instance_stream(spec.seed, int(row % n), int(attempts[row])),
+                                spec.sigma2)
+                for row in rows)
+            alphas = None if alpha_rows is None else alpha_rows[rows]
+            errors = [None] * len(rows)
+            for mode in spec.modes:
+                params = SystemParams(p1_rows[rows], spec.gamma, budgets[mode])
+                solved = solvers[mode](batch, params, alpha=alphas)
+                values[mode][rows] = solved.c_d  # a failed row's is rewritten on redraw
+                errors = [first or err for first, err in zip(errors, solved.errors)]
+            failed += [(int(row), err) for row, err in zip(rows, errors) if err is not None]
+        for row, err in failed:
+            point, slot = divmod(row, n)
+            resamples[point] += 1
+            attempts[row] += 1
+            p1, alpha = points[point]
+            log.warning("slot %d at (m=%d, p1=%g, %s) resampled (attempt %d): %s",
+                        slot, m, p1, alpha_label(spec, alpha), attempts[row], err)
+            if attempts[row] > 100:
+                raise RuntimeError(
+                    f"slot {slot} failed 100 consecutive resamples") from err
+        pending = np.array([row for row, _ in failed], dtype=int)
+    return [GridPointResult(c_d={mode: values[mode][j * n:(j + 1) * n] for mode in spec.modes},
+                            resamples=int(resamples[j]))
+            for j in range(len(points))]
 
 
 def solve_grid_point(spec: ExperimentSpec, m: int, p1: float,
                      alpha: Optional[float]) -> GridPointResult:
-    """Solve all instance slots at one grid point, in every requested budget
-    mode, sharing the instance set across modes.
-
-    Each round draws the pending slots' instances and solves them as one
-    batch per mode (split in equal parts of at most BATCH_ELEMENTS rows x
-    relays).  A slot whose solve fails in any mode is redrawn (next attempt)
-    for all modes together in the next round; the first mode's error is the
-    one logged.
-    """
-    p_tot = spec.p_s + m * spec.p_i
-    params = {"total": SystemParams(p1, spec.gamma, TotalBudget(p_tot)),
-              "individual": SystemParams(p1, spec.gamma,
-                                         IndividualBudget(spec.p_s, np.full(m, spec.p_i)))}
-    solvers = {"total": solve_total_batch, "individual": solve_individual_batch}
-    values = {mode: np.empty(spec.n_instances) for mode in spec.modes}
-    attempts = np.zeros(spec.n_instances, dtype=int)
-    pending = np.arange(spec.n_instances)
-    resamples = 0
-    while pending.size:
-        failed = []
-        for rows in np.array_split(pending, -(-pending.size * m // BATCH_ELEMENTS)):
-            batch = InstanceBatch.stack(
-                sample_instance(m, spec.variances,
-                                instance_stream(spec.seed, int(slot), int(attempts[slot])),
-                                spec.sigma2)
-                for slot in rows)
-            errors = [None] * len(rows)
-            for mode in spec.modes:
-                solved = solvers[mode](batch, params[mode], alpha=alpha)
-                values[mode][rows] = solved.c_d  # a failed slot's is rewritten on redraw
-                errors = [first or err for first, err in zip(errors, solved.errors)]
-            failed += [(int(slot), err) for slot, err in zip(rows, errors) if err is not None]
-        for slot, err in failed:
-            resamples += 1
-            attempts[slot] += 1
-            log.warning("slot %d at (m=%d, p1=%g, %s) resampled (attempt %d): %s",
-                        slot, m, p1, alpha_label(spec, alpha), attempts[slot], err)
-            if attempts[slot] > 100:
-                raise RuntimeError(
-                    f"slot {slot} failed 100 consecutive resamples") from err
-        pending = np.array([slot for slot, _ in failed], dtype=int)
-    return GridPointResult(c_d=values, resamples=resamples)
+    """Solve all instance slots at one grid point: solve_grid_points for one
+    point."""
+    return solve_grid_points(spec, m, [(p1, alpha)])[0]
 
 
 def grid_points(spec: ExperimentSpec) -> List[Tuple[int, float, Optional[float]]]:
@@ -250,24 +319,36 @@ def grid_points(spec: ExperimentSpec) -> List[Tuple[int, float, Optional[float]]
             for alpha in spec.alpha_grid()]
 
 
+def _tasks(spec: ExperimentSpec, chunks: int) -> List[Tuple[int, list]]:
+    """(m, points) per task: each relay count's grid points in at most
+    `chunks` contiguous chunks of near-equal size, in grid-point order."""
+    points = [(p1, alpha) for p1 in spec.p1_values for alpha in spec.alpha_grid()]
+    size = -(-len(points) // chunks)
+    return [(m, points[i:i + size]) for m in spec.m_values
+            for i in range(0, len(points), size)]
+
+
 def run_sweep(spec: ExperimentSpec, workers: Optional[int] = None) -> List[ExperimentRow]:
     """Execute the sweep and aggregate one row per (grid point, budget mode).
 
+    Each task solves a contiguous chunk of one relay count's grid points
+    through solve_grid_points; with one worker a chunk is all of them.
     Aggregation uses numpy's fixed-order reductions over the slot-ordered
     arrays, so the row values do not depend on the worker count.
     """
-    points = grid_points(spec)
     n_workers = resolve_workers(workers)
-    if n_workers > 1 and len(points) > 1:
+    tasks = _tasks(spec, n_workers)
+    if n_workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(solve_grid_point, [spec] * len(points), *zip(*points)))
+            chunks = list(pool.map(solve_grid_points, [spec] * len(tasks), *zip(*tasks)))
     else:
-        results = [solve_grid_point(spec, m, p1, a) for m, p1, a in points]
+        chunks = [solve_grid_points(spec, m, points) for m, points in tasks]
+    results = [result for chunk in chunks for result in chunk]
     total_resamples = sum(r.resamples for r in results)
     if total_resamples:
         log.info("sweep finished with %d resampled instances", total_resamples)
     rows: List[ExperimentRow] = []
-    for (m, p1, alpha), result in zip(points, results):
+    for (m, p1, alpha), result in zip(grid_points(spec), results):
         for mode in spec.modes:
             arr = result.c_d[mode]
             rows.append(ExperimentRow(
@@ -344,4 +425,15 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
 
 
 def spec_from_dict(doc: dict) -> ExperimentSpec:
+    """ExperimentSpec of a spec document; an unknown or missing field is a
+    ValueError naming it."""
+    if not isinstance(doc, dict):
+        raise ValueError("a sweep spec must be a JSON object")
+    known = {f.name: f.default is MISSING for f in fields(ExperimentSpec)}
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValueError(f"unknown spec field(s): {', '.join(map(str, unknown))}")
+    missing = [name for name, required in known.items() if required and name not in doc]
+    if missing:
+        raise ValueError(f"spec lacks required field(s): {', '.join(missing)}")
     return ExperimentSpec(**doc)

@@ -413,9 +413,9 @@ def _clamp_scan(ratio0, cap, c1, c2, eta1, eta2):
 # explicitly.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
-                           alpha: Optional[float] = None) -> BatchSolution:
+                           alpha=None) -> BatchSolution:
     """Optimal weights under separate source and per-relay power caps for
-    every row of a batch.
+    every row of a batch; alpha as in solve_total_batch.
 
     The closed form solves the problem without relay caps.  Where a cap is
     exceeded, the greedy active-set answer follows: the proportionally worst

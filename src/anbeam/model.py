@@ -14,8 +14,8 @@ Conventions used throughout:
 * The solver-side formulas (phase-1 SINRs, gain vectors, beam SINR,
   capacity, second-phase power, the threshold split and derive_model) work
   over a trailing relay axis.  They take a NetworkInstance or an
-  InstanceBatch alike, with alpha a scalar or one value per row, so the
-  batched solvers share every formula with the single-instance ones.
+  InstanceBatch alike, with p1 and alpha each a scalar or one value per row,
+  so the batched solvers share every formula with the single-instance ones.
 """
 
 from __future__ import annotations
@@ -103,9 +103,10 @@ def relay_snr(instance: NetworkInstance, p1: float, alpha: float, i: int) -> flo
     return _phase1_sinr(abs(instance.h_sr[i]) ** 2, instance.sigma2, p1, alpha)
 
 
-def relay_snrs(instance: NetworkInstance, p1: float, alpha) -> np.ndarray:
+def relay_snrs(instance: NetworkInstance, p1, alpha) -> np.ndarray:
     """Vector of relay_snr over all relays."""
-    return _phase1_sinr(np.abs(instance.h_sr) ** 2, instance.sigma2, p1, _per_relay(alpha))
+    return _phase1_sinr(np.abs(instance.h_sr) ** 2, instance.sigma2, _per_relay(p1),
+                        _per_relay(alpha))
 
 
 def capacity_relay(instance: NetworkInstance, p1: float, alpha: float, i: int) -> float:
@@ -201,10 +202,10 @@ def cancellation_gains(instance: NetworkInstance) -> np.ndarray:
     return instance.h_sr * instance.h_rd / _per_relay(instance.h_sd)
 
 
-def relay_input_powers(instance: NetworkInstance, p1: float) -> np.ndarray:
+def relay_input_powers(instance: NetworkInstance, p1) -> np.ndarray:
     """Expected received power at each relay, |h_si|^2 p1 + sigma2 — the factor
     a relay weight multiplies when spending transmit power."""
-    return np.abs(instance.h_sr) ** 2 * p1 + instance.sigma2
+    return np.abs(instance.h_sr) ** 2 * _per_relay(p1) + instance.sigma2
 
 
 def second_phase_power(instance: NetworkInstance, p1: float, alpha,
@@ -277,12 +278,28 @@ def resolve_alpha(instance: NetworkInstance, p1: float, gamma: Optional[float],
     return alpha_for_threshold(instance, p1, gamma)
 
 
-def resolve_alphas(batch: InstanceBatch, p1: float, gamma: Optional[float],
-                   alpha: Optional[float]) -> "tuple[np.ndarray, RowErrors]":
-    """resolve_alpha for every row of a batch: (alpha per row, RowErrors
-    holding InfeasibleThreshold for each row whose strongest relay cannot
-    reach gamma)."""
+def _check_rows(batch: InstanceBatch, value, name: str) -> None:
+    """A per-row parameter is a scalar or holds exactly one value per row."""
+    if np.ndim(value) and np.shape(value) != (batch.n,):
+        raise ValueError(f"{name} must be a scalar or hold one value per row "
+                         f"({batch.n}), got shape {np.shape(value)}")
+
+
+def resolve_alphas(batch: InstanceBatch, p1, gamma: Optional[float],
+                   alpha) -> "tuple[np.ndarray, RowErrors]":
+    """resolve_alpha for every row of a batch, with p1 and an explicit alpha
+    each a scalar or one value per row: (alpha per row, RowErrors holding
+    InfeasibleThreshold for each row whose strongest relay cannot reach
+    gamma)."""
+    _check_rows(batch, p1, "p1")
+    _check_rows(batch, alpha, "alpha")
     errors = RowErrors(batch.n)
+    if np.ndim(alpha):
+        alphas = np.array(alpha, dtype=float)
+        bad = np.flatnonzero(~((0.0 <= alphas) & (alphas <= 1.0)))
+        if bad.size:
+            raise ValueError(f"alpha={alphas[bad[0]]!r} at row {bad[0]} outside [0, 1]")
+        return alphas, errors
     if alpha is not None or gamma is None:
         return np.full(batch.n, resolve_alpha(batch, p1, gamma, alpha)), errors
     alphas, ceiling = _threshold_split(batch, p1, gamma)

@@ -133,7 +133,6 @@ def solution_to_dict(solution: BeamSolution) -> dict:
         doc["diagnostics"] = {
             "kind": "individual",
             "clamped": list(diag.clamped),
-            "iterations": diag.iterations,
             "chosen_r": diag.chosen_r,
         }
     return doc

@@ -59,9 +59,10 @@ def build_d_tilde(derived: DerivedModel, p_tot: float) -> np.ndarray:
 # overflow is caught by the finiteness test on v.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def solve_total_batch(batch: InstanceBatch, params: SystemParams,
-                      alpha: Optional[float] = None) -> BatchSolution:
+                      alpha=None) -> BatchSolution:
     """Optimal weights under the total budget for every row of a batch;
-    alpha from params.gamma (per row) unless given explicitly.
+    alpha from params.gamma (per row) unless given explicitly.  params.p1 and
+    an explicit alpha are each a scalar or one value per row.
 
     w* = mu * v with v = D_tilde^{-1} conj(h) and mu chosen so the power
     constraint holds with equality; the achieved SINR ratio equals the

@@ -164,18 +164,25 @@ Budget = Union[TotalBudget, IndividualBudget]
 class SystemParams:
     """First-phase power, relay SNR ceiling and the second-phase budget.
 
-    gamma may be None when the power split alpha is supplied explicitly to a
-    solver; when present it must be positive, and the feasibility bound
-    gamma <= |h_se|^2 * p1 / sigma2 is checked at solve time.
+    p1 is a scalar, or a vector of one value per row of the InstanceBatch it
+    is solved with.  gamma may be None when the power split alpha is
+    supplied explicitly to a solver; when present it must be positive, and
+    the feasibility bound gamma <= |h_se|^2 * p1 / sigma2 is checked at solve
+    time.
     """
 
-    p1: float
+    p1: Union[float, np.ndarray]
     gamma: Optional[float]
     budget: Budget
 
     def __post_init__(self):
-        _set(self, "p1", float(self.p1))
-        if not 0 < self.p1 < math.inf:
+        if np.ndim(self.p1):
+            _set(self, "p1", _frozen_array(self.p1, float))
+            if self.p1.ndim != 1:
+                raise ValueError("p1 must be a scalar or a vector")
+        else:
+            _set(self, "p1", float(self.p1))
+        if not np.all((0 < self.p1) & (self.p1 < math.inf)):
             raise ValueError("p1 must be finite and positive")
         if self.gamma is not None:
             _set(self, "gamma", float(self.gamma))
@@ -271,7 +278,6 @@ class IndividualSolveDiagnostics:
     """The clamped set and the final magnitude solve."""
 
     clamped: tuple = ()           # relay indices fixed at their amplitude caps
-    iterations: int = 1           # 1 + clamps: the greedy rounds the clamp scan replaces
     chosen_r: float = 0.0         # active-subvector norm of the final solve
     root_candidates: tuple = ()   # (r, objective) pairs examined in the quartic solve
 
@@ -344,10 +350,8 @@ class IndividualBatchDiagnostics:
                                 "candidate_value", "candidate_valid"))
 
     def row(self, i: int) -> IndividualSolveDiagnostics:
-        clamped = tuple(int(j) for j in np.flatnonzero(self.clamped[i]))
         return IndividualSolveDiagnostics(
-            clamped=clamped,
-            iterations=1 + len(clamped),
+            clamped=tuple(int(j) for j in np.flatnonzero(self.clamped[i])),
             chosen_r=float(self.chosen_r[i]),
             root_candidates=root_candidates(self.candidate_r[i], self.candidate_value[i],
                                             np.flatnonzero(self.candidate_valid[i])),

@@ -123,6 +123,29 @@ def test_sweep_bad_spec_is_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, workers_env, field", [
+    ({"m_values": [2.7]}, None, "m_values"),
+    ({"p1_values": []}, None, "p1_values"),
+    ({"n_instances": 2.5}, None, "n_instances"),
+    ({"seed": -1}, None, "seed"),
+    ({"relays": 4}, None, "relays"),
+    ({}, "abc", "ANBEAM_WORKERS"),
+], ids=["fractional-m", "empty-p1", "fractional-count", "negative-seed", "unknown-key",
+        "workers-env"])
+def test_sweep_bad_field_exits_2_naming_it(override, workers_env, field, tmp_path,
+                                          monkeypatch, capsys):
+    spec_path = tmp_path / "spec.json"
+    doc = {**spec_to_dict(relay_count_sweep_spec(seed=1, n_instances=1)), **override}
+    spec_path.write_text(json.dumps(doc))
+    monkeypatch.delenv("ANBEAM_WORKERS", raising=False)
+    if workers_env is not None:
+        monkeypatch.setenv("ANBEAM_WORKERS", workers_env)
+    assert main(["sweep", "--spec", str(spec_path), "--out",
+                 str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("suite", ["total", "individual", "signals"])
 def test_validate_suites_pass(suite, capsys):
     assert main(["validate", "--suite", suite, "--seed", "3", "--count", "3"]) == 0

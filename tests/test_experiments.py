@@ -1,7 +1,7 @@
 """Sweep harness: seeded sampling, grid execution, aggregation and CSV."""
 
 import csv
-import io
+import hashlib
 import json
 import logging
 from pathlib import Path
@@ -25,6 +25,7 @@ from anbeam.experiments import (
     run_sweep,
     sample_instance,
     solve_grid_point,
+    solve_grid_points,
     spec_from_dict,
     spec_to_dict,
 )
@@ -34,6 +35,17 @@ from anbeam.types import (IndividualBudget, InstanceBatch, NetworkInstance, Syst
                           TotalBudget)
 
 GOLDEN = Path(__file__).with_name("data") / "grid_point_golden.json"
+
+
+def wide_array_spec(seed=0):
+    """M up to 256, tight relay caps and the gamma-derived power split."""
+    return ExperimentSpec(m_values=(10, 64, 256), p1_values=(0.5, 2.0, 5.0, 10.0),
+                          gamma=1.0, p_i=0.01, seed=seed)
+
+
+HEADLINE_SWEEPS = {"power-sweep": power_sweep_spec,
+                   "relay-count": relay_count_sweep_spec,
+                   "wide-array": wide_array_spec}
 
 
 def _tiny_spec(**overrides):
@@ -150,6 +162,30 @@ def test_spec_rejection_of_zero_alpha_names_the_field():
         _tiny_spec(alpha_values=(0.6, 0.0))
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda mp: _tiny_spec(m_values=()), "m_values"),
+    (lambda mp: _tiny_spec(p1_values=[]), "p1_values"),
+    (lambda mp: _tiny_spec(alpha_values=()), "alpha_values"),
+    (lambda mp: _tiny_spec(m_values=(2.7,)), "m_values"),
+    (lambda mp: _tiny_spec(m_values=(True,)), "m_values"),
+    (lambda mp: _tiny_spec(n_instances=2.5), "n_instances"),
+    (lambda mp: _tiny_spec(n_instances=True), "n_instances"),
+    (lambda mp: _tiny_spec(seed=1.5), "seed"),
+    (lambda mp: _tiny_spec(seed=-1), "seed"),
+    (lambda mp: _tiny_spec(variance_sr=float("nan")), "variance_sr"),
+    (lambda mp: _tiny_spec(variance_sd=float("inf")), "variance_sd"),
+    (lambda mp: _tiny_spec(sigma2=float("nan")), "sigma2"),
+    (lambda mp: spec_from_dict({**spec_to_dict(_tiny_spec()), "n_instance": 5}),
+     "n_instance"),
+    (lambda mp: (mp.setenv("ANBEAM_WORKERS", "abc"), resolve_workers()), "ANBEAM_WORKERS"),
+], ids=["empty-m", "empty-p1", "empty-alpha", "fractional-m", "bool-m",
+        "fractional-count", "bool-count", "fractional-seed", "negative-seed",
+        "nan-variance", "infinite-variance", "nan-noise", "unknown-key", "workers-env"])
+def test_bad_sweep_settings_are_value_errors_naming_the_field(build, field, monkeypatch):
+    with pytest.raises(ValueError, match=field):
+        build(monkeypatch)
+
+
 def test_spec_round_trip():
     spec = power_sweep_spec(seed=9, n_instances=13)
     assert spec_from_dict(spec_to_dict(spec)) == spec
@@ -207,6 +243,11 @@ def test_run_sweep_worker_count_invariant():
                           alpha_values=(0.5,), budget_mode="both",
                           n_instances=3, seed=2)
     assert run_sweep(spec, workers=1) == run_sweep(spec, workers=3)
+    # uneven chunks: three grid points per relay count over two workers
+    spec = ExperimentSpec(m_values=(1, 2), p1_values=(1.0, 3.0, 5.0),
+                          alpha_values=(0.5,), budget_mode="both",
+                          n_instances=3, seed=2)
+    assert run_sweep(spec, workers=1) == run_sweep(spec, workers=2)
 
 
 def test_run_sweep_row_shape():
@@ -331,11 +372,7 @@ def test_batch_with_infeasible_rows_leaves_feasible_rows_unchanged():
 def test_grid_point_matches_values_recorded_before_batching(point):
     """Per-slot C_d and resample counts at three sweep grid points, recorded
     from the slot-by-slot solver that batching replaced."""
-    if point["sweep"] == "power-sweep":
-        spec = power_sweep_spec(seed=0)
-    else:
-        spec = ExperimentSpec(m_values=(10, 64, 256), p1_values=(0.5, 2.0, 5.0, 10.0),
-                              gamma=1.0, p_i=0.01, seed=0)
+    spec = HEADLINE_SWEEPS[point["sweep"]](seed=0)
     result = solve_grid_point(spec, point["m"], point["p1"], point["alpha"])
     assert result.resamples == point["resamples"]
     for mode, values in point["c_d"].items():
@@ -405,6 +442,125 @@ def test_slot_failing_only_in_individual_mode_is_redrawn_for_both(monkeypatch, c
     assert result.c_d["total"][0] == solve_total(redrawn, params["total"], alpha=0.6).c_d
     assert result.c_d["individual"][0] == \
         solve_individual(redrawn, params["individual"], alpha=0.6).c_d
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+@pytest.mark.parametrize("sweep", sorted(HEADLINE_SWEEPS))
+def test_grid_points_solved_together_match_one_point_at_a_time(sweep, seed):
+    """Batching a relay count's grid points changes no value and no resample
+    count (at M = 256 the wide-array batch also splits into parts)."""
+    spec = HEADLINE_SWEEPS[sweep](seed=seed)
+    points = [(p1, alpha) for p1 in spec.p1_values for alpha in spec.alpha_grid()]
+    for m in spec.m_values:
+        together = solve_grid_points(spec, m, points)
+        assert len(together) == len(points)
+        for (p1, alpha), got in zip(points, together):
+            alone = solve_grid_point(spec, m, p1, alpha)
+            assert got.resamples == alone.resamples
+            for mode in spec.modes:
+                assert np.array_equal(got.c_d[mode], alone.c_d[mode])
+
+
+def test_grid_points_redraw_failed_rows_at_their_own_point(monkeypatch, caplog):
+    draws, sample = _count_draws(monkeypatch)
+    spec = ExperimentSpec(m_values=(10,), p1_values=(0.5, 2.0), gamma=1.0, p_i=0.01,
+                          n_instances=40, seed=0)
+    points = [(0.5, None), (2.0, None)]
+    with caplog.at_level(logging.WARNING, logger="anbeam.experiments"):
+        results = solve_grid_points(spec, 10, points)
+    total = sum(result.resamples for result in results)
+    assert results[0].resamples > results[1].resamples
+    assert sample.calls == 2 * spec.n_instances + total == len(draws)
+    records = [rec for rec in caplog.records if "resampled" in rec.message]
+    assert len(records) == total
+    for (p1, _), result in zip(points, results):
+        assert sum(rec.args[2] == p1 for rec in records) == result.resamples
+
+
+def test_grid_points_must_agree_on_how_alpha_is_set():
+    with pytest.raises(ValueError, match="alpha"):
+        solve_grid_points(_tiny_spec(), 2, [(2.0, 0.6), (2.0, None)])
+
+
+def test_slot_failing_every_attempt_stops_after_100_resamples(monkeypatch):
+    kernel = experiments.solve_total_batch
+
+    def fail_first_row(batch, params, alpha=None):
+        solved = kernel(batch, params, alpha=alpha)
+        object.__setattr__(solved, "errors", (InfeasibleBudget("injected"),) + solved.errors[1:])
+        return solved
+
+    monkeypatch.setattr(experiments, "solve_total_batch", fail_first_row)
+    with pytest.raises(RuntimeError, match="100 consecutive"):
+        solve_grid_point(_tiny_spec(n_instances=2, budget_mode="total"), 2, 2.0, 0.6)
+
+
+# Seed-0 CSV sha256 of the headline sweeps.  They rest on numpy's Generator
+# streams, which numpy does not promise to keep across releases; these were
+# recorded with numpy 2.4.6, the version CI installs.
+SWEEP_SHA256 = {
+    "power-sweep": "fe83d8f121d33077d201ddc9ca23bb036ebc00038870cf269f0d1b8460e7cdf1",
+    "relay-count": "78afaf12f249d0c08c5c0165d3989b47715a163ea2f6d3c99b4ef624148bb29b",
+    "wide-array": "42f5b9e1c8d9e5a48730882e37141a63ae74952718c3231af4d6ca34de1e3f73",
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEP_SHA256))
+def test_headline_sweep_csv_bytes_are_pinned(sweep, tmp_path):
+    path = tmp_path / f"{sweep}.csv"
+    emit_csv(run_sweep(HEADLINE_SWEEPS[sweep](seed=0), workers=1), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_SHA256[sweep]
+
+
+# ---------------------------------------------------------------------------
+# per-row p1 and alpha
+
+
+def _draws(m, n, seed=3):
+    return InstanceBatch.stack(sample_instance(m, ChannelVariances(), instance_stream(seed, slot))
+                               for slot in range(n))
+
+
+SOLVERS = {"total": solve_total_batch, "individual": solve_individual_batch}
+
+
+@pytest.mark.parametrize("mode", sorted(SOLVERS))
+def test_per_row_p1_and_alpha_match_scalar_solves(mode):
+    batch = _draws(4, 6)
+    budget = _params(_tiny_spec(m_values=(4,)), 4, 1.0)[mode].budget
+    p1 = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 3.0])
+    for gamma, alpha in ((None, np.linspace(0.2, 1.0, 6)), (0.3, None)):
+        rows = SOLVERS[mode](batch, SystemParams(p1, gamma, budget), alpha=alpha)
+        for i in range(batch.n):
+            alone = SOLVERS[mode](batch, SystemParams(p1[i], gamma, budget),
+                                  alpha=None if alpha is None else alpha[i])
+            assert type(rows.errors[i]) is type(alone.errors[i])
+            if rows.errors[i] is None:
+                assert (rows.c_d[i], rows.alpha[i]) == (alone.c_d[i], alone.alpha[i])
+                assert np.array_equal(rows.w[i], alone.w[i])
+
+
+@pytest.mark.parametrize("mode", sorted(SOLVERS))
+@pytest.mark.parametrize("p1, alpha, field", [
+    (np.full(5, 2.0), None, "p1"),
+    (np.full(7, 2.0), 0.5, "p1"),
+    (2.0, np.full(5, 0.5), "alpha"),
+    (2.0, np.array([0.5] * 5 + [np.nan]), "alpha"),
+    (2.0, np.array([0.5] * 5 + [1.5]), "alpha"),
+    (2.0, np.array([0.5] * 5 + [-0.1]), "alpha"),
+], ids=["short-p1", "long-p1", "short-alpha", "nan-alpha", "alpha-above-1",
+        "negative-alpha"])
+def test_per_row_values_are_checked(mode, p1, alpha, field):
+    budget = _params(_tiny_spec(m_values=(4,)), 4, 1.0)[mode].budget
+    with pytest.raises(ValueError, match=field):
+        SOLVERS[mode](_draws(4, 6), SystemParams(p1, 0.3, budget), alpha=alpha)
+
+
+@pytest.mark.parametrize("p1", [[1.0, np.nan], [1.0, -1.0], [1.0, np.inf], [1.0, 0.0],
+                                [[1.0, 2.0]]])
+def test_per_row_p1_is_finite_and_positive(p1):
+    with pytest.raises(ValueError, match="p1"):
+        SystemParams(np.array(p1), None, TotalBudget(1.0))
 
 
 # ---------------------------------------------------------------------------

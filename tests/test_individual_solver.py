@@ -21,7 +21,6 @@ from anbeam.individual_solver import (
     solve_source_only,
 )
 from anbeam.model import (
-    capacity_dest,
     combined_gains,
     derive_model,
     direct_sinr,
@@ -255,7 +254,6 @@ def test_generous_bounds_reduce_to_source_only(rng):
         p1, a = 2.0, float(rng.uniform(0.2, 0.95))
         sol = solve_individual(inst, _params(m, p_i=1e12, p1=p1), alpha=a)
         assert sol.diagnostics.clamped == ()
-        assert sol.diagnostics.iterations == 1
         derived = derive_model(inst, p1, a, IndividualBudget(5.0, np.full(m, 1e12)))
         u1, u, _ = solve_source_only(initial_problem(derived))
         assert np.abs(sol.w[0]) == pytest.approx(u1, rel=1e-10)
@@ -288,7 +286,6 @@ def test_constraints_hold_on_random_instances(rng):
         assert _source_power(inst, p1, a, sol.w) == pytest.approx(p_s, rel=1e-8)
         relay_power = relay_input_powers(inst, p1) * np.abs(sol.w[1:]) ** 2
         assert np.all(relay_power <= p_i * (1 + 1e-9))
-        assert sol.diagnostics.iterations <= m + 1
         assert len(sol.diagnostics.clamped) <= m
 
 

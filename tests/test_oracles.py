@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from anbeam.errors import OracleEvalError, OracleTooLarge
-from anbeam.individual_solver import solve_individual, solve_source_only, initial_problem
+from anbeam.individual_solver import solve_individual
 from anbeam.model import (
     alpha_for_threshold,
     capacity_dest,
@@ -26,7 +26,7 @@ from anbeam.oracles import (
     oracle_total,
     power_iteration_rank1,
 )
-from anbeam.total_solver import build_d_tilde, solve_total
+from anbeam.total_solver import build_d_tilde
 from anbeam.types import IndividualBudget, NetworkInstance, SystemParams, TotalBudget
 from conftest import make_instance, random_weights
 

@@ -16,7 +16,7 @@ from anbeam.types import (
     SystemParams,
     TotalBudget,
 )
-from conftest import make_instance, random_weights
+from conftest import make_instance
 
 
 def _random_case(rng, m, p_tot=None):
