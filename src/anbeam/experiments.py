@@ -76,8 +76,9 @@ class ChannelVariances:
     sd: float = 0.25
 
     def __post_init__(self):
-        if not all(0.0 < v < math.inf for v in (self.sr, self.rd, self.sd)):
-            raise ValueError("all channel variances must be finite and positive")
+        for name in ("sr", "rd", "sd"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"variance_{name} must be finite and positive")
 
 
 def instance_stream(seed: int, slot: int, attempt: int = 0) -> np.random.Generator:
@@ -182,9 +183,9 @@ class ExperimentSpec:
             raise ValueError("seed must be nonnegative")
         if min(self.m_values) < 1:
             raise ValueError("m_values: relay counts must be >= 1")
-        for name in ("variance_sr", "variance_rd", "variance_sd", "sigma2"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        ChannelVariances(self.variance_sr, self.variance_rd, self.variance_sd)
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ValueError("sigma2 must be finite and positive")
 
     @property
     def variances(self) -> ChannelVariances:

@@ -227,7 +227,8 @@ def second_phase_power(instance: NetworkInstance, p1: float, alpha,
 def derive_model(instance: NetworkInstance, p1: float, alpha: float,
                  budget: Optional[Budget] = None) -> DerivedModel:
     """Bundle every vector the solvers need for one (instance, p1, alpha), or
-    for every row of an InstanceBatch with alpha one value per row.
+    for every row of an InstanceBatch with p1 and alpha each a scalar or one
+    value per row.
 
     With an IndividualBudget, also computes the per-relay amplitude caps and
     the eta constants of the magnitude problem:
@@ -237,6 +238,8 @@ def derive_model(instance: NetworkInstance, p1: float, alpha: float,
       (The |h_id| factor is required by that change of variables.)
     * eta1 = P_s/(alpha p1), eta2 = (1-alpha)/(alpha c1^2), eta3 = 1+eta2 c1^2.
     """
+    _check_rows(instance, p1, "p1")
+    _check_rows(instance, alpha, "alpha")
     extras = {}
     c1 = np.abs(instance.h_sd)
     if isinstance(budget, IndividualBudget):
@@ -265,47 +268,51 @@ def derive_model(instance: NetworkInstance, p1: float, alpha: float,
     )
 
 
-def resolve_alpha(instance: NetworkInstance, p1: float, gamma: Optional[float],
-                  alpha: Optional[float]) -> float:
-    """Pick the power split: an explicit alpha wins, otherwise derive it from
-    the relay SNR threshold gamma."""
-    if alpha is not None:
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha={alpha!r} outside [0, 1]")
-        return float(alpha)
-    if gamma is None:
-        raise ValueError("either alpha or gamma must be given")
-    return alpha_for_threshold(instance, p1, gamma)
-
-
-def _check_rows(batch: InstanceBatch, value, name: str) -> None:
-    """A per-row parameter is a scalar or holds exactly one value per row."""
-    if np.ndim(value) and np.shape(value) != (batch.n,):
+def _check_rows(instance, value, name: str) -> None:
+    """A per-row parameter is a scalar, or, for an InstanceBatch, holds
+    exactly one value per row."""
+    if not np.ndim(value):
+        return
+    if not isinstance(instance, InstanceBatch):
+        raise ValueError(f"{name} must be a scalar for a single instance, "
+                         f"got shape {np.shape(value)}")
+    if np.shape(value) != (instance.n,):
         raise ValueError(f"{name} must be a scalar or hold one value per row "
-                         f"({batch.n}), got shape {np.shape(value)}")
+                         f"({instance.n}), got shape {np.shape(value)}")
 
 
 def resolve_alphas(batch: InstanceBatch, p1, gamma: Optional[float],
                    alpha) -> "tuple[np.ndarray, RowErrors]":
-    """resolve_alpha for every row of a batch, with p1 and an explicit alpha
-    each a scalar or one value per row: (alpha per row, RowErrors holding
-    InfeasibleThreshold for each row whose strongest relay cannot reach
-    gamma)."""
+    """Pick the power split of every row of a batch: an explicit alpha wins,
+    otherwise derive it from the relay SNR threshold gamma.  p1 and an
+    explicit alpha are each a scalar or one value per row.  Returns (alpha
+    per row, RowErrors holding InfeasibleThreshold for each row whose
+    strongest relay cannot reach gamma)."""
     _check_rows(batch, p1, "p1")
     _check_rows(batch, alpha, "alpha")
     errors = RowErrors(batch.n)
-    if np.ndim(alpha):
-        alphas = np.array(alpha, dtype=float)
+    if alpha is not None:
+        alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (batch.n,)).copy()
         bad = np.flatnonzero(~((0.0 <= alphas) & (alphas <= 1.0)))
         if bad.size:
-            raise ValueError(f"alpha={alphas[bad[0]]!r} at row {bad[0]} outside [0, 1]")
+            raise ValueError(f"alpha={float(alphas[bad[0]])!r} at row {bad[0]} outside [0, 1]")
         return alphas, errors
-    if alpha is not None or gamma is None:
-        return np.full(batch.n, resolve_alpha(batch, p1, gamma, alpha)), errors
+    if gamma is None:
+        raise ValueError("either alpha or gamma must be given")
     alphas, ceiling = _threshold_split(batch, p1, gamma)
     errors.fail(np.flatnonzero(gamma > ceiling),
                 lambda i: _infeasible_threshold(gamma, ceiling[i]))
     return alphas, errors
+
+
+def resolve_alpha(instance: NetworkInstance, p1: float, gamma: Optional[float],
+                  alpha: Optional[float]) -> float:
+    """resolve_alphas for one instance; an infeasible threshold raises."""
+    _check_rows(instance, p1, "p1")
+    alphas, errors = resolve_alphas(InstanceBatch.stack([instance]), p1, gamma, alpha)
+    if errors.errors[0] is not None:
+        raise errors.errors[0]
+    return float(alphas[0])
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,8 @@ def params_to_dict(params: SystemParams) -> dict:
                       "p_i": [float(p) for p in budget.p_i]}
     else:
         raise TypeError(f"unknown budget type {type(budget).__name__}")
+    if np.ndim(params.p1):
+        raise ValueError("p1 must be a scalar: a scenario holds a single instance")
     return {"p1": params.p1, "gamma": params.gamma, "budget": budget_doc}
 
 

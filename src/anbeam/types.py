@@ -165,7 +165,9 @@ class SystemParams:
     """First-phase power, relay SNR ceiling and the second-phase budget.
 
     p1 is a scalar, or a vector of one value per row of the InstanceBatch it
-    is solved with.  gamma may be None when the power split alpha is
+    is solved with; everything that works on a single instance (the oracles,
+    serialization, derive_model of a NetworkInstance) rejects a vector with a
+    ValueError naming p1.  gamma may be None when the power split alpha is
     supplied explicitly to a solver; when present it must be positive, and
     the feasibility bound gamma <= |h_se|^2 * p1 / sigma2 is checked at solve
     time.

@@ -30,7 +30,10 @@ from anbeam.experiments import (
     spec_to_dict,
 )
 from anbeam.individual_solver import solve_individual, solve_individual_batch
-from anbeam.total_solver import solve_total, solve_total_batch
+from anbeam.model import derive_model, resolve_alpha
+from anbeam.oracles import oracle_total
+from anbeam.serialization import params_to_dict
+from anbeam.total_solver import build_d_tilde, solve_total, solve_total_batch
 from anbeam.types import (IndividualBudget, InstanceBatch, NetworkInstance, SystemParams,
                           TotalBudget)
 
@@ -541,19 +544,41 @@ def test_per_row_p1_and_alpha_match_scalar_solves(mode):
 
 
 @pytest.mark.parametrize("mode", sorted(SOLVERS))
-@pytest.mark.parametrize("p1, alpha, field", [
-    (np.full(5, 2.0), None, "p1"),
-    (np.full(7, 2.0), 0.5, "p1"),
-    (2.0, np.full(5, 0.5), "alpha"),
-    (2.0, np.array([0.5] * 5 + [np.nan]), "alpha"),
-    (2.0, np.array([0.5] * 5 + [1.5]), "alpha"),
-    (2.0, np.array([0.5] * 5 + [-0.1]), "alpha"),
+@pytest.mark.parametrize("p1, alpha, message", [
+    (np.full(5, 2.0), None, r"p1 must be a scalar or hold one value per row \(6\)"),
+    (np.full(7, 2.0), 0.5, r"p1 must be a scalar or hold one value per row \(6\)"),
+    (2.0, np.full(5, 0.5), r"alpha must be a scalar or hold one value per row \(6\)"),
+    (2.0, np.array([0.5] * 5 + [np.nan]), r"alpha=nan at row 5 outside \[0, 1\]"),
+    (2.0, np.array([0.5] * 5 + [1.5]), r"alpha=1.5 at row 5 outside \[0, 1\]"),
+    (2.0, np.array([0.5] * 5 + [-0.1]), r"alpha=-0.1 at row 5 outside \[0, 1\]"),
+    (2.0, 1.5, r"alpha=1.5 at row 0 outside \[0, 1\]"),
 ], ids=["short-p1", "long-p1", "short-alpha", "nan-alpha", "alpha-above-1",
-        "negative-alpha"])
-def test_per_row_values_are_checked(mode, p1, alpha, field):
+        "negative-alpha", "scalar-alpha-above-1"])
+def test_per_row_values_are_checked(mode, p1, alpha, message):
     budget = _params(_tiny_spec(m_values=(4,)), 4, 1.0)[mode].budget
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=message):
         SOLVERS[mode](_draws(4, 6), SystemParams(p1, 0.3, budget), alpha=alpha)
+
+
+SINGLE_INSTANCE_USES = {
+    "derive-model": lambda inst, params: derive_model(inst, params.p1, 0.5),
+    "build-d-tilde": lambda inst, params: build_d_tilde(derive_model(inst, params.p1, 0.5),
+                                                        params.budget.p_tot),
+    "resolve-alpha": lambda inst, params: resolve_alpha(inst, params.p1, params.gamma, None),
+    "oracle-total": lambda inst, params: oracle_total(inst, params, 4),
+    "params-to-dict": lambda inst, params: params_to_dict(params),
+}
+
+
+@pytest.mark.parametrize("use", sorted(SINGLE_INSTANCE_USES))
+@pytest.mark.parametrize("p1", [[2.0], [2.0, 3.0]], ids=["one-row", "two-rows"])
+def test_single_instance_uses_reject_per_row_p1(use, p1):
+    """A per-row p1 serves batch solves only; everything that works on one
+    instance names p1 rather than failing on the array."""
+    instance = sample_instance(4, ChannelVariances(), instance_stream(3, 0))
+    params = SystemParams(np.array(p1), 0.3, TotalBudget(4.0))
+    with pytest.raises(ValueError, match="p1 must be a scalar"):
+        SINGLE_INSTANCE_USES[use](instance, params)
 
 
 @pytest.mark.parametrize("p1", [[1.0, np.nan], [1.0, -1.0], [1.0, np.inf], [1.0, 0.0],
