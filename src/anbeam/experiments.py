@@ -405,24 +405,11 @@ def relay_count_sweep_spec(seed: int = 0, n_instances: int = 100) -> ExperimentS
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
-    doc = {
-        "m_values": list(spec.m_values),
-        "p1_values": list(spec.p1_values),
-        "budget_mode": spec.budget_mode,
-        "p_s": spec.p_s,
-        "p_i": spec.p_i,
-        "n_instances": spec.n_instances,
-        "seed": spec.seed,
-        "variance_sr": spec.variance_sr,
-        "variance_rd": spec.variance_rd,
-        "variance_sd": spec.variance_sd,
-        "sigma2": spec.sigma2,
-    }
-    if spec.alpha_values is not None:
-        doc["alpha_values"] = list(spec.alpha_values)
-    if spec.gamma is not None:
-        doc["gamma"] = spec.gamma
-    return doc
+    """Spec document of every ExperimentSpec field: tuples as lists, a None
+    field left out."""
+    doc = {f.name: getattr(spec, f.name) for f in fields(ExperimentSpec)}
+    return {name: list(value) if isinstance(value, tuple) else value
+            for name, value in doc.items() if value is not None}
 
 
 def spec_from_dict(doc: dict) -> ExperimentSpec:

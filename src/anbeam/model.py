@@ -58,37 +58,15 @@ def strongest_relay(instance: NetworkInstance) -> int:
     return int(np.argmax(np.abs(instance.h_sr) ** 2))
 
 
-def _threshold_split(instance, p1: float, gamma: float):
-    """(alpha, ceiling) of alpha_for_threshold over a trailing relay axis,
-    without the feasibility test: gamma > ceiling means infeasible."""
-    if instance.m == 0:
-        raise NoRelays("the relay SNR threshold needs at least one relay")
-    gain2 = np.max(np.abs(instance.h_sr) ** 2, axis=-1)
-    ceiling = gain2 * p1 / instance.sigma2
-    # a zero gain gives alpha = inf, but its ceiling 0 < gamma marks it infeasible
-    with np.errstate(divide="ignore"):
-        alpha = (1.0 + instance.sigma2 / (gain2 * p1)) / (1.0 + 1.0 / gamma)
-    return alpha, ceiling
-
-
-def _infeasible_threshold(gamma: float, ceiling: float) -> InfeasibleThreshold:
-    return InfeasibleThreshold(
-        f"gamma={gamma:g} exceeds the strongest relay's full-power SNR "
-        f"{ceiling:g}; no alpha <= 1 can reach it")
-
-
 def alpha_for_threshold(instance: NetworkInstance, p1: float, gamma: float) -> float:
     """Message-power fraction alpha that puts the strongest relay exactly at
-    SNR gamma.
+    SNR gamma: resolve_alpha without an explicit alpha.
 
     alpha = (1 + sigma2/(|h_se|^2 p1)) / (1 + 1/gamma).  Raising alpha above
     this value would push the strongest relay past the threshold; lowering it
     only wastes destination SNR, so the solvers pin alpha here.
     """
-    alpha, ceiling = _threshold_split(instance, p1, gamma)
-    if gamma > ceiling:
-        raise _infeasible_threshold(gamma, ceiling)
-    return alpha
+    return resolve_alpha(instance, p1, gamma, None)
 
 
 def _phase1_sinr(gain2, sigma2: float, p1: float, alpha):
@@ -287,9 +265,12 @@ def resolve_alphas(batch: InstanceBatch, p1, gamma: Optional[float],
     otherwise derive it from the relay SNR threshold gamma.  p1 and an
     explicit alpha are each a scalar or one value per row.  Returns (alpha
     per row, RowErrors holding InfeasibleThreshold for each row whose
-    strongest relay cannot reach gamma)."""
+    strongest relay cannot reach gamma); a non-finite or non-positive p1, or
+    gamma when it is used, is a ValueError."""
     _check_rows(batch, p1, "p1")
     _check_rows(batch, alpha, "alpha")
+    if not np.all((0.0 < np.asarray(p1)) & (np.asarray(p1) < math.inf)):
+        raise ValueError(f"p1={p1!r} must be finite and positive")
     errors = RowErrors(batch.n)
     if alpha is not None:
         alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (batch.n,)).copy()
@@ -299,9 +280,18 @@ def resolve_alphas(batch: InstanceBatch, p1, gamma: Optional[float],
         return alphas, errors
     if gamma is None:
         raise ValueError("either alpha or gamma must be given")
-    alphas, ceiling = _threshold_split(batch, p1, gamma)
-    errors.fail(np.flatnonzero(gamma > ceiling),
-                lambda i: _infeasible_threshold(gamma, ceiling[i]))
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma={gamma!r} must be finite and positive")
+    if batch.m == 0:
+        raise NoRelays("the relay SNR threshold needs at least one relay")
+    gain2 = np.max(np.abs(batch.h_sr) ** 2, axis=-1)
+    ceiling = gain2 * p1 / batch.sigma2
+    # a zero gain gives alpha = inf, but its ceiling 0 < gamma marks it infeasible
+    with np.errstate(divide="ignore"):
+        alphas = (1.0 + batch.sigma2 / (gain2 * p1)) / (1.0 + 1.0 / gamma)
+    errors.fail(np.flatnonzero(gamma > ceiling), lambda i: InfeasibleThreshold(
+        f"gamma={gamma:g} exceeds the strongest relay's full-power SNR "
+        f"{ceiling[i]:g}; no alpha <= 1 can reach it"))
     return alphas, errors
 
 

@@ -3,9 +3,9 @@
 Everything here is deliberately brute-force: random sampling plus projected
 coordinate ascent for the total-budget problem, dense grids for small
 individually-constrained problems, golden-section search for one-dimensional
-reductions, power iteration for the rank-1 eigen identity, and signal-level
-Monte Carlo for the SNR formulas.  Oracles are slow by design and never used
-in the production solve path.
+reductions, one dense LU solve for the rank-1 eigen identity, and
+signal-level Monte Carlo for the SNR formulas.  Oracles are slow by design
+and never used in the production solve path.
 
 Oracle randomness lives in its own seed namespace so oracle draws can never
 collide with experiment-harness draws.  Sampling work is split into
@@ -166,12 +166,9 @@ def _projected_ascent(instance: NetworkInstance, p1: float, alpha: float,
             trial[:, k] += steps
             power = np.real(np.einsum("ni,ij,nj->n", np.conj(trial), d, trial))
             ok = power > 0
-            if ok.all():
-                trial = trial * np.sqrt(p_tot / power)[:, None]
-            elif ok.any():
-                trial = trial[ok] * np.sqrt(p_tot / power[ok])[:, None]
-            else:
+            if not ok.any():
                 continue
+            trial = trial[ok] * np.sqrt(p_tot / power[ok])[:, None]
             values = cd(trial)
             evals += len(values)
             j = int(np.argmax(values))
@@ -227,38 +224,21 @@ def oracle_total(instance: NetworkInstance, params: SystemParams,
     )
 
 
-def _solve_d_tilde(d_tilde: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def power_iteration_rank1(d_tilde: np.ndarray, h_bar: np.ndarray) -> Tuple[float, int]:
+    """Dominant eigenvalue of D_tilde^{-1} h_bar h_bar', and the number of
+    operator applications (always 1).
+
+    The operator has rank one, so its only nonzero eigenvalue is
+    h_bar' D_tilde^{-1} h_bar, with eigenvector D_tilde^{-1} h_bar: one dense
+    LU solve gives it.  It should match the Rayleigh value of the
+    closed-form solve.  A D_tilde that np.linalg.solve finds singular raises
+    OracleEvalError.
+    """
     try:
-        return np.linalg.solve(d_tilde, rhs)
+        y = np.linalg.solve(d_tilde, h_bar)
     except np.linalg.LinAlgError as err:
         raise OracleEvalError(f"D_tilde is singular in double precision ({err})") from err
-
-
-def power_iteration_rank1(d_tilde: np.ndarray, h_bar: np.ndarray) -> Tuple[float, int]:
-    """Dominant eigenvalue of D_tilde^{-1} h_bar h_bar' by power iteration,
-    and the iteration count.
-
-    The operator has rank one, so the iteration lands on the eigenvector in a
-    single application; the return value should match the Rayleigh value
-    h_bar' D_tilde^{-1} h_bar of the closed-form solve.  The iteration stops
-    when the value moves by at most 1e-12 relative, or after 100 steps.  A
-    D_tilde that np.linalg.solve finds singular raises OracleEvalError.
-    """
-    x = h_bar / np.linalg.norm(h_bar)
-    value = 0.0
-    max_iter = 100
-    for iteration in range(1, max_iter + 1):
-        y = _solve_d_tilde(d_tilde, h_bar * np.vdot(h_bar, x))
-        norm = np.linalg.norm(y)
-        if norm == 0:
-            return 0.0, iteration
-        y = y / norm
-        new_value = float(np.real(np.vdot(y, _solve_d_tilde(d_tilde, h_bar)
-                                          * np.vdot(h_bar, y))))
-        if abs(new_value - value) <= 1e-12 * max(1.0, abs(new_value)):
-            return new_value, iteration
-        x, value = y, new_value
-    return value, max_iter
+    return float(np.real(np.vdot(h_bar, y))), 1
 
 
 # ---------------------------------------------------------------------------

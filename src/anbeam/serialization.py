@@ -28,6 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .experiments import _real
 from .oracles import OracleReport
 from .types import (
     BeamSolution,
@@ -45,9 +46,32 @@ def _c2pair(z: complex) -> list:
     return [z.real, z.imag]
 
 
-def _pair2c(pair) -> complex:
-    re, im = pair
-    return complex(float(re), float(im))
+def _field(doc, name: str, convert=lambda value, name: value):
+    """convert(value, name) of the field `name`, a dotted path whose last part
+    is its key in doc; a doc that is not a JSON object, or that lacks the
+    key, is a ValueError naming the field."""
+    parent, _, key = name.rpartition(".")
+    if not isinstance(doc, dict):
+        raise ValueError(f"{parent or 'scenario'} must be a JSON object, "
+                         f"got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"{name} is missing")
+    return convert(doc[key], name)
+
+
+def _list_of(convert):
+    """Converter of a JSON list whose items convert converts."""
+    def converter(values, name: str) -> list:
+        if not isinstance(values, list):
+            raise ValueError(f"{name}: expected a list, got {values!r}")
+        return [convert(x, f"{name}[{i}]") for i, x in enumerate(values)]
+    return converter
+
+
+def _pair2c(pair, name: str) -> complex:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"{name}: expected an [re, im] pair, got {pair!r}")
+    return complex(_real(pair[0], name), _real(pair[1], name))
 
 
 def instance_to_dict(instance: NetworkInstance) -> dict:
@@ -60,11 +84,13 @@ def instance_to_dict(instance: NetworkInstance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> NetworkInstance:
+    """NetworkInstance of a scenario's instance document; a missing or
+    malformed field is a ValueError naming it (e.g. instance.h_sd)."""
     return NetworkInstance(
-        h_sd=_pair2c(doc["h_sd"]),
-        h_sr=np.array([_pair2c(p) for p in doc["h_sr"]], dtype=complex),
-        h_rd=np.array([_pair2c(p) for p in doc["h_rd"]], dtype=complex),
-        sigma2=float(doc["sigma2"]),
+        h_sd=_field(doc, "instance.h_sd", _pair2c),
+        h_sr=np.array(_field(doc, "instance.h_sr", _list_of(_pair2c)), dtype=complex),
+        h_rd=np.array(_field(doc, "instance.h_rd", _list_of(_pair2c)), dtype=complex),
+        sigma2=_field(doc, "instance.sigma2", _real),
     )
 
 
@@ -83,18 +109,21 @@ def params_to_dict(params: SystemParams) -> dict:
 
 
 def params_from_dict(doc: dict) -> SystemParams:
-    budget_doc = doc["budget"]
-    kind = budget_doc["kind"]
+    """SystemParams of a scenario's params document; a missing or malformed
+    field is a ValueError naming it (e.g. params.budget.kind)."""
+    budget_doc = _field(doc, "params.budget")
+    kind = _field(budget_doc, "params.budget.kind")
     if kind == "total":
-        budget = TotalBudget(p_tot=float(budget_doc["p_tot"]))
+        budget = TotalBudget(p_tot=_field(budget_doc, "params.budget.p_tot", _real))
     elif kind == "individual":
-        budget = IndividualBudget(p_s=float(budget_doc["p_s"]),
-                                  p_i=np.array(budget_doc["p_i"], dtype=float))
+        budget = IndividualBudget(
+            p_s=_field(budget_doc, "params.budget.p_s", _real),
+            p_i=_field(budget_doc, "params.budget.p_i", _list_of(_real)))
     else:
-        raise ValueError(f"unknown budget kind {kind!r}")
+        raise ValueError(f"params.budget.kind: unknown budget kind {kind!r}")
     gamma = doc.get("gamma")
-    return SystemParams(p1=float(doc["p1"]),
-                        gamma=None if gamma is None else float(gamma),
+    return SystemParams(p1=_field(doc, "params.p1", _real),
+                        gamma=None if gamma is None else _real(gamma, "params.gamma"),
                         budget=budget)
 
 
@@ -103,7 +132,8 @@ def scenario_to_dict(instance: NetworkInstance, params: SystemParams) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> Tuple[NetworkInstance, SystemParams]:
-    return instance_from_dict(doc["instance"]), params_from_dict(doc["params"])
+    return (instance_from_dict(_field(doc, "instance")),
+            params_from_dict(_field(doc, "params")))
 
 
 def load_scenario(path) -> Tuple[NetworkInstance, SystemParams]:

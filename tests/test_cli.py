@@ -1,13 +1,17 @@
 """Command-line entry points: solve, sweep, validate."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from anbeam import cli
 from anbeam.cli import main
-from anbeam.experiments import relay_count_sweep_spec, spec_to_dict
+from anbeam.experiments import CSV_HEADER, relay_count_sweep_spec, spec_to_dict
 from anbeam.serialization import dump_scenario
 from anbeam.types import IndividualBudget, SystemParams, TotalBudget
 from conftest import make_instance
@@ -75,6 +79,17 @@ def test_solve_vanishing_alpha_is_clean_error(tmp_path, rng, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "alpha" in err
     assert "Traceback" not in err
+
+
+def test_solve_malformed_scenario_exits_2_naming_the_field(total_scenario, tmp_path,
+                                                          capsys):
+    doc = json.loads(total_scenario.read_text())
+    doc["params"]["p1"] = [2.0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "params.p1" in err and "Traceback" not in err
 
 
 def test_sweep_end_to_end(tmp_path):
@@ -166,6 +181,38 @@ def test_validate_singular_d_tilde_is_a_failed_check(monkeypatch, capsys):
     assert "[FAIL] total-eigen[1]: D_tilde is singular" in out
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--count", "0"], "--count"),
+    (["--count", "-3"], "--count"),
+    (["--seed", "-1"], "--seed"),
+], ids=["zero-count", "negative-count", "negative-seed"])
+def test_validate_bad_flag_exits_2_before_any_check(flags, name, capsys):
+    assert main(["validate", "--suite", "individual", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and name in captured.err
+
+
 def test_validate_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         main(["validate", "--suite", "everything"])
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script, rows", [
+    ("run_power_sweep.py", 66),
+    ("run_relay_count_sweep.py", 18),
+])
+def test_headline_script_runs(script, rows, tmp_path):
+    """The headline sweep scripts run end to end as a user runs them."""
+    out = tmp_path / "rows.csv"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    env.pop("ANBEAM_WORKERS", None)
+    subprocess.run([sys.executable, str(REPO / "scripts" / script),
+                    "--n-instances", "2", "--out", str(out)],
+                   env=env, check=True, capture_output=True, timeout=120)
+    lines = out.read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 1 + rows

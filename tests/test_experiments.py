@@ -194,6 +194,12 @@ def test_spec_round_trip():
     assert spec_from_dict(spec_to_dict(spec)) == spec
     spec_g = _tiny_spec(alpha_values=None, gamma=0.4)
     assert spec_from_dict(spec_to_dict(spec_g)) == spec_g
+    # every field away from its default (alpha_values excludes gamma)
+    spec_all = ExperimentSpec(m_values=(3, 5), p1_values=(0.5, 4.0), gamma=0.7,
+                              budget_mode="total", p_s=2.0, p_i=0.3, n_instances=9,
+                              seed=11, variance_sr=2.0, variance_rd=0.5,
+                              variance_sd=0.75, sigma2=1.5)
+    assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec_all)))) == spec_all
 
 
 def test_grid_point_order_is_row_major():

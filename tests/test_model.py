@@ -26,6 +26,7 @@ from anbeam.model import (
     noise_residual_scale,
     relay_snr,
     relay_snrs,
+    resolve_alpha,
     second_phase_power,
     secrecy_monotone_in_alpha,
     secrecy_rate,
@@ -152,6 +153,26 @@ def test_alpha_for_zero_relay_gains_is_infeasible_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InfeasibleThreshold):
             alpha_for_threshold(inst, p1=2.0, gamma=1.0)
+
+
+@pytest.mark.parametrize("split", [
+    lambda p1, gamma: alpha_for_threshold(UNIT, p1, gamma),
+    lambda p1, gamma: resolve_alpha(UNIT, p1, gamma, None),
+], ids=["alpha_for_threshold", "resolve_alpha"])
+@pytest.mark.parametrize("p1, gamma, name", [
+    (1.0, math.nan, "gamma"),
+    (1.0, -1.0, "gamma"),
+    (1.0, 0.0, "gamma"),
+    (1.0, math.inf, "gamma"),
+    (math.nan, 0.5, "p1"),
+    (-1.0, 0.5, "p1"),
+    (0.0, 0.5, "p1"),
+    (math.inf, 0.5, "p1"),
+], ids=["nan-gamma", "negative-gamma", "zero-gamma", "inf-gamma", "nan-p1",
+        "negative-p1", "zero-p1", "inf-p1"])
+def test_threshold_split_rejects_bad_inputs_by_name(split, p1, gamma, name):
+    with pytest.raises(ValueError, match=f"^{name}="):
+        split(p1, gamma)
 
 
 def test_alpha_round_trip_and_dominance(rng):

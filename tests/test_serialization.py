@@ -1,5 +1,7 @@
 """JSON round-trips for instances, parameters, scenarios and reports."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -64,6 +66,55 @@ def test_unknown_budget_kind_rejected():
     d["budget"]["kind"] = "communal"
     with pytest.raises(ValueError, match="communal"):
         params_from_dict(d)
+
+
+def _scenario_doc():
+    inst = NetworkInstance(h_sd=0.5, h_sr=[1.0, 0.5j], h_rd=[1.0, 1.0], sigma2=1.0)
+    return scenario_to_dict(inst, SystemParams(2.0, 0.4, IndividualBudget(5.0, [0.1, 0.1])))
+
+
+_DELETE = object()
+
+
+def _with(doc, path, value=_DELETE):
+    """doc with the field at the dotted path set to value, or deleted."""
+    *parents, key = path.split(".")
+    parent = doc
+    for name in parents:
+        parent = parent[name]
+    if value is _DELETE:
+        del parent[key]
+    else:
+        parent[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (lambda d: _with(d, "params"), "params"),
+    (lambda d: _with(d, "instance"), "instance"),
+    (lambda d: _with(d, "params.p1", [2.0]), "params.p1"),
+    (lambda d: _with(d, "params.p1", None), "params.p1"),
+    (lambda d: _with(d, "params.p1", "2"), "params.p1"),
+    (lambda d: _with(d, "params.gamma", [0.4]), "params.gamma"),
+    (lambda d: _with(d, "instance.h_sd", 0.5), "instance.h_sd"),
+    (lambda d: _with(d, "instance.h_sd", [1.0, 0.0, 0.0]), "instance.h_sd"),
+    (lambda d: _with(d, "instance.h_sr", 1.0), "instance.h_sr"),
+    (lambda d: _with(d, "instance.h_rd", [[1.0, 0.0], [None, 0.0]]), "instance.h_rd[1]"),
+    (lambda d: _with(d, "instance.sigma2"), "instance.sigma2"),
+    (lambda d: _with(d, "params.budget.kind"), "params.budget.kind"),
+    (lambda d: _with(d, "params.budget", "total"), "params.budget"),
+    (lambda d: _with(d, "params.budget.p_s"), "params.budget.p_s"),
+    (lambda d: _with(d, "params.budget.p_i", 0.1), "params.budget.p_i"),
+    (lambda d: _with(d, "params.budget.p_i", [0.1, "x"]), "params.budget.p_i[1]"),
+    (lambda d: _with(d, "instance", []), "instance"),
+    (lambda d: [d], "scenario"),
+], ids=["no-params", "no-instance", "list-p1", "null-p1", "string-p1", "list-gamma",
+        "scalar-h_sd", "triple-h_sd", "scalar-h_sr", "null-h_rd-part", "no-sigma2",
+        "no-budget-kind", "string-budget", "no-p_s", "scalar-p_i", "string-p_i-item",
+        "list-instance", "list-scenario"])
+def test_malformed_scenario_is_value_error_naming_the_field(mutate, field):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)}[ :]"):
+        scenario_from_dict(mutate(_scenario_doc()))
 
 
 def test_scenario_round_trip(rng):
