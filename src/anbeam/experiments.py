@@ -14,7 +14,9 @@ tasks; aggregation happens in fixed slot order).
 
 All grid points of one relay count are solved as one batch per budget mode
 (solve_grid_points): each row is one (grid point, slot), with p1 and a fixed
-alpha per row.  Every row's instance is drawn, stacked into an InstanceBatch
+alpha per row.  Every row's instance is drawn (each (slot, attempt) key's
+stream is seeded once per relay-count chunk and restored from its saved start
+for every other row that draws it), stacked into an InstanceBatch
 and handed to solve_total_batch and solve_individual_batch, which report
 failures per row (the batch is split in equal parts of at most
 BATCH_ELEMENTS rows x relays and BATCH_ROWS rows, which changes no value).
@@ -55,16 +57,21 @@ BUDGET_MODES = ("total", "individual")
 
 
 def resolve_workers(explicit: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else ANBEAM_WORKERS, else 1."""
+    """Worker count: explicit argument, else ANBEAM_WORKERS, else 1; a count
+    below 1 is a ValueError naming its source."""
     if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get(ENV_WORKERS)
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(f"{ENV_WORKERS}={env!r} is not an integer") from None
+        workers, name = int(explicit), "workers"
+    else:
+        env = os.environ.get(ENV_WORKERS)
+        if not env:
+            return 1
+        try:
+            workers, name = int(env), ENV_WORKERS
+        except ValueError:
+            raise ValueError(f"{ENV_WORKERS}={env!r} is not an integer") from None
+    if workers < 1:
+        raise ValueError(f"{name} must be >= 1, got {workers}")
+    return workers
 
 
 @dataclass(frozen=True)
@@ -272,13 +279,33 @@ def solve_grid_points(spec: ExperimentSpec, m: int,
     attempts = np.zeros(p1_rows.size, dtype=int)
     resamples = np.zeros(len(points), dtype=int)
     pending = np.arange(p1_rows.size)
+    # A key recurs at every point that draws it, so it is seeded once and
+    # each repeat restarts one shared generator from the PCG64 (state, inc)
+    # saved then.  With one point no key recurs (a redraw advances its slot's
+    # attempt), so nothing is saved.
+    starts: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    shared = None
+
+    def stream(slot: int, attempt: int) -> np.random.Generator:
+        nonlocal shared
+        start = starts.get((slot, attempt))
+        if start is None:
+            shared = instance_stream(spec.seed, slot, attempt)
+            if len(points) > 1:
+                pcg = shared.bit_generator.state["state"]
+                starts[slot, attempt] = pcg["state"], pcg["inc"]
+        else:
+            shared.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                          "uinteger": 0,
+                                          "state": {"state": start[0], "inc": start[1]}}
+        return shared
+
     while pending.size:
         failed = []
         parts = max(-(-pending.size * m // BATCH_ELEMENTS), -(-pending.size // BATCH_ROWS))
         for rows in np.array_split(pending, parts):
             batch = InstanceBatch.stack(
-                sample_instance(m, variances,
-                                instance_stream(spec.seed, int(row % n), int(attempts[row])),
+                sample_instance(m, variances, stream(int(row % n), int(attempts[row])),
                                 spec.sigma2)
                 for row in rows)
             alphas = None if alpha_rows is None else alpha_rows[rows]

@@ -161,6 +161,16 @@ def test_sweep_bad_field_exits_2_naming_it(override, workers_env, field, tmp_pat
     assert field in err and "Traceback" not in err
 
 
+def test_sweep_zero_workers_exits_2_with_one_line(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_to_dict(relay_count_sweep_spec(seed=1, n_instances=1))))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--spec", str(spec_path), "--out", str(out), "--workers", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "workers" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("suite", ["total", "individual", "signals"])
 def test_validate_suites_pass(suite, capsys):
     assert main(["validate", "--suite", suite, "--seed", "3", "--count", "3"]) == 0
@@ -185,7 +195,8 @@ def test_validate_singular_d_tilde_is_a_failed_check(monkeypatch, capsys):
     (["--count", "0"], "--count"),
     (["--count", "-3"], "--count"),
     (["--seed", "-1"], "--seed"),
-], ids=["zero-count", "negative-count", "negative-seed"])
+    (["--workers", "-4"], "workers"),
+], ids=["zero-count", "negative-count", "negative-seed", "negative-workers"])
 def test_validate_bad_flag_exits_2_before_any_check(flags, name, capsys):
     assert main(["validate", "--suite", "individual", *flags]) == 2
     captured = capsys.readouterr()

@@ -181,9 +181,12 @@ def test_spec_rejection_of_zero_alpha_names_the_field():
     (lambda mp: spec_from_dict({**spec_to_dict(_tiny_spec()), "n_instance": 5}),
      "n_instance"),
     (lambda mp: (mp.setenv("ANBEAM_WORKERS", "abc"), resolve_workers()), "ANBEAM_WORKERS"),
+    (lambda mp: (mp.setenv("ANBEAM_WORKERS", "-2"), resolve_workers()), "ANBEAM_WORKERS"),
+    (lambda mp: resolve_workers(-3), "workers"),
 ], ids=["empty-m", "empty-p1", "empty-alpha", "fractional-m", "bool-m",
         "fractional-count", "bool-count", "fractional-seed", "negative-seed",
-        "nan-variance", "infinite-variance", "nan-noise", "unknown-key", "workers-env"])
+        "nan-variance", "infinite-variance", "nan-noise", "unknown-key", "workers-env",
+        "negative-workers-env", "negative-workers"])
 def test_bad_sweep_settings_are_value_errors_naming_the_field(build, field, monkeypatch):
     with pytest.raises(ValueError, match=field):
         build(monkeypatch)
@@ -479,11 +482,49 @@ def test_grid_points_redraw_failed_rows_at_their_own_point(monkeypatch, caplog):
         results = solve_grid_points(spec, 10, points)
     total = sum(result.resamples for result in results)
     assert results[0].resamples > results[1].resamples
-    assert sample.calls == 2 * spec.n_instances + total == len(draws)
+    assert sample.calls == 2 * spec.n_instances + total
     records = [rec for rec in caplog.records if "resampled" in rec.message]
     assert len(records) == total
     for (p1, _), result in zip(points, results):
         assert sum(rec.args[2] == p1 for rec in records) == result.resamples
+    # each (slot, attempt) drawn at either point is seeded once, however
+    # many rows draw it
+    assert len(draws) == len(set(draws))
+    assert set(draws) == ({(slot, 0) for slot in range(spec.n_instances)}
+                          | {(rec.args[0], rec.args[4]) for rec in records})
+
+
+def test_every_row_draws_its_keys_network(monkeypatch, caplog):
+    """A row's instance is the one a freshly seeded stream of its (slot,
+    attempt) gives, also where the key was drawn before, at another point,
+    and other keys were drawn in between (the slots resampled at p1 = 0.6
+    are resampled at 0.5 too, so replacement keys recur as well)."""
+    drawn = []
+    sample = experiments.sample_instance
+
+    def recording_sample(*args, **kwargs):
+        drawn.append(sample(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(experiments, "sample_instance", recording_sample)
+    spec = ExperimentSpec(m_values=(10,), p1_values=(0.5, 0.6, 2.0), gamma=1.0, p_i=0.01,
+                          seed=0)
+    points = [(p1, None) for p1 in spec.p1_values]
+    with caplog.at_level(logging.WARNING, logger="anbeam.experiments"):
+        solve_grid_points(spec, 10, points)
+    # rows are drawn in row order, then each round's failed rows in the
+    # order their resamples are logged
+    keys = [(slot, 0) for _ in points for slot in range(spec.n_instances)]
+    keys += [(rec.args[0], rec.args[4]) for rec in caplog.records if "resampled" in rec.message]
+    replacements = [key for key in keys if key[1] > 0]
+    assert max(attempt for _, attempt in replacements) == 3
+    assert len(set(replacements)) < len(replacements)
+    assert len(drawn) == len(keys)
+    for (slot, attempt), got in zip(keys, drawn):
+        want = sample_instance(10, spec.variances, instance_stream(spec.seed, slot, attempt))
+        assert complex(got.h_sd) == want.h_sd
+        assert got.h_sr.tobytes() == want.h_sr.tobytes()
+        assert got.h_rd.tobytes() == want.h_rd.tobytes()
 
 
 def test_grid_points_must_agree_on_how_alpha_is_set():
@@ -640,7 +681,8 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.delenv("ANBEAM_WORKERS", raising=False)
     assert resolve_workers() == 1
     assert resolve_workers(4) == 4
-    assert resolve_workers(0) == 1
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        resolve_workers(0)
     monkeypatch.setenv("ANBEAM_WORKERS", "6")
     assert resolve_workers() == 6
     assert resolve_workers(2) == 2
