@@ -35,7 +35,6 @@ from .experiments import (
 )
 from .individual_solver import (
     MagnitudeProblem,
-    QuarticCoeffs,
     initial_problem,
     optimal_phases,
     quartic_coeffs,

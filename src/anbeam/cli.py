@@ -1,7 +1,8 @@
 """Command-line entry points: solve one scenario, run a sweep, validate
 solvers against the brute-force oracles.
 
-Environment variable: ANBEAM_WORKERS sets the default worker count.
+Only sweep starts worker processes; validate runs in one process and
+ignores --workers.
 """
 
 from __future__ import annotations
@@ -79,14 +80,14 @@ def _random_scenario(rng: np.random.Generator, m: int, sigma2: float = 1.0):
     return instance, p1, gamma
 
 
-def _suite_total(seed: int, count: int, workers: int, failures: List[str]) -> None:
+def _suite_total(seed: int, count: int, failures: List[str]) -> None:
     rng = np.random.default_rng(np.random.SeedSequence(0x7E57, spawn_key=(seed, 0)))
     for k in range(count):
         m = int(rng.integers(1, 7))
         instance, p1, gamma = _random_scenario(rng, m)
         params = SystemParams(p1, gamma, TotalBudget(float(rng.uniform(1.0, 10.0))))
         report = oracles.oracle_total(instance, params, n_samples=20_000,
-                                      seed=seed * 1000 + k, workers=workers)
+                                      seed=seed * 1000 + k)
         _check(report.gap >= -VALIDATE_GAP_TOTAL, f"total[{k}]",
                f"gap={report.gap:.3e} evals={report.samples_or_evals}", failures)
         solution = solve_total(instance, params)
@@ -147,10 +148,10 @@ def _cmd_validate(args) -> int:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    experiments.resolve_workers(args.workers)  # checked, then unused
     failures: List[str] = []
-    workers = experiments.resolve_workers(args.workers)
     if args.suite == "total":
-        _suite_total(args.seed, args.count or 25, workers, failures)
+        _suite_total(args.seed, args.count or 25, failures)
     elif args.suite == "individual":
         _suite_individual(args.seed, args.count or 15, failures)
     else:
@@ -178,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--spec", required=True, help="sweep spec JSON path")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help=f"worker processes (default ${experiments.ENV_WORKERS} or 1)")
+                         help="worker processes (default 1)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="cross-check solvers against oracles")
@@ -187,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--seed", type=int, default=0)
     p_val.add_argument("--count", type=int, default=None,
                        help="number of random scenarios per suite")
-    p_val.add_argument("--workers", type=int, default=None)
+    p_val.add_argument("--workers", type=int, default=None,
+                       help="checked but has no effect: validate runs in one process")
     p_val.set_defaults(func=_cmd_validate)
     return parser
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -51,26 +50,17 @@ log = logging.getLogger(__name__)
 # uses its own tag, so harness and oracle draws can never collide).
 HARNESS_NAMESPACE = 0xBEA7
 
-ENV_WORKERS = "ANBEAM_WORKERS"
-
 BUDGET_MODES = ("total", "individual")
 
 
 def resolve_workers(explicit: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else ANBEAM_WORKERS, else 1; a count
-    below 1 is a ValueError naming its source."""
-    if explicit is not None:
-        workers, name = int(explicit), "workers"
-    else:
-        env = os.environ.get(ENV_WORKERS)
-        if not env:
-            return 1
-        try:
-            workers, name = int(env), ENV_WORKERS
-        except ValueError:
-            raise ValueError(f"{ENV_WORKERS}={env!r} is not an integer") from None
+    """Worker count: the explicit argument, else 1; a count below 1 is a
+    ValueError."""
+    if explicit is None:
+        return 1
+    workers = int(explicit)
     if workers < 1:
-        raise ValueError(f"{name} must be >= 1, got {workers}")
+        raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
 
 
@@ -280,10 +270,8 @@ def solve_grid_points(spec: ExperimentSpec, m: int,
     resamples = np.zeros(len(points), dtype=int)
     pending = np.arange(p1_rows.size)
     # A key recurs at every point that draws it, so it is seeded once and
-    # each repeat restarts one shared generator from the PCG64 (state, inc)
-    # saved then.  With one point no key recurs (a redraw advances its slot's
-    # attempt), so nothing is saved.
-    starts: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    # each repeat restarts one shared generator from the state saved then.
+    starts: Dict[Tuple[int, int], dict] = {}
     shared = None
 
     def stream(slot: int, attempt: int) -> np.random.Generator:
@@ -291,13 +279,9 @@ def solve_grid_points(spec: ExperimentSpec, m: int,
         start = starts.get((slot, attempt))
         if start is None:
             shared = instance_stream(spec.seed, slot, attempt)
-            if len(points) > 1:
-                pcg = shared.bit_generator.state["state"]
-                starts[slot, attempt] = pcg["state"], pcg["inc"]
+            starts[slot, attempt] = shared.bit_generator.state
         else:
-            shared.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
-                                          "uinteger": 0,
-                                          "state": {"state": start[0], "inc": start[1]}}
+            shared.bit_generator.state = start
         return shared
 
     while pending.size:

@@ -295,23 +295,10 @@ def solve_source_only(problem: MagnitudeProblem) -> Tuple[float, np.ndarray, flo
     return math.sqrt(max(problem.radicand(r), 0.0)), u, r
 
 
-@dataclass(frozen=True)
-class QuarticCoeffs:
-    """Stationarity polynomial q0 r^4 + q1 r^3 + q2 r^2 + q3 r + q4 = 0 of the
-    clamped 1-D problem (q0 the leading coefficient)."""
-
-    q0: float
-    q1: float
-    q2: float
-    q3: float
-    q4: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q0, self.q1, self.q2, self.q3, self.q4])
-
-
-def quartic_coeffs(problem: MagnitudeProblem) -> QuarticCoeffs:
-    """Coefficients of the stationarity quartic for the clamped 1-D problem.
+def quartic_coeffs(problem: MagnitudeProblem) -> np.ndarray:
+    """Coefficients (q0, ..., q4), highest power first, of the stationarity
+    quartic q0 r^4 + q1 r^3 + q2 r^2 + q3 r + q4 = 0 of the clamped 1-D
+    problem, as a (5,) float array.
 
     Derivation sketch: with y = t1 + tau r the objective is
     psi(r) = (y + c1 sqrt(eta1 - eta2 y^2))^2 / (t2 + r^2).  Setting psi' = 0,
@@ -321,12 +308,11 @@ def quartic_coeffs(problem: MagnitudeProblem) -> QuarticCoeffs:
     coefficients vanish and -q4/q2 is the square of the closed-form r* of
     solve_source_only.
     """
-    return QuarticCoeffs(*(float(q) for q in _quartic(
-        problem.eta1, problem.eta2, problem.eta3, problem.t1, problem.t2,
-        problem.tau, problem.c1)))
+    return np.array(_quartic(problem.eta1, problem.eta2, problem.eta3, problem.t1,
+                             problem.t2, problem.tau, problem.c1), dtype=float)
 
 
-def select_root(coeffs: QuarticCoeffs, problem: MagnitudeProblem,
+def select_root(coeffs: np.ndarray, problem: MagnitudeProblem,
                 ) -> Tuple[RootCandidate, Tuple[RootCandidate, ...]]:
     """Pick the best admissible candidate of the clamped 1-D problem.
 
@@ -338,7 +324,7 @@ def select_root(coeffs: QuarticCoeffs, problem: MagnitudeProblem,
     """
     row = [np.array([x], dtype=float) for x in (
         problem.eta1, problem.eta2, problem.t1, problem.t2, problem.tau, problem.c1)]
-    r, value, valid = _candidates(coeffs.as_array()[None, :], *row)
+    r, value, valid = _candidates(coeffs[None, :], *row)
     best, ok = _best(r, value, valid)
     if not ok[0]:
         raise NoFeasibleRoot(_no_root_message(problem.radicand(0.0)))

@@ -8,15 +8,13 @@ signal-level Monte Carlo for the SNR formulas.  Oracles are slow by design
 and never used in the production solve path.
 
 Oracle randomness lives in its own seed namespace so oracle draws can never
-collide with experiment-harness draws.  Sampling work is split into
-fixed-size chunks keyed by chunk index, so results are identical for any
-worker count.
+collide with experiment-harness draws.  Every oracle runs in the calling
+process.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -32,7 +30,6 @@ from .types import IndividualBudget, NetworkInstance, SystemParams, TotalBudget
 # Seed-sequence entropy tag for all oracle RNG streams.
 ORACLE_NAMESPACE = 0xC0FFEE
 
-_SAMPLE_CHUNK = 4096
 _SYMBOL_CHUNK = 1 << 17
 
 
@@ -132,20 +129,6 @@ def _cd_evaluator(instance: NetworkInstance, p1: float, alpha: float,
     return values
 
 
-def _total_chunk(instance: NetworkInstance, p1: float, alpha: float,
-                 p_tot: float, d: np.ndarray, n: int, seed: int,
-                 chunk_index: int) -> Tuple[float, np.ndarray]:
-    """Best C_d among n random directions scaled to the power boundary."""
-    rng = _oracle_rng(seed, chunk_index)
-    m1 = instance.m + 1
-    w = rng.normal(size=(n, m1)) + 1j * rng.normal(size=(n, m1))
-    power = np.real(np.einsum("ni,ij,nj->n", np.conj(w), d, w))
-    w *= np.sqrt(p_tot / power)[:, None]
-    values = _cd_evaluator(instance, p1, alpha)(w)
-    best = int(np.argmax(values))
-    return float(values[best]), w[best]
-
-
 def _projected_ascent(instance: NetworkInstance, p1: float, alpha: float,
                       d: np.ndarray, p_tot: float, w0: np.ndarray,
                       max_sweeps: int = 200, min_step: float = 1e-7,
@@ -181,11 +164,11 @@ def _projected_ascent(instance: NetworkInstance, p1: float, alpha: float,
 
 def oracle_total(instance: NetworkInstance, params: SystemParams,
                  n_samples: int, *, alpha: Optional[float] = None,
-                 seed: int = 0, workers: int = 1,
-                 ascent_sweeps: int = 200,
+                 seed: int = 0, ascent_sweeps: int = 200,
                  ascent_min_step: float = 1e-7) -> OracleReport:
-    """Brute-force check of solve_total: sample the power boundary, refine the
-    best sample by projected coordinate ascent, compare C_d values."""
+    """Brute-force check of solve_total: sample n_samples directions on the
+    power boundary from the (seed, 0) oracle stream, refine the best by
+    projected coordinate ascent, compare C_d values."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if not isinstance(params.budget, TotalBudget):
@@ -195,16 +178,12 @@ def oracle_total(instance: NetworkInstance, params: SystemParams,
     d = dense_power_matrix(derived)
     p_tot = params.budget.p_tot
 
-    n_chunks = (n_samples + _SAMPLE_CHUNK - 1) // _SAMPLE_CHUNK
-    sizes = [min(_SAMPLE_CHUNK, n_samples - i * _SAMPLE_CHUNK) for i in range(n_chunks)]
-    args = [(instance, params.p1, a, p_tot, d, sizes[i], seed, i)
-            for i in range(n_chunks)]
-    if workers > 1 and n_chunks > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_total_chunk, *zip(*args)))
-    else:
-        results = [_total_chunk(*arg) for arg in args]
-    best_cd, best_w = max(results, key=lambda t: t[0])
+    rng = _oracle_rng(seed, 0)
+    m1 = instance.m + 1
+    w = rng.normal(size=(n_samples, m1)) + 1j * rng.normal(size=(n_samples, m1))
+    power = np.real(np.einsum("ni,ij,nj->n", np.conj(w), d, w))
+    w *= np.sqrt(p_tot / power)[:, None]
+    best_w = w[int(np.argmax(_cd_evaluator(instance, params.p1, a)(w)))]
     best_cd, best_w, ascent_evals = _projected_ascent(
         instance, params.p1, a, d, p_tot, best_w,
         max_sweeps=ascent_sweeps, min_step=ascent_min_step)

@@ -116,19 +116,6 @@ def test_sweep_worker_flag_matches_serial(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_workers_env_var(tmp_path, monkeypatch):
-    spec = relay_count_sweep_spec(seed=1, n_instances=1)
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec_to_dict(spec)))
-    serial = tmp_path / "serial.csv"
-    via_env = tmp_path / "env.csv"
-    monkeypatch.delenv("ANBEAM_WORKERS", raising=False)
-    assert main(["sweep", "--spec", str(spec_path), "--out", str(serial)]) == 0
-    monkeypatch.setenv("ANBEAM_WORKERS", "2")
-    assert main(["sweep", "--spec", str(spec_path), "--out", str(via_env)]) == 0
-    assert serial.read_bytes() == via_env.read_bytes()
-
-
 def test_sweep_bad_spec_is_clean_error(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"m_values": [2], "p1_values": [1.0],
@@ -138,23 +125,17 @@ def test_sweep_bad_spec_is_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override, workers_env, field", [
-    ({"m_values": [2.7]}, None, "m_values"),
-    ({"p1_values": []}, None, "p1_values"),
-    ({"n_instances": 2.5}, None, "n_instances"),
-    ({"seed": -1}, None, "seed"),
-    ({"relays": 4}, None, "relays"),
-    ({}, "abc", "ANBEAM_WORKERS"),
-], ids=["fractional-m", "empty-p1", "fractional-count", "negative-seed", "unknown-key",
-        "workers-env"])
-def test_sweep_bad_field_exits_2_naming_it(override, workers_env, field, tmp_path,
-                                          monkeypatch, capsys):
+@pytest.mark.parametrize("override, field", [
+    ({"m_values": [2.7]}, "m_values"),
+    ({"p1_values": []}, "p1_values"),
+    ({"n_instances": 2.5}, "n_instances"),
+    ({"seed": -1}, "seed"),
+    ({"relays": 4}, "relays"),
+], ids=["fractional-m", "empty-p1", "fractional-count", "negative-seed", "unknown-key"])
+def test_sweep_bad_field_exits_2_naming_it(override, field, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     doc = {**spec_to_dict(relay_count_sweep_spec(seed=1, n_instances=1)), **override}
     spec_path.write_text(json.dumps(doc))
-    monkeypatch.delenv("ANBEAM_WORKERS", raising=False)
-    if workers_env is not None:
-        monkeypatch.setenv("ANBEAM_WORKERS", workers_env)
     assert main(["sweep", "--spec", str(spec_path), "--out",
                  str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
@@ -177,6 +158,21 @@ def test_validate_suites_pass(suite, capsys):
     out = capsys.readouterr().out
     assert "[ok  ]" in out
     assert "[FAIL]" not in out
+
+
+def test_validate_total_ignores_workers_and_starts_no_pool(monkeypatch, capsys):
+    """validate runs in one process: --workers 2 prints the bytes of
+    --workers 1, and nothing in the oracles may start a process pool."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("validate started a process pool")
+
+    monkeypatch.setattr("anbeam.oracles.ProcessPoolExecutor", no_pool, raising=False)
+    outputs = []
+    for workers in ("1", "2"):
+        assert main(["validate", "--suite", "total", "--count", "3",
+                     "--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_validate_singular_d_tilde_is_a_failed_check(monkeypatch, capsys):
@@ -220,7 +216,6 @@ def test_headline_script_runs(script, rows, tmp_path):
     """The headline sweep scripts run end to end as a user runs them."""
     out = tmp_path / "rows.csv"
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    env.pop("ANBEAM_WORKERS", None)
     subprocess.run([sys.executable, str(REPO / "scripts" / script),
                     "--n-instances", "2", "--out", str(out)],
                    env=env, check=True, capture_output=True, timeout=120)

@@ -166,30 +166,27 @@ def test_spec_rejection_of_zero_alpha_names_the_field():
 
 
 @pytest.mark.parametrize("build, field", [
-    (lambda mp: _tiny_spec(m_values=()), "m_values"),
-    (lambda mp: _tiny_spec(p1_values=[]), "p1_values"),
-    (lambda mp: _tiny_spec(alpha_values=()), "alpha_values"),
-    (lambda mp: _tiny_spec(m_values=(2.7,)), "m_values"),
-    (lambda mp: _tiny_spec(m_values=(True,)), "m_values"),
-    (lambda mp: _tiny_spec(n_instances=2.5), "n_instances"),
-    (lambda mp: _tiny_spec(n_instances=True), "n_instances"),
-    (lambda mp: _tiny_spec(seed=1.5), "seed"),
-    (lambda mp: _tiny_spec(seed=-1), "seed"),
-    (lambda mp: _tiny_spec(variance_sr=float("nan")), "variance_sr"),
-    (lambda mp: _tiny_spec(variance_sd=float("inf")), "variance_sd"),
-    (lambda mp: _tiny_spec(sigma2=float("nan")), "sigma2"),
-    (lambda mp: spec_from_dict({**spec_to_dict(_tiny_spec()), "n_instance": 5}),
+    (lambda: _tiny_spec(m_values=()), "m_values"),
+    (lambda: _tiny_spec(p1_values=[]), "p1_values"),
+    (lambda: _tiny_spec(alpha_values=()), "alpha_values"),
+    (lambda: _tiny_spec(m_values=(2.7,)), "m_values"),
+    (lambda: _tiny_spec(m_values=(True,)), "m_values"),
+    (lambda: _tiny_spec(n_instances=2.5), "n_instances"),
+    (lambda: _tiny_spec(n_instances=True), "n_instances"),
+    (lambda: _tiny_spec(seed=1.5), "seed"),
+    (lambda: _tiny_spec(seed=-1), "seed"),
+    (lambda: _tiny_spec(variance_sr=float("nan")), "variance_sr"),
+    (lambda: _tiny_spec(variance_sd=float("inf")), "variance_sd"),
+    (lambda: _tiny_spec(sigma2=float("nan")), "sigma2"),
+    (lambda: spec_from_dict({**spec_to_dict(_tiny_spec()), "n_instance": 5}),
      "n_instance"),
-    (lambda mp: (mp.setenv("ANBEAM_WORKERS", "abc"), resolve_workers()), "ANBEAM_WORKERS"),
-    (lambda mp: (mp.setenv("ANBEAM_WORKERS", "-2"), resolve_workers()), "ANBEAM_WORKERS"),
-    (lambda mp: resolve_workers(-3), "workers"),
+    (lambda: resolve_workers(-3), "workers"),
 ], ids=["empty-m", "empty-p1", "empty-alpha", "fractional-m", "bool-m",
         "fractional-count", "bool-count", "fractional-seed", "negative-seed",
-        "nan-variance", "infinite-variance", "nan-noise", "unknown-key", "workers-env",
-        "negative-workers-env", "negative-workers"])
-def test_bad_sweep_settings_are_value_errors_naming_the_field(build, field, monkeypatch):
+        "nan-variance", "infinite-variance", "nan-noise", "unknown-key", "negative-workers"])
+def test_bad_sweep_settings_are_value_errors_naming_the_field(build, field):
     with pytest.raises(ValueError, match=field):
-        build(monkeypatch)
+        build()
 
 
 def test_spec_round_trip():
@@ -677,12 +674,13 @@ def test_canned_specs_shapes():
     assert f3.p1_values == (5.0,) and f3.alpha_values == (0.6,)
 
 
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("ANBEAM_WORKERS", raising=False)
+def test_resolve_workers():
     assert resolve_workers() == 1
     assert resolve_workers(4) == 4
     with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
         resolve_workers(0)
-    monkeypatch.setenv("ANBEAM_WORKERS", "6")
-    assert resolve_workers() == 6
-    assert resolve_workers(2) == 2
+
+
+def test_resolve_workers_reads_no_environment(monkeypatch):
+    monkeypatch.setenv("ANBEAM_WORKERS", "abc")
+    assert resolve_workers() == 1

@@ -171,8 +171,8 @@ def _clamped_problem(rng):
 def test_quartic_reduces_to_closed_form():
     prob = _bare_problem(1.0, [1.0], eta1=1.0, eta2=1.0)
     q = quartic_coeffs(prob)
-    assert (q.q0, q.q1, q.q3) == (0.0, 0.0, 0.0)
-    assert -q.q4 / q.q2 == pytest.approx(1.0 / 5.0, rel=1e-12)
+    assert (q[0], q[1], q[3]) == (0.0, 0.0, 0.0)
+    assert -q[4] / q[2] == pytest.approx(1.0 / 5.0, rel=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
@@ -194,7 +194,7 @@ def test_quartic_odd_coefficients_vanish_without_offsets(rng):
     # t1 = 0 kills every coefficient carrying a clamp offset
     object.__setattr__(prob, "t2", 1.9)
     q = quartic_coeffs(prob)
-    assert (q.q0, q.q1, q.q3) == (0.0, 0.0, 0.0)
+    assert (q[0], q[1], q[3]) == (0.0, 0.0, 0.0)
 
 
 def test_quartic_root_matches_golden_section_when_clamped(rng):

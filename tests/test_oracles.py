@@ -135,14 +135,6 @@ def test_oracle_total_reproduces_recorded_reports(case):
     assert report == OracleReport(**case["report"])
 
 
-def test_oracle_total_worker_count_does_not_change_result(rng):
-    inst = make_instance(rng, 2)
-    params = SystemParams(2.0, _gamma_for(inst, 2.0), TotalBudget(5.0))
-    serial = oracle_total(inst, params, 9000, seed=5, workers=1)
-    parallel = oracle_total(inst, params, 9000, seed=5, workers=3)
-    assert serial == parallel
-
-
 def test_oracle_total_rejects_bad_args(rng):
     inst = make_instance(rng, 1)
     with pytest.raises(ValueError):
