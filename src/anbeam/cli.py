@@ -71,9 +71,8 @@ def _check(ok: bool, label: str, detail: str, failures: List[str]) -> None:
         failures.append(label)
 
 
-def _random_scenario(rng: np.random.Generator, m: int, sigma2: float = 1.0):
-    instance = experiments.sample_instance(
-        m, experiments.ChannelVariances(), rng, sigma2)
+def _random_scenario(rng: np.random.Generator, m: int):
+    instance = experiments.sample_instance(m, experiments.ChannelVariances(), rng)
     p1 = float(rng.uniform(0.5, 8.0))
     ceiling = relay_snr(instance, p1, 1.0, strongest_relay(instance))
     gamma = float(rng.uniform(0.2, 0.9)) * ceiling

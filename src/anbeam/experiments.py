@@ -323,17 +323,10 @@ def solve_grid_point(spec: ExperimentSpec, m: int, p1: float,
     return solve_grid_points(spec, m, [(p1, alpha)])[0]
 
 
-def grid_points(spec: ExperimentSpec) -> List[Tuple[int, float, Optional[float]]]:
-    """Grid-point order is the row order of the emitted CSV."""
-    return [(m, p1, alpha)
-            for m in spec.m_values
-            for p1 in spec.p1_values
-            for alpha in spec.alpha_grid()]
-
-
 def _tasks(spec: ExperimentSpec, chunks: int) -> List[Tuple[int, list]]:
     """(m, points) per task: each relay count's grid points in at most
-    `chunks` contiguous chunks of near-equal size, in grid-point order."""
+    `chunks` contiguous chunks of near-equal size.  Tasks and their points
+    are in the row order of the emitted CSV (m, then p1, then alpha)."""
     points = [(p1, alpha) for p1 in spec.p1_values for alpha in spec.alpha_grid()]
     size = -(-len(points) // chunks)
     return [(m, points[i:i + size]) for m in spec.m_values
@@ -355,18 +348,18 @@ def run_sweep(spec: ExperimentSpec, workers: Optional[int] = None) -> List[Exper
             chunks = list(pool.map(solve_grid_points, [spec] * len(tasks), *zip(*tasks)))
     else:
         chunks = [solve_grid_points(spec, m, points) for m, points in tasks]
-    results = [result for chunk in chunks for result in chunk]
-    total_resamples = sum(r.resamples for r in results)
+    total_resamples = sum(r.resamples for chunk in chunks for r in chunk)
     if total_resamples:
         log.info("sweep finished with %d resampled instances", total_resamples)
     rows: List[ExperimentRow] = []
-    for (m, p1, alpha), result in zip(grid_points(spec), results):
-        for mode in spec.modes:
-            arr = result.c_d[mode]
-            rows.append(ExperimentRow(
-                m=m, p1=p1, alpha=alpha_label(spec, alpha), budget_mode=mode,
-                mean_c_d=float(np.mean(arr)), std_c_d=float(np.std(arr)),
-                n_instances=spec.n_instances, seed=spec.seed))
+    for (m, points), chunk in zip(tasks, chunks):
+        for (p1, alpha), result in zip(points, chunk):
+            for mode in spec.modes:
+                arr = result.c_d[mode]
+                rows.append(ExperimentRow(
+                    m=m, p1=p1, alpha=alpha_label(spec, alpha), budget_mode=mode,
+                    mean_c_d=float(np.mean(arr)), std_c_d=float(np.std(arr)),
+                    n_instances=spec.n_instances, seed=spec.seed))
     return rows
 
 

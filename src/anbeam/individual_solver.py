@@ -27,6 +27,10 @@ one quartic per row, all rows in one eigvals call on the stacked 4x4
 companion matrices.  solve_individual is the N = 1 call, and
 MagnitudeProblem, solve_source_only, quartic_coeffs and select_root are
 one-row views of the same array expressions.
+
+The batch keeps each row's clamped set, offsets and chosen r, not the
+candidates its quartic solve compared: select_root on the row's final
+MagnitudeProblem gives those on request.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .errors import DegenerateAlpha, InfeasibleBudget, NoFeasibleRoot
 from .model import (_dot, _per_relay, capacity_dest, derive_model, resolve_alphas,
                     second_phase_power)
 from .types import (
-    CANDIDATE_KINDS,
     BatchSolution,
     BeamSolution,
     DerivedModel,
@@ -49,14 +52,10 @@ from .types import (
     IndividualBudget,
     InstanceBatch,
     NetworkInstance,
-    RootCandidate,
     SystemParams,
     _frozen_array,
     _set,
-    root_candidates,
 )
-
-_MAX_CANDIDATES = len(CANDIDATE_KINDS)
 
 # Relative slack accepted on the per-relay amplitude caps before a relay counts
 # as violating its cap.
@@ -160,19 +159,33 @@ def _quartic_roots(q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return roots, filled
 
 
+@dataclass(frozen=True)
+class RootCandidate:
+    """One admissible point of the clamped 1-D magnitude problem with its
+    objective value."""
+
+    r: float
+    value: float
+    kind: str  # "root" | "zero" | "radicand-boundary"
+
+
+# Kind of each candidate column of _candidates: r = 0, the radicand-zero
+# boundary, then up to four roots of the stationarity quartic.
+CANDIDATE_KINDS = ("zero", "radicand-boundary", "root", "root", "root", "root")
+
+
 def _candidates(q, eta1, eta2, t1, t2, tau, c1):
     """Candidates of K clamped 1-D problems at once, as (r, value, valid),
-    each (K, 6) with the columns of types.CANDIDATE_KINDS: r = 0, the
-    radicand-zero boundary where u1 hits 0, and the real positive quartic
-    roots.
+    each (K, 6) with the columns of CANDIDATE_KINDS: r = 0, the radicand-zero
+    boundary where u1 hits 0, and the real positive quartic roots.
 
     A present candidate is valid when its radicand is not below
     -RADICAND_GUARD * max(eta1, 1) and its value is finite; a radicand inside
     that guard band is scored as the u1 = 0 boundary point.
     """
-    k = len(q)
-    r = np.zeros((k, _MAX_CANDIDATES))
-    present = np.zeros((k, _MAX_CANDIDATES), dtype=bool)
+    shape = (len(q), len(CANDIDATE_KINDS))
+    r = np.zeros(shape)
+    present = np.zeros(shape, dtype=bool)
     present[:, 0] = True
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         r_ub = (np.sqrt(eta1 / eta2) - t1) / tau
@@ -328,8 +341,9 @@ def select_root(coeffs: np.ndarray, problem: MagnitudeProblem,
     best, ok = _best(r, value, valid)
     if not ok[0]:
         raise NoFeasibleRoot(_no_root_message(problem.radicand(0.0)))
-    return (root_candidates(r[0], value[0], best)[0],
-            root_candidates(r[0], value[0], np.flatnonzero(valid[0])))
+    found = [RootCandidate(float(x), float(v), kind)
+             for x, v, kind in zip(r[0], value[0], CANDIDATE_KINDS)]
+    return found[best[0]], tuple(c for c, keep in zip(found, valid[0]) if keep)
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +449,6 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
     tau = _active_norm(c2)
     r = np.zeros(n)
     u = np.zeros((n, m))
-    cand_r = np.zeros((n, _MAX_CANDIDATES))
-    cand_value = np.zeros((n, _MAX_CANDIDATES))
-    cand_valid = np.zeros((n, _MAX_CANDIDATES), dtype=bool)
 
     rows = np.flatnonzero(~errors.failed & (tau > 0.0))
     r_rows, finite = _source_only_r(tau[rows], eta1[rows], eta2[rows], c1[rows])
@@ -468,7 +479,6 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
         errors.fail(rows[~ok], lambda i: InfeasibleBudget(
             "clamped relay amplitudes exceed what the source can cancel: "
             + _no_root_message(eta1[i] - eta2[i] * t1[i] * t1[i])))
-        cand_r[rows], cand_value[rows], cand_valid[rows] = cand
         r[rows] = cand[0][np.arange(len(rows)), best]
         u[rows] = np.where(clamped[rows], u[rows],
                            c2[rows] / tau[rows, None] * r[rows, None])
@@ -491,9 +501,8 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
         c_d=capacity_dest(batch, p1, a_ok, w),
         second_phase_power=second_phase_power(batch, p1, a_ok, w),
         errors=tuple(errors.errors),
-        diagnostics=IndividualBatchDiagnostics(
-            clamped=clamped, t1=t1, t2=t2, tau=tau, chosen_r=r,
-            candidate_r=cand_r, candidate_value=cand_value, candidate_valid=cand_valid),
+        diagnostics=IndividualBatchDiagnostics(clamped=clamped, t1=t1, t2=t2, tau=tau,
+                                               chosen_r=r),
     )
 
 

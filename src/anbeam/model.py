@@ -236,7 +236,6 @@ def derive_model(instance: NetworkInstance, p1: float, alpha: float,
     return DerivedModel(
         alpha=alpha,
         p1=p1,
-        sigma2=instance.sigma2,
         h=combined_gains(instance),
         g=cancellation_gains(instance),
         c=np.concatenate((_per_relay(c1), np.abs(instance.h_sr)), axis=-1),

@@ -131,8 +131,7 @@ def _cd_evaluator(instance: NetworkInstance, p1: float, alpha: float,
 
 def _projected_ascent(instance: NetworkInstance, p1: float, alpha: float,
                       d: np.ndarray, p_tot: float, w0: np.ndarray,
-                      max_sweeps: int = 200, min_step: float = 1e-7,
-                      ) -> Tuple[float, np.ndarray, int]:
+                      max_sweeps: int, min_step: float) -> Tuple[float, np.ndarray, int]:
     """Greedy coordinate ascent on the power boundary w' D w = p_tot."""
     cd = _cd_evaluator(instance, p1, alpha)
     w = w0.copy()

@@ -215,7 +215,6 @@ class DerivedModel:
 
     alpha: float
     p1: float
-    sigma2: float
     h: np.ndarray
     g: np.ndarray
     c: np.ndarray
@@ -266,22 +265,11 @@ class TotalSolveDiagnostics:
 
 
 @dataclass(frozen=True)
-class RootCandidate:
-    """One admissible point of the clamped 1-D magnitude problem with its
-    objective value."""
-
-    r: float
-    value: float
-    kind: str  # "root" | "zero" | "radicand-boundary"
-
-
-@dataclass(frozen=True)
 class IndividualSolveDiagnostics:
     """The clamped set and the final magnitude solve."""
 
     clamped: tuple = ()           # relay indices fixed at their amplitude caps
     chosen_r: float = 0.0         # active-subvector norm of the final solve
-    root_candidates: tuple = ()   # (r, objective) pairs examined in the quartic solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,17 +303,6 @@ class TotalBatchDiagnostics:
                                      rayleigh_value=float(self.rayleigh_value[i]))
 
 
-# Kind of each candidate column of IndividualBatchDiagnostics: r = 0, the
-# radicand-zero boundary, then up to four roots of the stationarity quartic.
-CANDIDATE_KINDS = ("zero", "radicand-boundary", "root", "root", "root", "root")
-
-
-def root_candidates(r: np.ndarray, value: np.ndarray, columns) -> tuple:
-    """RootCandidates of the given candidate columns of one row."""
-    return tuple(RootCandidate(float(r[j]), float(value[j]), CANDIDATE_KINDS[j])
-                 for j in columns)
-
-
 @dataclass(frozen=True, eq=False)
 class IndividualBatchDiagnostics:
     """Every row's clamped set and final magnitude solve.
@@ -333,9 +310,10 @@ class IndividualBatchDiagnostics:
     clamped: (N, M) mask of relays fixed at their amplitude caps.
     t1, t2, tau: (N,) offsets and active norm of the final magnitude problem.
     chosen_r: (N,) radius of the final solve.
-    candidate_r, candidate_value, candidate_valid: (N, 6) candidates of each
-        row's quartic solve, columns as in CANDIDATE_KINDS (none valid where
-        no relay was clamped or none is left active).
+
+    A clamped row's root candidates are not kept: select_root gives them for
+    the row's final MagnitudeProblem, rebuilt from derive_model and these
+    fields.
     """
 
     clamped: np.ndarray
@@ -343,20 +321,14 @@ class IndividualBatchDiagnostics:
     t2: np.ndarray
     tau: np.ndarray
     chosen_r: np.ndarray
-    candidate_r: np.ndarray
-    candidate_value: np.ndarray
-    candidate_valid: np.ndarray
 
     def __post_init__(self):
-        _freeze_in_place(self, ("clamped", "t1", "t2", "tau", "chosen_r", "candidate_r",
-                                "candidate_value", "candidate_valid"))
+        _freeze_in_place(self, ("clamped", "t1", "t2", "tau", "chosen_r"))
 
     def row(self, i: int) -> IndividualSolveDiagnostics:
         return IndividualSolveDiagnostics(
             clamped=tuple(int(j) for j in np.flatnonzero(self.clamped[i])),
             chosen_r=float(self.chosen_r[i]),
-            root_candidates=root_candidates(self.candidate_r[i], self.candidate_value[i],
-                                            np.flatnonzero(self.candidate_valid[i])),
         )
 
 

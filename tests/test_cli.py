@@ -92,6 +92,17 @@ def test_solve_malformed_scenario_exits_2_naming_the_field(total_scenario, tmp_p
     assert "params.p1" in err and "Traceback" not in err
 
 
+def test_solve_p_i_of_wrong_length_exits_2_naming_it(tmp_path, rng, capsys):
+    inst = make_instance(rng, 2)
+    path = tmp_path / "ind.json"
+    dump_scenario(inst, SystemParams(2.0, 0.2, IndividualBudget(5.0, np.full(3, 0.1))),
+                  path)
+    assert main(["solve", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "budget.p_i length must equal the relay count" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_end_to_end(tmp_path):
     spec = relay_count_sweep_spec(seed=1, n_instances=2)
     spec_path = tmp_path / "spec.json"
@@ -131,7 +142,9 @@ def test_sweep_bad_spec_is_clean_error(tmp_path, capsys):
     ({"n_instances": 2.5}, "n_instances"),
     ({"seed": -1}, "seed"),
     ({"relays": 4}, "relays"),
-], ids=["fractional-m", "empty-p1", "fractional-count", "negative-seed", "unknown-key"])
+    ({"m_values": 4}, "m_values"),
+], ids=["fractional-m", "empty-p1", "fractional-count", "negative-seed", "unknown-key",
+        "scalar-m"])
 def test_sweep_bad_field_exits_2_naming_it(override, field, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     doc = {**spec_to_dict(relay_count_sweep_spec(seed=1, n_instances=1)), **override}

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import itertools
 import json
 import logging
 from pathlib import Path
@@ -19,7 +20,6 @@ from anbeam.experiments import (
     emit_csv,
     power_sweep_spec,
     relay_count_sweep_spec,
-    grid_points,
     instance_stream,
     resolve_workers,
     run_sweep,
@@ -181,9 +181,14 @@ def test_spec_rejection_of_zero_alpha_names_the_field():
     (lambda: spec_from_dict({**spec_to_dict(_tiny_spec()), "n_instance": 5}),
      "n_instance"),
     (lambda: resolve_workers(-3), "workers"),
+    (lambda: ExperimentSpec(m_values=4, p1_values=(1.0,), alpha_values=(0.5,)), "m_values"),
+    (lambda: spec_from_dict([spec_to_dict(_tiny_spec())]), "JSON object"),
+    (lambda: spec_from_dict({k: v for k, v in spec_to_dict(_tiny_spec()).items()
+                             if k != "m_values"}), "m_values"),
 ], ids=["empty-m", "empty-p1", "empty-alpha", "fractional-m", "bool-m",
         "fractional-count", "bool-count", "fractional-seed", "negative-seed",
-        "nan-variance", "infinite-variance", "nan-noise", "unknown-key", "negative-workers"])
+        "nan-variance", "infinite-variance", "nan-noise", "unknown-key", "negative-workers",
+        "scalar-m", "list-doc", "missing-m"])
 def test_bad_sweep_settings_are_value_errors_naming_the_field(build, field):
     with pytest.raises(ValueError, match=field):
         build()
@@ -203,10 +208,15 @@ def test_spec_round_trip():
 
 
 def test_grid_point_order_is_row_major():
+    """Rows run over m, then p1, then alpha, then budget mode, also when
+    each relay count's grid points are split over two workers."""
     spec = ExperimentSpec(m_values=(2, 3), p1_values=(1.0, 2.0),
-                          alpha_values=(0.5,), n_instances=1)
-    assert grid_points(spec) == [(2, 1.0, 0.5), (2, 2.0, 0.5),
-                                 (3, 1.0, 0.5), (3, 2.0, 0.5)]
+                          alpha_values=(0.3, 0.6), n_instances=1)
+    expected = list(itertools.product((2, 3), (1.0, 2.0), ("0.3", "0.6"),
+                                      ("total", "individual")))
+    for workers in (1, 2):
+        rows = run_sweep(spec, workers=workers)
+        assert [(row.m, row.p1, row.alpha, row.budget_mode) for row in rows] == expected
 
 
 def test_alpha_label_forms():

@@ -333,6 +333,23 @@ def test_rejects_total_budget(rng):
         solve_individual(inst, SystemParams(2.0, 0.4, TotalBudget(5.0)))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda inst, b: solve_individual(inst, SystemParams(2.0, None, b), alpha=0.0),
+     DegenerateAlpha, "alpha=0.0"),
+    (lambda inst, b: derive_model(inst, 2.0, 0.0, b), DegenerateAlpha, "alpha=0.0"),
+    (lambda inst, b: solve_individual(inst, SystemParams(
+        2.0, None, IndividualBudget(5.0, np.full(4, 0.1))), alpha=0.5),
+     ValueError, "budget.p_i length must equal the relay count"),
+    (lambda inst, b: derive_model(inst, 2.0, 0.5, IndividualBudget(5.0, np.full(2, 0.1))),
+     ValueError, "budget.p_i length must equal the relay count"),
+], ids=["solve-zero-alpha", "derive-zero-alpha", "solve-long-p_i", "derive-short-p_i"])
+def test_individual_budget_rejects_zero_alpha_and_mismatched_caps(rng, call, error,
+                                                                 message):
+    inst = make_instance(rng, 3)
+    with pytest.raises(error, match=message):
+        call(inst, IndividualBudget(5.0, np.full(3, 0.1)))
+
+
 def test_clamp_bookkeeping_on_the_kernel(rng):
     """A clamp folds the relay's cap into (t1, t2) and drops it from tau; a
     row of the same batch whose caps hold keeps the unclamped problem."""
@@ -412,3 +429,33 @@ def test_clamp_scan_reproduces_the_greedy_loop(slack, monkeypatch):
             multi_clamp += int(np.sum(clamped[ok].sum(axis=1) >= 2))
             failed += int(np.sum(~ok))
     assert multi_clamp >= 200 and failed >= 30
+
+
+def test_select_root_on_the_rebuilt_final_problem_gives_chosen_r():
+    """The batch keeps no root candidates: select_root on a clamped row's
+    final MagnitudeProblem, rebuilt from derive_model and the row's clamped
+    set, offsets and tau, picks the batch's chosen_r bit for bit (also r = 0
+    where every relay is clamped)."""
+    rng = np.random.default_rng(0xCA4D)
+    checked = {}
+    for m in (4, 10, 64):
+        for p_i in (0.1, 0.01, 0.003):
+            budget = IndividualBudget(5.0, np.full(m, p_i))
+            batch = _random_batch(rng, 40, m)
+            sol = solve_individual_batch(batch, SystemParams(2.0, None, budget), alpha=0.6)
+            diag = sol.diagnostics
+            for i in range(batch.n):
+                if sol.errors[i] is not None or not diag.clamped[i].any():
+                    continue
+                inst = NetworkInstance(h_sd=batch.h_sd[i], h_sr=batch.h_sr[i],
+                                       h_rd=batch.h_rd[i], sigma2=batch.sigma2)
+                derived = derive_model(inst, 2.0, 0.6, budget)
+                prob = MagnitudeProblem(
+                    c=derived.c, u_max=derived.u_max, eta1=derived.eta1,
+                    eta2=derived.eta2, eta3=derived.eta3, t1=diag.t1[i], t2=diag.t2[i],
+                    active=np.flatnonzero(~diag.clamped[i]), tau=diag.tau[i])
+                best, _ = select_root(quartic_coeffs(prob), prob)
+                assert best.r == diag.chosen_r[i]
+                # rows with a relay left active solved a quartic
+                checked[m] = checked.get(m, 0) + int(diag.tau[i] > 0.0)
+    assert len(checked) == 3 and min(checked.values()) >= 20

@@ -36,6 +36,7 @@ from anbeam.model import (
 from anbeam.total_solver import dense_power_matrix
 from anbeam.types import (
     IndividualBudget,
+    InstanceBatch,
     NetworkInstance,
     SignalRealization,
     SystemParams,
@@ -61,6 +62,21 @@ def test_instance_rejects_vanishing_direct_gain():
 def test_instance_rejects_mismatched_relay_vectors():
     with pytest.raises(ValueError):
         NetworkInstance(h_sd=1.0, h_sr=[1.0, 2.0], h_rd=[1.0], sigma2=1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: InstanceBatch(h_sd=np.ones(3), h_sr=np.ones((2, 2)), h_rd=np.ones((2, 2)),
+                           sigma2=1.0), "h_sd must hold one gain per row of h_sr"),
+    (lambda: InstanceBatch.stack([]), "cannot stack an empty list"),
+    (lambda: InstanceBatch.stack([
+        NetworkInstance(h_sd=1.0, h_sr=[1.0], h_rd=[1.0], sigma2=sigma2)
+        for sigma2 in (1.0, 2.0)]), "stacked instances must share sigma2"),
+    (lambda: NetworkInstance(h_sd=1.0, h_sr=[[1.0, 2.0]], h_rd=[1.0, 2.0], sigma2=1.0),
+     "h_sr and h_rd must be 1-dimensional"),
+], ids=["short-h_sd", "empty-stack", "mixed-sigma2", "2d-h_sr"])
+def test_instance_and_batch_shapes_are_checked(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # one constructor per validated field, with that field set to the given value

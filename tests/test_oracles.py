@@ -143,6 +143,12 @@ def test_oracle_total_rejects_bad_args(rng):
         oracle_total(inst, SystemParams(2.0, 0.1, IndividualBudget(1.0, [0.1])), 10)
 
 
+def test_oracle_individual_grid_rejects_a_total_budget(rng):
+    inst = make_instance(rng, 2)
+    with pytest.raises(TypeError, match="IndividualBudget"):
+        oracle_individual_grid(inst, SystemParams(2.0, None, TotalBudget(5.0)), alpha=0.5)
+
+
 def test_power_iteration_rank1_immediate_convergence(rng):
     for _ in range(10):
         inst = make_instance(rng, int(rng.integers(1, 6)))

@@ -43,7 +43,7 @@ def test_d_tilde_no_relays_scalar():
 def test_d_tilde_diagonal_when_cancellation_gains_vanish():
     # force g = 0 in a hand-built derived model: the rank-1 term drops out
     derived = DerivedModel(
-        alpha=0.5, p1=2.0, sigma2=1.0,
+        alpha=0.5, p1=2.0,
         h=np.array([1.0, 0.5, 0.25], dtype=complex),
         g=np.zeros(2, dtype=complex),
         c=np.array([1.0, 0.7, 0.4]),
