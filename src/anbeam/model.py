@@ -16,6 +16,8 @@ Conventions used throughout:
   over a trailing relay axis.  They take a NetworkInstance or an
   InstanceBatch alike, with p1 and alpha each a scalar or one value per row,
   so the batched solvers share every formula with the single-instance ones.
+* The signal-level functions propagate one symbol or an array of them, so
+  the cancellation check and the Monte Carlo oracle share one reception.
 """
 
 from __future__ import annotations
@@ -305,16 +307,16 @@ def resolve_alpha(instance: NetworkInstance, p1: float, gamma: Optional[float],
 
 
 # ---------------------------------------------------------------------------
-# Signal-level propagation (used by the simulation oracles)
+# Signal-level propagation: one symbol or an array of them (see SignalRealization)
 
-def first_phase_tx(p1: float, alpha: float, realization: SignalRealization) -> complex:
+def first_phase_tx(p1: float, alpha: float, realization: SignalRealization):
     """Source's phase-1 signal: message plus artificial noise."""
     return (math.sqrt(alpha * p1) * realization.x
             + math.sqrt((1.0 - alpha) * p1) * realization.u)
 
 
 def second_phase_source_tx(instance: NetworkInstance, p1: float, alpha: float,
-                           w: np.ndarray, realization: SignalRealization) -> complex:
+                           w: np.ndarray, realization: SignalRealization):
     """Source's phase-2 signal: its own beam share of the message minus the
     term that cancels the relays' forwarded artificial noise."""
     cancel = np.dot(cancellation_gains(instance), np.asarray(w, dtype=complex)[1:])
@@ -323,15 +325,15 @@ def second_phase_source_tx(instance: NetworkInstance, p1: float, alpha: float,
 
 
 def destination_phase2_rx(instance: NetworkInstance, p1: float, alpha: float,
-                          w: np.ndarray, realization: SignalRealization) -> complex:
+                          w: np.ndarray, realization: SignalRealization):
     """Destination's phase-2 reception: direct path from the source plus every
-    relay forwarding its noisy phase-1 reception, plus local noise z[-1]."""
+    relay forwarding its noisy phase-1 reception, plus local noise z[..., -1]."""
     w = np.asarray(w, dtype=complex)
     s1 = first_phase_tx(p1, alpha, realization)
-    relay_rx = instance.h_sr * s1 + realization.z[:instance.m]
-    relay_contrib = np.dot(instance.h_rd, w[1:] * relay_rx)
+    relay_rx = instance.h_sr * _per_relay(s1) + realization.z[..., :instance.m]
+    relay_contrib = np.dot(w[1:] * relay_rx, instance.h_rd)
     direct = instance.h_sd * second_phase_source_tx(instance, p1, alpha, w, realization)
-    return complex(direct + relay_contrib + realization.z[-1])
+    return direct + relay_contrib + realization.z[..., -1]
 
 
 def simulate_noise_residual(instance: NetworkInstance, p1: float, alpha: float,
@@ -347,7 +349,7 @@ def simulate_noise_residual(instance: NetworkInstance, p1: float, alpha: float,
     realization's x and z: genuine cancellation error shows up rather than an
     algebraic identity, whatever the realization's own u.
     """
-    w = np.asarray(w, dtype=complex)
+    resolve_alpha(instance, p1, None, alpha)  # a bad p1 or alpha is a ValueError naming it
     unit = SignalRealization(x=realization.x, u=1.0, z=realization.z)
     zeroed = SignalRealization(x=realization.x, u=0.0, z=realization.z)
     return complex(destination_phase2_rx(instance, p1, alpha, w, unit)
@@ -358,6 +360,7 @@ def noise_residual_scale(instance: NetworkInstance, p1: float, alpha: float,
                          w: np.ndarray) -> float:
     """Natural magnitude scale of the two cancelling u-terms, for judging a
     residual 'small': sqrt((1-alpha) p1) sum_i |w_i h_si h_id|."""
+    resolve_alpha(instance, p1, None, alpha)  # a bad p1 or alpha is a ValueError naming it
     w = np.asarray(w, dtype=complex)
     return float(math.sqrt((1.0 - alpha) * p1)
                  * np.sum(np.abs(w[1:] * combined_gains(instance)[1:])))

@@ -22,10 +22,11 @@ import numpy as np
 
 from .errors import OracleEvalError, OracleTooLarge
 from .individual_solver import optimal_phases, solve_individual
-from .model import (cancellation_gains, capacity_dest, combined_gains, derive_model,
+from .model import (capacity_dest, combined_gains, derive_model, destination_phase2_rx,
                     direct_sinr, noise_amp_diag, resolve_alpha)
 from .total_solver import dense_power_matrix, solve_total
-from .types import IndividualBudget, NetworkInstance, SystemParams, TotalBudget
+from .types import (IndividualBudget, NetworkInstance, SignalRealization, SystemParams,
+                    TotalBudget)
 
 # Seed-sequence entropy tag for all oracle RNG streams.
 ORACLE_NAMESPACE = 0xC0FFEE
@@ -330,16 +331,17 @@ def empirical_snr(instance: NetworkInstance, p1: float, alpha: float,
 
     Each symbol draws x, u ~ CN(0,1) and receiver noises ~ CN(0, sigma2):
     relay noises, the destination's phase-1 noise and its phase-2 noise.
+    Each chunk of symbols goes through model.destination_phase2_rx at once.
     Estimates are ratios of sample-mean powers; their relative error is
     ~ sqrt(2 / n_symbols).
     """
     if n_symbols < 10_000:
         raise ValueError("n_symbols must be >= 10^4 for meaningful estimates")
+    resolve_alpha(instance, p1, None, alpha)  # a bad p1 or alpha is a ValueError naming it
     w = np.asarray(w, dtype=complex)
     m = instance.m
     amp_x = math.sqrt(alpha * p1)
     amp_u = math.sqrt((1.0 - alpha) * p1)
-    cancel = np.dot(cancellation_gains(instance), w[1:])
     beam_coeff = amp_x * np.dot(combined_gains(instance), w)
 
     relay_sig = np.zeros(m)
@@ -347,39 +349,33 @@ def empirical_snr(instance: NetworkInstance, p1: float, alpha: float,
     direct_sig = direct_int = 0.0
     beam_sig = beam_noise = leak = 0.0
 
-    done = 0
-    chunk_index = 0
     noise_sd = math.sqrt(instance.sigma2 / 2.0)
-    while done < n_symbols:
+    for chunk_index, done in enumerate(range(0, n_symbols, _SYMBOL_CHUNK)):
         n = min(_SYMBOL_CHUNK, n_symbols - done)
         rng = _oracle_rng(seed, 0xE, chunk_index)
-        chunk_index += 1
 
         def cn(count, scale):
             return scale * (rng.normal(size=count) + 1j * rng.normal(size=count))
 
         x = cn(n, math.sqrt(0.5))
         u = cn(n, math.sqrt(0.5))
-        z_relay = cn((n, m), noise_sd)
+        z = np.empty((n, m + 1), dtype=complex)  # relays, then the destination's phase 2
+        z[:, :m] = cn((n, m), noise_sd)
         z_d1 = cn(n, noise_sd)
-        z_d2 = cn(n, noise_sd)
+        z[:, m] = cn(n, noise_sd)
 
-        s1 = amp_x * x + amp_u * u
-        relay_rx = np.outer(s1, instance.h_sr) + z_relay
         relay_sig += np.sum(np.abs(np.outer(amp_x * x, instance.h_sr)) ** 2, axis=0)
-        relay_int += np.sum(np.abs(np.outer(amp_u * u, instance.h_sr) + z_relay) ** 2, axis=0)
+        relay_int += np.sum(np.abs(np.outer(amp_u * u, instance.h_sr) + z[:, :m]) ** 2, axis=0)
         direct_sig += float(np.sum(np.abs(instance.h_sd * amp_x * x) ** 2))
         direct_int += float(np.sum(np.abs(instance.h_sd * amp_u * u + z_d1) ** 2))
 
-        src2 = amp_x * w[0] * x - amp_u * cancel * u
-        y2 = instance.h_sd * src2 + (relay_rx * w[1:]) @ instance.h_rd + z_d2
-        noise_part = z_relay @ (w[1:] * instance.h_rd) + z_d2
+        y2 = destination_phase2_rx(instance, p1, alpha, w, SignalRealization(x=x, u=u, z=z))
+        noise_part = z[:, :m] @ (w[1:] * instance.h_rd) + z[:, m]
         signal_part = beam_coeff * x
         u_part = y2 - signal_part - noise_part
         beam_sig += float(np.sum(np.abs(signal_part) ** 2))
         beam_noise += float(np.sum(np.abs(noise_part) ** 2))
         leak += float(np.sum(np.abs(u_part) ** 2))
-        done += n
 
     return EmpiricalSnr(
         direct=direct_sig / direct_int,

@@ -132,8 +132,14 @@ def scenario_to_dict(instance: NetworkInstance, params: SystemParams) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> Tuple[NetworkInstance, SystemParams]:
-    return (instance_from_dict(_field(doc, "instance")),
-            params_from_dict(_field(doc, "params")))
+    """(instance, params) of a scenario document; a malformed field, or a
+    params.budget.p_i without one cap per relay, is a ValueError naming it."""
+    instance = instance_from_dict(_field(doc, "instance"))
+    params = params_from_dict(_field(doc, "params"))
+    if isinstance(params.budget, IndividualBudget) and len(params.budget.p_i) != instance.m:
+        raise ValueError(f"params.budget.p_i length must equal the relay count: "
+                         f"{len(params.budget.p_i)} caps for {instance.m} relays")
+    return instance, params
 
 
 def load_scenario(path) -> Tuple[NetworkInstance, SystemParams]:

@@ -239,17 +239,20 @@ class DerivedModel:
 
 @dataclass(frozen=True, eq=False)
 class SignalRealization:
-    """One draw of the random signals: message x, artificial noise u, and the
-    M+1 receiver noises z (relays first, destination last)."""
+    """Draws of the random signals: message x, artificial noise u and the M+1
+    receiver noises z (relays first, destination last), for one symbol (scalar
+    x and u) or n symbols (x and u of shape (n,), z of shape (n, M+1)).  Arrays
+    are kept as read-only views, not copied, since n may be in the millions."""
 
-    x: complex
-    u: complex
+    x: Union[complex, np.ndarray]
+    u: Union[complex, np.ndarray]
     z: np.ndarray
 
     def __post_init__(self):
-        _set(self, "x", complex(self.x))
-        _set(self, "u", complex(self.u))
-        _set(self, "z", _frozen_array(self.z, complex))
+        for name in ("x", "u", "z"):
+            value = np.asarray(getattr(self, name), dtype=complex).view()
+            value.setflags(write=False)
+            _set(self, name, value if value.ndim else complex(value))
 
 
 @dataclass(frozen=True, eq=False)

@@ -99,8 +99,9 @@ def test_solve_p_i_of_wrong_length_exits_2_naming_it(tmp_path, rng, capsys):
                   path)
     assert main(["solve", "--input", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "budget.p_i length must equal the relay count" in err
-    assert "Traceback" not in err
+    assert "params.budget.p_i length must equal the relay count" in err
+    assert "3 caps for 2 relays" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_sweep_end_to_end(tmp_path):

@@ -412,6 +412,26 @@ def test_phase2_message_coefficient(rng):
     assert rx == pytest.approx(coeff * x, rel=1e-12)
 
 
+def test_phase2_reception_over_symbol_arrays_matches_per_symbol_calls(rng):
+    """n symbols in one call give, row by row, what n one-symbol calls give."""
+    n = 64
+    for m in (0, 1, 4):
+        inst = make_instance(rng, m)
+        w = random_weights(rng, m)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        u = rng.normal(size=n) + 1j * rng.normal(size=n)
+        z = rng.normal(size=(n, m + 1)) + 1j * rng.normal(size=(n, m + 1))
+        many = SignalRealization(x=x, u=u, z=z)
+        assert not many.x.flags.writeable and not many.z.flags.writeable
+        rx = destination_phase2_rx(inst, 2.0, 0.4, w, many)
+        assert rx.shape == (n,)
+        for k in range(n):
+            one = SignalRealization(x=x[k], u=u[k], z=z[k])
+            assert type(one.x) is complex and type(one.u) is complex
+            expected = destination_phase2_rx(inst, 2.0, 0.4, w, one)
+            assert abs(rx[k] - expected) <= 1e-13 * abs(expected)
+
+
 # ---------------------------------------------------------------------------
 # derived model
 

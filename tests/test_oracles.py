@@ -15,7 +15,9 @@ from anbeam.model import (
     capacity_dest,
     derive_model,
     direct_sinr,
+    noise_residual_scale,
     relay_snrs,
+    simulate_noise_residual,
     strongest_relay,
 )
 from anbeam.oracles import (
@@ -27,7 +29,8 @@ from anbeam.oracles import (
     power_iteration_rank1,
 )
 from anbeam.total_solver import build_d_tilde
-from anbeam.types import IndividualBudget, NetworkInstance, SystemParams, TotalBudget
+from anbeam.types import (IndividualBudget, NetworkInstance, SignalRealization, SystemParams,
+                          TotalBudget)
 from conftest import make_instance, random_weights
 
 
@@ -271,6 +274,43 @@ def test_empirical_requires_enough_symbols(rng):
     inst = make_instance(rng, 1)
     with pytest.raises(ValueError):
         empirical_snr(inst, 2.0, 0.5, random_weights(rng, 1), 100)
+
+
+def test_empirical_estimates_pinned():
+    """relays, direct and beam of one fixed instance and seed, over three
+    chunks, to 1e-12: this pins the draw order and the chunking."""
+    inst = NetworkInstance(h_sd=0.31 - 0.42j, h_sr=[0.9 + 0.2j, -0.5 + 0.7j, 0.1 - 1.1j],
+                           h_rd=[0.4 - 0.3j, 1.2 + 0.1j, -0.6 + 0.5j], sigma2=0.8)
+    w = np.array([0.7 - 0.2j, -0.3 + 0.9j, 0.5 + 0.4j, -1.1 - 0.6j])
+    measured = empirical_snr(inst, 2.5, 0.35, w, 300_000, seed=7)
+    assert measured.direct == pytest.approx(0.19218020985989828, rel=1e-12)
+    assert measured.beam == pytest.approx(0.4342950162200061, rel=1e-12)
+    assert measured.relays == pytest.approx(
+        [0.340248955781482, 0.32354486650280473, 0.3834609878943306], rel=1e-12)
+    assert measured.u_leak_power <= 1e-25
+
+
+_SIGNAL_CHECKS = {
+    "empirical_snr": lambda inst, p1, a, w: empirical_snr(inst, p1, a, w, 10_000),
+    "simulate_noise_residual": lambda inst, p1, a, w: simulate_noise_residual(
+        inst, p1, a, w, SignalRealization(x=1.0, u=1.0, z=np.ones(inst.m + 1))),
+    "noise_residual_scale": noise_residual_scale,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIGNAL_CHECKS))
+@pytest.mark.parametrize("p1, alpha, field", [
+    (math.nan, 0.5, "p1"), (math.inf, 0.5, "p1"), (-1.0, 0.5, "p1"), (0.0, 0.5, "p1"),
+    (2.0, math.nan, "alpha"), (2.0, 1.5, "alpha"), (2.0, -0.1, "alpha"),
+], ids=["nan-p1", "inf-p1", "negative-p1", "zero-p1", "nan-alpha", "alpha-above-1",
+        "negative-alpha"])
+def test_signal_checks_reject_a_bad_p1_or_alpha_naming_it(rng, name, p1, alpha, field):
+    inst = make_instance(rng, 2)
+    w = random_weights(rng, 2)
+    with pytest.raises(ValueError, match=f"^{field}="):
+        _SIGNAL_CHECKS[name](inst, p1, alpha, w)
+    for edge in (0.0, 1.0):  # both ends of the power split stay valid
+        _SIGNAL_CHECKS[name](inst, 2.0, edge, w)
 
 
 def test_empirical_chunking_invariant(rng):

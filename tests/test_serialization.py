@@ -106,11 +106,14 @@ def _with(doc, path, value=_DELETE):
     (lambda d: _with(d, "params.budget.p_s"), "params.budget.p_s"),
     (lambda d: _with(d, "params.budget.p_i", 0.1), "params.budget.p_i"),
     (lambda d: _with(d, "params.budget.p_i", [0.1, "x"]), "params.budget.p_i[1]"),
+    (lambda d: _with(d, "params.budget.p_i", [0.1]), "params.budget.p_i"),
+    (lambda d: _with(d, "params.budget.p_i", [0.1] * 3), "params.budget.p_i"),
     (lambda d: _with(d, "instance", []), "instance"),
     (lambda d: [d], "scenario"),
 ], ids=["no-params", "no-instance", "list-p1", "null-p1", "string-p1", "list-gamma",
         "scalar-h_sd", "triple-h_sd", "scalar-h_sr", "null-h_rd-part", "no-sigma2",
         "no-budget-kind", "string-budget", "no-p_s", "scalar-p_i", "string-p_i-item",
+        "short-p_i", "long-p_i",
         "list-instance", "list-scenario"])
 def test_malformed_scenario_is_value_error_naming_the_field(mutate, field):
     with pytest.raises(ValueError, match=f"^{re.escape(field)}[ :]"):
