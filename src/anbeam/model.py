@@ -309,6 +309,20 @@ def resolve_alpha(instance: NetworkInstance, p1: float, gamma: Optional[float],
 # ---------------------------------------------------------------------------
 # Signal-level propagation: one symbol or an array of them (see SignalRealization)
 
+def check_signal_inputs(instance: NetworkInstance, p1: float, alpha: float,
+                        w: np.ndarray) -> np.ndarray:
+    """w as a complex array, after the checks every signal-level check makes:
+    a bad p1, alpha or w is a ValueError naming it.  w must hold the M+1
+    weights (source first) and be finite."""
+    resolve_alpha(instance, p1, None, alpha)
+    w = np.asarray(w, dtype=complex)
+    if w.shape != (instance.m + 1,):
+        raise ValueError(f"w must hold M+1 = {instance.m + 1} weights, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"w must be finite, got {w!r}")
+    return w
+
+
 def first_phase_tx(p1: float, alpha: float, realization: SignalRealization):
     """Source's phase-1 signal: message plus artificial noise."""
     return (math.sqrt(alpha * p1) * realization.x
@@ -349,7 +363,10 @@ def simulate_noise_residual(instance: NetworkInstance, p1: float, alpha: float,
     realization's x and z: genuine cancellation error shows up rather than an
     algebraic identity, whatever the realization's own u.
     """
-    resolve_alpha(instance, p1, None, alpha)  # a bad p1 or alpha is a ValueError naming it
+    w = check_signal_inputs(instance, p1, alpha, w)
+    if np.shape(realization.z)[-1:] != (instance.m + 1,):
+        raise ValueError(f"z must be M+1 = {instance.m + 1} wide, "
+                         f"got shape {np.shape(realization.z)}")
     unit = SignalRealization(x=realization.x, u=1.0, z=realization.z)
     zeroed = SignalRealization(x=realization.x, u=0.0, z=realization.z)
     return complex(destination_phase2_rx(instance, p1, alpha, w, unit)
@@ -360,7 +377,6 @@ def noise_residual_scale(instance: NetworkInstance, p1: float, alpha: float,
                          w: np.ndarray) -> float:
     """Natural magnitude scale of the two cancelling u-terms, for judging a
     residual 'small': sqrt((1-alpha) p1) sum_i |w_i h_si h_id|."""
-    resolve_alpha(instance, p1, None, alpha)  # a bad p1 or alpha is a ValueError naming it
-    w = np.asarray(w, dtype=complex)
+    w = check_signal_inputs(instance, p1, alpha, w)
     return float(math.sqrt((1.0 - alpha) * p1)
                  * np.sum(np.abs(w[1:] * combined_gains(instance)[1:])))

@@ -9,12 +9,18 @@ and never used in the production solve path.
 
 Oracle randomness lives in its own seed namespace so oracle draws can never
 collide with experiment-harness draws.  Every oracle runs in the calling
-process.
+process.  The signal Monte Carlo draws each chunk of symbols in one call
+into one of two reused buffers, propagates it in fixed-size slices, and
+lets one helper thread, scoped to the call, draw the next chunk into the
+other buffer meanwhile; the draws are those of the plain per-chunk
+algorithm, in the same order, so only the summation order of the estimates
+changes.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -22,8 +28,8 @@ import numpy as np
 
 from .errors import OracleEvalError, OracleTooLarge
 from .individual_solver import optimal_phases, solve_individual
-from .model import (capacity_dest, combined_gains, derive_model, destination_phase2_rx,
-                    direct_sinr, noise_amp_diag, resolve_alpha)
+from .model import (capacity_dest, check_signal_inputs, combined_gains, derive_model,
+                    destination_phase2_rx, direct_sinr, noise_amp_diag, resolve_alpha)
 from .total_solver import dense_power_matrix, solve_total
 from .types import (IndividualBudget, NetworkInstance, SignalRealization, SystemParams,
                     TotalBudget)
@@ -31,7 +37,8 @@ from .types import (IndividualBudget, NetworkInstance, SignalRealization, System
 # Seed-sequence entropy tag for all oracle RNG streams.
 ORACLE_NAMESPACE = 0xC0FFEE
 
-_SYMBOL_CHUNK = 1 << 17
+_SYMBOL_CHUNK = 1 << 17  # symbols drawn per oracle stream
+_SYMBOL_SLICE = 1 << 14  # symbols propagated at once
 
 
 def _oracle_rng(seed: int, *key: int) -> np.random.Generator:
@@ -140,23 +147,27 @@ def _projected_ascent(instance: NetworkInstance, p1: float, alpha: float,
     evals = 1
     step = 0.3
     sweeps = 0
+    trial = np.empty((4, len(w)), dtype=complex)  # w with one coordinate stepped 4 ways
     while step > min_step and sweeps < max_sweeps:
         sweeps += 1
         improved = False
         steps = np.array([step, -step, 1j * step, -1j * step])
         for k in range(len(w)):
-            trial = np.repeat(w[None, :], 4, axis=0)
+            trial[:] = w
             trial[:, k] += steps
             power = np.real(np.einsum("ni,ij,nj->n", np.conj(trial), d, trial))
-            ok = power > 0
-            if not ok.any():
-                continue
-            trial = trial[ok] * np.sqrt(p_tot / power[ok])[:, None]
-            values = cd(trial)
+            if power.min() > 0:
+                scaled = trial * np.sqrt(p_tot / power)[:, None]
+            else:
+                ok = power > 0
+                if not ok.any():
+                    continue
+                scaled = trial[ok] * np.sqrt(p_tot / power[ok])[:, None]
+            values = cd(scaled)
             evals += len(values)
             j = int(np.argmax(values))
             if values[j] > best:
-                best, w, improved = float(values[j]), trial[j], True
+                best, w, improved = float(values[j]), scaled[j], True
         if not improved:
             step *= 0.5
     return best, w, evals
@@ -331,14 +342,21 @@ def empirical_snr(instance: NetworkInstance, p1: float, alpha: float,
 
     Each symbol draws x, u ~ CN(0,1) and receiver noises ~ CN(0, sigma2):
     relay noises, the destination's phase-1 noise and its phase-2 noise.
-    Each chunk of symbols goes through model.destination_phase2_rx at once.
-    Estimates are ratios of sample-mean powers; their relative error is
-    ~ sqrt(2 / n_symbols).
+    Chunk k of _SYMBOL_CHUNK symbols takes all its normals from the
+    (seed, 0xE, k) stream in one standard_normal call, in the draw order x
+    re, x im, u re, u im, relay re (n x M), relay im, phase-1 noise re, im,
+    phase-2 noise re, im; the values are those of ten successive
+    normal calls of these shapes.  A chunk goes through
+    model.destination_phase2_rx in slices of _SYMBOL_SLICE symbols, whose
+    sums add to the totals in chunk order.  One helper thread, joined on
+    return, draws chunk k+1 into the second of two buffers while chunk k is
+    propagated; it is submitted only once chunk k's draw has returned, so
+    chunk k-1's buffer is free.  Estimates are ratios of sample-mean powers;
+    their relative error is ~ sqrt(2 / n_symbols).
     """
     if n_symbols < 10_000:
         raise ValueError("n_symbols must be >= 10^4 for meaningful estimates")
-    resolve_alpha(instance, p1, None, alpha)  # a bad p1 or alpha is a ValueError naming it
-    w = np.asarray(w, dtype=complex)
+    w = check_signal_inputs(instance, p1, alpha, w)
     m = instance.m
     amp_x = math.sqrt(alpha * p1)
     amp_u = math.sqrt((1.0 - alpha) * p1)
@@ -350,32 +368,54 @@ def empirical_snr(instance: NetworkInstance, p1: float, alpha: float,
     beam_sig = beam_noise = leak = 0.0
 
     noise_sd = math.sqrt(instance.sigma2 / 2.0)
-    for chunk_index, done in enumerate(range(0, n_symbols, _SYMBOL_CHUNK)):
-        n = min(_SYMBOL_CHUNK, n_symbols - done)
-        rng = _oracle_rng(seed, 0xE, chunk_index)
+    n_chunks = -(-n_symbols // _SYMBOL_CHUNK)
+    per_symbol = 2 * m + 8  # normals
+    # two arrays rather than one (2, n) array: the heap space they free can
+    # serve the next call's pair, where a single array kept a larger peak RSS
+    buffers = [np.empty(per_symbol * min(_SYMBOL_CHUNK, n_symbols)) for _ in range(2)]
 
-        def cn(count, scale):
-            return scale * (rng.normal(size=count) + 1j * rng.normal(size=count))
+    def draw(k):
+        n = min(_SYMBOL_CHUNK, n_symbols - k * _SYMBOL_CHUNK)
+        normals = buffers[k % 2][:per_symbol * n]
+        _oracle_rng(seed, 0xE, k).standard_normal(out=normals)
+        return n, normals
 
-        x = cn(n, math.sqrt(0.5))
-        u = cn(n, math.sqrt(0.5))
-        z = np.empty((n, m + 1), dtype=complex)  # relays, then the destination's phase 2
-        z[:, :m] = cn((n, m), noise_sd)
-        z_d1 = cn(n, noise_sd)
-        z[:, m] = cn(n, noise_sd)
+    x_buf, u_buf, z_d1_buf = np.empty((3, min(_SYMBOL_SLICE, n_symbols)), dtype=complex)
+    z_buf = np.empty((len(x_buf), m + 1), dtype=complex)  # relays, then the destination's phase 2
+    with ThreadPoolExecutor(1) as helper:
+        pending = helper.submit(draw, 0)
+        for k in range(n_chunks):
+            n, normals = pending.result()
+            if k + 1 < n_chunks:
+                pending = helper.submit(draw, k + 1)
+            x_re, x_im, u_re, u_im = normals[:4 * n].reshape(4, n)
+            relay_re, relay_im = normals[4 * n:(2 * m + 4) * n].reshape(2, n, m)
+            d1_re, d1_im, d2_re, d2_im = normals[(2 * m + 4) * n:].reshape(4, n)
+            for lo in range(0, n, _SYMBOL_SLICE):
+                part = slice(lo, min(lo + _SYMBOL_SLICE, n))
+                x, u, z_d1, z = (b[:part.stop - lo] for b in (x_buf, u_buf, z_d1_buf, z_buf))
+                for out, re, im, scale in ((x, x_re, x_im, math.sqrt(0.5)),
+                                           (u, u_re, u_im, math.sqrt(0.5)),
+                                           (z[:, :m], relay_re, relay_im, noise_sd),
+                                           (z_d1, d1_re, d1_im, noise_sd),
+                                           (z[:, m], d2_re, d2_im, noise_sd)):
+                    np.multiply(re[part], scale, out=out.real)
+                    np.multiply(im[part], scale, out=out.imag)
 
-        relay_sig += np.sum(np.abs(np.outer(amp_x * x, instance.h_sr)) ** 2, axis=0)
-        relay_int += np.sum(np.abs(np.outer(amp_u * u, instance.h_sr) + z[:, :m]) ** 2, axis=0)
-        direct_sig += float(np.sum(np.abs(instance.h_sd * amp_x * x) ** 2))
-        direct_int += float(np.sum(np.abs(instance.h_sd * amp_u * u + z_d1) ** 2))
+                relay_sig += np.sum(np.abs(np.outer(amp_x * x, instance.h_sr)) ** 2, axis=0)
+                relay_int += np.sum(np.abs(np.outer(amp_u * u, instance.h_sr) + z[:, :m]) ** 2,
+                                    axis=0)
+                direct_sig += float(np.sum(np.abs(instance.h_sd * amp_x * x) ** 2))
+                direct_int += float(np.sum(np.abs(instance.h_sd * amp_u * u + z_d1) ** 2))
 
-        y2 = destination_phase2_rx(instance, p1, alpha, w, SignalRealization(x=x, u=u, z=z))
-        noise_part = z[:, :m] @ (w[1:] * instance.h_rd) + z[:, m]
-        signal_part = beam_coeff * x
-        u_part = y2 - signal_part - noise_part
-        beam_sig += float(np.sum(np.abs(signal_part) ** 2))
-        beam_noise += float(np.sum(np.abs(noise_part) ** 2))
-        leak += float(np.sum(np.abs(u_part) ** 2))
+                y2 = destination_phase2_rx(instance, p1, alpha, w,
+                                           SignalRealization(x=x, u=u, z=z))
+                noise_part = z[:, :m] @ (w[1:] * instance.h_rd) + z[:, m]
+                signal_part = beam_coeff * x
+                u_part = y2 - signal_part - noise_part
+                beam_sig += float(np.sum(np.abs(signal_part) ** 2))
+                beam_noise += float(np.sum(np.abs(noise_part) ** 2))
+                leak += float(np.sum(np.abs(u_part) ** 2))
 
     return EmpiricalSnr(
         direct=direct_sig / direct_int,

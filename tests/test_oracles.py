@@ -3,17 +3,23 @@ power iteration and the signal-level Monte Carlo."""
 
 import json
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from anbeam import oracles
 from anbeam.errors import OracleEvalError, OracleTooLarge
 from anbeam.individual_solver import solve_individual
 from anbeam.model import (
     alpha_for_threshold,
     capacity_dest,
+    combined_gains,
     derive_model,
+    destination_phase2_rx,
     direct_sinr,
     noise_residual_scale,
     relay_snrs,
@@ -21,6 +27,7 @@ from anbeam.model import (
     strongest_relay,
 )
 from anbeam.oracles import (
+    ORACLE_NAMESPACE,
     OracleReport,
     empirical_snr,
     golden_section,
@@ -313,10 +320,120 @@ def test_signal_checks_reject_a_bad_p1_or_alpha_naming_it(rng, name, p1, alpha, 
         _SIGNAL_CHECKS[name](inst, 2.0, edge, w)
 
 
+@pytest.mark.parametrize("name", sorted(_SIGNAL_CHECKS))
+@pytest.mark.parametrize("w", [
+    np.ones(2), np.ones(4), np.ones((1, 3)), np.array([1.0, math.nan, 1.0]),
+    np.array([1.0, 1.0, complex(0.0, math.inf)]),
+], ids=["short", "long", "2-d", "nan", "inf"])
+def test_signal_checks_reject_a_bad_w_naming_it(rng, name, w):
+    """w must hold the M+1 finite weights: unchecked, a 2-relay w of length 2
+    broadcasts against the relay gains and a NaN weight gives a NaN SINR."""
+    inst = make_instance(rng, 2)
+    with pytest.raises(ValueError, match="^w must"):
+        _SIGNAL_CHECKS[name](inst, 2.0, 0.5, w)
+
+
+@pytest.mark.parametrize("z", [np.ones(2), np.ones(4), np.ones((5, 2)), 1.0],
+                         ids=["narrow", "wide", "narrow-rows", "scalar"])
+def test_noise_residual_rejects_a_z_not_m_plus_1_wide(rng, z):
+    """Unchecked, a 2-entry z for 2 relays reads the last relay's noise as the
+    destination's and gives 0j."""
+    inst = make_instance(rng, 2)
+    realization = SignalRealization(x=1.0, u=1.0, z=z)
+    with pytest.raises(ValueError, match="^z must"):
+        simulate_noise_residual(inst, 2.0, 0.5, random_weights(rng, 2), realization)
+
+
+def _reference_empirical_snr(inst, p1, alpha, w, n_symbols, seed):
+    """empirical_snr by the plain algorithm: per chunk of 2^17 symbols, ten
+    rng.normal calls on the (seed, 0xE, chunk) oracle stream in the order
+    x, u, relay noises (n x M), phase-1 noise, phase-2 noise (real part, then
+    imaginary part, each), then the whole chunk propagated at once."""
+    w = np.asarray(w, dtype=complex)
+    m = inst.m
+    amp_x, amp_u = math.sqrt(alpha * p1), math.sqrt((1.0 - alpha) * p1)
+    noise_sd = math.sqrt(inst.sigma2 / 2.0)
+    beam_coeff = amp_x * np.dot(combined_gains(inst), w)
+    relay_sig, relay_int = np.zeros(m), np.zeros(m)
+    direct_sig = direct_int = beam_sig = beam_noise = leak = 0.0
+    for k, done in enumerate(range(0, n_symbols, 1 << 17)):
+        n = min(1 << 17, n_symbols - done)
+        stream = np.random.default_rng(
+            np.random.SeedSequence(ORACLE_NAMESPACE, spawn_key=(seed, 0xE, k)))
+
+        def cn(shape, scale):
+            return scale * (stream.normal(size=shape) + 1j * stream.normal(size=shape))
+
+        x, u = cn(n, math.sqrt(0.5)), cn(n, math.sqrt(0.5))
+        z = np.empty((n, m + 1), dtype=complex)
+        z[:, :m] = cn((n, m), noise_sd)
+        z_d1 = cn(n, noise_sd)
+        z[:, m] = cn(n, noise_sd)
+        relay_sig += np.sum(np.abs(np.outer(amp_x * x, inst.h_sr)) ** 2, axis=0)
+        relay_int += np.sum(np.abs(np.outer(amp_u * u, inst.h_sr) + z[:, :m]) ** 2, axis=0)
+        direct_sig += np.sum(np.abs(inst.h_sd * amp_x * x) ** 2)
+        direct_int += np.sum(np.abs(inst.h_sd * amp_u * u + z_d1) ** 2)
+        y2 = destination_phase2_rx(inst, p1, alpha, w, SignalRealization(x=x, u=u, z=z))
+        noise_part = z[:, :m] @ (w[1:] * inst.h_rd) + z[:, m]
+        beam_sig += np.sum(np.abs(beam_coeff * x) ** 2)
+        beam_noise += np.sum(np.abs(noise_part) ** 2)
+        leak += np.sum(np.abs(y2 - beam_coeff * x - noise_part) ** 2)
+    return (direct_sig / direct_int, beam_sig / beam_noise, relay_sig / relay_int,
+            leak / n_symbols)
+
+
 def test_empirical_chunking_invariant(rng):
-    """Estimates must not depend on how the symbol budget is chunked."""
-    inst = make_instance(rng, 1)
-    w = random_weights(rng, 1)
-    a = empirical_snr(inst, 2.0, 0.5, w, 150_000, seed=8)
-    b = empirical_snr(inst, 2.0, 0.5, w, 150_000, seed=8)
-    assert a == b
+    """The one-draw-per-chunk, sliced and prefetched estimates equal the
+    plain algorithm's up to summation order, with a short last chunk and
+    with whole chunks: the draw order, the split of each chunk's normals and
+    the chunk a draw lands in are all pinned."""
+    for m in (1, 4):
+        inst = make_instance(rng, m)
+        w = random_weights(rng, m)
+        for n_symbols in (300_000, 262_144):
+            measured = empirical_snr(inst, 2.0, 0.5, w, n_symbols, seed=8)
+            direct, beam, relays, leak = _reference_empirical_snr(inst, 2.0, 0.5, w,
+                                                                  n_symbols, 8)
+            assert measured.direct == pytest.approx(direct, rel=1e-13)
+            assert measured.beam == pytest.approx(beam, rel=1e-13)
+            assert measured.relays == pytest.approx(relays, rel=1e-13)
+            assert measured.u_leak_power <= 1e-25 and leak <= 1e-25
+            assert measured.n_symbols == n_symbols
+
+
+def test_empirical_helper_thread_is_joined_on_return_and_on_error(rng, monkeypatch):
+    inst = make_instance(rng, 2)
+    w = random_weights(rng, 2)
+    before = threading.active_count()
+    empirical_snr(inst, 2.0, 0.5, w, 300_000, seed=1)
+    assert threading.active_count() == before
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("reception failed")
+
+    monkeypatch.setattr(oracles, "destination_phase2_rx", fail)
+    with pytest.raises(RuntimeError, match="reception failed"):
+        empirical_snr(inst, 2.0, 0.5, w, 300_000, seed=1)
+    assert threading.active_count() == before
+
+
+def test_empirical_concurrent_calls_agree(rng):
+    """Four calls at once, with a short switch interval, give
+    the estimates of a lone call bit for bit: each call's buffers and helper
+    thread are its own."""
+    inst = make_instance(rng, 2)
+    w = random_weights(rng, 2)
+    alone = empirical_snr(inst, 2.0, 0.5, w, 150_000, seed=5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(empirical_snr, inst, 2.0, 0.5, w, 150_000, seed=5)
+                       for _ in range(4)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        assert (result.direct, result.beam, result.u_leak_power) == (
+            alone.direct, alone.beam, alone.u_leak_power)
+        assert np.array_equal(result.relays, alone.relays)
