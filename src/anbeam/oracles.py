@@ -9,12 +9,14 @@ and never used in the production solve path.
 
 Oracle randomness lives in its own seed namespace so oracle draws can never
 collide with experiment-harness draws.  Every oracle runs in the calling
-process.  The signal Monte Carlo draws each chunk of symbols in one call
-into one of two reused buffers, propagates it in fixed-size slices, and
-lets one helper thread, scoped to the call, draw the next chunk into the
-other buffer meanwhile; the draws are those of the plain per-chunk
-algorithm, in the same order, so only the summation order of the estimates
-changes.
+process.  The signal Monte Carlo draws each chunk of symbols in one call,
+in the draw order of the plain per-chunk algorithm, and reduces it in
+fixed-size slices to the Gram matrix of its normals: every estimate is a
+sum of squared linear forms of the symbols, so it is a quadratic form in
+the summed Grams.  The calling thread takes the even chunks and one helper
+thread, scoped to the call, the odd ones.  The Grams are summed in chunk
+order, so the estimates differ from the plain algorithm's only in summation
+order, and thread timing does not change them.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ from .model import (capacity_dest, check_signal_inputs, combined_gains, derive_m
                     destination_phase2_rx, direct_sinr, noise_amp_diag, resolve_alpha)
 from .total_solver import dense_power_matrix, solve_total
 from .types import (IndividualBudget, NetworkInstance, SignalRealization, SystemParams,
-                    TotalBudget)
+                    TotalBudget, _frozen_array, _set)
 
 # Seed-sequence entropy tag for all oracle RNG streams.
 ORACLE_NAMESPACE = 0xC0FFEE
 
 _SYMBOL_CHUNK = 1 << 17  # symbols drawn per oracle stream
-_SYMBOL_SLICE = 1 << 14  # symbols propagated at once
+_SYMBOL_SLICE = 1 << 14  # symbols added to a chunk's Gram at once
 
 
 def _oracle_rng(seed: int, *key: int) -> np.random.Generator:
@@ -335,6 +337,11 @@ class EmpiricalSnr:
     u_leak_power: float
     n_symbols: int
 
+    def __post_init__(self):
+        for name in ("direct", "beam", "u_leak_power"):
+            _set(self, name, float(getattr(self, name)))
+        _set(self, "relays", _frozen_array(self.relays, float))
+
 
 def empirical_snr(instance: NetworkInstance, p1: float, alpha: float,
                   w: np.ndarray, n_symbols: int, seed: int = 0) -> EmpiricalSnr:
@@ -345,14 +352,23 @@ def empirical_snr(instance: NetworkInstance, p1: float, alpha: float,
     Chunk k of _SYMBOL_CHUNK symbols takes all its normals from the
     (seed, 0xE, k) stream in one standard_normal call, in the draw order x
     re, x im, u re, u im, relay re (n x M), relay im, phase-1 noise re, im,
-    phase-2 noise re, im; the values are those of ten successive
-    normal calls of these shapes.  A chunk goes through
-    model.destination_phase2_rx in slices of _SYMBOL_SLICE symbols, whose
-    sums add to the totals in chunk order.  One helper thread, joined on
-    return, draws chunk k+1 into the second of two buffers while chunk k is
-    propagated; it is submitted only once chunk k's draw has returned, so
-    chunk k-1's buffer is free.  Estimates are ratios of sample-mean powers;
-    their relative error is ~ sqrt(2 / n_symbols).
+    phase-2 noise re, im; the values are those of ten successive normal
+    calls of these shapes.
+
+    Every estimate is a sum over symbols of |c . v|^2 for a fixed
+    coefficient row c over v = (x, u, z_1..z_M, z_d1, z_d2), and v is linear
+    in the symbol's 2M+8 normals r.  So each chunk is reduced to the real
+    Gram matrix R = sum r r^T of its normals, built slice by slice
+    (_SYMBOL_SLICE symbols copied into one reused array in the draw order),
+    and every estimate is the quadratic form of its coefficient row, mapped
+    onto the normals, with the chunk Grams' sum.  The phase-2 reception's
+    row is read off one model.destination_phase2_rx call on the M+4 basis
+    symbols; the leak row is that row minus the beam and noise rows.  The
+    calling thread reduces the even chunks and one helper thread, joined on
+    return or error, the odd ones, each with its own buffers; the Grams are
+    summed in chunk order, so the result does not depend on thread timing.
+    Estimates are ratios of sample-mean powers; their relative error is
+    ~ sqrt(2 / n_symbols).
     """
     if n_symbols < 10_000:
         raise ValueError("n_symbols must be >= 10^4 for meaningful estimates")
@@ -360,67 +376,68 @@ def empirical_snr(instance: NetworkInstance, p1: float, alpha: float,
     m = instance.m
     amp_x = math.sqrt(alpha * p1)
     amp_u = math.sqrt((1.0 - alpha) * p1)
-    beam_coeff = amp_x * np.dot(combined_gains(instance), w)
 
-    relay_sig = np.zeros(m)
-    relay_int = np.zeros(m)
-    direct_sig = direct_int = 0.0
-    beam_sig = beam_noise = leak = 0.0
-
+    # rows over v: relay signals, relay interferences, direct signal, direct
+    # interference, beam signal, beam noise, artificial-noise leak
+    basis = np.eye(m + 4, dtype=complex)
+    y2 = destination_phase2_rx(instance, p1, alpha, w, SignalRealization(
+        x=basis[0], u=basis[1], z=basis[:, np.r_[2:m + 2, m + 3]]))
+    rows = np.zeros((2 * m + 5, m + 4), dtype=complex)
+    rows[:m, 0] = amp_x * instance.h_sr
+    rows[m:2 * m, 1] = amp_u * instance.h_sr
+    rows[m:2 * m, 2:m + 2] = np.eye(m)
+    rows[2 * m, 0] = amp_x * instance.h_sd
+    rows[2 * m + 1, [1, m + 2]] = amp_u * instance.h_sd, 1.0
+    rows[2 * m + 2, 0] = amp_x * np.dot(combined_gains(instance), w)
+    rows[2 * m + 3, 2:] = np.r_[w[1:] * instance.h_rd, 0.0, 1.0]
+    rows[2 * m + 4] = y2 - rows[2 * m + 2] - rows[2 * m + 3]
+    # each v entry is scale * (re + 1j im) of two normals at these draw positions
+    per_symbol = 2 * m + 8
+    re = np.r_[0, 2, 4:m + 4, 2 * m + 4, 2 * m + 6]
+    im = re + np.r_[1, 1, np.full(m, m), 1, 1]
     noise_sd = math.sqrt(instance.sigma2 / 2.0)
+    scale = np.r_[math.sqrt(0.5), math.sqrt(0.5), np.full(m + 2, noise_sd)]
+    coeffs = np.zeros((len(rows), per_symbol), dtype=complex)
+    coeffs[:, re] = rows * scale
+    coeffs[:, im] = 1j * rows * scale
+
     n_chunks = -(-n_symbols // _SYMBOL_CHUNK)
-    per_symbol = 2 * m + 8  # normals
-    # two arrays rather than one (2, n) array: the heap space they free can
-    # serve the next call's pair, where a single array kept a larger peak RSS
-    buffers = [np.empty(per_symbol * min(_SYMBOL_CHUNK, n_symbols)) for _ in range(2)]
+    grams = [None] * n_chunks
+    # each thread's draw buffer and slice array, allocated here: arrays the
+    # helper allocates come from its own malloc arena and raise peak RSS
+    buffers = [(np.empty(per_symbol * min(_SYMBOL_CHUNK, n_symbols)),
+                np.empty((per_symbol, min(_SYMBOL_SLICE, n_symbols)))) for _ in range(2)]
 
-    def draw(k):
-        n = min(_SYMBOL_CHUNK, n_symbols - k * _SYMBOL_CHUNK)
-        normals = buffers[k % 2][:per_symbol * n]
-        _oracle_rng(seed, 0xE, k).standard_normal(out=normals)
-        return n, normals
-
-    x_buf, u_buf, z_d1_buf = np.empty((3, min(_SYMBOL_SLICE, n_symbols)), dtype=complex)
-    z_buf = np.empty((len(x_buf), m + 1), dtype=complex)  # relays, then the destination's phase 2
-    with ThreadPoolExecutor(1) as helper:
-        pending = helper.submit(draw, 0)
-        for k in range(n_chunks):
-            n, normals = pending.result()
-            if k + 1 < n_chunks:
-                pending = helper.submit(draw, k + 1)
-            x_re, x_im, u_re, u_im = normals[:4 * n].reshape(4, n)
-            relay_re, relay_im = normals[4 * n:(2 * m + 4) * n].reshape(2, n, m)
-            d1_re, d1_im, d2_re, d2_im = normals[(2 * m + 4) * n:].reshape(4, n)
+    def reduce_chunks(first):
+        normals_buf, part_buf = buffers[first]
+        relay_rows = part_buf[4:2 * m + 4].reshape(2, m, part_buf.shape[1])
+        for k in range(first, n_chunks, 2):
+            n = min(_SYMBOL_CHUNK, n_symbols - k * _SYMBOL_CHUNK)
+            normals = normals_buf[:per_symbol * n]
+            _oracle_rng(seed, 0xE, k).standard_normal(out=normals)
+            head = normals[:4 * n].reshape(4, n)
+            relay = normals[4 * n:(2 * m + 4) * n].reshape(2, n, m)
+            tail = normals[(2 * m + 4) * n:].reshape(4, n)
+            grams[k] = np.zeros((per_symbol, per_symbol))
             for lo in range(0, n, _SYMBOL_SLICE):
-                part = slice(lo, min(lo + _SYMBOL_SLICE, n))
-                x, u, z_d1, z = (b[:part.stop - lo] for b in (x_buf, u_buf, z_d1_buf, z_buf))
-                for out, re, im, scale in ((x, x_re, x_im, math.sqrt(0.5)),
-                                           (u, u_re, u_im, math.sqrt(0.5)),
-                                           (z[:, :m], relay_re, relay_im, noise_sd),
-                                           (z_d1, d1_re, d1_im, noise_sd),
-                                           (z[:, m], d2_re, d2_im, noise_sd)):
-                    np.multiply(re[part], scale, out=out.real)
-                    np.multiply(im[part], scale, out=out.imag)
+                s = min(_SYMBOL_SLICE, n - lo)
+                part_buf[:4, :s] = head[:, lo:lo + s]
+                relay_rows[:, :, :s] = relay[:, lo:lo + s].transpose(0, 2, 1)
+                part_buf[2 * m + 4:, :s] = tail[:, lo:lo + s]
+                part = part_buf[:, :s]
+                grams[k] += part @ part.T
 
-                relay_sig += np.sum(np.abs(np.outer(amp_x * x, instance.h_sr)) ** 2, axis=0)
-                relay_int += np.sum(np.abs(np.outer(amp_u * u, instance.h_sr) + z[:, :m]) ** 2,
-                                    axis=0)
-                direct_sig += float(np.sum(np.abs(instance.h_sd * amp_x * x) ** 2))
-                direct_int += float(np.sum(np.abs(instance.h_sd * amp_u * u + z_d1) ** 2))
-
-                y2 = destination_phase2_rx(instance, p1, alpha, w,
-                                           SignalRealization(x=x, u=u, z=z))
-                noise_part = z[:, :m] @ (w[1:] * instance.h_rd) + z[:, m]
-                signal_part = beam_coeff * x
-                u_part = y2 - signal_part - noise_part
-                beam_sig += float(np.sum(np.abs(signal_part) ** 2))
-                beam_noise += float(np.sum(np.abs(noise_part) ** 2))
-                leak += float(np.sum(np.abs(u_part) ** 2))
-
+    with ThreadPoolExecutor(1) as helper:
+        odd = helper.submit(reduce_chunks, 1)
+        reduce_chunks(0)
+        odd.result()
+    gram = sum(grams)
+    sums = np.einsum("ki,ij,kj->k", coeffs, gram, coeffs.conj()).real
+    direct_sig, direct_int, beam_sig, beam_noise, leak = sums[2 * m:]
     return EmpiricalSnr(
         direct=direct_sig / direct_int,
         beam=beam_sig / beam_noise,
-        relays=relay_sig / relay_int,
+        relays=sums[:m] / sums[m:2 * m],
         u_leak_power=leak / n_symbols,
         n_symbols=n_symbols,
     )

@@ -432,6 +432,25 @@ def test_phase2_reception_over_symbol_arrays_matches_per_symbol_calls(rng):
             assert abs(rx[k] - expected) <= 1e-13 * abs(expected)
 
 
+@pytest.mark.parametrize("m", [0, 1, 4])
+def test_phase2_reception_is_the_linear_form_of_its_basis_responses(rng, m):
+    """The phase-2 reception is linear in (x, u, z): the row of its responses
+    to the M+3 basis symbols reproduces it on random symbols, and zero
+    symbols give 0.  empirical_snr's quadratic forms rest on this."""
+    inst = make_instance(rng, m)
+    w = random_weights(rng, m)
+    basis = np.eye(m + 3, dtype=complex)  # x, u, then z's M+1 columns
+    row = destination_phase2_rx(inst, 2.0, 0.4, w,
+                                SignalRealization(x=basis[0], u=basis[1], z=basis[:, 2:]))
+    v = rng.normal(size=(64, m + 3)) + 1j * rng.normal(size=(64, m + 3))
+    rx = destination_phase2_rx(inst, 2.0, 0.4, w,
+                               SignalRealization(x=v[:, 0], u=v[:, 1], z=v[:, 2:]))
+    assert np.all(np.abs(v @ row - rx) <= 1e-13 * np.abs(rx))
+    zero = np.zeros((64, m + 3), dtype=complex)
+    assert np.all(destination_phase2_rx(inst, 2.0, 0.4, w, SignalRealization(
+        x=zero[:, 0], u=zero[:, 1], z=zero[:, 2:])) == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # derived model
 

@@ -277,6 +277,18 @@ def test_empirical_noise_leak_at_floor(rng):
     assert measured.u_leak_power <= 1e-25
 
 
+def test_empirical_leak_measures_the_model_reception(rng, monkeypatch):
+    """A reception that leaks 0.1 u gives a leak power near E|0.1 u|^2 = 0.01:
+    the leak comes from model.py's reception, not from the SINR formulas."""
+    inst = make_instance(rng, 2)
+    w = random_weights(rng, 2)
+    reception = oracles.destination_phase2_rx
+    monkeypatch.setattr(oracles, "destination_phase2_rx",
+                        lambda *args: reception(*args) + 0.1 * args[-1].u)
+    measured = empirical_snr(inst, 2.0, 0.5, w, 100_000, seed=2)
+    assert measured.u_leak_power == pytest.approx(0.01, rel=6.0 / math.sqrt(100_000))
+
+
 def test_empirical_requires_enough_symbols(rng):
     inst = make_instance(rng, 1)
     with pytest.raises(ValueError):
@@ -401,20 +413,52 @@ def test_empirical_chunking_invariant(rng):
             assert measured.n_symbols == n_symbols
 
 
+@pytest.mark.parametrize("m, n_symbols", [(0, 150_000), (2, 10_000), (3, 393_216)],
+                         ids=["no-relays", "one-partial-slice", "three-whole-chunks"])
+def test_empirical_edge_cases_match_the_plain_algorithm(rng, m, n_symbols):
+    """No relays; fewer symbols than one slice; three whole chunks, two on
+    the calling thread and one on the helper."""
+    inst = make_instance(rng, m)
+    w = random_weights(rng, m)
+    measured = empirical_snr(inst, 2.0, 0.5, w, n_symbols, seed=6)
+    direct, beam, relays, leak = _reference_empirical_snr(inst, 2.0, 0.5, w, n_symbols, 6)
+    assert measured.direct == pytest.approx(direct, rel=1e-13)
+    assert measured.beam == pytest.approx(beam, rel=1e-13)
+    assert measured.relays.shape == (m,)
+    assert measured.relays == pytest.approx(relays, rel=1e-13)
+    assert measured.u_leak_power <= 1e-25 and leak <= 1e-25
+
+
+def test_empirical_result_is_immutable(rng):
+    inst = make_instance(rng, 2)
+    measured = empirical_snr(inst, 2.0, 0.5, random_weights(rng, 2), 10_000, seed=3)
+    assert not measured.relays.flags.writeable
+    for name in ("direct", "beam", "u_leak_power"):
+        assert type(getattr(measured, name)) is float
+    with pytest.raises(ValueError):
+        measured.relays[0] = 0.0
+
+
 def test_empirical_helper_thread_is_joined_on_return_and_on_error(rng, monkeypatch):
+    """A draw that fails on a helper chunk (odd k) or a calling-thread chunk
+    (even k) propagates, and the helper thread is gone afterwards."""
     inst = make_instance(rng, 2)
     w = random_weights(rng, 2)
     before = threading.active_count()
     empirical_snr(inst, 2.0, 0.5, w, 300_000, seed=1)
     assert threading.active_count() == before
 
-    def fail(*args, **kwargs):
-        raise RuntimeError("reception failed")
+    oracle_rng = oracles._oracle_rng
+    for bad in (1, 2):
+        def failing_rng(seed, *key, bad=bad):
+            if key == (0xE, bad):
+                raise RuntimeError(f"draw {bad} failed")
+            return oracle_rng(seed, *key)
 
-    monkeypatch.setattr(oracles, "destination_phase2_rx", fail)
-    with pytest.raises(RuntimeError, match="reception failed"):
-        empirical_snr(inst, 2.0, 0.5, w, 300_000, seed=1)
-    assert threading.active_count() == before
+        monkeypatch.setattr(oracles, "_oracle_rng", failing_rng)
+        with pytest.raises(RuntimeError, match=f"^draw {bad} failed$"):
+            empirical_snr(inst, 2.0, 0.5, w, 300_000, seed=1)
+        assert threading.active_count() == before
 
 
 def test_empirical_concurrent_calls_agree(rng):
