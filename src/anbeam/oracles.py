@@ -9,20 +9,18 @@ and never used in the production solve path.
 
 Oracle randomness lives in its own seed namespace so oracle draws can never
 collide with experiment-harness draws.  Every oracle runs in the calling
-process.  The signal Monte Carlo draws each chunk of symbols in one call,
-in the draw order of the plain per-chunk algorithm, and reduces it in
-fixed-size slices to the Gram matrix of its normals: every estimate is a
-sum of squared linear forms of the symbols, so it is a quadratic form in
-the summed Grams.  The calling thread takes the even chunks and one helper
-thread, scoped to the call, the odd ones.  The Grams are summed in chunk
-order, so the estimates differ from the plain algorithm's only in summation
-order, and thread timing does not change them.
+thread.  The signal Monte Carlo's estimates are sums of squared linear forms
+of n_symbols iid symbol vectors, so they depend on the symbols' 2M+8 real
+normals only through the Gram matrix R = sum r r^T.  That matrix has the
+Wishart(n_symbols, I) law, and it is drawn directly through its Bartlett
+factor (chi-square diagonal, standard normals below it): the estimates have
+the distribution of propagating n_symbols drawn symbols, at O(M^2) cost
+instead of O(n_symbols * M).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -38,9 +36,6 @@ from .types import (IndividualBudget, NetworkInstance, SignalRealization, System
 
 # Seed-sequence entropy tag for all oracle RNG streams.
 ORACLE_NAMESPACE = 0xC0FFEE
-
-_SYMBOL_CHUNK = 1 << 17  # symbols drawn per oracle stream
-_SYMBOL_SLICE = 1 << 14  # symbols added to a chunk's Gram at once
 
 
 def _oracle_rng(seed: int, *key: int) -> np.random.Generator:
@@ -327,7 +322,7 @@ def oracle_individual_grid(instance: NetworkInstance, params: SystemParams,
 
 @dataclass(frozen=True)
 class EmpiricalSnr:
-    """Sample-average SINRs from propagating random symbols through both
+    """Sample-average SINRs of n_symbols random symbols sent through both
     phases; u_leak_power is the measured artificial-noise power reaching the
     destination in phase 2 (should sit at the numerical floor)."""
 
@@ -343,37 +338,48 @@ class EmpiricalSnr:
         _set(self, "relays", _frozen_array(self.relays, float))
 
 
+def _normal_gram(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """The real Gram matrix sum r r^T of n iid N(0, I_d) vectors r, drawn from
+    its Wishart(n, I_d) law: A A^T for the lower-triangular Bartlett factor A
+    with sqrt(chi-square(n - i)) at (i, i) and standard normals below the
+    diagonal (Bartlett 1933; Anderson, An Introduction to Multivariate
+    Statistical Analysis, ch. 7).  Needs n >= d."""
+    a = np.zeros((d, d))
+    a[np.diag_indices(d)] = np.sqrt(rng.chisquare(n - np.arange(d)))
+    a[np.tril_indices(d, -1)] = rng.standard_normal(d * (d - 1) // 2)
+    return a @ a.T
+
+
 def empirical_snr(instance: NetworkInstance, p1: float, alpha: float,
                   w: np.ndarray, n_symbols: int, seed: int = 0) -> EmpiricalSnr:
     """Monte Carlo estimate of the direct, beam and per-relay SINRs.
 
     Each symbol draws x, u ~ CN(0,1) and receiver noises ~ CN(0, sigma2):
     relay noises, the destination's phase-1 noise and its phase-2 noise.
-    Chunk k of _SYMBOL_CHUNK symbols takes all its normals from the
-    (seed, 0xE, k) stream in one standard_normal call, in the draw order x
-    re, x im, u re, u im, relay re (n x M), relay im, phase-1 noise re, im,
-    phase-2 noise re, im; the values are those of ten successive normal
-    calls of these shapes.
-
-    Every estimate is a sum over symbols of |c . v|^2 for a fixed
-    coefficient row c over v = (x, u, z_1..z_M, z_d1, z_d2), and v is linear
-    in the symbol's 2M+8 normals r.  So each chunk is reduced to the real
-    Gram matrix R = sum r r^T of its normals, built slice by slice
-    (_SYMBOL_SLICE symbols copied into one reused array in the draw order),
-    and every estimate is the quadratic form of its coefficient row, mapped
-    onto the normals, with the chunk Grams' sum.  The phase-2 reception's
-    row is read off one model.destination_phase2_rx call on the M+4 basis
-    symbols; the leak row is that row minus the beam and noise rows.  The
-    calling thread reduces the even chunks and one helper thread, joined on
-    return or error, the odd ones, each with its own buffers; the Grams are
-    summed in chunk order, so the result does not depend on thread timing.
+    Every estimate is a sum over the n_symbols symbols of |c . v|^2 for a
+    fixed coefficient row c over v = (x, u, z_1..z_M, z_d1, z_d2), and v is
+    a scaled (re + 1j im) of the symbol's 2M+8 iid standard normals r, laid
+    out as the real parts of v's entries, then their imaginary parts.  So
+    every estimate is the quadratic form of its row, mapped onto the
+    normals, with the real Gram matrix R = sum r r^T.  For iid N(0, I)
+    vectors R is exactly Wishart(n_symbols, I), so R is drawn from that law
+    (_normal_gram, from the (seed, 0xE) oracle stream) instead of from
+    n_symbols propagated symbols: the estimates have the same distribution,
+    and n_symbols must be at least 2M+8.  The phase-2 reception's row is
+    read off one model.destination_phase2_rx call on the M+4 basis
+    symbols; the leak row is that row minus the beam and noise rows.
     Estimates are ratios of sample-mean powers; their relative error is
     ~ sqrt(2 / n_symbols).
     """
     if n_symbols < 10_000:
         raise ValueError("n_symbols must be >= 10^4 for meaningful estimates")
-    w = check_signal_inputs(instance, p1, alpha, w)
     m = instance.m
+    per_symbol = 2 * m + 8
+    if n_symbols < per_symbol:
+        raise ValueError(f"n_symbols must be >= 2M+8 = {per_symbol} for M = {m} relays "
+                         f"(the Wishart draw needs as many degrees of freedom), "
+                         f"got {n_symbols}")
+    w = check_signal_inputs(instance, p1, alpha, w)
     amp_x = math.sqrt(alpha * p1)
     amp_u = math.sqrt((1.0 - alpha) * p1)
 
@@ -391,47 +397,13 @@ def empirical_snr(instance: NetworkInstance, p1: float, alpha: float,
     rows[2 * m + 2, 0] = amp_x * np.dot(combined_gains(instance), w)
     rows[2 * m + 3, 2:] = np.r_[w[1:] * instance.h_rd, 0.0, 1.0]
     rows[2 * m + 4] = y2 - rows[2 * m + 2] - rows[2 * m + 3]
-    # each v entry is scale * (re + 1j im) of two normals at these draw positions
-    per_symbol = 2 * m + 8
-    re = np.r_[0, 2, 4:m + 4, 2 * m + 4, 2 * m + 6]
-    im = re + np.r_[1, 1, np.full(m, m), 1, 1]
+    # each v entry is scale * (re + 1j im) of two normals: v's real parts,
+    # then its imaginary parts
     noise_sd = math.sqrt(instance.sigma2 / 2.0)
-    scale = np.r_[math.sqrt(0.5), math.sqrt(0.5), np.full(m + 2, noise_sd)]
-    coeffs = np.zeros((len(rows), per_symbol), dtype=complex)
-    coeffs[:, re] = rows * scale
-    coeffs[:, im] = 1j * rows * scale
+    scaled = rows * np.r_[math.sqrt(0.5), math.sqrt(0.5), np.full(m + 2, noise_sd)]
+    coeffs = np.hstack([scaled, 1j * scaled])
 
-    n_chunks = -(-n_symbols // _SYMBOL_CHUNK)
-    grams = [None] * n_chunks
-    # each thread's draw buffer and slice array, allocated here: arrays the
-    # helper allocates come from its own malloc arena and raise peak RSS
-    buffers = [(np.empty(per_symbol * min(_SYMBOL_CHUNK, n_symbols)),
-                np.empty((per_symbol, min(_SYMBOL_SLICE, n_symbols)))) for _ in range(2)]
-
-    def reduce_chunks(first):
-        normals_buf, part_buf = buffers[first]
-        relay_rows = part_buf[4:2 * m + 4].reshape(2, m, part_buf.shape[1])
-        for k in range(first, n_chunks, 2):
-            n = min(_SYMBOL_CHUNK, n_symbols - k * _SYMBOL_CHUNK)
-            normals = normals_buf[:per_symbol * n]
-            _oracle_rng(seed, 0xE, k).standard_normal(out=normals)
-            head = normals[:4 * n].reshape(4, n)
-            relay = normals[4 * n:(2 * m + 4) * n].reshape(2, n, m)
-            tail = normals[(2 * m + 4) * n:].reshape(4, n)
-            grams[k] = np.zeros((per_symbol, per_symbol))
-            for lo in range(0, n, _SYMBOL_SLICE):
-                s = min(_SYMBOL_SLICE, n - lo)
-                part_buf[:4, :s] = head[:, lo:lo + s]
-                relay_rows[:, :, :s] = relay[:, lo:lo + s].transpose(0, 2, 1)
-                part_buf[2 * m + 4:, :s] = tail[:, lo:lo + s]
-                part = part_buf[:, :s]
-                grams[k] += part @ part.T
-
-    with ThreadPoolExecutor(1) as helper:
-        odd = helper.submit(reduce_chunks, 1)
-        reduce_chunks(0)
-        odd.result()
-    gram = sum(grams)
+    gram = _normal_gram(_oracle_rng(seed, 0xE), per_symbol, n_symbols)
     sums = np.einsum("ki,ij,kj->k", coeffs, gram, coeffs.conj()).real
     direct_sig, direct_int, beam_sig, beam_noise, leak = sums[2 * m:]
     return EmpiricalSnr(

@@ -296,17 +296,48 @@ def test_empirical_requires_enough_symbols(rng):
 
 
 def test_empirical_estimates_pinned():
-    """relays, direct and beam of one fixed instance and seed, over three
-    chunks, to 1e-12: this pins the draw order and the chunking."""
+    """relays, direct and beam of one fixed instance and seed to 1e-12: this
+    pins the Gram matrix draw (its stream and the Bartlett factor's draw
+    order) and the layout of the coefficients over the normals."""
     inst = NetworkInstance(h_sd=0.31 - 0.42j, h_sr=[0.9 + 0.2j, -0.5 + 0.7j, 0.1 - 1.1j],
                            h_rd=[0.4 - 0.3j, 1.2 + 0.1j, -0.6 + 0.5j], sigma2=0.8)
     w = np.array([0.7 - 0.2j, -0.3 + 0.9j, 0.5 + 0.4j, -1.1 - 0.6j])
     measured = empirical_snr(inst, 2.5, 0.35, w, 300_000, seed=7)
-    assert measured.direct == pytest.approx(0.19218020985989828, rel=1e-12)
-    assert measured.beam == pytest.approx(0.4342950162200061, rel=1e-12)
+    assert measured.direct == pytest.approx(0.19180862904936827, rel=1e-12)
+    assert measured.beam == pytest.approx(0.4325520426565552, rel=1e-12)
     assert measured.relays == pytest.approx(
-        [0.340248955781482, 0.32354486650280473, 0.3834609878943306], rel=1e-12)
+        [0.3416994207544814, 0.322897840516724, 0.3840284582734107], rel=1e-12)
     assert measured.u_leak_power <= 1e-25
+
+
+def test_empirical_estimates_have_the_law_of_the_symbol_estimator(rng):
+    """Over 1,600 seeds at M = 3 and 10^4 symbols, each relay's and the
+    direct estimate's relative error has a std within 10% of sqrt(2/n) and a
+    mean within 4 standard errors of 0: the law of the ratio of sample-mean
+    powers over n propagated symbols, which a Gram matrix drawn from its
+    Wishart law must keep."""
+    inst = make_instance(rng, 3)
+    p1, a = 2.0, 0.5
+    w = random_weights(rng, 3)
+    n, seeds = 10_000, 1_600
+    analytic = np.r_[relay_snrs(inst, p1, a), direct_sinr(inst, p1, a)]
+    estimates = [empirical_snr(inst, p1, a, w, n, seed=seed) for seed in range(seeds)]
+    errors = np.array([np.r_[e.relays, e.direct] for e in estimates]) / analytic - 1.0
+    std = errors.std(axis=0, ddof=1)
+    assert np.all(np.abs(std / math.sqrt(2.0 / n) - 1.0) <= 0.1)
+    assert np.all(np.abs(errors.mean(axis=0)) <= 4.0 * std / math.sqrt(seeds))
+
+
+def test_empirical_names_the_degrees_of_freedom_limit(rng):
+    """The Bartlett factor needs n_symbols >= 2M+8 degrees of freedom; below
+    that a ValueError names n_symbols and the bound (checked before the
+    (M+4)^2 basis is built), and at the bound the draw works."""
+    inst = make_instance(rng, 5_000)
+    with pytest.raises(ValueError, match=r"^n_symbols must be >= 2M\+8 = 10008 for M = 5000 "
+                                         r"relays .*, got 10000$"):
+        empirical_snr(inst, 2.0, 0.5, random_weights(rng, 5_000), 10_000)
+    gram = oracles._normal_gram(np.random.default_rng(0), 14, 14)
+    assert np.all(np.isfinite(gram)) and np.allclose(gram, gram.T)
 
 
 _SIGNAL_CHECKS = {
@@ -394,32 +425,39 @@ def _reference_empirical_snr(inst, p1, alpha, w, n_symbols, seed):
             leak / n_symbols)
 
 
-def test_empirical_chunking_invariant(rng):
-    """The one-draw-per-chunk, sliced and prefetched estimates equal the
-    plain algorithm's up to summation order, with a short last chunk and
-    with whole chunks: the draw order, the split of each chunk's normals and
-    the chunk a draw lands in are all pinned."""
-    for m in (1, 4):
-        inst = make_instance(rng, m)
-        w = random_weights(rng, m)
-        for n_symbols in (300_000, 262_144):
-            measured = empirical_snr(inst, 2.0, 0.5, w, n_symbols, seed=8)
-            direct, beam, relays, leak = _reference_empirical_snr(inst, 2.0, 0.5, w,
-                                                                  n_symbols, 8)
-            assert measured.direct == pytest.approx(direct, rel=1e-13)
-            assert measured.beam == pytest.approx(beam, rel=1e-13)
-            assert measured.relays == pytest.approx(relays, rel=1e-13)
-            assert measured.u_leak_power <= 1e-25 and leak <= 1e-25
-            assert measured.n_symbols == n_symbols
+def _reference_gram(m, n_symbols, seed):
+    """The real Gram matrix of the normals _reference_empirical_snr draws, in
+    empirical_snr's layout: the real parts of (x, u, z_1..z_M, z_d1, z_d2),
+    then their imaginary parts."""
+    gram = np.zeros((2 * m + 8, 2 * m + 8))
+    for k, done in enumerate(range(0, n_symbols, 1 << 17)):
+        n = min(1 << 17, n_symbols - done)
+        stream = np.random.default_rng(
+            np.random.SeedSequence(ORACLE_NAMESPACE, spawn_key=(seed, 0xE, k)))
+        x_re, x_im, u_re, u_im = (stream.normal(size=n) for _ in range(4))
+        z_re, z_im = stream.normal(size=(n, m)), stream.normal(size=(n, m))
+        d1_re, d1_im, d2_re, d2_im = (stream.normal(size=n) for _ in range(4))
+        r = np.column_stack([x_re, u_re, z_re, d1_re, d2_re, x_im, u_im, z_im, d1_im, d2_im])
+        gram += r.T @ r
+    return gram
 
 
-@pytest.mark.parametrize("m, n_symbols", [(0, 150_000), (2, 10_000), (3, 393_216)],
-                         ids=["no-relays", "one-partial-slice", "three-whole-chunks"])
-def test_empirical_edge_cases_match_the_plain_algorithm(rng, m, n_symbols):
-    """No relays; fewer symbols than one slice; three whole chunks, two on
-    the calling thread and one on the helper."""
+@pytest.mark.parametrize("n_symbols", [10_000, 300_000], ids=lambda n: f"n{n}")
+@pytest.mark.parametrize("m", [0, 1, 4], ids=lambda m: f"m{m}")
+def test_empirical_on_the_plain_algorithms_normals_matches_it(rng, monkeypatch, m, n_symbols):
+    """Given the Gram matrix of the normals the plain algorithm draws,
+    empirical_snr's estimates are the plain algorithm's up to summation
+    order: the coefficient rows and their layout over the normals are
+    pinned, and only the Gram matrix's draw differs."""
     inst = make_instance(rng, m)
     w = random_weights(rng, m)
+    gram = _reference_gram(m, n_symbols, 6)
+
+    def injected(draw_rng, d, n):
+        assert (d, n) == (2 * m + 8, n_symbols)
+        return gram
+
+    monkeypatch.setattr(oracles, "_normal_gram", injected)
     measured = empirical_snr(inst, 2.0, 0.5, w, n_symbols, seed=6)
     direct, beam, relays, leak = _reference_empirical_snr(inst, 2.0, 0.5, w, n_symbols, 6)
     assert measured.direct == pytest.approx(direct, rel=1e-13)
@@ -427,6 +465,7 @@ def test_empirical_edge_cases_match_the_plain_algorithm(rng, m, n_symbols):
     assert measured.relays.shape == (m,)
     assert measured.relays == pytest.approx(relays, rel=1e-13)
     assert measured.u_leak_power <= 1e-25 and leak <= 1e-25
+    assert measured.n_symbols == n_symbols
 
 
 def test_empirical_result_is_immutable(rng):
@@ -439,32 +478,30 @@ def test_empirical_result_is_immutable(rng):
         measured.relays[0] = 0.0
 
 
-def test_empirical_helper_thread_is_joined_on_return_and_on_error(rng, monkeypatch):
-    """A draw that fails on a helper chunk (odd k) or a calling-thread chunk
-    (even k) propagates, and the helper thread is gone afterwards."""
+def test_empirical_draw_error_propagates_and_starts_no_thread(rng, monkeypatch):
+    """An error from the oracle stream reaches the caller unchanged, and a
+    call, returning or raising, leaves the thread count as it found it."""
     inst = make_instance(rng, 2)
     w = random_weights(rng, 2)
     before = threading.active_count()
     empirical_snr(inst, 2.0, 0.5, w, 300_000, seed=1)
     assert threading.active_count() == before
 
-    oracle_rng = oracles._oracle_rng
-    for bad in (1, 2):
-        def failing_rng(seed, *key, bad=bad):
-            if key == (0xE, bad):
-                raise RuntimeError(f"draw {bad} failed")
-            return oracle_rng(seed, *key)
+    error = RuntimeError("draw failed")
 
-        monkeypatch.setattr(oracles, "_oracle_rng", failing_rng)
-        with pytest.raises(RuntimeError, match=f"^draw {bad} failed$"):
-            empirical_snr(inst, 2.0, 0.5, w, 300_000, seed=1)
-        assert threading.active_count() == before
+    def failing_rng(seed, *key):
+        raise error
+
+    monkeypatch.setattr(oracles, "_oracle_rng", failing_rng)
+    with pytest.raises(RuntimeError) as raised:
+        empirical_snr(inst, 2.0, 0.5, w, 300_000, seed=1)
+    assert raised.value is error
+    assert threading.active_count() == before
 
 
 def test_empirical_concurrent_calls_agree(rng):
-    """Four calls at once, with a short switch interval, give
-    the estimates of a lone call bit for bit: each call's buffers and helper
-    thread are its own."""
+    """Four calls at once, with a short switch interval, give the estimates
+    of a lone call bit for bit: a call shares no state with another."""
     inst = make_instance(rng, 2)
     w = random_weights(rng, 2)
     alone = empirical_snr(inst, 2.0, 0.5, w, 150_000, seed=5)
