@@ -10,6 +10,8 @@ per-node second-phase power budget, brute-force oracles that verify them, and
 a seeded Monte Carlo sweep harness.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BeamformingError,
     DegenerateAlpha,
@@ -61,7 +63,6 @@ from .oracles import (
     EmpiricalSnr,
     OracleReport,
     empirical_snr,
-    golden_section,
     oracle_individual_grid,
     oracle_total,
     power_iteration_rank1,
@@ -81,4 +82,6 @@ from .types import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# not the submodules: a star import would bind anbeam.types over the stdlib's types
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -27,9 +27,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import OracleEvalError, OracleTooLarge
-from .individual_solver import optimal_phases, solve_individual
-from .model import (capacity_dest, check_signal_inputs, combined_gains, derive_model,
-                    destination_phase2_rx, direct_sinr, noise_amp_diag, resolve_alpha)
+from .individual_solver import solve_individual
+from .model import (check_signal_inputs, combined_gains, derive_model, destination_phase2_rx,
+                    direct_sinr, noise_amp_diag, resolve_alpha)
 from .total_solver import dense_power_matrix, solve_total
 from .types import (IndividualBudget, NetworkInstance, SignalRealization, SystemParams,
                     TotalBudget, _frozen_array, _set)
@@ -244,6 +244,11 @@ def oracle_individual_grid(instance: NetworkInstance, params: SystemParams,
     1e-3 of the search box.  Each axis is pre-clipped at the source-budget
     feasibility bound sqrt(eta1/eta2)/c_i so that generous relay caps do not
     inflate the box.  Guarded to M <= 3.
+
+    The oracle value is 0.5 log2(1 + direct SINR + alpha p1 / sigma2 psi*) for
+    the grid's best psi* of psi(u) = (c1 u1 + c2 . u)^2 / (1 + |u|^2): the
+    capacity with every beam term phase-aligned, which is optimal (README,
+    Limitations).  It uses neither the solver's phases nor capacity_dest.
     """
     m = instance.m
     if m > _GRID_MAX_RELAYS:
@@ -252,8 +257,7 @@ def oracle_individual_grid(instance: NetworkInstance, params: SystemParams,
         raise TypeError("oracle_individual_grid requires an IndividualBudget")
     a = resolve_alpha(instance, params.p1, params.gamma, alpha)
     derived = derive_model(instance, params.p1, a, params.budget)
-    c1 = derived.c[0]
-    c2 = derived.c[1:]
+    c1, c2 = derived.c[0], derived.c[1:]
     u_max = derived.u_max
     eta1, eta2 = derived.eta1, derived.eta2
 
@@ -279,7 +283,6 @@ def oracle_individual_grid(instance: NetworkInstance, params: SystemParams,
     target = 1e-3 * max(float(np.max(hi, initial=0.0)), 1e-12)
     n = 41 if m >= 3 else 61
     evals = 0
-    best_u = np.zeros(m)
     for _ in range(12):
         axes = [np.linspace(lo[i], hi[i], n) if hi[i] > lo[i] else np.array([lo[i]])
                 for i in range(m)]
@@ -287,7 +290,8 @@ def oracle_individual_grid(instance: NetworkInstance, params: SystemParams,
         u_batch = np.stack([g.ravel() for g in mesh], axis=1) if m else np.zeros((1, 0))
         values = batch_value(u_batch)
         evals += len(values)
-        best_u = u_batch[int(np.argmax(values))]
+        best = int(np.argmax(values))
+        best_u, best_psi = u_batch[best], float(values[best])
         span = np.array([(hi[i] - lo[i]) / (len(axes[i]) - 1) if len(axes[i]) > 1 else 0.0
                          for i in range(m)])
         if float(np.max(span, initial=0.0)) <= target:
@@ -295,17 +299,8 @@ def oracle_individual_grid(instance: NetworkInstance, params: SystemParams,
         lo = np.clip(best_u - 1.5 * span, 0.0, u_max)
         hi = np.clip(best_u + 1.5 * span, 0.0, u_max)
         n = 21
-
-    # score the winning grid point through the same capacity formula as the solver
-    phases = optimal_phases(instance)
-    w = np.zeros(m + 1, dtype=complex)
-    total = float(best_u @ c2)
-    u1 = math.sqrt(max(eta1 - eta2 * total ** 2, 0.0))
-    w[0] = u1 * np.exp(1j * phases[0])
-    gains_rd = np.abs(instance.h_rd)
-    nz = gains_rd > 0
-    w[1:][nz] = best_u[nz] / gains_rd[nz] * np.exp(1j * phases[1:][nz])
-    oracle_cd = capacity_dest(instance, params.p1, a, w)
+    oracle_cd = 0.5 * math.log2(1.0 + direct_sinr(instance, params.p1, a)
+                                + a * params.p1 / instance.sigma2 * best_psi)
 
     return OracleReport(
         analytic_value=solution.c_d,

@@ -242,7 +242,7 @@ class SignalRealization:
     """Draws of the random signals: message x, artificial noise u and the M+1
     receiver noises z (relays first, destination last), for one symbol (scalar
     x and u) or n symbols (x and u of shape (n,), z of shape (n, M+1)).  Arrays
-    are kept as read-only views, not copied, since n may be in the millions."""
+    are copied and frozen; scalars are kept as complex."""
 
     x: Union[complex, np.ndarray]
     u: Union[complex, np.ndarray]
@@ -250,8 +250,7 @@ class SignalRealization:
 
     def __post_init__(self):
         for name in ("x", "u", "z"):
-            value = np.asarray(getattr(self, name), dtype=complex).view()
-            value.setflags(write=False)
+            value = _frozen_array(getattr(self, name), complex)
             _set(self, name, value if value.ndim else complex(value))
 
 

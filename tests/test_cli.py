@@ -185,11 +185,12 @@ def test_validate_suites_pass(suite, capsys):
 
 def test_validate_total_ignores_workers_and_starts_no_pool(monkeypatch, capsys):
     """validate runs in one process: --workers 2 prints the bytes of
-    --workers 1, and nothing in the oracles may start a process pool."""
+    --workers 1, and nothing it calls may start a process pool."""
     def no_pool(*args, **kwargs):
         raise AssertionError("validate started a process pool")
 
-    monkeypatch.setattr("anbeam.oracles.ProcessPoolExecutor", no_pool, raising=False)
+    monkeypatch.setattr("anbeam.experiments.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     outputs = []
     for workers in ("1", "2"):
         assert main(["validate", "--suite", "total", "--count", "3",

@@ -432,6 +432,19 @@ def test_phase2_reception_over_symbol_arrays_matches_per_symbol_calls(rng):
             assert abs(rx[k] - expected) <= 1e-13 * abs(expected)
 
 
+def test_signal_realization_keeps_its_own_copy_of_the_symbols(rng):
+    """Writing to the caller's arrays after construction leaves the
+    realization as it was built."""
+    x = rng.normal(size=8) + 1j * rng.normal(size=8)
+    u = rng.normal(size=8) + 1j * rng.normal(size=8)
+    z = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    realization = SignalRealization(x=x, u=u, z=z)
+    built = [realization.x.copy(), realization.u.copy(), realization.z.copy()]
+    x[0] = u[0] = z[0, 0] = 5.0
+    for kept, before in zip((realization.x, realization.u, realization.z), built):
+        assert np.array_equal(kept, before) and not kept.flags.writeable
+
+
 @pytest.mark.parametrize("m", [0, 1, 4])
 def test_phase2_reception_is_the_linear_form_of_its_basis_responses(rng, m):
     """The phase-2 reception is linear in (x, u, z): the row of its responses

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anbeam import oracles
+from anbeam import individual_solver, model, oracles
 from anbeam.errors import OracleEvalError, OracleTooLarge
 from anbeam.individual_solver import solve_individual
 from anbeam.model import (
@@ -228,6 +228,51 @@ def test_grid_gap_small_across_random_instances(rng):
         params = SystemParams(p1, None, IndividualBudget(5.0, np.full(m, 0.1)))
         report = oracle_individual_grid(inst, params, alpha=float(rng.uniform(0.2, 0.9)))
         assert report.gap >= -1e-4
+
+
+def _patch_every_binding(monkeypatch, name, faulty):
+    """Replace the function `name` in every anbeam module that binds it, as a
+    fault in the function itself would show."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "anbeam" and hasattr(module, name):
+            monkeypatch.setattr(module, name, faulty)
+
+
+def _shift_relay_phases(monkeypatch):
+    aligned = individual_solver.optimal_phases
+
+    def shifted(instance):
+        phases = aligned(instance)
+        phases[..., 1:] += 0.5
+        return phases
+
+    _patch_every_binding(monkeypatch, "optimal_phases", shifted)
+
+
+def _under_report_capacity(monkeypatch):
+    exact = model.capacity_dest
+    _patch_every_binding(monkeypatch, "capacity_dest", lambda *args: exact(*args) - 0.1)
+
+
+@pytest.mark.parametrize("fault", [None, _shift_relay_phases, _under_report_capacity],
+                         ids=["no-fault", "relay-phases-off", "capacity-under-reported"])
+@pytest.mark.parametrize("m, cap, clamped", [
+    (1, 0.1, (0,)), (1, 10.0, ()), (2, 0.1, (0, 1)), (2, 10.0, ()), (3, 0.1, (0, 1, 2)),
+])
+def test_grid_scores_its_own_optimum_so_a_solver_fault_shows(fault, m, cap, clamped,
+                                                            monkeypatch):
+    """The grid scores psi* directly, not weights rebuilt with the solver's
+    phases and capacity formula: an optimal_phases that is 0.5 rad off on
+    every relay, or a capacity_dest that under-reports by 0.1 bit, gives a
+    clearly negative gap, with caps binding or not."""
+    inst = make_instance(np.random.default_rng(2), m)
+    params = SystemParams(2.0, None, IndividualBudget(5.0, np.full(m, cap)))
+    assert solve_individual(inst, params, alpha=0.6).diagnostics.clamped == clamped
+    if fault is None:
+        assert oracle_individual_grid(inst, params, alpha=0.6).gap >= -1e-12
+    else:
+        fault(monkeypatch)
+        assert oracle_individual_grid(inst, params, alpha=0.6).gap < -1e-3
 
 
 # ---------------------------------------------------------------------------
