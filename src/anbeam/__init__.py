@@ -19,6 +19,7 @@ from .errors import (
     InfeasibleThreshold,
     NoFeasibleRoot,
     NoRelays,
+    NonFiniteSolution,
     OracleEvalError,
     OracleTooLarge,
     SingularObservation,

@@ -31,6 +31,11 @@ class SingularObservation(BeamformingError):
     """Monotonicity threshold is undefined (its denominator vanishes)."""
 
 
+class NonFiniteSolution(BeamformingError):
+    """A solve's weights or C_d left the float range (inputs whose SNRs or
+    powers overflow a float)."""
+
+
 class OracleEvalError(BeamformingError):
     """A verification oracle hit a non-finite objective evaluation."""
 

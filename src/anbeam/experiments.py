@@ -120,7 +120,10 @@ def _integer(value, name: str) -> int:
 def _real(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name}: expected a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: the integer is too large for a float (above 1.8e308)") from None
 
 
 @dataclass(frozen=True)

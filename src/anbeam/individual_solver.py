@@ -42,8 +42,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateAlpha, InfeasibleBudget, NoFeasibleRoot
-from .model import (_dot, _per_relay, capacity_dest, derive_model, resolve_alphas,
-                    second_phase_power)
+from .model import _dot, _per_relay, derive_model, resolve_alphas, solved_values
 from .types import (
     BatchSolution,
     BeamSolution,
@@ -429,8 +428,9 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
 
     Rows fail independently: InfeasibleThreshold (gamma out of reach),
     DegenerateAlpha (alpha outside (0, 1], or so small that the closed form
-    or the quartic overflows) or InfeasibleBudget (the source cannot cancel
-    the noise the clamped relays forward).
+    or the quartic overflows), InfeasibleBudget (the source cannot cancel
+    the noise the clamped relays forward) or NonFiniteSolution (w or C_d
+    leaves the float range).
     """
     budget = params.budget
     if not isinstance(budget, IndividualBudget):
@@ -495,11 +495,12 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
     w = np.concatenate(
         ((np.sqrt(np.maximum(rad, 0.0)) * np.exp(1j * phases[:, 0]))[:, None], relay_w),
         axis=-1)
+    c_d, power = solved_values(batch, p1, a_ok, w, errors)
     return BatchSolution(
         w=w,
         alpha=a,
-        c_d=capacity_dest(batch, p1, a_ok, w),
-        second_phase_power=second_phase_power(batch, p1, a_ok, w),
+        c_d=c_d,
+        second_phase_power=power,
         errors=tuple(errors.errors),
         diagnostics=IndividualBatchDiagnostics(clamped=clamped, t1=t1, t2=t2, tau=tau,
                                                chosen_r=r),

@@ -27,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DegenerateAlpha, NoRelays, InfeasibleThreshold, RowErrors,
-                     SingularObservation)
+from .errors import (DegenerateAlpha, NoRelays, InfeasibleThreshold, NonFiniteSolution,
+                     RowErrors, SingularObservation)
 from .types import (
     Budget,
     DerivedModel,
@@ -202,6 +202,20 @@ def second_phase_power(instance: NetworkInstance, p1: float, alpha,
               + (1.0 - alpha) * p1 * np.abs(_dot(cancellation_gains(instance), relay_w)) ** 2)
     relays = np.sum(relay_input_powers(instance, p1) * np.abs(relay_w) ** 2, axis=-1)
     return source + relays
+
+
+def solved_values(batch: InstanceBatch, p1, alpha, w: np.ndarray,
+                  errors: RowErrors) -> "tuple[np.ndarray, np.ndarray]":
+    """C_d and second-phase power of every row of a solved batch, the tail
+    both solvers share.  A row whose weights or C_d is not finite fails with
+    NonFiniteSolution: its SNRs or powers overflow a float, so the row has
+    no answer to report.  Call under np.errstate(over="ignore")."""
+    c_d = capacity_dest(batch, p1, alpha, w)
+    errors.fail(np.flatnonzero(~np.isfinite(w).all(axis=-1)), lambda i: NonFiniteSolution(
+        "the weights are not finite: the inputs' powers overflow a float"))
+    errors.fail(np.flatnonzero(~np.isfinite(c_d)), lambda i: NonFiniteSolution(
+        f"C_d={float(c_d[i])!r}: the destination SNR overflows a float"))
+    return c_d, second_phase_power(batch, p1, alpha, w)
 
 
 def derive_model(instance: NetworkInstance, p1: float, alpha: float,

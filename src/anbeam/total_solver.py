@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateAlpha
-from .model import _dot, capacity_dest, derive_model, resolve_alphas, second_phase_power
+from .model import _dot, derive_model, resolve_alphas, second_phase_power, solved_values
 from .types import (
     BatchSolution,
     BeamSolution,
@@ -76,8 +76,9 @@ def solve_total_batch(batch: InstanceBatch, params: SystemParams,
     As h_r = h_sd g, y = conj(h_sd) z and the update is y/(1 + k g^T z)
     exactly; this form skips a subtraction that cancels when |h_sd| is small.
 
-    Rows fail independently: InfeasibleThreshold (gamma out of reach) or
-    DegenerateAlpha (alpha = 0, or so small that v overflows).
+    Rows fail independently: InfeasibleThreshold (gamma out of reach),
+    DegenerateAlpha (alpha = 0, or so small that v overflows) or
+    NonFiniteSolution (w or C_d leaves the float range).
     """
     budget = params.budget
     if not isinstance(budget, TotalBudget):
@@ -103,11 +104,12 @@ def solve_total_batch(batch: InstanceBatch, params: SystemParams,
     b = _dot(h, w)
     gain = np.abs(b)
     w = w * np.where(gain > 0, np.conj(b) / gain, 1.0)[:, None]
+    c_d, power = solved_values(batch, p1, a, w, errors)
     return BatchSolution(
         w=w,
         alpha=a,
-        c_d=capacity_dest(batch, p1, a, w),
-        second_phase_power=second_phase_power(batch, p1, a, w),
+        c_d=c_d,
+        second_phase_power=power,
         errors=tuple(errors.errors),
         diagnostics=TotalBatchDiagnostics(
             v=v, mu=mu, rayleigh_value=np.real(_dot(h, v))),

@@ -14,7 +14,7 @@ from anbeam import cli
 from anbeam.cli import main
 from anbeam.experiments import CSV_HEADER, relay_count_sweep_spec, spec_to_dict
 from anbeam.serialization import dump_scenario
-from anbeam.types import IndividualBudget, SystemParams, TotalBudget
+from anbeam.types import IndividualBudget, NetworkInstance, SystemParams, TotalBudget
 from conftest import make_instance
 
 
@@ -93,6 +93,29 @@ def test_solve_malformed_scenario_exits_2_naming_the_field(total_scenario, tmp_p
     assert "params.p1" in err and "Traceback" not in err
 
 
+def test_solve_overflowing_answer_exits_2_naming_it(tmp_path, capsys):
+    """A direct SNR of about 1e310 sends C_d to inf: solve names that and
+    prints no JSON with a non-finite number in it."""
+    inst = NetworkInstance(h_sd=1e5, h_sr=[1.0, 0.5], h_rd=[1.0, 2.0], sigma2=1e-300)
+    path = tmp_path / "huge.json"
+    dump_scenario(inst, SystemParams(2.0, 1e-3, TotalBudget(4.0)), path)
+    assert main(["solve", "--input", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: C_d=inf: the destination SNR overflows a float\n"
+
+
+def test_solve_integer_too_large_for_a_float_exits_2_naming_it(total_scenario, tmp_path,
+                                                              capsys):
+    doc = json.loads(total_scenario.read_text())
+    doc["params"]["p1"] = 10 ** 400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: params.p1: the integer is too large for a float (above 1.8e308)\n"
+
+
 def test_solve_p_i_of_wrong_length_exits_2_naming_it(tmp_path, rng, capsys):
     inst = make_instance(rng, 2)
     path = tmp_path / "ind.json"
@@ -145,8 +168,9 @@ def test_sweep_bad_spec_is_clean_error(tmp_path, capsys):
     ({"seed": -1}, "seed"),
     ({"relays": 4}, "relays"),
     ({"m_values": 4}, "m_values"),
+    ({"p_s": 10 ** 400}, "p_s: the integer is too large for a float"),
 ], ids=["fractional-m", "empty-p1", "fractional-count", "negative-seed", "unknown-key",
-        "scalar-m"])
+        "scalar-m", "integer-too-large-for-a-float"])
 def test_sweep_bad_field_exits_2_naming_it(override, field, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     doc = {**spec_to_dict(relay_count_sweep_spec(seed=1, n_instances=1)), **override}
@@ -154,7 +178,7 @@ def test_sweep_bad_field_exits_2_naming_it(override, field, tmp_path, capsys):
     assert main(["sweep", "--spec", str(spec_path), "--out",
                  str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
-    assert field in err and "Traceback" not in err
+    assert err.count("\n") == 1 and field in err and "Traceback" not in err
 
 
 def test_sweep_zero_workers_exits_2_with_one_line(tmp_path, capsys):
@@ -170,7 +194,7 @@ def test_sweep_zero_workers_exits_2_with_one_line(tmp_path, capsys):
 # sha256 of the stdout of `validate --suite signals --seed 3 --count 3` with
 # numpy 2.4.6, the version CI pins: a change to the Monte Carlo oracle's draws
 # or arithmetic that moves a printed digit shows here.
-SIGNALS_SEED3_SHA256 = "444d66c8390a574fb60bfaaaaa60d5359c373a8af6848eb95d78f3bd6646b800"
+SIGNALS_SEED3_SHA256 = "65c49090b21fec91b0dccca9bff3a7f10c345ac918fd22b39b0a5eb02fe89dc2"
 
 
 @pytest.mark.parametrize("suite", ["total", "individual", "signals"])
@@ -181,6 +205,15 @@ def test_validate_suites_pass(suite, capsys):
     assert "[FAIL]" not in out
     if suite == "signals":
         assert hashlib.sha256(out.encode()).hexdigest() == SIGNALS_SEED3_SHA256
+
+
+def test_validate_signals_passes_on_seeds_0_to_199(capsys):
+    """The relay-snr limit is 7 sigma, so a correct solver passes every seed
+    (a false alarm has probability 2.6e-12 per comparison)."""
+    failing = [seed for seed in range(200)
+               if main(["validate", "--suite", "signals", "--seed", str(seed)]) != 0]
+    assert failing == []
+    assert "[FAIL]" not in capsys.readouterr().out
 
 
 def test_validate_total_ignores_workers_and_starts_no_pool(monkeypatch, capsys):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from anbeam import experiments
-from anbeam.errors import BeamformingError, InfeasibleBudget, InfeasibleThreshold
+from anbeam.errors import (BeamformingError, InfeasibleBudget, InfeasibleThreshold,
+                           NonFiniteSolution)
 from anbeam.experiments import (
     CSV_HEADER,
     ChannelVariances,
@@ -612,6 +613,37 @@ def test_per_row_values_are_checked(mode, p1, alpha, message):
     budget = _params(_tiny_spec(m_values=(4,)), 4, 1.0)[mode].budget
     with pytest.raises(ValueError, match=message):
         SOLVERS[mode](_draws(4, 6), SystemParams(p1, 0.3, budget), alpha=alpha)
+
+
+# (in-range gains, the change that overflows the answer, the error it raises)
+OVERFLOWING = {
+    # a direct SNR of about 1e310 sends C_d to inf; at h_sd = 1 it is about 1e300
+    "c_d": (dict(h_sd=1.0, h_sr=[1.0, 0.5], h_rd=[1.0, 2.0], sigma2=1e-300),
+            {"h_sd": 1e5}, "C_d=inf: the destination SNR overflows a float"),
+    # relay 1's input power |h_sr|^2 p1 overflows, and inf * 0 makes the weights nan
+    "w": (dict(h_sd=1.0, h_sr=[1.0, 1.0], h_rd=[1.0, 1e-200], sigma2=1.0),
+          {"h_sr": [1.0, 1e160]},
+          "the weights are not finite: the inputs' powers overflow a float"),
+}
+BUDGETS = {"total": TotalBudget(4.0), "individual": IndividualBudget(2.0, np.full(2, 1.0))}
+
+
+@pytest.mark.parametrize("mode, cause", [("total", "c_d"), ("individual", "c_d"),
+                                         ("total", "w")])
+def test_row_whose_answer_is_not_finite_fails_by_name(mode, cause):
+    """A row whose C_d or weights leave the float range fails with
+    NonFiniteSolution, so sweeps redraw it; its in-range twin, solved in the
+    same batch, keeps the finite answer it gets alone."""
+    gains, change, message = OVERFLOWING[cause]
+    twin = NetworkInstance(**gains)
+    params = SystemParams(2.0, None, BUDGETS[mode])
+    overflowing = NetworkInstance(**{**gains, **change})
+    solved = SOLVERS[mode](InstanceBatch.stack([overflowing, twin]), params, alpha=0.5)
+    assert isinstance(solved.errors[0], NonFiniteSolution)
+    assert str(solved.errors[0]) == message
+    alone = SOLVERS[mode](InstanceBatch.stack([twin]), params, alpha=0.5)
+    assert solved.errors[1] is None and np.isfinite(solved.c_d[1])
+    assert solved.c_d[1] == alone.c_d[0] and np.array_equal(solved.w[1], alone.w[0])
 
 
 SINGLE_INSTANCE_USES = {
