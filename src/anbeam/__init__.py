@@ -17,7 +17,6 @@ from .errors import (
     DegenerateAlpha,
     InfeasibleBudget,
     InfeasibleThreshold,
-    NoFeasibleRoot,
     NoRelays,
     NonFiniteSolution,
     OracleEvalError,

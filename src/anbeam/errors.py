@@ -16,15 +16,11 @@ class InfeasibleThreshold(BeamformingError):
 
 
 class DegenerateAlpha(BeamformingError):
-    """Power split alpha=0 makes the scaled power matrix singular."""
+    """Power split alpha outside (0, 1] (at 0 the power matrix is singular)."""
 
 
 class InfeasibleBudget(BeamformingError):
     """Source budget cannot cancel the noise forwarded at the forced relay amplitudes."""
-
-
-class NoFeasibleRoot(BeamformingError):
-    """No admissible candidate for the reduced one-dimensional magnitude problem."""
 
 
 class SingularObservation(BeamformingError):
@@ -32,8 +28,8 @@ class SingularObservation(BeamformingError):
 
 
 class NonFiniteSolution(BeamformingError):
-    """A solve's weights or C_d left the float range (inputs whose SNRs or
-    powers overflow a float)."""
+    """A quantity of the solve overflowed a float, through the gains, the
+    budgets or a vanishing alpha: the weights, C_d, r* or the quartic."""
 
 
 class OracleEvalError(BeamformingError):

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -40,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .individual_solver import solve_individual_batch
+from .serialization import _integer, _list_of, _real, _reject_unknown
 from .total_solver import solve_total_batch
 from .types import (IndividualBudget, InstanceBatch, NetworkInstance, SystemParams,
                     TotalBudget)
@@ -54,11 +54,11 @@ BUDGET_MODES = ("total", "individual")
 
 
 def resolve_workers(explicit: Optional[int] = None) -> int:
-    """Worker count: the explicit argument, else 1; a count below 1 is a
-    ValueError."""
+    """Worker count: the explicit argument, else 1; a count that is not an
+    integer, or is below 1, is a ValueError."""
     if explicit is None:
         return 1
-    workers = int(explicit)
+    workers = _integer(explicit, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
@@ -99,33 +99,6 @@ def sample_instance(m: int, variances: ChannelVariances,
                            sigma2=sigma2)
 
 
-def _values(values, name: str, convert) -> tuple:
-    """A spec's list field as a nonempty tuple of convert(value, name)."""
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise ValueError(f"{name} must be a list, got {values!r}") from None
-    if not values:
-        raise ValueError(f"{name} must not be empty")
-    return tuple(convert(x, name) for x in values)
-
-
-def _integer(value, name: str) -> int:
-    """value as an int; a bool or a non-integral number is rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name}: expected a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name}: the integer is too large for a float (above 1.8e308)") from None
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Full description of a sweep; everything needed to reproduce it.
@@ -151,11 +124,12 @@ class ExperimentSpec:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "m_values", _values(self.m_values, "m_values", _integer))
-        object.__setattr__(self, "p1_values", _values(self.p1_values, "p1_values", _real))
-        if self.alpha_values is not None:
-            object.__setattr__(self, "alpha_values",
-                               _values(self.alpha_values, "alpha_values", _real))
+        for name, convert in dict(m_values=_integer, p1_values=_real, alpha_values=_real).items():
+            if name != "alpha_values" or self.alpha_values is not None:
+                values = tuple(_list_of(convert)(getattr(self, name), name))
+                if not values:
+                    raise ValueError(f"{name} must not be empty")
+                object.__setattr__(self, name, values)
         for name in ("n_instances", "seed"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         for name in ("p_s", "p_i", "variance_sr", "variance_rd", "variance_sd", "sigma2"):
@@ -256,7 +230,8 @@ def solve_grid_points(spec: ExperimentSpec, m: int,
     parts of at most BATCH_ELEMENTS rows x relays and BATCH_ROWS rows.  A row
     whose solve fails in any mode is redrawn (next attempt of its slot at its
     own grid point) for all modes together in the next round; the first
-    mode's error is the one logged.
+    mode's error is the one logged, and is raised once a slot has failed its
+    draw and 100 resamples.
     """
     n = spec.n_instances
     p1_rows = np.repeat([p1 for p1, _ in points], n)
@@ -311,8 +286,8 @@ def solve_grid_points(spec: ExperimentSpec, m: int,
             log.warning("slot %d at (m=%d, p1=%g, %s) resampled (attempt %d): %s",
                         slot, m, p1, alpha_label(spec, alpha), attempts[row], err)
             if attempts[row] > 100:
-                raise RuntimeError(
-                    f"slot {slot} failed 100 consecutive resamples") from err
+                raise type(err)(f"slot {slot} at (m={m}, p1={p1:g}, {alpha_label(spec, alpha)})"
+                                f" failed 100 consecutive resamples, the last: {err}") from err
         pending = np.array([row for row, _ in failed], dtype=int)
     return [GridPointResult(c_d={mode: values[mode][j * n:(j + 1) * n] for mode in spec.modes},
                             resamples=int(resamples[j]))
@@ -425,9 +400,7 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
     if not isinstance(doc, dict):
         raise ValueError("a sweep spec must be a JSON object")
     known = {f.name: f.default is MISSING for f in fields(ExperimentSpec)}
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise ValueError(f"unknown spec field(s): {', '.join(map(str, unknown))}")
+    _reject_unknown(doc, known)
     missing = [name for name, required in known.items() if required and name not in doc]
     if missing:
         raise ValueError(f"spec lacks required field(s): {', '.join(missing)}")

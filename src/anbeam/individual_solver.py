@@ -41,7 +41,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateAlpha, InfeasibleBudget, NoFeasibleRoot
+from .errors import DegenerateAlpha, InfeasibleBudget, NonFiniteSolution
 from .model import _dot, _per_relay, derive_model, resolve_alphas, solved_values
 from .types import (
     BatchSolution,
@@ -103,8 +103,8 @@ def _active_norm(c2: np.ndarray, active: Optional[np.ndarray] = None):
 def _source_only_r(tau, eta1, eta2, c1):
     """(r*, finite) of the unclamped problem:
     r* = sqrt(tau^2 eta1 / (eta2 tau^4 + (eta1 + tau^2 eta2)^2 c1^2)).
-    Every term overflows as alpha -> 0, and an infinite denominator gives
-    r* = 0 rather than an error, so `finite` covers the intermediates too."""
+    Every term can overflow (huge gains or budgets, or alpha -> 0), and an
+    infinite denominator gives r* = 0, so `finite` covers the intermediates."""
     tau, c1 = np.asarray(tau, dtype=float), np.asarray(c1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         num = tau ** 2 * eta1
@@ -212,9 +212,14 @@ def _best(r: np.ndarray, value: np.ndarray, valid: np.ndarray):
     return np.argmin(np.where(tied, r, np.inf), axis=1), valid.any(axis=1)
 
 
-def _no_root_message(rad0) -> str:
-    return ("no admissible r: even r=0 violates the source-power radicand "
-            f"(eta1 - eta2 t1^2 = {float(rad0)!r})")
+def _infeasible_budget(rad) -> InfeasibleBudget:
+    """Error of a magnitude problem with no admissible r, naming its radicand."""
+    return InfeasibleBudget("the source power cannot cancel the noise the relays "
+                            f"forward (source-power radicand {float(rad)!r})")
+
+
+def _r_star_overflow(eta1) -> NonFiniteSolution:
+    return NonFiniteSolution(f"the closed-form r* overflows a float (eta1={float(eta1)!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +305,7 @@ def solve_source_only(problem: MagnitudeProblem) -> Tuple[float, np.ndarray, flo
         return math.sqrt(problem.eta1), u, 0.0
     r, finite = _source_only_r(tau, problem.eta1, problem.eta2, problem.c1)
     if not finite:
-        raise DegenerateAlpha(f"alpha too small: eta1={problem.eta1!r} overflows r*")
+        raise _r_star_overflow(problem.eta1)
     r = float(r)
     active = list(problem.active)
     u[active] = problem.c[1:][active] / tau * r
@@ -339,7 +344,7 @@ def select_root(coeffs: np.ndarray, problem: MagnitudeProblem,
     r, value, valid = _candidates(coeffs[None, :], *row)
     best, ok = _best(r, value, valid)
     if not ok[0]:
-        raise NoFeasibleRoot(_no_root_message(problem.radicand(0.0)))
+        raise _infeasible_budget(problem.radicand(0.0))
     found = [RootCandidate(float(x), float(v), kind)
              for x, v, kind in zip(r[0], value[0], CANDIDATE_KINDS)]
     return found[best[0]], tuple(c for c, keep in zip(found, valid[0]) if keep)
@@ -427,10 +432,9 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
     recovered as w_i = u_i/|h_id| * exp(j phi_i).
 
     Rows fail independently: InfeasibleThreshold (gamma out of reach),
-    DegenerateAlpha (alpha outside (0, 1], or so small that the closed form
-    or the quartic overflows), InfeasibleBudget (the source cannot cancel
-    the noise the clamped relays forward) or NonFiniteSolution (w or C_d
-    leaves the float range).
+    DegenerateAlpha (alpha outside (0, 1]), InfeasibleBudget (the source
+    cannot cancel the noise the clamped relays forward) or NonFiniteSolution
+    (r*, the quartic, w or C_d leaves the float range).
     """
     budget = params.budget
     if not isinstance(budget, IndividualBudget):
@@ -452,8 +456,7 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
 
     rows = np.flatnonzero(~errors.failed & (tau > 0.0))
     r_rows, finite = _source_only_r(tau[rows], eta1[rows], eta2[rows], c1[rows])
-    errors.fail(rows[~finite], lambda i: DegenerateAlpha(
-        f"alpha too small: eta1={float(eta1[i])!r} overflows r*"))
+    errors.fail(rows[~finite], lambda i: _r_star_overflow(eta1[i]))
     r[rows] = r_rows
     u[rows] = c2[rows] / tau[rows, None] * r_rows[:, None]
 
@@ -471,14 +474,13 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
     if rows.size:
         q = np.stack(_quartic(eta1[rows], eta2[rows], eta3[rows], t1[rows], t2[rows],
                               tau[rows], c1[rows]), axis=-1)
-        errors.fail(rows[~np.isfinite(q).all(axis=1)], lambda i: DegenerateAlpha(
-            f"alpha={float(a[i])!r} is so small that the stationarity quartic overflows"))
+        errors.fail(rows[~np.isfinite(q).all(axis=1)], lambda i: NonFiniteSolution(
+            "the stationarity quartic's coefficients overflow a float"))
         cand = _candidates(q, eta1[rows], eta2[rows], t1[rows], t2[rows], tau[rows],
                            c1[rows])
         best, ok = _best(*cand)
-        errors.fail(rows[~ok], lambda i: InfeasibleBudget(
-            "clamped relay amplitudes exceed what the source can cancel: "
-            + _no_root_message(eta1[i] - eta2[i] * t1[i] * t1[i])))
+        errors.fail(rows[~ok], lambda i: _infeasible_budget(
+            eta1[i] - eta2[i] * t1[i] * t1[i]))
         r[rows] = cand[0][np.arange(len(rows)), best]
         u[rows] = np.where(clamped[rows], u[rows],
                            c2[rows] / tau[rows, None] * r[rows, None])
@@ -486,8 +488,7 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
     total = t1 + tau * r
     rad = eta1 - eta2 * total * total
     errors.fail(np.flatnonzero(rad < -RADICAND_GUARD * np.maximum(eta1, 1.0)),
-                lambda i: InfeasibleBudget("source power cannot cancel the forwarded "
-                                           f"noise (radicand {float(rad[i])!r})"))
+                lambda i: _infeasible_budget(rad[i]))
     phases = optimal_phases(batch)
     gains_rd = np.abs(batch.h_rd)
     relay_w = np.where((gains_rd > 0.0) & (u > 0.0),

@@ -24,12 +24,11 @@ Scenario document::
 from __future__ import annotations
 
 import json
-from typing import Optional, Tuple
+import numbers
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from .experiments import _real
-from .oracles import OracleReport
 from .types import (
     BeamSolution,
     IndividualBudget,
@@ -40,10 +39,37 @@ from .types import (
     TotalSolveDiagnostics,
 )
 
+if TYPE_CHECKING:
+    from .oracles import OracleReport
+
 
 def _c2pair(z: complex) -> list:
     z = complex(z)
     return [z.real, z.imag]
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; a bool or a non-integral number is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: expected a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: the integer is too large for a float (above 1.8e308)") from None
+
+
+def _reject_unknown(doc, known, path: str = "") -> None:
+    """A ValueError naming each key of the JSON object doc outside `known` by
+    its dotted path under `path`; a doc that is not an object passes."""
+    if isinstance(doc, dict) and any(key not in known for key in doc):
+        raise ValueError("unknown field(s): " + ", ".join(sorted(
+            f"{path}.{key}" if path else str(key) for key in doc if key not in known)))
 
 
 def _field(doc, name: str, convert=lambda value, name: value):
@@ -60,9 +86,9 @@ def _field(doc, name: str, convert=lambda value, name: value):
 
 
 def _list_of(convert):
-    """Converter of a JSON list whose items convert converts."""
+    """Converter of a JSON list (or a tuple) whose items convert converts."""
     def converter(values, name: str) -> list:
-        if not isinstance(values, list):
+        if not isinstance(values, (list, tuple)):
             raise ValueError(f"{name}: expected a list, got {values!r}")
         return [convert(x, f"{name}[{i}]") for i, x in enumerate(values)]
     return converter
@@ -84,8 +110,9 @@ def instance_to_dict(instance: NetworkInstance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> NetworkInstance:
-    """NetworkInstance of a scenario's instance document; a missing or
-    malformed field is a ValueError naming it (e.g. instance.h_sd)."""
+    """NetworkInstance of a scenario's instance document; a missing, malformed
+    or unknown field is a ValueError naming it (e.g. instance.h_sd)."""
+    _reject_unknown(doc, ("h_sd", "h_sr", "h_rd", "sigma2"), "instance")
     return NetworkInstance(
         h_sd=_field(doc, "instance.h_sd", _pair2c),
         h_sr=np.array(_field(doc, "instance.h_sr", _list_of(_pair2c)), dtype=complex),
@@ -109,13 +136,16 @@ def params_to_dict(params: SystemParams) -> dict:
 
 
 def params_from_dict(doc: dict) -> SystemParams:
-    """SystemParams of a scenario's params document; a missing or malformed
-    field is a ValueError naming it (e.g. params.budget.kind)."""
+    """SystemParams of a scenario's params document; a missing, malformed or
+    unknown field is a ValueError naming it (e.g. params.budget.kind)."""
+    _reject_unknown(doc, ("p1", "gamma", "budget"), "params")
     budget_doc = _field(doc, "params.budget")
     kind = _field(budget_doc, "params.budget.kind")
     if kind == "total":
+        _reject_unknown(budget_doc, ("kind", "p_tot"), "params.budget")
         budget = TotalBudget(p_tot=_field(budget_doc, "params.budget.p_tot", _real))
     elif kind == "individual":
+        _reject_unknown(budget_doc, ("kind", "p_s", "p_i"), "params.budget")
         budget = IndividualBudget(
             p_s=_field(budget_doc, "params.budget.p_s", _real),
             p_i=_field(budget_doc, "params.budget.p_i", _list_of(_real)))
@@ -132,8 +162,9 @@ def scenario_to_dict(instance: NetworkInstance, params: SystemParams) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> Tuple[NetworkInstance, SystemParams]:
-    """(instance, params) of a scenario document; a malformed field, or a
-    params.budget.p_i without one cap per relay, is a ValueError naming it."""
+    """(instance, params) of a scenario document; a malformed or unknown field,
+    or a params.budget.p_i without one cap per relay, is a ValueError naming it."""
+    _reject_unknown(doc, ("instance", "params"))
     instance = instance_from_dict(_field(doc, "instance"))
     params = params_from_dict(_field(doc, "params"))
     if isinstance(params.budget, IndividualBudget) and len(params.budget.p_i) != instance.m:

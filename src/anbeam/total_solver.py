@@ -56,7 +56,7 @@ def build_d_tilde(derived: DerivedModel, p_tot: float) -> np.ndarray:
 
 
 # Failed rows compute numbers that are never read, quietly; a healthy row's
-# overflow is caught by the finiteness test on v.
+# overflow is caught by solved_values' finiteness tests on w and C_d.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def solve_total_batch(batch: InstanceBatch, params: SystemParams,
                       alpha=None) -> BatchSolution:
@@ -77,8 +77,8 @@ def solve_total_batch(batch: InstanceBatch, params: SystemParams,
     exactly; this form skips a subtraction that cancels when |h_sd| is small.
 
     Rows fail independently: InfeasibleThreshold (gamma out of reach),
-    DegenerateAlpha (alpha = 0, or so small that v overflows) or
-    NonFiniteSolution (w or C_d leaves the float range).
+    DegenerateAlpha (alpha = 0) or NonFiniteSolution (v, w or C_d leaves the
+    float range).
     """
     budget = params.budget
     if not isinstance(budget, TotalBudget):
@@ -95,10 +95,9 @@ def solve_total_batch(batch: InstanceBatch, params: SystemParams,
     g_z = np.sum(np.abs(derived.g) ** 2 / d, axis=-1)
     v = np.concatenate(((h_bar[:, 0] * p_tot / (a * p1))[:, None],
                         h_bar[:, 1:] / d / (1.0 + k * g_z)[:, None]), axis=-1)
-    # |v_0|^2 overflows as alpha -> 0, so mu is taken on v rescaled to max 1
+    # |v_0|^2 overflows as alpha -> 0, so mu is taken on v rescaled to max 1;
+    # a v that overflows itself gives a nan w, which solved_values fails
     scale = np.max(np.abs(v), axis=-1)
-    errors.fail(np.flatnonzero(~np.isfinite(scale)), lambda i: DegenerateAlpha(
-        f"alpha={float(a[i])!r} is so small that D_tilde^-1 conj(h) overflows"))
     mu = np.sqrt(p_tot / second_phase_power(batch, p1, a, v / scale[:, None])) / scale
     w = mu[:, None] * v
     b = _dot(h, w)

@@ -13,7 +13,7 @@ there changes both sides.
 import numpy as np
 
 from anbeam import individual_solver
-from anbeam.errors import DegenerateAlpha, InfeasibleBudget
+from anbeam.errors import DegenerateAlpha, InfeasibleBudget, NonFiniteSolution
 from anbeam.individual_solver import (_active_norm, _best, _candidates, _quartic,
                                       _source_only_r, optimal_phases)
 from anbeam.model import capacity_dest, derive_model, resolve_alphas
@@ -41,7 +41,7 @@ def greedy_reference(batch: InstanceBatch, params: SystemParams, alpha=None):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         rows = np.flatnonzero(~errors.failed & (tau > 0.0))
         r_rows, finite = _source_only_r(tau[rows], eta1[rows], eta2[rows], c1[rows])
-        errors.fail(rows[~finite], lambda i: DegenerateAlpha(""))
+        errors.fail(rows[~finite], lambda i: NonFiniteSolution(""))
         r[rows] = r_rows
         u[rows] = c2[rows] / tau[rows, None] * r_rows[:, None]
 
@@ -70,7 +70,7 @@ def greedy_reference(batch: InstanceBatch, params: SystemParams, alpha=None):
                 q = np.stack(_quartic(eta1[rows], eta2[rows], eta3[rows], t1[rows],
                                       t2[rows], tau[rows], c1[rows]), axis=-1)
                 errors.fail(rows[~np.isfinite(q).all(axis=1)],
-                            lambda i: DegenerateAlpha(""))
+                            lambda i: NonFiniteSolution(""))
                 cand = _candidates(q, eta1[rows], eta2[rows], t1[rows], t2[rows],
                                    tau[rows], c1[rows])
                 best, ok = _best(*cand)

@@ -78,8 +78,8 @@ def test_solve_vanishing_alpha_is_clean_error(tmp_path, rng, capsys):
                   path)
     assert main(["solve", "--input", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "error:" in err and "alpha" in err
-    assert "Traceback" not in err
+    assert err.startswith("error: the closed-form r* overflows a float (eta1=")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_solve_malformed_scenario_exits_2_naming_the_field(total_scenario, tmp_path,
@@ -114,6 +114,15 @@ def test_solve_integer_too_large_for_a_float_exits_2_naming_it(total_scenario, t
     assert main(["solve", "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: params.p1: the integer is too large for a float (above 1.8e308)\n"
+
+
+def test_solve_unknown_field_exits_2_naming_it(total_scenario, tmp_path, capsys):
+    doc = json.loads(total_scenario.read_text())
+    doc["params"]["gama"] = doc["params"].pop("gamma")
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown field(s): params.gama\n"
 
 
 def test_solve_p_i_of_wrong_length_exits_2_naming_it(tmp_path, rng, capsys):
@@ -179,6 +188,23 @@ def test_sweep_bad_field_exits_2_naming_it(override, field, tmp_path, capsys):
                  str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and field in err and "Traceback" not in err
+
+
+def test_sweep_slot_failing_every_resample_exits_2_naming_the_grid_point(tmp_path, capsys):
+    """At gamma = 1e6 no drawn network reaches the threshold, so slot 0 fails
+    its draw and 100 resamples."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"m_values": [2], "p1_values": [1.0], "gamma": 1e6,
+                                     "n_instances": 2}))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "Traceback" not in err
+    assert errors[0].startswith("error: slot 0 at (m=2, p1=1, gamma=1000000) failed 100 "
+                                "consecutive resamples, the last: ")
+    assert "gamma" in errors[0].split("the last: ")[1]
+    assert not out.exists()
 
 
 def test_sweep_zero_workers_exits_2_with_one_line(tmp_path, capsys):

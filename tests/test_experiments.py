@@ -549,8 +549,10 @@ def test_slot_failing_every_attempt_stops_after_100_resamples(monkeypatch):
         return solved
 
     monkeypatch.setattr(experiments, "solve_total_batch", fail_first_row)
-    with pytest.raises(RuntimeError, match="100 consecutive"):
+    with pytest.raises(InfeasibleBudget, match="100 consecutive") as raised:
         solve_grid_point(_tiny_spec(n_instances=2, budget_mode="total"), 2, 2.0, 0.6)
+    assert str(raised.value) == ("slot 0 at (m=2, p1=2, 0.6) failed 100 consecutive "
+                                 "resamples, the last: injected")
 
 
 # Seed-0 CSV sha256 of the headline sweeps.  They rest on numpy's Generator
@@ -646,6 +648,26 @@ def test_row_whose_answer_is_not_finite_fails_by_name(mode, cause):
     assert solved.c_d[1] == alone.c_d[0] and np.array_equal(solved.w[1], alone.w[0])
 
 
+# Overflows that come from the gains or the budgets at an ordinary alpha: the
+# error names what overflowed, not alpha.
+OVERFLOWING_AT_ORDINARY_ALPHA = {
+    "total": (NetworkInstance(h_sd=1.0, h_sr=[1e160], h_rd=[1.0], sigma2=1.0),
+              TotalBudget(4.0), "the weights are not finite: the inputs' powers overflow a float"),
+    "individual": (sample_instance(2, ChannelVariances(), instance_stream(0, 0)),
+                   IndividualBudget(1e300, np.full(2, 0.1)),
+                   "the closed-form r* overflows a float (eta1=1e+300)"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(OVERFLOWING_AT_ORDINARY_ALPHA))
+def test_overflow_from_gains_or_budgets_does_not_blame_alpha(mode):
+    instance, budget, message = OVERFLOWING_AT_ORDINARY_ALPHA[mode]
+    solved = SOLVERS[mode](InstanceBatch.stack([instance]), SystemParams(2.0, None, budget),
+                           alpha=0.5)
+    assert isinstance(solved.errors[0], NonFiniteSolution)
+    assert str(solved.errors[0]) == message and "alpha" not in message
+
+
 SINGLE_INSTANCE_USES = {
     "derive-model": lambda inst, params: derive_model(inst, params.p1, 0.5),
     "build-d-tilde": lambda inst, params: build_d_tilde(derive_model(inst, params.p1, 0.5),
@@ -721,6 +743,9 @@ def test_resolve_workers():
     assert resolve_workers(4) == 4
     with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
         resolve_workers(0)
+    for bad in (2.7, True, "3"):
+        with pytest.raises(ValueError, match=f"^workers: expected an integer, got {bad!r}$"):
+            resolve_workers(bad)
 
 
 def test_resolve_workers_reads_no_environment(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anbeam import individual_solver
-from anbeam.errors import DegenerateAlpha, InfeasibleBudget, NoFeasibleRoot
+from anbeam.errors import DegenerateAlpha, InfeasibleBudget, NonFiniteSolution
 from anbeam.individual_solver import (
     MagnitudeProblem,
     initial_problem,
@@ -239,7 +239,8 @@ def test_select_root_infeasible_offsets():
     prob = MagnitudeProblem(c=np.array([1.0, 1.0]), u_max=np.array([1.0]),
                             eta1=0.5, eta2=1.0, eta3=2.0, t1=1.0, t2=2.0,
                             active=(0,), tau=0.5)
-    with pytest.raises(NoFeasibleRoot):
+    # the class the batch solver gives a row with the same outcome
+    with pytest.raises(InfeasibleBudget, match=r"radicand -0\.5\)"):
         select_root(quartic_coeffs(prob), prob)
 
 
@@ -375,13 +376,13 @@ def test_clamp_bookkeeping_on_the_kernel(rng):
 
 @pytest.mark.parametrize("tiny", [1e-160, 1e-300])
 @pytest.mark.parametrize("via", ["alpha", "gamma"])
-def test_vanishing_alpha_raises_degenerate_alpha(rng, tiny, via):
+def test_vanishing_alpha_overflows_r_star_as_non_finite_solution(rng, tiny, via):
     # an explicit alpha is a Python float, which overflows with OverflowError;
     # one derived from gamma is a numpy scalar, which overflows to inf
     inst = make_instance(rng, 3)
     gamma, alpha = (tiny, None) if via == "gamma" else (None, tiny)
     params = SystemParams(2.0, gamma, IndividualBudget(5.0, np.full(3, 0.1)))
-    with pytest.raises(DegenerateAlpha, match="alpha"):
+    with pytest.raises(NonFiniteSolution, match=r"^the closed-form r\* overflows a float"):
         solve_individual(inst, params, alpha=alpha)
 
 

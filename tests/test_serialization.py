@@ -68,9 +68,12 @@ def test_unknown_budget_kind_rejected():
         params_from_dict(d)
 
 
-def _scenario_doc():
+INDIVIDUAL = IndividualBudget(5.0, [0.1, 0.1])
+
+
+def _scenario_doc(budget=INDIVIDUAL):
     inst = NetworkInstance(h_sd=0.5, h_sr=[1.0, 0.5j], h_rd=[1.0, 1.0], sigma2=1.0)
-    return scenario_to_dict(inst, SystemParams(2.0, 0.4, IndividualBudget(5.0, [0.1, 0.1])))
+    return scenario_to_dict(inst, SystemParams(2.0, 0.4, budget))
 
 
 _DELETE = object()
@@ -118,6 +121,19 @@ def _with(doc, path, value=_DELETE):
 def test_malformed_scenario_is_value_error_naming_the_field(mutate, field):
     with pytest.raises(ValueError, match=f"^{re.escape(field)}[ :]"):
         scenario_from_dict(mutate(_scenario_doc()))
+
+
+@pytest.mark.parametrize("path, budget", [
+    ("surplus", INDIVIDUAL),
+    ("instance.sigma", INDIVIDUAL),
+    ("params.gama", INDIVIDUAL),
+    ("params.budget.p_tot", INDIVIDUAL),
+    ("params.budget.p_s", TotalBudget(5.0)),
+], ids=["scenario", "instance", "params", "individual-budget", "total-budget"])
+def test_unknown_scenario_field_is_value_error_naming_its_path(path, budget):
+    """An unknown key at any of the four levels is rejected, not dropped."""
+    with pytest.raises(ValueError, match=f"^unknown field\\(s\\): {re.escape(path)}$"):
+        scenario_from_dict(_with(_scenario_doc(budget), path, 1.0))
 
 
 def test_scenario_round_trip(rng):
