@@ -376,8 +376,10 @@ def test_clamp_bookkeeping_on_the_kernel(rng):
 
 @pytest.mark.parametrize("tiny", [1e-160, 1e-300])
 @pytest.mark.parametrize("via", ["alpha", "gamma"])
-def test_vanishing_alpha_overflows_r_star_as_non_finite_solution(rng, tiny, via):
-    # an explicit alpha is a Python float, which overflows with OverflowError;
+def test_vanishing_alpha_raises_degenerate_alpha(rng, tiny, via):
+    # a vanishing alpha is still inside (0, 1], so the failure is not
+    # DegenerateAlpha but the r* it makes overflow, named as NonFiniteSolution.
+    # An explicit alpha is a Python float, which overflows with OverflowError;
     # one derived from gamma is a numpy scalar, which overflows to inf
     inst = make_instance(rng, 3)
     gamma, alpha = (tiny, None) if via == "gamma" else (None, tiny)
