@@ -14,13 +14,10 @@ from types import ModuleType as _ModuleType
 
 from .errors import (
     BeamformingError,
-    DegenerateAlpha,
     InfeasibleBudget,
     InfeasibleThreshold,
-    NoRelays,
     NonFiniteSolution,
     OracleEvalError,
-    OracleTooLarge,
     SingularObservation,
 )
 from .experiments import (

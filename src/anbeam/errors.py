@@ -4,19 +4,13 @@ import numpy as np
 
 
 class BeamformingError(Exception):
-    """Base class for all domain errors raised by this package."""
-
-
-class NoRelays(BeamformingError):
-    """Operation needs at least one relay but the network has none."""
+    """Base class for all domain errors raised by this package: outcomes that
+    depend on the channel values, which a sweep redraws.  An argument that a
+    function never accepts is a ValueError naming it instead."""
 
 
 class InfeasibleThreshold(BeamformingError):
     """Relay SNR threshold exceeds what full message power can deliver."""
-
-
-class DegenerateAlpha(BeamformingError):
-    """Power split alpha outside (0, 1] (at 0 the power matrix is singular)."""
 
 
 class InfeasibleBudget(BeamformingError):
@@ -28,16 +22,13 @@ class SingularObservation(BeamformingError):
 
 
 class NonFiniteSolution(BeamformingError):
-    """A quantity of the solve overflowed a float, through the gains, the
-    budgets or a vanishing alpha: the weights, C_d, r* or the quartic."""
+    """A quantity of the solve left the float range, through the gains, the
+    budgets or a vanishing alpha: the weights, C_d, r*, the quartic, or an
+    alpha derived from a gamma so small that it underflows to 0."""
 
 
 class OracleEvalError(BeamformingError):
     """A verification oracle hit a non-finite objective evaluation."""
-
-
-class OracleTooLarge(BeamformingError):
-    """Requested oracle run exceeds its built-in cost guard."""
 
 
 class RowErrors:

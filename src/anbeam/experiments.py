@@ -139,7 +139,7 @@ class ExperimentSpec:
         if (self.alpha_values is None) == (self.gamma is None):
             raise ValueError("give exactly one of alpha_values or gamma")
         if not all(0.0 < a <= 1.0 for a in self.alpha_values or ()):
-            # alpha = 0 sends no message power: both solvers reject it
+            # the split a solve accepts (model.resolve_alphas), named here by field
             raise ValueError("alpha_values must lie in (0, 1]")
         if self.gamma is not None and not 0.0 < self.gamma < math.inf:
             raise ValueError("gamma must be finite and positive")

@@ -41,7 +41,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateAlpha, InfeasibleBudget, NonFiniteSolution
+from .errors import InfeasibleBudget, NonFiniteSolution
 from .model import _dot, _per_relay, derive_model, resolve_alphas, solved_values
 from .types import (
     BatchSolution,
@@ -432,19 +432,16 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
     recovered as w_i = u_i/|h_id| * exp(j phi_i).
 
     Rows fail independently: InfeasibleThreshold (gamma out of reach),
-    DegenerateAlpha (alpha outside (0, 1]), InfeasibleBudget (the source
-    cannot cancel the noise the clamped relays forward) or NonFiniteSolution
-    (r*, the quartic, w or C_d leaves the float range).
+    InfeasibleBudget (the source cannot cancel the noise the clamped relays
+    forward) or NonFiniteSolution (alpha underflows, or r*, the quartic, w
+    or C_d leaves the float range).
     """
     budget = params.budget
     if not isinstance(budget, IndividualBudget):
         raise TypeError("solve_individual requires an IndividualBudget")
     p1 = params.p1
     a, errors = resolve_alphas(batch, p1, params.gamma, alpha)
-    errors.fail(np.flatnonzero(~((0.0 < a) & (a <= 1.0))), lambda i: DegenerateAlpha(
-        f"alpha={float(a[i])!r}: the individual-budget constants divide by alpha"))
-    a_ok = np.where(errors.failed, 1.0, a)
-    derived = derive_model(batch, p1, a_ok, budget)
+    derived = derive_model(batch, p1, a, budget)
     c1, c2 = derived.c[:, 0], derived.c[:, 1:]
     u_max, eta1, eta2, eta3 = derived.u_max, derived.eta1, derived.eta2, derived.eta3
     n, m = batch.n, batch.m
@@ -496,7 +493,7 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
     w = np.concatenate(
         ((np.sqrt(np.maximum(rad, 0.0)) * np.exp(1j * phases[:, 0]))[:, None], relay_w),
         axis=-1)
-    c_d, power = solved_values(batch, p1, a_ok, w, errors)
+    c_d, power = solved_values(batch, p1, a, w, errors)
     return BatchSolution(
         w=w,
         alpha=a,

@@ -27,8 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DegenerateAlpha, NoRelays, InfeasibleThreshold, NonFiniteSolution,
-                     RowErrors, SingularObservation)
+from .errors import InfeasibleThreshold, NonFiniteSolution, RowErrors, SingularObservation
 from .types import (
     Budget,
     DerivedModel,
@@ -56,7 +55,7 @@ def strongest_relay(instance: NetworkInstance) -> int:
     be enforced there.
     """
     if instance.m == 0:
-        raise NoRelays("strongest_relay requires at least one relay")
+        raise ValueError("instance has no relays: strongest_relay needs at least one")
     return int(np.argmax(np.abs(instance.h_sr) ** 2))
 
 
@@ -238,8 +237,8 @@ def derive_model(instance: NetworkInstance, p1: float, alpha: float,
     c1 = np.abs(instance.h_sd)
     if isinstance(budget, IndividualBudget):
         if not np.all((0.0 < alpha) & (alpha <= 1.0)):
-            raise DegenerateAlpha(
-                f"alpha={alpha!r}: the individual-budget constants divide by alpha")
+            raise ValueError(f"alpha={alpha!r} outside (0, 1]: the individual-budget "
+                             "constants divide by alpha")
         if len(budget.p_i) != instance.m:
             raise ValueError("budget.p_i length must equal the relay count")
         extras = dict(
@@ -276,12 +275,14 @@ def _check_rows(instance, value, name: str) -> None:
 
 def resolve_alphas(batch: InstanceBatch, p1, gamma: Optional[float],
                    alpha) -> "tuple[np.ndarray, RowErrors]":
-    """Pick the power split of every row of a batch: an explicit alpha wins,
-    otherwise derive it from the relay SNR threshold gamma.  p1 and an
-    explicit alpha are each a scalar or one value per row.  Returns (alpha
-    per row, RowErrors holding InfeasibleThreshold for each row whose
-    strongest relay cannot reach gamma); a non-finite or non-positive p1, or
-    gamma when it is used, is a ValueError."""
+    """Pick the power split of every row of a batch, the one place a solve's
+    alpha is judged: an explicit alpha (a scalar or one per row, as p1 is)
+    wins, otherwise derive it from the relay SNR threshold gamma, clipped at
+    1 where rounding puts it one ulp above.  Returns (alpha per row, every
+    one in (0, 1], RowErrors): a row fails with InfeasibleThreshold when its
+    strongest relay cannot reach gamma, or NonFiniteSolution when alpha
+    underflows to 0, and then carries alpha = 1.  A bad p1 or gamma, or an
+    explicit alpha outside (0, 1], is a ValueError."""
     _check_rows(batch, p1, "p1")
     _check_rows(batch, alpha, "alpha")
     if not np.all((0.0 < np.asarray(p1)) & (np.asarray(p1) < math.inf)):
@@ -289,25 +290,27 @@ def resolve_alphas(batch: InstanceBatch, p1, gamma: Optional[float],
     errors = RowErrors(batch.n)
     if alpha is not None:
         alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (batch.n,)).copy()
-        bad = np.flatnonzero(~((0.0 <= alphas) & (alphas <= 1.0)))
+        bad = np.flatnonzero(~((0.0 < alphas) & (alphas <= 1.0)))
         if bad.size:
-            raise ValueError(f"alpha={float(alphas[bad[0]])!r} at row {bad[0]} outside [0, 1]")
+            raise ValueError(f"alpha={float(alphas[bad[0]])!r} at row {bad[0]} outside (0, 1]")
         return alphas, errors
     if gamma is None:
         raise ValueError("either alpha or gamma must be given")
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma={gamma!r} must be finite and positive")
     if batch.m == 0:
-        raise NoRelays("the relay SNR threshold needs at least one relay")
+        raise ValueError("instance has no relays: gamma, a relay SNR threshold, needs one")
     gain2 = np.max(np.abs(batch.h_sr) ** 2, axis=-1)
     ceiling = gain2 * p1 / batch.sigma2
     # a zero gain gives alpha = inf, but its ceiling 0 < gamma marks it infeasible
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         alphas = (1.0 + batch.sigma2 / (gain2 * p1)) / (1.0 + 1.0 / gamma)
     errors.fail(np.flatnonzero(gamma > ceiling), lambda i: InfeasibleThreshold(
-        f"gamma={gamma:g} exceeds the strongest relay's full-power SNR "
-        f"{ceiling[i]:g}; no alpha <= 1 can reach it"))
-    return alphas, errors
+        f"gamma={float(gamma)!r} exceeds the strongest relay's full-power SNR "
+        f"{float(ceiling[i])!r}; no alpha <= 1 can reach it"))
+    errors.fail(np.flatnonzero(~(alphas > 0.0)), lambda i: NonFiniteSolution(
+        f"alpha underflows to 0: gamma={float(gamma)!r} is so small that 1/gamma overflows"))
+    return np.where(errors.failed, 1.0, np.minimum(alphas, 1.0)), errors
 
 
 def resolve_alpha(instance: NetworkInstance, p1: float, gamma: Optional[float],
@@ -326,9 +329,14 @@ def resolve_alpha(instance: NetworkInstance, p1: float, gamma: Optional[float],
 def check_signal_inputs(instance: NetworkInstance, p1: float, alpha: float,
                         w: np.ndarray) -> np.ndarray:
     """w as a complex array, after the checks every signal-level check makes:
-    a bad p1, alpha or w is a ValueError naming it.  w must hold the M+1
-    weights (source first) and be finite."""
-    resolve_alpha(instance, p1, None, alpha)
+    a bad p1, alpha (outside [0, 1]: both ends of the split propagate) or w
+    is a ValueError naming it.  w must hold the M+1 finite weights."""
+    _check_rows(instance, p1, "p1")
+    _check_rows(instance, alpha, "alpha")
+    if not 0.0 < p1 < math.inf:
+        raise ValueError(f"p1={p1!r} must be finite and positive")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha={alpha!r} outside [0, 1]")
     w = np.asarray(w, dtype=complex)
     if w.shape != (instance.m + 1,):
         raise ValueError(f"w must hold M+1 = {instance.m + 1} weights, got shape {w.shape}")

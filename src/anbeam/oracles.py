@@ -26,7 +26,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import OracleEvalError, OracleTooLarge
+from .errors import OracleEvalError
 from .individual_solver import solve_individual
 from .model import (check_signal_inputs, combined_gains, derive_model, destination_phase2_rx,
                     direct_sinr, noise_amp_diag, resolve_alpha)
@@ -252,7 +252,7 @@ def oracle_individual_grid(instance: NetworkInstance, params: SystemParams,
     """
     m = instance.m
     if m > _GRID_MAX_RELAYS:
-        raise OracleTooLarge(f"grid oracle is limited to M <= {_GRID_MAX_RELAYS}, got {m}")
+        raise ValueError(f"instance has {m} relays: the grid oracle takes M <= {_GRID_MAX_RELAYS}")
     if not isinstance(params.budget, IndividualBudget):
         raise TypeError("oracle_individual_grid requires an IndividualBudget")
     a = resolve_alpha(instance, params.p1, params.gamma, alpha)

@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateAlpha
 from .model import _dot, derive_model, resolve_alphas, second_phase_power, solved_values
 from .types import (
     BatchSolution,
@@ -49,7 +48,8 @@ def build_d_tilde(derived: DerivedModel, p_tot: float) -> np.ndarray:
     alpha = 0 the first row/column of D_tilde vanishes entirely.
     """
     if derived.alpha <= 0.0:
-        raise DegenerateAlpha("alpha=0 leaves D_tilde singular in the source coordinate")
+        raise ValueError(f"alpha={float(derived.alpha)!r} must be positive: D_tilde is "
+                         "singular at 0")
     if p_tot <= 0.0:
         raise ValueError("p_tot must be positive")
     return dense_power_matrix(derived) / p_tot + np.diag(derived.d_h_diag)
@@ -76,17 +76,15 @@ def solve_total_batch(batch: InstanceBatch, params: SystemParams,
     As h_r = h_sd g, y = conj(h_sd) z and the update is y/(1 + k g^T z)
     exactly; this form skips a subtraction that cancels when |h_sd| is small.
 
-    Rows fail independently: InfeasibleThreshold (gamma out of reach),
-    DegenerateAlpha (alpha = 0) or NonFiniteSolution (v, w or C_d leaves the
-    float range).
+    Rows fail independently: InfeasibleThreshold (gamma out of reach) or
+    NonFiniteSolution (alpha underflows, or v, w or C_d leaves the float
+    range).  resolve_alphas judges alpha, so every row's alpha is in (0, 1].
     """
     budget = params.budget
     if not isinstance(budget, TotalBudget):
         raise TypeError("solve_total requires a TotalBudget")
     p1, p_tot = params.p1, budget.p_tot
     a, errors = resolve_alphas(batch, p1, params.gamma, alpha)
-    errors.fail(np.flatnonzero(a <= 0.0), lambda i: DegenerateAlpha(
-        "alpha=0 leaves D_tilde singular in the source coordinate"))
     derived = derive_model(batch, p1, a)
     h = derived.h
     h_bar = np.conj(h)

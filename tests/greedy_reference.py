@@ -13,7 +13,7 @@ there changes both sides.
 import numpy as np
 
 from anbeam import individual_solver
-from anbeam.errors import DegenerateAlpha, InfeasibleBudget, NonFiniteSolution
+from anbeam.errors import InfeasibleBudget, NonFiniteSolution
 from anbeam.individual_solver import (_active_norm, _best, _candidates, _quartic,
                                       _source_only_r, optimal_phases)
 from anbeam.model import capacity_dest, derive_model, resolve_alphas
@@ -26,9 +26,7 @@ def greedy_reference(batch: InstanceBatch, params: SystemParams, alpha=None):
     relays, and the rest are (N,) arrays."""
     p1 = params.p1
     a, errors = resolve_alphas(batch, p1, params.gamma, alpha)
-    errors.fail(np.flatnonzero(~((0.0 < a) & (a <= 1.0))), lambda i: DegenerateAlpha(""))
-    a_ok = np.where(errors.failed, 1.0, a)
-    derived = derive_model(batch, p1, a_ok, params.budget)
+    derived = derive_model(batch, p1, a, params.budget)
     c1, c2 = derived.c[:, 0], derived.c[:, 1:]
     u_max, eta1, eta2, eta3 = derived.u_max, derived.eta1, derived.eta2, derived.eta3
     n, m = batch.n, batch.m
@@ -92,5 +90,5 @@ def greedy_reference(batch: InstanceBatch, params: SystemParams, alpha=None):
         w = np.concatenate(
             ((np.sqrt(np.maximum(rad, 0.0)) * np.exp(1j * phases[:, 0]))[:, None],
              relay_w), axis=-1)
-        c_d = capacity_dest(batch, p1, a_ok, w)
+        c_d = capacity_dest(batch, p1, a, w)
     return errors.errors, ~active, t1, t2, tau, c_d

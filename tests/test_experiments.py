@@ -605,10 +605,10 @@ def test_per_row_p1_and_alpha_match_scalar_solves(mode):
     (np.full(5, 2.0), None, r"p1 must be a scalar or hold one value per row \(6\)"),
     (np.full(7, 2.0), 0.5, r"p1 must be a scalar or hold one value per row \(6\)"),
     (2.0, np.full(5, 0.5), r"alpha must be a scalar or hold one value per row \(6\)"),
-    (2.0, np.array([0.5] * 5 + [np.nan]), r"alpha=nan at row 5 outside \[0, 1\]"),
-    (2.0, np.array([0.5] * 5 + [1.5]), r"alpha=1.5 at row 5 outside \[0, 1\]"),
-    (2.0, np.array([0.5] * 5 + [-0.1]), r"alpha=-0.1 at row 5 outside \[0, 1\]"),
-    (2.0, 1.5, r"alpha=1.5 at row 0 outside \[0, 1\]"),
+    (2.0, np.array([0.5] * 5 + [np.nan]), r"alpha=nan at row 5 outside \(0, 1\]"),
+    (2.0, np.array([0.5] * 5 + [1.5]), r"alpha=1.5 at row 5 outside \(0, 1\]"),
+    (2.0, np.array([0.5] * 5 + [-0.1]), r"alpha=-0.1 at row 5 outside \(0, 1\]"),
+    (2.0, 1.5, r"alpha=1.5 at row 0 outside \(0, 1\]"),
 ], ids=["short-p1", "long-p1", "short-alpha", "nan-alpha", "alpha-above-1",
         "negative-alpha", "scalar-alpha-above-1"])
 def test_per_row_values_are_checked(mode, p1, alpha, message):

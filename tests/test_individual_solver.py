@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anbeam import individual_solver
-from anbeam.errors import DegenerateAlpha, InfeasibleBudget, NonFiniteSolution
+from anbeam.errors import InfeasibleBudget, NonFiniteSolution
 from anbeam.individual_solver import (
     MagnitudeProblem,
     initial_problem,
@@ -336,8 +336,9 @@ def test_rejects_total_budget(rng):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda inst, b: solve_individual(inst, SystemParams(2.0, None, b), alpha=0.0),
-     DegenerateAlpha, "alpha=0.0"),
-    (lambda inst, b: derive_model(inst, 2.0, 0.0, b), DegenerateAlpha, "alpha=0.0"),
+     ValueError, r"^alpha=0\.0 at row 0 outside \(0, 1\]"),
+    (lambda inst, b: derive_model(inst, 2.0, 0.0, b), ValueError,
+     r"^alpha=0\.0 outside \(0, 1\]"),
     (lambda inst, b: solve_individual(inst, SystemParams(
         2.0, None, IndividualBudget(5.0, np.full(4, 0.1))), alpha=0.5),
      ValueError, "budget.p_i length must equal the relay count"),
@@ -377,8 +378,8 @@ def test_clamp_bookkeeping_on_the_kernel(rng):
 @pytest.mark.parametrize("tiny", [1e-160, 1e-300])
 @pytest.mark.parametrize("via", ["alpha", "gamma"])
 def test_vanishing_alpha_raises_degenerate_alpha(rng, tiny, via):
-    # a vanishing alpha is still inside (0, 1], so the failure is not
-    # DegenerateAlpha but the r* it makes overflow, named as NonFiniteSolution.
+    # a vanishing alpha is still inside (0, 1], so the failure is not a
+    # rejected alpha but the r* it makes overflow, named as NonFiniteSolution.
     # An explicit alpha is a Python float, which overflows with OverflowError;
     # one derived from gamma is a numpy scalar, which overflows to inf
     inst = make_instance(rng, 3)

@@ -1,6 +1,7 @@
 """Formula-level tests for the channel model, capacities and signal propagation."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,11 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anbeam.errors import (
-    InfeasibleThreshold,
-    NoRelays,
-    SingularObservation,
-)
+from anbeam.errors import InfeasibleThreshold, NonFiniteSolution, SingularObservation
+from anbeam.individual_solver import solve_individual, solve_individual_batch
 from anbeam.model import (
     alpha_for_threshold,
     alpha_monotonicity_threshold,
@@ -33,7 +31,8 @@ from anbeam.model import (
     simulate_noise_residual,
     strongest_relay,
 )
-from anbeam.total_solver import dense_power_matrix
+from anbeam.oracles import oracle_individual_grid, oracle_total
+from anbeam.total_solver import dense_power_matrix, solve_total, solve_total_batch
 from anbeam.types import (
     IndividualBudget,
     InstanceBatch,
@@ -135,7 +134,7 @@ def test_strongest_relay_matches_linear_scan(rng):
 
 def test_strongest_relay_requires_relays():
     inst = NetworkInstance(h_sd=1.0, h_sr=[], h_rd=[], sigma2=1.0)
-    with pytest.raises(NoRelays):
+    with pytest.raises(ValueError, match="^instance has no relays: strongest_relay"):
         strongest_relay(inst)
 
 
@@ -202,6 +201,65 @@ def test_alpha_round_trip_and_dominance(rng):
         assert 0.0 < a <= 1.0
         assert relay_snr(inst, p1, a, e) == pytest.approx(gamma, rel=1e-12)
         assert np.all(relay_snrs(inst, p1, a) <= gamma * (1.0 + 1e-12))
+
+
+# sigma2 = 0.3 and |h_s1|^2 p1 = 0.81 * 3: at gamma = the strongest relay's
+# full-power SNR, the split formula rounds to 1 + 2^-52, not 1
+EDGE = NetworkInstance(h_sd=0.5, h_sr=[0.9, 0.3j], h_rd=[0.8, 0.4], sigma2=0.3)
+EDGE_GAMMA = float(abs(EDGE.h_sr[0]) ** 2 * 3.0 / EDGE.sigma2)
+EDGE_BUDGETS = {solve_total: TotalBudget(4.0),
+                solve_individual: IndividualBudget(2.0, np.full(2, 0.5))}
+
+
+def test_split_at_the_full_power_snr_is_exactly_one():
+    gain2 = abs(EDGE.h_sr[0]) ** 2
+    assert (1.0 + EDGE.sigma2 / (gain2 * 3.0)) / (1.0 + 1.0 / EDGE_GAMMA) == 1.0 + 2.0 ** -52
+    assert alpha_for_threshold(EDGE, 3.0, EDGE_GAMMA) == 1.0
+    for solve, budget in EDGE_BUDGETS.items():
+        assert solve(EDGE, SystemParams(3.0, EDGE_GAMMA, budget)).alpha == 1.0
+    assert relay_snrs(EDGE, 3.0, 1.0)[0] == pytest.approx(EDGE_GAMMA, rel=1e-12, abs=0.0)
+
+
+def test_threshold_one_ulp_out_of_reach_prints_both_values_in_full():
+    gamma = float(np.nextafter(EDGE_GAMMA, math.inf))
+    with pytest.raises(InfeasibleThreshold, match="^" + re.escape(
+            f"gamma={gamma!r} exceeds the strongest relay's full-power SNR {EDGE_GAMMA!r};")):
+        alpha_for_threshold(EDGE, 3.0, gamma)
+
+
+@pytest.mark.parametrize("solve", [solve_total, solve_individual], ids=lambda f: f.__name__)
+def test_gamma_whose_split_underflows_fails_each_row(solve):
+    """Below gamma ~ 5.6e-309, 1/gamma overflows and the derived alpha
+    underflows to 0 whatever the row (gamma is one value per batch).  Each
+    row fails with NonFiniteSolution naming the underflow and carries
+    alpha = 1; only the N = 1 call raises."""
+    batch_solve = {solve_total: solve_total_batch, solve_individual: solve_individual_batch}
+    other = NetworkInstance(h_sd=0.5, h_sr=[0.4, 0.7], h_rd=[0.8, 0.4], sigma2=0.3)
+    underflow = r"^alpha underflows to 0: gamma=1e-310 is so small that 1/gamma overflows"
+    params = SystemParams(3.0, 1e-310, EDGE_BUDGETS[solve])
+    solved = batch_solve[solve](InstanceBatch.stack([EDGE, other]), params)
+    assert [type(err) for err in solved.errors] == [NonFiniteSolution] * 2
+    assert all(re.match(underflow, str(err)) for err in solved.errors)
+    assert np.array_equal(solved.alpha, [1.0, 1.0])
+    with pytest.raises(NonFiniteSolution, match=underflow):
+        solve(other, params)
+
+
+@pytest.mark.parametrize("entry, solve", [
+    (lambda inst, params: solve_total(inst, params, alpha=0.0), solve_total),
+    (lambda inst, params: solve_individual(inst, params, alpha=0.0), solve_individual),
+    (lambda inst, params: solve_total_batch(
+        InstanceBatch.stack([inst, inst]), params, alpha=np.array([0.5, 0.0])), solve_total),
+    (lambda inst, params: solve_individual_batch(
+        InstanceBatch.stack([inst, inst]), params, alpha=np.array([0.5, 0.0])),
+     solve_individual),
+    (lambda inst, params: oracle_total(inst, params, 16, alpha=0.0), solve_total),
+    (lambda inst, params: oracle_individual_grid(inst, params, alpha=0.0), solve_individual),
+], ids=["solve_total", "solve_individual", "solve_total_batch", "solve_individual_batch",
+        "oracle_total", "oracle_individual_grid"])
+def test_every_solve_entry_rejects_a_zero_alpha_row(entry, solve):
+    with pytest.raises(ValueError, match="^alpha="):
+        entry(EDGE, SystemParams(2.0, None, EDGE_BUDGETS[solve]))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +332,7 @@ def test_secrecy_rate_zero_at_zero_alpha(rng):
 
 def test_secrecy_rate_needs_relays():
     inst = NetworkInstance(h_sd=1.0, h_sr=[], h_rd=[], sigma2=1.0)
-    with pytest.raises(NoRelays):
+    with pytest.raises(ValueError, match="^instance has no relays: strongest_relay"):
         secrecy_rate(inst, 1.0, 0.5, np.array([1.0 + 0j]))
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from anbeam import individual_solver, model, oracles
-from anbeam.errors import OracleEvalError, OracleTooLarge
+from anbeam.errors import OracleEvalError
 from anbeam.individual_solver import solve_individual
 from anbeam.model import (
     alpha_for_threshold,
@@ -216,7 +216,7 @@ def test_grid_trivial_when_all_caps_zero(rng):
 def test_grid_cost_guard(rng):
     inst = make_instance(rng, 4)
     params = SystemParams(2.0, None, IndividualBudget(5.0, np.full(4, 0.1)))
-    with pytest.raises(OracleTooLarge):
+    with pytest.raises(ValueError, match="^instance has 4 relays: the grid oracle takes M <= 3"):
         oracle_individual_grid(inst, params, alpha=0.5)
 
 
