@@ -48,7 +48,6 @@ from .model import (
     capacity_dest,
     capacity_relay,
     derive_model,
-    relay_snr,
     relay_snrs,
     second_phase_power,
     secrecy_monotone_in_alpha,

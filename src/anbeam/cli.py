@@ -22,7 +22,6 @@ from .model import (
     alpha_for_threshold,
     derive_model,
     noise_residual_scale,
-    relay_snr,
     relay_snrs,
     simulate_noise_residual,
     strongest_relay,
@@ -76,7 +75,7 @@ def _check(ok: bool, label: str, detail: str, failures: List[str]) -> None:
 def _random_scenario(rng: np.random.Generator, m: int):
     instance = experiments.sample_instance(m, experiments.ChannelVariances(), rng)
     p1 = float(rng.uniform(0.5, 8.0))
-    ceiling = relay_snr(instance, p1, 1.0, strongest_relay(instance))
+    ceiling = relay_snrs(instance, p1, 1.0)[strongest_relay(instance)]
     gamma = float(rng.uniform(0.2, 0.9)) * ceiling
     return instance, p1, gamma
 

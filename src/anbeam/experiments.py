@@ -42,7 +42,7 @@ from .individual_solver import solve_individual_batch
 from .serialization import _integer, _list_of, _real, _reject_unknown
 from .total_solver import solve_total_batch
 from .types import (IndividualBudget, InstanceBatch, NetworkInstance, SystemParams,
-                    TotalBudget)
+                    TotalBudget, check_gamma)
 
 log = logging.getLogger(__name__)
 
@@ -135,14 +135,12 @@ class ExperimentSpec:
         for name in ("p_s", "p_i", "variance_sr", "variance_rd", "variance_sd", "sigma2"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.gamma is not None:
-            object.__setattr__(self, "gamma", _real(self.gamma, "gamma"))
+            object.__setattr__(self, "gamma", check_gamma(_real(self.gamma, "gamma")))
         if (self.alpha_values is None) == (self.gamma is None):
             raise ValueError("give exactly one of alpha_values or gamma")
         if not all(0.0 < a <= 1.0 for a in self.alpha_values or ()):
             # the split a solve accepts (model.resolve_alphas), named here by field
             raise ValueError("alpha_values must lie in (0, 1]")
-        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
-            raise ValueError("gamma must be finite and positive")
         if not all(0.0 < p < math.inf for p in self.p1_values):
             raise ValueError("p1_values must be finite and positive")
         if not 0.0 < self.p_s < math.inf:

@@ -35,6 +35,7 @@ from .types import (
     InstanceBatch,
     NetworkInstance,
     SignalRealization,
+    check_gamma,
 )
 
 # alpha_monotonicity_threshold rejects rho_e within this distance of its pole 2.
@@ -61,13 +62,18 @@ def strongest_relay(instance: NetworkInstance) -> int:
 
 def alpha_for_threshold(instance: NetworkInstance, p1: float, gamma: float) -> float:
     """Message-power fraction alpha that puts the strongest relay exactly at
-    SNR gamma: resolve_alpha without an explicit alpha.
+    SNR gamma: resolve_alphas for one instance, where an infeasible
+    threshold raises.
 
     alpha = (1 + sigma2/(|h_se|^2 p1)) / (1 + 1/gamma).  Raising alpha above
     this value would push the strongest relay past the threshold; lowering it
     only wastes destination SNR, so the solvers pin alpha here.
     """
-    return resolve_alpha(instance, p1, gamma, None)
+    _check_rows(instance, p1, "p1")
+    alphas, errors = resolve_alphas(InstanceBatch.stack([instance]), p1, gamma, None)
+    if errors.errors[0] is not None:
+        raise errors.errors[0]
+    return float(alphas[0])
 
 
 def _phase1_sinr(gain2, sigma2: float, p1: float, alpha):
@@ -77,19 +83,15 @@ def _phase1_sinr(gain2, sigma2: float, p1: float, alpha):
     return gain2 * alpha * p1 / (sigma2 + gain2 * (1.0 - alpha) * p1)
 
 
-def relay_snr(instance: NetworkInstance, p1: float, alpha: float, i: int) -> float:
-    """First-phase SNR at relay i: the artificial noise acts as interference."""
-    return _phase1_sinr(abs(instance.h_sr[i]) ** 2, instance.sigma2, p1, alpha)
-
-
 def relay_snrs(instance: NetworkInstance, p1, alpha) -> np.ndarray:
-    """Vector of relay_snr over all relays."""
+    """First-phase SNR at every relay, the artificial noise acting as
+    interference."""
     return _phase1_sinr(np.abs(instance.h_sr) ** 2, instance.sigma2, _per_relay(p1),
                         _per_relay(alpha))
 
 
 def capacity_relay(instance: NetworkInstance, p1: float, alpha: float, i: int) -> float:
-    return 0.5 * math.log2(1.0 + relay_snr(instance, p1, alpha, i))
+    return 0.5 * math.log2(1.0 + relay_snrs(instance, p1, alpha)[i])
 
 
 def direct_sinr(instance: NetworkInstance, p1: float, alpha) -> float:
@@ -277,12 +279,13 @@ def resolve_alphas(batch: InstanceBatch, p1, gamma: Optional[float],
                    alpha) -> "tuple[np.ndarray, RowErrors]":
     """Pick the power split of every row of a batch, the one place a solve's
     alpha is judged: an explicit alpha (a scalar or one per row, as p1 is)
-    wins, otherwise derive it from the relay SNR threshold gamma, clipped at
-    1 where rounding puts it one ulp above.  Returns (alpha per row, every
-    one in (0, 1], RowErrors): a row fails with InfeasibleThreshold when its
-    strongest relay cannot reach gamma, or NonFiniteSolution when alpha
-    underflows to 0, and then carries alpha = 1.  A bad p1 or gamma, or an
-    explicit alpha outside (0, 1], is a ValueError."""
+    wins, otherwise derive it from the relay SNR threshold gamma: exactly 1
+    at gamma = the strongest relay's full-power SNR, and clipped at 1 where
+    rounding puts it one ulp above.  Returns (alpha per row, every one in
+    (0, 1], RowErrors): a row fails with InfeasibleThreshold when its
+    strongest relay cannot reach gamma, and then carries alpha = 1.  A bad
+    p1 or gamma (check_gamma), or an explicit alpha outside (0, 1], is a
+    ValueError."""
     _check_rows(batch, p1, "p1")
     _check_rows(batch, alpha, "alpha")
     if not np.all((0.0 < np.asarray(p1)) & (np.asarray(p1) < math.inf)):
@@ -296,8 +299,7 @@ def resolve_alphas(batch: InstanceBatch, p1, gamma: Optional[float],
         return alphas, errors
     if gamma is None:
         raise ValueError("either alpha or gamma must be given")
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma={gamma!r} must be finite and positive")
+    check_gamma(gamma)
     if batch.m == 0:
         raise ValueError("instance has no relays: gamma, a relay SNR threshold, needs one")
     gain2 = np.max(np.abs(batch.h_sr) ** 2, axis=-1)
@@ -308,19 +310,7 @@ def resolve_alphas(batch: InstanceBatch, p1, gamma: Optional[float],
     errors.fail(np.flatnonzero(gamma > ceiling), lambda i: InfeasibleThreshold(
         f"gamma={float(gamma)!r} exceeds the strongest relay's full-power SNR "
         f"{float(ceiling[i])!r}; no alpha <= 1 can reach it"))
-    errors.fail(np.flatnonzero(~(alphas > 0.0)), lambda i: NonFiniteSolution(
-        f"alpha underflows to 0: gamma={float(gamma)!r} is so small that 1/gamma overflows"))
-    return np.where(errors.failed, 1.0, np.minimum(alphas, 1.0)), errors
-
-
-def resolve_alpha(instance: NetworkInstance, p1: float, gamma: Optional[float],
-                  alpha: Optional[float]) -> float:
-    """resolve_alphas for one instance; an infeasible threshold raises."""
-    _check_rows(instance, p1, "p1")
-    alphas, errors = resolve_alphas(InstanceBatch.stack([instance]), p1, gamma, alpha)
-    if errors.errors[0] is not None:
-        raise errors.errors[0]
-    return float(alphas[0])
+    return np.where(gamma >= ceiling, 1.0, np.minimum(alphas, 1.0)), errors
 
 
 # ---------------------------------------------------------------------------

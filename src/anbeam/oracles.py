@@ -2,10 +2,11 @@
 
 Everything here is deliberately brute-force: random sampling plus projected
 coordinate ascent for the total-budget problem, dense grids for small
-individually-constrained problems, golden-section search for one-dimensional
-reductions, one dense LU solve for the rank-1 eigen identity, and
-signal-level Monte Carlo for the SNR formulas.  Oracles are slow by design
-and never used in the production solve path.
+individually-constrained problems, one dense LU solve for the rank-1 eigen
+identity, and signal-level Monte Carlo for the SNR formulas.  Oracles are
+slow by design and never used in the production solve path.  No oracle or
+validate suite calls golden_section: the acceptance gate and the magnitude
+tests check the closed-form r* and the quartic's root against it.
 
 Oracle randomness lives in its own seed namespace so oracle draws can never
 collide with experiment-harness draws.  Every oracle runs in the calling
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import OracleEvalError
 from .individual_solver import solve_individual
 from .model import (check_signal_inputs, combined_gains, derive_model, destination_phase2_rx,
-                    direct_sinr, noise_amp_diag, resolve_alpha)
+                    direct_sinr, noise_amp_diag)
 from .total_solver import dense_power_matrix, solve_total
 from .types import (IndividualBudget, NetworkInstance, SignalRealization, SystemParams,
                     TotalBudget, _frozen_array, _set)
@@ -134,11 +135,11 @@ def _cd_evaluator(instance: NetworkInstance, p1: float, alpha: float,
     return values
 
 
-def _projected_ascent(instance: NetworkInstance, p1: float, alpha: float,
-                      d: np.ndarray, p_tot: float, w0: np.ndarray,
-                      max_sweeps: int, min_step: float) -> Tuple[float, np.ndarray, int]:
-    """Greedy coordinate ascent on the power boundary w' D w = p_tot."""
-    cd = _cd_evaluator(instance, p1, alpha)
+def _projected_ascent(cd: Callable[[np.ndarray], np.ndarray], d: np.ndarray, p_tot: float,
+                      w0: np.ndarray, max_sweeps: int,
+                      min_step: float) -> Tuple[float, np.ndarray, int]:
+    """Greedy coordinate ascent of the C_d evaluator cd on the power boundary
+    w' D w = p_tot."""
     w = w0.copy()
     best = float(cd(w[None, :])[0])
     evals = 1
@@ -181,7 +182,8 @@ def oracle_total(instance: NetworkInstance, params: SystemParams,
         raise ValueError("n_samples must be >= 1")
     if not isinstance(params.budget, TotalBudget):
         raise TypeError("oracle_total requires a TotalBudget")
-    a = resolve_alpha(instance, params.p1, params.gamma, alpha)
+    solution = solve_total(instance, params, alpha=alpha)
+    a = solution.alpha
     derived = derive_model(instance, params.p1, a)
     d = dense_power_matrix(derived)
     p_tot = params.budget.p_tot
@@ -191,12 +193,11 @@ def oracle_total(instance: NetworkInstance, params: SystemParams,
     w = rng.normal(size=(n_samples, m1)) + 1j * rng.normal(size=(n_samples, m1))
     power = np.real(np.einsum("ni,ij,nj->n", np.conj(w), d, w))
     w *= np.sqrt(p_tot / power)[:, None]
-    best_w = w[int(np.argmax(_cd_evaluator(instance, params.p1, a)(w)))]
+    cd = _cd_evaluator(instance, params.p1, a)
+    best_w = w[int(np.argmax(cd(w)))]
     best_cd, best_w, ascent_evals = _projected_ascent(
-        instance, params.p1, a, d, p_tot, best_w,
-        max_sweeps=ascent_sweeps, min_step=ascent_min_step)
+        cd, d, p_tot, best_w, max_sweeps=ascent_sweeps, min_step=ascent_min_step)
 
-    solution = solve_total(instance, params, alpha=a)
     # weights are compared up to the global phase the objective ignores
     cross = abs(np.vdot(solution.w, best_w))
     dist = math.sqrt(max(
@@ -255,7 +256,8 @@ def oracle_individual_grid(instance: NetworkInstance, params: SystemParams,
         raise ValueError(f"instance has {m} relays: the grid oracle takes M <= {_GRID_MAX_RELAYS}")
     if not isinstance(params.budget, IndividualBudget):
         raise TypeError("oracle_individual_grid requires an IndividualBudget")
-    a = resolve_alpha(instance, params.p1, params.gamma, alpha)
+    solution = solve_individual(instance, params, alpha=alpha)
+    a = solution.alpha
     derived = derive_model(instance, params.p1, a, params.budget)
     c1, c2 = derived.c[0], derived.c[1:]
     u_max = derived.u_max
@@ -270,7 +272,6 @@ def oracle_individual_grid(instance: NetworkInstance, params: SystemParams,
         value[~feasible] = -np.inf
         return value
 
-    solution = solve_individual(instance, params, alpha=a)
     u_analytic = np.abs(np.asarray(solution.w)[1:]) * np.abs(instance.h_rd)
 
     lo = np.zeros(m)

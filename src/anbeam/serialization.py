@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -207,14 +207,11 @@ def solution_to_dict(solution: BeamSolution) -> dict:
     return doc
 
 
-def report_to_dict(report: OracleReport, label: Optional[str] = None) -> dict:
-    doc = {
+def report_to_dict(report: OracleReport) -> dict:
+    return {
         "analytic_value": report.analytic_value,
         "oracle_value": report.oracle_value,
         "gap": report.gap,
         "argmax_distance": report.argmax_distance,
         "samples_or_evals": report.samples_or_evals,
     }
-    if label is not None:
-        doc["label"] = label
-    return doc

@@ -7,6 +7,7 @@ values can be shared freely across threads and processes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -15,6 +16,20 @@ import numpy as np
 # Direct source->destination gains below this magnitude are rejected: the
 # second-phase cancellation signal divides by h_sd.
 EPS_GAIN = 1e-9
+
+# At or below this threshold (~5.56e-309) 1/gamma overflows a float, and the
+# split alpha = (1 + sigma2/(|h_se|^2 p1)) / (1 + 1/gamma) underflows to 0.
+_GAMMA_FLOOR = 1.0 / sys.float_info.max
+
+
+def check_gamma(gamma) -> float:
+    """gamma as a float; one that is not finite, or whose reciprocal
+    overflows a float, is a ValueError naming it."""
+    gamma = float(gamma)
+    if not _GAMMA_FLOOR < gamma < math.inf:
+        raise ValueError(f"gamma={gamma!r} must be finite and above {_GAMMA_FLOOR:.3g}, "
+                         "where 1/gamma overflows a float")
+    return gamma
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -168,9 +183,9 @@ class SystemParams:
     is solved with; everything that works on a single instance (the oracles,
     serialization, derive_model of a NetworkInstance) rejects a vector with a
     ValueError naming p1.  gamma may be None when the power split alpha is
-    supplied explicitly to a solver; when present it must be positive, and
-    the feasibility bound gamma <= |h_se|^2 * p1 / sigma2 is checked at solve
-    time.
+    supplied explicitly to a solver; when present it must pass check_gamma,
+    and the feasibility bound gamma <= |h_se|^2 * p1 / sigma2 is checked at
+    solve time.
     """
 
     p1: Union[float, np.ndarray]
@@ -187,9 +202,7 @@ class SystemParams:
         if not np.all((0 < self.p1) & (self.p1 < math.inf)):
             raise ValueError("p1 must be finite and positive")
         if self.gamma is not None:
-            _set(self, "gamma", float(self.gamma))
-            if not 0 < self.gamma < math.inf:
-                raise ValueError("gamma must be finite and positive when given")
+            _set(self, "gamma", check_gamma(self.gamma))
 
 
 @dataclass(frozen=True, eq=False)

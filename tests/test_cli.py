@@ -207,6 +207,20 @@ def test_sweep_slot_failing_every_resample_exits_2_naming_the_grid_point(tmp_pat
     assert not out.exists()
 
 
+def test_sweep_gamma_whose_split_underflows_exits_2_without_resampling(tmp_path, capsys):
+    """At gamma = 1e-310, 1/gamma overflows whatever the draw, so the spec is
+    rejected before any slot is drawn."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"m_values": [2], "p1_values": [1.0], "gamma": 1e-310,
+                                     "n_instances": 2}))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: gamma=1e-310 must be finite and above 5.56e-309, "
+                   "where 1/gamma overflows a float\n")
+    assert not out.exists()
+
+
 def test_sweep_zero_workers_exits_2_with_one_line(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec_to_dict(relay_count_sweep_spec(seed=1, n_instances=1))))
@@ -220,7 +234,7 @@ def test_sweep_zero_workers_exits_2_with_one_line(tmp_path, capsys):
 # sha256 of the stdout of `validate --suite signals --seed 3 --count 3` with
 # numpy 2.4.6, the version CI pins: a change to the Monte Carlo oracle's draws
 # or arithmetic that moves a printed digit shows here.
-SIGNALS_SEED3_SHA256 = "65c49090b21fec91b0dccca9bff3a7f10c345ac918fd22b39b0a5eb02fe89dc2"
+SIGNALS_SEED3_SHA256 = "a06cd1cafd007a530fe16acbb2f80d1915093ba0fd705b0f2ec2c60a59807b5f"
 
 
 @pytest.mark.parametrize("suite", ["total", "individual", "signals"])

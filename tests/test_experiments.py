@@ -31,7 +31,7 @@ from anbeam.experiments import (
     spec_to_dict,
 )
 from anbeam.individual_solver import solve_individual, solve_individual_batch
-from anbeam.model import derive_model, resolve_alpha
+from anbeam.model import alpha_for_threshold, derive_model
 from anbeam.oracles import oracle_total
 from anbeam.serialization import params_to_dict
 from anbeam.total_solver import build_d_tilde, solve_total, solve_total_batch
@@ -672,7 +672,7 @@ SINGLE_INSTANCE_USES = {
     "derive-model": lambda inst, params: derive_model(inst, params.p1, 0.5),
     "build-d-tilde": lambda inst, params: build_d_tilde(derive_model(inst, params.p1, 0.5),
                                                         params.budget.p_tot),
-    "resolve-alpha": lambda inst, params: resolve_alpha(inst, params.p1, params.gamma, None),
+    "resolve-alpha": lambda inst, params: alpha_for_threshold(inst, params.p1, params.gamma),
     "oracle-total": lambda inst, params: oracle_total(inst, params, 4),
     "params-to-dict": lambda inst, params: params_to_dict(params),
 }

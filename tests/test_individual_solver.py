@@ -344,7 +344,22 @@ def test_rejects_total_budget(rng):
      ValueError, "budget.p_i length must equal the relay count"),
     (lambda inst, b: derive_model(inst, 2.0, 0.5, IndividualBudget(5.0, np.full(2, 0.1))),
      ValueError, "budget.p_i length must equal the relay count"),
-], ids=["solve-zero-alpha", "derive-zero-alpha", "solve-long-p_i", "derive-short-p_i"])
+    (lambda inst, b: MagnitudeProblem([1.0, 1.0], [1.0], 1.0, 1.0, 2.0, t1=-0.1),
+     ValueError, "^t1 must be >= 0 and t2 >= 1$"),
+    (lambda inst, b: MagnitudeProblem([1.0, 1.0], [1.0], 1.0, 1.0, 2.0, t2=0.5),
+     ValueError, "^t1 must be >= 0 and t2 >= 1$"),
+    (lambda inst, b: MagnitudeProblem([1.0, 1.0], [1.0], 1.0, 1.0, 2.0, tau=-1.0),
+     ValueError, "^tau must be nonnegative$"),
+    (lambda inst, b: initial_problem(derive_model(inst, 2.0, 0.5)),
+     ValueError, "^derived model lacks individual-budget quantities$"),
+    (lambda inst, b: solve_source_only(MagnitudeProblem([1.0, 1.0], [1.0], 1.0, 1.0, 2.0, t1=0.5)),
+     ValueError, "^solve_source_only expects the unclamped problem$"),
+    (lambda inst, b: solve_source_only(initial_problem(derive_model(
+        inst, 2.0, 0.5, IndividualBudget(1e300, b.p_i)))),
+     NonFiniteSolution, r"^the closed-form r\* overflows a float \(eta1=1e\+300\)$"),
+], ids=["solve-zero-alpha", "derive-zero-alpha", "solve-long-p_i", "derive-short-p_i",
+        "negative-t1", "t2-below-1", "negative-tau", "initial-total-budget",
+        "source-only-clamped", "source-only-overflow"])
 def test_individual_budget_rejects_zero_alpha_and_mismatched_caps(rng, call, error,
                                                                  message):
     inst = make_instance(rng, 3)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anbeam.errors import InfeasibleThreshold, NonFiniteSolution, SingularObservation
+from anbeam.errors import InfeasibleThreshold, SingularObservation
+from anbeam.experiments import ExperimentSpec
 from anbeam.individual_solver import solve_individual, solve_individual_batch
 from anbeam.model import (
     alpha_for_threshold,
@@ -22,9 +23,8 @@ from anbeam.model import (
     destination_phase2_rx,
     direct_sinr,
     noise_residual_scale,
-    relay_snr,
     relay_snrs,
-    resolve_alpha,
+    resolve_alphas,
     second_phase_power,
     secrecy_monotone_in_alpha,
     secrecy_rate,
@@ -152,7 +152,7 @@ def test_alpha_at_threshold_ceiling_is_one():
 def test_alpha_for_half_threshold():
     a = alpha_for_threshold(UNIT, p1=1.0, gamma=0.5)
     assert a == pytest.approx(2.0 / 3.0)
-    assert relay_snr(UNIT, 1.0, a, 0) == pytest.approx(0.5)
+    assert relay_snrs(UNIT, 1.0, a)[0] == pytest.approx(0.5)
 
 
 def test_alpha_infeasible_threshold():
@@ -172,22 +172,34 @@ def test_alpha_for_zero_relay_gains_is_infeasible_without_warnings():
 
 @pytest.mark.parametrize("split", [
     lambda p1, gamma: alpha_for_threshold(UNIT, p1, gamma),
-    lambda p1, gamma: resolve_alpha(UNIT, p1, gamma, None),
-], ids=["alpha_for_threshold", "resolve_alpha"])
+    lambda p1, gamma: resolve_alphas(InstanceBatch.stack([UNIT]), p1, gamma, None),
+], ids=["alpha_for_threshold", "resolve_alphas"])
 @pytest.mark.parametrize("p1, gamma, name", [
     (1.0, math.nan, "gamma"),
     (1.0, -1.0, "gamma"),
     (1.0, 0.0, "gamma"),
     (1.0, math.inf, "gamma"),
+    (1.0, 1e-310, "gamma"),
     (math.nan, 0.5, "p1"),
     (-1.0, 0.5, "p1"),
     (0.0, 0.5, "p1"),
     (math.inf, 0.5, "p1"),
-], ids=["nan-gamma", "negative-gamma", "zero-gamma", "inf-gamma", "nan-p1",
+], ids=["nan-gamma", "negative-gamma", "zero-gamma", "inf-gamma", "underflowing-gamma", "nan-p1",
         "negative-p1", "zero-p1", "inf-p1"])
 def test_threshold_split_rejects_bad_inputs_by_name(split, p1, gamma, name):
     with pytest.raises(ValueError, match=f"^{name}="):
         split(p1, gamma)
+
+
+@pytest.mark.parametrize("split, message", [
+    (lambda: alpha_for_threshold(UNIT, 1.0, None), "^either alpha or gamma must be given$"),
+    (lambda: solve_total_batch(InstanceBatch.stack([NetworkInstance(
+        h_sd=1.0, h_sr=[], h_rd=[], sigma2=1.0)] * 2), SystemParams(1.0, 0.5, TotalBudget(1.0))),
+     "^instance has no relays: gamma, a relay SNR threshold, needs one$"),
+], ids=["neither-alpha-nor-gamma", "gamma-without-relays"])
+def test_threshold_split_needs_gamma_and_a_relay(split, message):
+    with pytest.raises(ValueError, match=message):
+        split()
 
 
 def test_alpha_round_trip_and_dominance(rng):
@@ -199,7 +211,7 @@ def test_alpha_round_trip_and_dominance(rng):
         gamma = float(rng.uniform(0.05, 0.999)) * abs(inst.h_sr[e]) ** 2 * p1 / inst.sigma2
         a = alpha_for_threshold(inst, p1, gamma)
         assert 0.0 < a <= 1.0
-        assert relay_snr(inst, p1, a, e) == pytest.approx(gamma, rel=1e-12)
+        assert relay_snrs(inst, p1, a)[e] == pytest.approx(gamma, rel=1e-12)
         assert np.all(relay_snrs(inst, p1, a) <= gamma * (1.0 + 1e-12))
 
 
@@ -229,20 +241,28 @@ def test_threshold_one_ulp_out_of_reach_prints_both_values_in_full():
 
 @pytest.mark.parametrize("solve", [solve_total, solve_individual], ids=lambda f: f.__name__)
 def test_gamma_whose_split_underflows_fails_each_row(solve):
-    """Below gamma ~ 5.6e-309, 1/gamma overflows and the derived alpha
-    underflows to 0 whatever the row (gamma is one value per batch).  Each
-    row fails with NonFiniteSolution naming the underflow and carries
-    alpha = 1; only the N = 1 call raises."""
-    batch_solve = {solve_total: solve_total_batch, solve_individual: solve_individual_batch}
-    other = NetworkInstance(h_sd=0.5, h_sr=[0.4, 0.7], h_rd=[0.8, 0.4], sigma2=0.3)
-    underflow = r"^alpha underflows to 0: gamma=1e-310 is so small that 1/gamma overflows"
-    params = SystemParams(3.0, 1e-310, EDGE_BUDGETS[solve])
-    solved = batch_solve[solve](InstanceBatch.stack([EDGE, other]), params)
-    assert [type(err) for err in solved.errors] == [NonFiniteSolution] * 2
-    assert all(re.match(underflow, str(err)) for err in solved.errors)
-    assert np.array_equal(solved.alpha, [1.0, 1.0])
-    with pytest.raises(NonFiniteSolution, match=underflow):
-        solve(other, params)
+    """At or below gamma ~ 5.56e-309, 1/gamma overflows and the derived alpha
+    would underflow to 0 whatever the row.  That depends on gamma alone, so
+    every place gamma enters rejects it with one message naming gamma, and
+    the smallest gamma above the bound gives a positive split."""
+    underflow = ("^gamma=1e-310 must be finite and above 5.56e-309, "
+                 "where 1/gamma overflows a float$")
+    mode = "total" if solve is solve_total else "individual"
+    with pytest.raises(ValueError, match=underflow):
+        SystemParams(3.0, 1e-310, EDGE_BUDGETS[solve])
+    with pytest.raises(ValueError, match=underflow):
+        ExperimentSpec(m_values=[2], p1_values=[3.0], gamma=1e-310, budget_mode=mode)
+    with pytest.raises(ValueError, match=underflow):
+        alpha_for_threshold(EDGE, 3.0, 1e-310)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=underflow):
+            resolve_alphas(InstanceBatch.stack([EDGE, EDGE]), 3.0, np.float64(1e-310), None)
+        smallest = float(np.nextafter(1.0 / np.finfo(float).max, 1.0))
+        assert math.isfinite(1.0 / smallest)
+        SystemParams(3.0, smallest, EDGE_BUDGETS[solve])
+        ExperimentSpec(m_values=[2], p1_values=[3.0], gamma=smallest, budget_mode=mode)
+        assert 0.0 < alpha_for_threshold(EDGE, 3.0, smallest) < 1e-307
 
 
 @pytest.mark.parametrize("entry, solve", [
@@ -267,20 +287,36 @@ def test_every_solve_entry_rejects_a_zero_alpha_row(entry, solve):
 
 
 def test_relay_snr_extremes():
-    assert relay_snr(UNIT, 1.0, 0.0, 0) == 0.0
-    assert relay_snr(UNIT, 3.0, 1.0, 0) == pytest.approx(3.0)
+    assert relay_snrs(UNIT, 1.0, 0.0)[0] == 0.0
+    assert relay_snrs(UNIT, 3.0, 1.0)[0] == pytest.approx(3.0)
 
 
 def test_relay_snr_example():
-    assert relay_snr(UNIT, 1.0, 2.0 / 3.0, 0) == pytest.approx(0.5)
+    assert relay_snrs(UNIT, 1.0, 2.0 / 3.0)[0] == pytest.approx(0.5)
 
 
 def test_relay_snr_nondecreasing_in_alpha(rng):
     inst = make_instance(rng, 3)
     grid = np.linspace(0.0, 1.0, 100)
     for i in range(3):
-        snrs = [relay_snr(inst, 2.5, a, i) for a in grid]
+        snrs = [relay_snrs(inst, 2.5, a)[i] for a in grid]
         assert np.all(np.diff(snrs) >= -1e-15)
+
+
+def test_capacity_relay_and_the_threshold_read_the_one_relay_snr():
+    """capacity_relay and the gamma -> alpha map read the relay SNR that
+    relay_snrs computes, bit for bit: a gamma set to the strongest relay's
+    full-power SNR gives alpha exactly 1 and is never out of reach."""
+    rng = np.random.default_rng(0x5E1A)
+    for _ in range(2000):
+        m = int(rng.integers(1, 7))
+        inst = make_instance(rng, m, sigma2=float(rng.uniform(0.1, 10.0)))
+        p1, a = float(rng.uniform(0.5, 8.0)), float(rng.uniform(0.05, 1.0))
+        snrs = relay_snrs(inst, p1, a)
+        for i in range(m):
+            assert capacity_relay(inst, p1, a, i) == 0.5 * math.log2(1.0 + float(snrs[i]))
+        ceiling = relay_snrs(inst, p1, 1.0)[strongest_relay(inst)]
+        assert alpha_for_threshold(inst, p1, ceiling) == 1.0
 
 
 @pytest.mark.parametrize("p1,expected", [(1.0, 0.5), (3.0, 1.0)])
@@ -573,5 +609,5 @@ def test_relay_snr_bounded_by_full_power(gains, alpha, p1):
     m = len(gains)
     inst = NetworkInstance(h_sd=1.0, h_sr=np.sqrt(gains), h_rd=np.ones(m), sigma2=1.0)
     for i in range(m):
-        snr = relay_snr(inst, p1, alpha, i)
+        snr = relay_snrs(inst, p1, alpha)[i]
         assert 0.0 <= snr <= gains[i] * p1 + 1e-12

@@ -61,6 +61,11 @@ def test_params_round_trip_individual_without_gamma():
     assert np.array_equal(back.budget.p_i, [0.1, 0.0, 0.2])
 
 
+def test_params_to_dict_rejects_an_unknown_budget_type():
+    with pytest.raises(TypeError, match="^unknown budget type object$"):
+        params_to_dict(SystemParams(1.0, None, object()))
+
+
 def test_unknown_budget_kind_rejected():
     d = params_to_dict(SystemParams(1.0, None, TotalBudget(1.0)))
     d["budget"]["kind"] = "communal"

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from anbeam.errors import BeamformingError
-from anbeam.model import capacity_dest, derive_model, second_phase_power, strongest_relay
+from anbeam.model import (capacity_dest, derive_model, relay_snrs, second_phase_power,
+                          strongest_relay)
 from anbeam.total_solver import build_d_tilde, dense_power_matrix, solve_total
 from anbeam.types import (
     DerivedModel,
@@ -69,6 +70,13 @@ def test_d_tilde_rejects_zero_alpha(rng):
     derived = derive_model(inst, 2.0, 0.0)
     with pytest.raises(ValueError, match=r"^alpha=0\.0 must be positive: D_tilde is singular"):
         build_d_tilde(derived, 3.0)
+
+
+@pytest.mark.parametrize("p_tot", [0.0, -1.0])
+def test_d_tilde_rejects_nonpositive_budget(rng, p_tot):
+    derived = derive_model(make_instance(rng, 2), 2.0, 0.5)
+    with pytest.raises(ValueError, match="^p_tot must be positive$"):
+        build_d_tilde(derived, p_tot)
 
 
 def test_d_tilde_hermitian_positive_definite(rng):
@@ -176,8 +184,7 @@ def test_derived_alpha_used_when_not_given(rng):
     inst, params = _random_case(rng, 2)
     sol = solve_total(inst, params)
     e = strongest_relay(inst)
-    from anbeam.model import relay_snr
-    assert relay_snr(inst, params.p1, sol.alpha, e) == pytest.approx(params.gamma, rel=1e-12)
+    assert relay_snrs(inst, params.p1, sol.alpha)[e] == pytest.approx(params.gamma, rel=1e-12)
 
 
 def test_rejects_individual_budget(rng):
