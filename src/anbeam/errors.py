@@ -23,8 +23,7 @@ class SingularObservation(BeamformingError):
 
 class NonFiniteSolution(BeamformingError):
     """A quantity of the solve left the float range, through the gains, the
-    budgets or a vanishing alpha: the weights, C_d, r*, the quartic, or an
-    alpha derived from a gamma so small that it underflows to 0."""
+    budgets or a vanishing alpha: the weights, C_d, r* or the quartic."""
 
 
 class OracleEvalError(BeamformingError):

@@ -42,7 +42,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InfeasibleBudget, NonFiniteSolution
-from .model import _dot, _per_relay, derive_model, resolve_alphas, solved_values
+from .model import _check_rows, _dot, _per_relay, derive_model, resolve_alphas, solved_values
 from .types import (
     BatchSolution,
     BeamSolution,
@@ -433,8 +433,8 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
 
     Rows fail independently: InfeasibleThreshold (gamma out of reach),
     InfeasibleBudget (the source cannot cancel the noise the clamped relays
-    forward) or NonFiniteSolution (alpha underflows, or r*, the quartic, w
-    or C_d leaves the float range).
+    forward) or NonFiniteSolution (r*, the quartic, w or C_d leaves the
+    float range).
     """
     budget = params.budget
     if not isinstance(budget, IndividualBudget):
@@ -509,5 +509,6 @@ def solve_individual(instance: NetworkInstance, params: SystemParams,
                      alpha: Optional[float] = None) -> BeamSolution:
     """Optimal weights under separate source and per-relay power caps for one
     instance: the N = 1 case of solve_individual_batch."""
+    _check_rows(instance, params.p1, "p1")
     return solve_individual_batch(InstanceBatch.stack([instance]), params,
                                   alpha).solution(0)

@@ -4,7 +4,9 @@ Everything here is deliberately brute-force: random sampling plus projected
 coordinate ascent for the total-budget problem, dense grids for small
 individually-constrained problems, one dense LU solve for the rank-1 eigen
 identity, and signal-level Monte Carlo for the SNR formulas.  Oracles are
-slow by design and never used in the production solve path.  No oracle or
+slow by design and never used in the production solve path.  The ascent
+scores each trial step in O(1) by rank-one updates of the dense quadratic
+forms, and recomputes them from w after each accepted step.  No oracle or
 validate suite calls golden_section: the acceptance gate and the magnitude
 tests check the closed-form r* and the quartic's root against it.
 
@@ -135,37 +137,66 @@ def _cd_evaluator(instance: NetworkInstance, p1: float, alpha: float,
     return values
 
 
-def _projected_ascent(cd: Callable[[np.ndarray], np.ndarray], d: np.ndarray, p_tot: float,
-                      w0: np.ndarray, max_sweeps: int,
-                      min_step: float) -> Tuple[float, np.ndarray, int]:
-    """Greedy coordinate ascent of the C_d evaluator cd on the power boundary
-    w' D w = p_tot."""
-    w = w0.copy()
-    best = float(cd(w[None, :])[0])
+def _step_scorer(instance: NetworkInstance, p1: float, alpha: float, d: np.ndarray,
+                 p_tot: float) -> Tuple[Callable, Callable]:
+    """refresh(w) -> (state, C_d(w)), the state (w, Dw, w'Dw, h^T w,
+    sum_i |w_i|^2 d_h,i) computed densely; trial(state, k, s) -> the power
+    of w + s e_k and its C_d rescaled onto w'Dw = p_tot (None at power <= 0),
+    in O(1): w'Dw moves by 2 Re(conj(s) (Dw)_k) + |s|^2 D_kk, h^T w by s h_k
+    and the noise term by (2 Re(conj(w_k) s) + |s|^2) d_h,k."""
+    h, d_h = combined_gains(instance), noise_amp_diag(instance)
+    h_k, dh_k, d_kk = h.tolist(), d_h.tolist(), np.real(np.diag(d)).tolist()
+    direct = float(direct_sinr(instance, p1, alpha))
+    snr = float(alpha * p1 / instance.sigma2)
+
+    def trial(state, k, s):
+        w, dw, power, b, n = state
+        s2 = abs(s) ** 2
+        power += 2.0 * (s.conjugate() * dw[k]).real + s2 * d_kk[k]
+        if not power > 0.0:
+            return None
+        b += s * h_k[k]
+        n += (2.0 * (w[k].conjugate() * s).real + s2) * dh_k[k]
+        # c^2 |b|^2 / (1 + c^2 n) with c^2 = p_tot/power
+        return power, 0.5 * math.log2(1.0 + direct + snr * abs(b) ** 2 / (power / p_tot + n))
+
+    def refresh(w):
+        dw = d @ w
+        state = (w.tolist(), dw.tolist(), float(np.vdot(w, dw).real), complex(h @ w),
+                 float(np.abs(w) ** 2 @ d_h))
+        return state, trial(state, 0, 0.0)[1]  # the zero step scores w itself
+
+    return refresh, trial
+
+
+def _projected_ascent(refresh: Callable, trial: Callable, p_tot: float, w0: np.ndarray,
+                      max_sweeps: int, min_step: float) -> Tuple[float, np.ndarray, int]:
+    """Greedy coordinate ascent of C_d on the power boundary w'Dw = p_tot,
+    scored by _step_scorer's refresh and trial; the state is refreshed from
+    w after each move, so rounding does not accumulate."""
+    w = w0
+    state, best = refresh(w)
     evals = 1
     step = 0.3
     sweeps = 0
-    trial = np.empty((4, len(w)), dtype=complex)  # w with one coordinate stepped 4 ways
     while step > min_step and sweeps < max_sweeps:
         sweeps += 1
         improved = False
-        steps = np.array([step, -step, 1j * step, -1j * step])
+        steps = (step, -step, 1j * step, -1j * step)
         for k in range(len(w)):
-            trial[:] = w
-            trial[:, k] += steps
-            power = np.real(np.einsum("ni,ij,nj->n", np.conj(trial), d, trial))
-            if power.min() > 0:
-                scaled = trial * np.sqrt(p_tot / power)[:, None]
-            else:
-                ok = power > 0
-                if not ok.any():
-                    continue
-                scaled = trial[ok] * np.sqrt(p_tot / power[ok])[:, None]
-            values = cd(scaled)
-            evals += len(values)
-            j = int(np.argmax(values))
-            if values[j] > best:
-                best, w, improved = float(values[j]), scaled[j], True
+            top, move = best, None
+            for s in steps:
+                scored = trial(state, k, s)
+                if scored is not None:
+                    evals += 1
+                    if scored[1] > top:
+                        top, move = scored[1], (s, scored[0])
+            if move is not None:
+                w = w.copy()
+                w[k] += move[0]
+                w *= math.sqrt(p_tot / move[1])
+                state, best = refresh(w)
+                improved = True
         if not improved:
             step *= 0.5
     return best, w, evals
@@ -191,12 +222,13 @@ def oracle_total(instance: NetworkInstance, params: SystemParams,
     rng = _oracle_rng(seed, 0)
     m1 = instance.m + 1
     w = rng.normal(size=(n_samples, m1)) + 1j * rng.normal(size=(n_samples, m1))
-    power = np.real(np.einsum("ni,ij,nj->n", np.conj(w), d, w))
+    # one zgemm: row n of w D^T is D w_n
+    power = np.real(np.einsum("ni,ni->n", np.conj(w), w @ d.T))
     w *= np.sqrt(p_tot / power)[:, None]
-    cd = _cd_evaluator(instance, params.p1, a)
-    best_w = w[int(np.argmax(cd(w)))]
+    best_w = w[int(np.argmax(_cd_evaluator(instance, params.p1, a)(w)))]
+    refresh, trial = _step_scorer(instance, params.p1, a, d, p_tot)
     best_cd, best_w, ascent_evals = _projected_ascent(
-        cd, d, p_tot, best_w, max_sweeps=ascent_sweeps, min_step=ascent_min_step)
+        refresh, trial, p_tot, best_w, max_sweeps=ascent_sweeps, min_step=ascent_min_step)
 
     # weights are compared up to the global phase the objective ignores
     cross = abs(np.vdot(solution.w, best_w))

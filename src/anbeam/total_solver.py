@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import _dot, derive_model, resolve_alphas, second_phase_power, solved_values
+from .model import (_check_rows, _dot, derive_model, resolve_alphas, second_phase_power,
+                    solved_values)
 from .types import (
     BatchSolution,
     BeamSolution,
@@ -77,8 +78,8 @@ def solve_total_batch(batch: InstanceBatch, params: SystemParams,
     exactly; this form skips a subtraction that cancels when |h_sd| is small.
 
     Rows fail independently: InfeasibleThreshold (gamma out of reach) or
-    NonFiniteSolution (alpha underflows, or v, w or C_d leaves the float
-    range).  resolve_alphas judges alpha, so every row's alpha is in (0, 1].
+    NonFiniteSolution (v, w or C_d leaves the float range).  resolve_alphas
+    judges alpha, so every row's alpha is in (0, 1].
     """
     budget = params.budget
     if not isinstance(budget, TotalBudget):
@@ -117,4 +118,5 @@ def solve_total(instance: NetworkInstance, params: SystemParams,
                 alpha: Optional[float] = None) -> BeamSolution:
     """Optimal weights under the total budget for one instance: the N = 1
     case of solve_total_batch."""
+    _check_rows(instance, params.p1, "p1")
     return solve_total_batch(InstanceBatch.stack([instance]), params, alpha).solution(0)

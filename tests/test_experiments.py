@@ -675,6 +675,9 @@ SINGLE_INSTANCE_USES = {
     "resolve-alpha": lambda inst, params: alpha_for_threshold(inst, params.p1, params.gamma),
     "oracle-total": lambda inst, params: oracle_total(inst, params, 4),
     "params-to-dict": lambda inst, params: params_to_dict(params),
+    "solve-total": lambda inst, params: solve_total(inst, params),
+    "solve-individual": lambda inst, params: solve_individual(
+        inst, SystemParams(params.p1, params.gamma, IndividualBudget(2.0, np.full(inst.m, 0.1)))),
 }
 
 

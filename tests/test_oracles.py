@@ -35,9 +35,10 @@ from anbeam.oracles import (
     oracle_total,
     power_iteration_rank1,
 )
-from anbeam.total_solver import build_d_tilde
+from anbeam.total_solver import build_d_tilde, dense_power_matrix
 from anbeam.types import (IndividualBudget, NetworkInstance, SignalRealization, SystemParams,
                           TotalBudget)
+from ascent_reference import ascent_reference
 from conftest import make_instance, random_weights
 
 
@@ -143,6 +144,50 @@ def test_oracle_total_reproduces_recorded_reports(case):
     report = oracle_total(inst, params, case["n_samples"], seed=case["seed"],
                           **case["kwargs"])
     assert report == OracleReport(**case["report"])
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_oracle_total_follows_the_dense_reference_ascent(m):
+    """The O(1) trial scores take the dense ascent's path: at the acceptance
+    gate's settings, every report counts the same trials and reaches the same
+    value as the per-coordinate einsum loop of ascent_reference."""
+    rng = np.random.default_rng(0xA5C + m)
+    for k in range(17):
+        inst = make_instance(rng, m)
+        p1 = float(rng.uniform(0.5, 5.0))
+        params = SystemParams(p1, _gamma_for(inst, p1, float(rng.uniform(0.2, 0.9))),
+                              TotalBudget(float(rng.uniform(1.0, 10.0))))
+        kwargs = dict(seed=k, ascent_sweeps=60, ascent_min_step=1e-5)
+        report = oracle_total(inst, params, 512, **kwargs)
+        value, evals = ascent_reference(inst, params, 512, **kwargs)
+        assert report.samples_or_evals == evals
+        assert abs(report.oracle_value - value) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 4, 16, 64])
+def test_step_score_matches_the_rescaled_trial(rng, m):
+    """trial's rank-one update of (w'Dw, h^T w, noise term) scores w + s e_k
+    as _cd_evaluator scores that trial explicitly rescaled onto w'Dw = p_tot,
+    and refresh scores w itself."""
+    inst = make_instance(rng, m)
+    p1, alpha, p_tot = 2.0, 0.6, 3.0
+    d = dense_power_matrix(derive_model(inst, p1, alpha))
+    cd = oracles._cd_evaluator(inst, p1, alpha)
+    refresh, trial = oracles._step_scorer(inst, p1, alpha, d, p_tot)
+
+    def explicit(w):
+        power = float(np.real(np.vdot(w, d @ w)))
+        return power, float(cd((w * math.sqrt(p_tot / power))[None, :])[0])
+
+    for _ in range(10):
+        w = random_weights(rng, m, scale=float(rng.uniform(0.1, 3.0)))
+        state, value = refresh(w)
+        assert value == pytest.approx(explicit(w)[1], rel=1e-12)
+        for s in (0.3, -0.3, 0.3j, -1e-5j, complex(*rng.normal(size=2))):
+            k = int(rng.integers(m + 1))
+            stepped = w.copy()
+            stepped[k] += s
+            assert trial(state, k, s) == pytest.approx(explicit(stepped), rel=1e-12)
 
 
 def test_oracle_total_rejects_bad_args(rng):
