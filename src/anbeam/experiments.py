@@ -88,9 +88,11 @@ def sample_instance(m: int, variances: ChannelVariances,
                     stream: np.random.Generator, sigma2: float = 1.0) -> NetworkInstance:
     """Draw one network: h_sd ~ CN(0, sd), each relay's h_si ~ CN(0, sr) and
     h_id ~ CN(0, rd), with the per-relay draws interleaved so a smaller relay
-    count consumes a prefix of the same stream."""
+    count consumes a prefix of the same stream.  An m that is not an integer
+    of at least 1 is a ValueError naming it."""
+    m = _integer(m, "m")
     if m < 1:
-        raise ValueError("need at least one relay")
+        raise ValueError(f"m={m}: need at least one relay")
     # read as complex: h_sd, then (h_si, h_id) for each relay
     gains = stream.standard_normal(2 + 4 * m).view(complex)
     return NetworkInstance(h_sd=complex(gains[0]) * math.sqrt(variances.sd / 2.0),

@@ -47,8 +47,8 @@ from .types import (
     BatchSolution,
     BeamSolution,
     DerivedModel,
-    IndividualBatchDiagnostics,
     IndividualBudget,
+    IndividualDiagnostics,
     InstanceBatch,
     NetworkInstance,
     SystemParams,
@@ -461,8 +461,9 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
     ratio0 = np.where(u_max[live] > 0.0, u[live] / u_max[live], np.inf)
     over = np.max(ratio0, axis=1, initial=-np.inf) > 1.0 + BOUND_SLACK
     live = live[over]
-    clamped[live], t1[live], t2[live] = _clamp_scan(
-        ratio0[over], u_max[live], c1[live], c2[live], eta1[live], eta2[live])
+    if live.size:  # no row violates a cap at M = 0
+        clamped[live], t1[live], t2[live] = _clamp_scan(
+            ratio0[over], u_max[live], c1[live], c2[live], eta1[live], eta2[live])
 
     tau[live] = _active_norm(c2[live], ~clamped[live])
     r[live] = 0.0  # also the answer where nothing is left to re-solve
@@ -493,16 +494,8 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
     w = np.concatenate(
         ((np.sqrt(np.maximum(rad, 0.0)) * np.exp(1j * phases[:, 0]))[:, None], relay_w),
         axis=-1)
-    c_d, power = solved_values(batch, p1, a, w, errors)
-    return BatchSolution(
-        w=w,
-        alpha=a,
-        c_d=c_d,
-        second_phase_power=power,
-        errors=tuple(errors.errors),
-        diagnostics=IndividualBatchDiagnostics(clamped=clamped, t1=t1, t2=t2, tau=tau,
-                                               chosen_r=r),
-    )
+    return solved_values(batch, p1, a, w, errors, IndividualDiagnostics(
+        clamped=clamped, t1=t1, t2=t2, tau=tau, chosen_r=r))
 
 
 def solve_individual(instance: NetworkInstance, params: SystemParams,

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import InfeasibleThreshold, NonFiniteSolution, RowErrors, SingularObservation
 from .types import (
+    BatchSolution,
     Budget,
     DerivedModel,
     IndividualBudget,
@@ -205,18 +206,21 @@ def second_phase_power(instance: NetworkInstance, p1: float, alpha,
     return source + relays
 
 
-def solved_values(batch: InstanceBatch, p1, alpha, w: np.ndarray,
-                  errors: RowErrors) -> "tuple[np.ndarray, np.ndarray]":
-    """C_d and second-phase power of every row of a solved batch, the tail
-    both solvers share.  A row whose weights or C_d is not finite fails with
-    NonFiniteSolution: its SNRs or powers overflow a float, so the row has
-    no answer to report.  Call under np.errstate(over="ignore")."""
+def solved_values(batch: InstanceBatch, p1, alpha: np.ndarray, w: np.ndarray,
+                  errors: RowErrors, diagnostics) -> BatchSolution:
+    """The BatchSolution of a solved batch, with each row's C_d and
+    second-phase power: the tail both solvers share.  A row whose weights or
+    C_d is not finite fails with NonFiniteSolution: its SNRs or powers
+    overflow a float, so the row has no answer to report.  Call under
+    np.errstate(over="ignore")."""
     c_d = capacity_dest(batch, p1, alpha, w)
     errors.fail(np.flatnonzero(~np.isfinite(w).all(axis=-1)), lambda i: NonFiniteSolution(
         "the weights are not finite: the inputs' powers overflow a float"))
     errors.fail(np.flatnonzero(~np.isfinite(c_d)), lambda i: NonFiniteSolution(
         f"C_d={float(c_d[i])!r}: the destination SNR overflows a float"))
-    return c_d, second_phase_power(batch, p1, alpha, w)
+    return BatchSolution(w=w, alpha=alpha, c_d=c_d,
+                         second_phase_power=second_phase_power(batch, p1, alpha, w),
+                         errors=tuple(errors.errors), diagnostics=diagnostics)
 
 
 def derive_model(instance: NetworkInstance, p1: float, alpha: float,

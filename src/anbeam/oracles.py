@@ -33,6 +33,7 @@ from .errors import OracleEvalError
 from .individual_solver import solve_individual
 from .model import (check_signal_inputs, combined_gains, derive_model, destination_phase2_rx,
                     direct_sinr, noise_amp_diag)
+from .serialization import _integer
 from .total_solver import dense_power_matrix, solve_total
 from .types import (IndividualBudget, NetworkInstance, SignalRealization, SystemParams,
                     TotalBudget, _frozen_array, _set)
@@ -208,7 +209,9 @@ def oracle_total(instance: NetworkInstance, params: SystemParams,
                  ascent_min_step: float = 1e-7) -> OracleReport:
     """Brute-force check of solve_total: sample n_samples directions on the
     power boundary from the (seed, 0) oracle stream, refine the best by
-    projected coordinate ascent, compare C_d values."""
+    projected coordinate ascent, compare C_d values.  An n_samples that is not
+    an integer of at least 1 is a ValueError naming it."""
+    n_samples = _integer(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if not isinstance(params.budget, TotalBudget):

@@ -32,11 +32,11 @@ import numpy as np
 from .types import (
     BeamSolution,
     IndividualBudget,
-    IndividualSolveDiagnostics,
+    IndividualDiagnostics,
     NetworkInstance,
     SystemParams,
     TotalBudget,
-    TotalSolveDiagnostics,
+    TotalDiagnostics,
 )
 
 if TYPE_CHECKING:
@@ -192,13 +192,13 @@ def solution_to_dict(solution: BeamSolution) -> dict:
         "second_phase_power": solution.second_phase_power,
     }
     diag = solution.diagnostics
-    if isinstance(diag, TotalSolveDiagnostics):
+    if isinstance(diag, TotalDiagnostics):
         doc["diagnostics"] = {
             "kind": "total",
             "mu": diag.mu,
             "rayleigh_value": diag.rayleigh_value,
         }
-    elif isinstance(diag, IndividualSolveDiagnostics):
+    elif isinstance(diag, IndividualDiagnostics):
         doc["diagnostics"] = {
             "kind": "individual",
             "clamped": list(diag.clamped),

@@ -24,8 +24,8 @@ from .types import (
     InstanceBatch,
     NetworkInstance,
     SystemParams,
-    TotalBatchDiagnostics,
     TotalBudget,
+    TotalDiagnostics,
 )
 
 
@@ -102,16 +102,8 @@ def solve_total_batch(batch: InstanceBatch, params: SystemParams,
     b = _dot(h, w)
     gain = np.abs(b)
     w = w * np.where(gain > 0, np.conj(b) / gain, 1.0)[:, None]
-    c_d, power = solved_values(batch, p1, a, w, errors)
-    return BatchSolution(
-        w=w,
-        alpha=a,
-        c_d=c_d,
-        second_phase_power=power,
-        errors=tuple(errors.errors),
-        diagnostics=TotalBatchDiagnostics(
-            v=v, mu=mu, rayleigh_value=np.real(_dot(h, v))),
-    )
+    return solved_values(batch, p1, a, w, errors,
+                         TotalDiagnostics(v=v, mu=mu, rayleigh_value=np.real(_dot(h, v))))
 
 
 def solve_total(instance: NetworkInstance, params: SystemParams,

@@ -42,11 +42,12 @@ def _set(obj, name, value):
     object.__setattr__(obj, name, value)
 
 
-def _freeze_in_place(obj, names) -> None:
-    """Mark the named array fields read-only without copying them; for
-    batch results, whose arrays the solver built for them alone."""
-    for name in names:
-        getattr(obj, name).setflags(write=False)
+def _freeze_in_place(obj) -> None:
+    """Mark every array field read-only without copying it; for solver
+    results, whose arrays the solver built for them alone."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,59 +269,28 @@ class SignalRealization:
 
 
 @dataclass(frozen=True, eq=False)
-class TotalSolveDiagnostics:
-    """Byproducts of the closed-form total-budget solve."""
+class TotalDiagnostics:
+    """Byproducts of the closed-form total-budget solve of every row of a
+    batch; row(i) is one row's, as a single solve reports them: v a view,
+    the rest floats."""
 
-    v: np.ndarray          # unnormalized direction solving D_tilde v = conj(h)
-    mu: float              # scaling putting mu*v on the power boundary
-    rayleigh_value: float  # achieved ratio |h.w|^2 / (1 + w' D_h w)
+    v: np.ndarray                            # (N, M+1) solution of D_tilde v = conj(h)
+    mu: Union[np.ndarray, float]             # (N,) scaling putting mu*v on the power boundary
+    rayleigh_value: Union[np.ndarray, float]  # (N,) achieved |h.w|^2 / (1 + w' D_h w)
 
     def __post_init__(self):
-        _set(self, "v", _frozen_array(self.v, complex))
+        _freeze_in_place(self)
 
-
-@dataclass(frozen=True)
-class IndividualSolveDiagnostics:
-    """The clamped set and the final magnitude solve."""
-
-    clamped: tuple = ()           # relay indices fixed at their amplitude caps
-    chosen_r: float = 0.0         # active-subvector norm of the final solve
+    def row(self, i: int) -> "TotalDiagnostics":
+        return TotalDiagnostics(v=self.v[i], mu=float(self.mu[i]),
+                                rayleigh_value=float(self.rayleigh_value[i]))
 
 
 @dataclass(frozen=True, eq=False)
-class BeamSolution:
-    """Optimal weights plus the quantities callers typically inspect."""
-
-    w: np.ndarray
-    alpha: float
-    c_d: float
-    second_phase_power: float
-    diagnostics: Union[TotalSolveDiagnostics, IndividualSolveDiagnostics, None] = None
-
-    def __post_init__(self):
-        _set(self, "w", _frozen_array(self.w, complex))
-
-
-@dataclass(frozen=True, eq=False)
-class TotalBatchDiagnostics:
-    """TotalSolveDiagnostics of every row of a batch: v (N, M+1), mu (N,),
-    rayleigh_value (N,)."""
-
-    v: np.ndarray
-    mu: np.ndarray
-    rayleigh_value: np.ndarray
-
-    def __post_init__(self):
-        _freeze_in_place(self, ("v", "mu", "rayleigh_value"))
-
-    def row(self, i: int) -> TotalSolveDiagnostics:
-        return TotalSolveDiagnostics(v=self.v[i], mu=float(self.mu[i]),
-                                     rayleigh_value=float(self.rayleigh_value[i]))
-
-
-@dataclass(frozen=True, eq=False)
-class IndividualBatchDiagnostics:
-    """Every row's clamped set and final magnitude solve.
+class IndividualDiagnostics:
+    """The clamped set and the final magnitude solve of every row of a batch;
+    row(i) is one row's, as a single solve reports them: clamped the tuple
+    of clamped relay indices, the rest floats.
 
     clamped: (N, M) mask of relays fixed at their amplitude caps.
     t1, t2, tau: (N,) offsets and active norm of the final magnitude problem.
@@ -331,20 +301,34 @@ class IndividualBatchDiagnostics:
     fields.
     """
 
-    clamped: np.ndarray
-    t1: np.ndarray
-    t2: np.ndarray
-    tau: np.ndarray
-    chosen_r: np.ndarray
+    clamped: Union[np.ndarray, tuple]
+    t1: Union[np.ndarray, float]
+    t2: Union[np.ndarray, float]
+    tau: Union[np.ndarray, float]
+    chosen_r: Union[np.ndarray, float]
 
     def __post_init__(self):
-        _freeze_in_place(self, ("clamped", "t1", "t2", "tau", "chosen_r"))
+        _freeze_in_place(self)
 
-    def row(self, i: int) -> IndividualSolveDiagnostics:
-        return IndividualSolveDiagnostics(
+    def row(self, i: int) -> "IndividualDiagnostics":
+        return IndividualDiagnostics(
             clamped=tuple(int(j) for j in np.flatnonzero(self.clamped[i])),
-            chosen_r=float(self.chosen_r[i]),
-        )
+            t1=float(self.t1[i]), t2=float(self.t2[i]), tau=float(self.tau[i]),
+            chosen_r=float(self.chosen_r[i]))
+
+
+@dataclass(frozen=True, eq=False)
+class BeamSolution:
+    """Optimal weights plus the quantities callers typically inspect."""
+
+    w: np.ndarray
+    alpha: float
+    c_d: float
+    second_phase_power: float
+    diagnostics: Union[TotalDiagnostics, IndividualDiagnostics, None] = None
+
+    def __post_init__(self):
+        _set(self, "w", _frozen_array(self.w, complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,10 +344,10 @@ class BatchSolution:
     c_d: np.ndarray                 # (N,)
     second_phase_power: np.ndarray  # (N,)
     errors: tuple
-    diagnostics: Union[TotalBatchDiagnostics, IndividualBatchDiagnostics]
+    diagnostics: Union[TotalDiagnostics, IndividualDiagnostics]
 
     def __post_init__(self):
-        _freeze_in_place(self, ("w", "alpha", "c_d", "second_phase_power"))
+        _freeze_in_place(self)
 
     def solution(self, i: int) -> BeamSolution:
         """Row i as a BeamSolution; raises the row's error if it failed."""

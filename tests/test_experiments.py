@@ -186,10 +186,18 @@ def test_spec_rejection_of_zero_alpha_names_the_field():
     (lambda: spec_from_dict([spec_to_dict(_tiny_spec())]), "JSON object"),
     (lambda: spec_from_dict({k: v for k, v in spec_to_dict(_tiny_spec()).items()
                              if k != "m_values"}), "m_values"),
+    (lambda: sample_instance(True, ChannelVariances(), instance_stream(0, 0)),
+     "^m: expected an integer, got True$"),
+    (lambda: sample_instance(2.5, ChannelVariances(), instance_stream(0, 0)),
+     "^m: expected an integer, got 2.5$"),
+    (lambda: oracle_total(NetworkInstance(h_sd=1.0, h_sr=[1.0], h_rd=[1.0], sigma2=1.0),
+                          SystemParams(2.0, None, TotalBudget(1.0)), 2.5, alpha=0.5),
+     "^n_samples: expected an integer, got 2.5$"),
 ], ids=["empty-m", "empty-p1", "empty-alpha", "fractional-m", "bool-m",
         "fractional-count", "bool-count", "fractional-seed", "negative-seed",
         "nan-variance", "infinite-variance", "nan-noise", "unknown-key", "negative-workers",
-        "scalar-m", "list-doc", "missing-m"])
+        "scalar-m", "list-doc", "missing-m", "bool-sampled-m", "fractional-sampled-m",
+        "fractional-oracle-samples"])
 def test_bad_sweep_settings_are_value_errors_naming_the_field(build, field):
     with pytest.raises(ValueError, match=field):
         build()
@@ -346,6 +354,40 @@ def test_batched_grid_point_matches_slot_by_slot_solves(m, split):
     assert clamped == [sol.diagnostics.clamped for sol in solutions["individual"]]
     if m >= 10:
         assert any(clamped)
+
+
+@pytest.mark.parametrize("kernel, single", [(solve_total_batch, solve_total),
+                                            (solve_individual_batch, solve_individual)],
+                         ids=["total", "individual"])
+def test_single_solve_diagnostics_are_its_batch_row(kernel, single):
+    """A single solve reports its batch row's diagnostics: each field equals
+    batch.diagnostics.row(i)'s and the batch array at row i, with floats for
+    the per-row scalars and the clamped relays as a tuple of indices."""
+    m = 6
+    instances = [sample_instance(m, ChannelVariances(), instance_stream(4, slot))
+                 for slot in range(24)]
+    params = _params(_tiny_spec(m_values=(m,), p_i=0.05), m, 2.0)[
+        "total" if single is solve_total else "individual"]
+    batch = kernel(InstanceBatch.stack(instances), params, alpha=0.6)
+    diag = batch.diagnostics
+    assert not any(batch.errors)
+    for i, inst in enumerate(instances):
+        alone = vars(single(inst, params, alpha=0.6).diagnostics)
+        row = vars(diag.row(i))
+        assert alone.keys() == row.keys() == vars(diag).keys()
+        for name, value in alone.items():
+            if name == "clamped":
+                assert value == row[name] == tuple(np.flatnonzero(diag.clamped[i]))
+                assert all(type(j) is int for j in value)
+            elif name == "v":
+                assert value.shape == (m + 1,) and not value.flags.writeable
+                assert np.array_equal(value, row[name]) and np.array_equal(value, diag.v[i])
+            else:
+                assert type(value) is type(row[name]) is float
+                assert value == row[name] == vars(diag)[name][i]
+    if single is solve_individual:
+        clamped = [diag.row(i).clamped for i in range(len(instances))]
+        assert any(clamped) and not all(clamped)
 
 
 def test_split_batches_give_the_same_grid_point(monkeypatch):

@@ -276,6 +276,18 @@ def test_all_bounds_zero_fully_clamped(rng):
     assert sol.c_d == pytest.approx(expected, rel=1e-12)
 
 
+def test_solve_without_relays_is_the_source_only_answer():
+    """At M = 0 the source spends p_s on the message alone: the beam term of
+    C_d is |h_sd|^2 p_s / sigma2, and nothing is clamped."""
+    inst = NetworkInstance(h_sd=0.5 - 0.2j, h_sr=[], h_rd=[], sigma2=1.3)
+    p1, a, p_s = 2.0, 0.6, 3.0
+    sol = solve_individual(inst, SystemParams(p1, None, IndividualBudget(p_s, [])), alpha=a)
+    expected = 0.5 * math.log2(1 + direct_sinr(inst, p1, a)
+                               + abs(inst.h_sd) ** 2 * p_s / inst.sigma2)
+    assert sol.c_d == pytest.approx(expected, rel=1e-15)
+    assert sol.diagnostics.clamped == () and sol.diagnostics.chosen_r == 0.0
+
+
 def test_constraints_hold_on_random_instances(rng):
     for _ in range(100):
         m = int(rng.integers(1, 6))

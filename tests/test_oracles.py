@@ -117,6 +117,14 @@ def test_oracle_total_exact_without_relays():
     assert report.argmax_distance <= 1e-6
 
 
+def test_oracle_individual_grid_exact_without_relays():
+    inst = NetworkInstance(h_sd=0.5 - 0.2j, h_sr=[], h_rd=[], sigma2=1.3)
+    params = SystemParams(2.0, None, IndividualBudget(3.0, []))
+    report = oracle_individual_grid(inst, params, alpha=0.6)
+    # no relay amplitudes to search: the one grid point is the solver's answer
+    assert report.gap == 0.0 and report.argmax_distance == 0.0
+
+
 def test_oracle_total_deterministic_in_seed(rng):
     inst = make_instance(rng, 2)
     params = SystemParams(2.0, _gamma_for(inst, 2.0), TotalBudget(5.0))
