@@ -23,10 +23,15 @@ The greedy never needs to be run: it clamps in the fixed order of the
 closed form's ratios u_i/u_max,i, so one sort, prefix sums of the offsets and
 a sign test of the reduced objective's slope at each breakpoint give the
 number of clamps directly (_clamp_scan).  solve_individual_batch then solves
-one quartic per row, all rows in one eigvals call on the stacked 4x4
-companion matrices.  solve_individual is the N = 1 call, and
+one quartic per row, the rows of each degree in one eigvals call on their
+stacked companion matrices.  solve_individual is the N = 1 call, and
 MagnitudeProblem, solve_source_only, quartic_coeffs and select_root are
 one-row views of the same array expressions.
+
+Each row is solved with c -> c 2^-e and eta2 -> eta2 4^e, e the binary
+exponent of |h_sd|: r and u do not move, y, t1, tau and the quartic scale by
+powers of two, and nothing rounds differently, so a gain-scaled copy of a
+network (h -> k h, sigma2 -> k^2 sigma2) gets the same answer.
 
 The batch keeps each row's clamped set, offsets and chosen r, not the
 candidates its quartic solve compared: select_root on the row's final
@@ -127,35 +132,29 @@ def _quartic(e1, e2, e3, t1, t2, tau, c1):
     return q0, q1, q2, q3, q4
 
 
-def _quartic_roots(q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Roots of each row of q (K, 5), padded to (K, 4), and the mask of the
-    slots filled.
+def _quartic_roots(q: np.ndarray) -> np.ndarray:
+    """Roots of each row of q (K, 5), padded with NaN to (K, 4).
 
-    Leading coefficients below 1e-14 of a row's largest are stripped first.
-    Rows that keep degree 4 with q4 != 0 share one eigvals call on their
-    stacked companion matrices (the matrices np.roots builds); the others go
-    through np.roots.  Rows with a non-finite coefficient get no roots.
+    Leading coefficients below 1e-14 of a row's largest are stripped; the
+    rows of each remaining degree share one eigvals call on their stacked
+    companion matrices (those np.roots builds).  A zero constant term gives
+    an exact root 0 (a zero column), which the r > 0 filter drops.  Rows
+    with a non-finite coefficient get no roots.
     """
-    k = len(q)
-    roots = np.zeros((k, 4), dtype=complex)
-    filled = np.zeros((k, 4), dtype=bool)
+    roots = np.full((len(q), 4), np.nan, dtype=complex)
     mag = np.abs(q)
     scale = np.max(mag, axis=1)
     usable = np.isfinite(scale) & (scale > 0.0)
     first = np.argmax(mag > 1e-14 * scale[:, None], axis=1)
-    full = usable & (first == 0) & (q[:, 4] != 0.0)
-    if full.any():
-        lead = q[full]
-        companion = np.zeros((len(lead), 4, 4))
-        companion[:, 0, :] = -lead[:, 1:] / lead[:, :1]
-        companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
-        roots[full] = np.linalg.eigvals(companion)
-        filled[full] = True
-    for i in np.flatnonzero(usable & ~full & (first < 4)):
-        z = np.roots(q[i, first[i]:])
-        roots[i, :len(z)] = z
-        filled[i, :len(z)] = True
-    return roots, filled
+    for degree in range(1, 5):
+        rows = np.flatnonzero(usable & (first == 4 - degree))
+        if rows.size:
+            lead = q[rows, 4 - degree:]
+            companion = np.zeros((len(rows), degree, degree))
+            companion[:, 0, :] = -lead[:, 1:] / lead[:, :1]
+            companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
+            roots[rows, :degree] = np.linalg.eigvals(companion)
+    return roots
 
 
 @dataclass(frozen=True)
@@ -190,8 +189,8 @@ def _candidates(q, eta1, eta2, t1, t2, tau, c1):
         r_ub = (np.sqrt(eta1 / eta2) - t1) / tau
         present[:, 1] = (eta2 > 0.0) & (tau > 0.0) & (r_ub > 0.0)
         r[:, 1] = np.where(present[:, 1], r_ub, 0.0)
-        roots, filled = _quartic_roots(q)
-        present[:, 2:] = (filled & (roots.real > 0.0)
+        roots = _quartic_roots(q)
+        present[:, 2:] = ((roots.real > 0.0)
                           & (np.abs(roots.imag)
                              <= REAL_ROOT * np.maximum(1.0, np.abs(roots.real))))
         r[:, 2:] = np.where(present[:, 2:], roots.real, 0.0)
@@ -442,8 +441,11 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
     p1 = params.p1
     a, errors = resolve_alphas(batch, p1, params.gamma, alpha)
     derived = derive_model(batch, p1, a, budget)
-    c1, c2 = derived.c[:, 0], derived.c[:, 1:]
-    u_max, eta1, eta2, eta3 = derived.u_max, derived.eta1, derived.eta2, derived.eta3
+    e = np.frexp(derived.c[:, 0])[1]  # |h_sd| 2^-e is in [0.5, 1): module docstring
+    c = np.ldexp(derived.c, -e[:, None])
+    c1, c2 = c[:, 0], c[:, 1:]
+    u_max, eta1, eta3 = derived.u_max, derived.eta1, derived.eta3
+    eta2 = np.ldexp(derived.eta2, 2 * e)
     n, m = batch.n, batch.m
     clamped = np.zeros((n, m), dtype=bool)
     t1, t2 = np.zeros(n), np.ones(n)
@@ -495,7 +497,7 @@ def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
         ((np.sqrt(np.maximum(rad, 0.0)) * np.exp(1j * phases[:, 0]))[:, None], relay_w),
         axis=-1)
     return solved_values(batch, p1, a, w, errors, IndividualDiagnostics(
-        clamped=clamped, t1=t1, t2=t2, tau=tau, chosen_r=r))
+        clamped=clamped, t1=np.ldexp(t1, e), t2=t2, tau=np.ldexp(tau, e), chosen_r=r))
 
 
 def solve_individual(instance: NetworkInstance, params: SystemParams,

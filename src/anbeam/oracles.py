@@ -255,7 +255,8 @@ def power_iteration_rank1(d_tilde: np.ndarray, h_bar: np.ndarray) -> Tuple[float
     h_bar' D_tilde^{-1} h_bar, with eigenvector D_tilde^{-1} h_bar: one dense
     LU solve gives it.  It should match the Rayleigh value of the
     closed-form solve.  A D_tilde that np.linalg.solve finds singular raises
-    OracleEvalError.
+    OracleEvalError; at |h_sd| many decades below the relay gains, which the
+    solvers accept, LU does find it singular.
     """
     try:
         y = np.linalg.solve(d_tilde, h_bar)

@@ -13,10 +13,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-# Direct source->destination gains below this magnitude are rejected: the
-# second-phase cancellation signal divides by h_sd.
-EPS_GAIN = 1e-9
-
 # At or below this threshold (~5.56e-309) 1/gamma overflows a float, and the
 # split alpha = (1 + sigma2/(|h_se|^2 p1)) / (1 + 1/gamma) underflows to 0.
 _GAMMA_FLOOR = 1.0 / sys.float_info.max
@@ -70,7 +66,7 @@ class NetworkInstance:
         _set(self, "h_sr", _frozen_array(self.h_sr, complex))
         _set(self, "h_rd", _frozen_array(self.h_rd, complex))
         _set(self, "sigma2", float(self.sigma2))
-        _check_channels(self, relay_ndim=1, min_gain_sd=abs(self.h_sd))
+        _check_channels(self, relay_ndim=1)
 
     @property
     def m(self) -> int:
@@ -98,8 +94,7 @@ class InstanceBatch:
         _set(self, "h_sr", _frozen_array(self.h_sr, complex))
         _set(self, "h_rd", _frozen_array(self.h_rd, complex))
         _set(self, "sigma2", float(self.sigma2))
-        _check_channels(self, relay_ndim=2,
-                        min_gain_sd=float(np.min(np.abs(self.h_sd), initial=math.inf)))
+        _check_channels(self, relay_ndim=2)
         if self.h_sd.shape != self.h_sr.shape[:1]:
             raise ValueError("h_sd must hold one gain per row of h_sr")
 
@@ -128,9 +123,8 @@ class InstanceBatch:
         return self.h_sr.shape[-1]
 
 
-def _check_channels(obj, relay_ndim: int, min_gain_sd: float) -> None:
-    """Checks shared by NetworkInstance and InstanceBatch; min_gain_sd is the
-    smallest |h_sd|."""
+def _check_channels(obj, relay_ndim: int) -> None:
+    """Checks shared by NetworkInstance and InstanceBatch."""
     for name in ("h_sd", "h_sr", "h_rd"):
         if not np.isfinite(getattr(obj, name)).all():
             raise ValueError(f"{name} must be finite")
@@ -140,9 +134,9 @@ def _check_channels(obj, relay_ndim: int, min_gain_sd: float) -> None:
         raise ValueError("h_sr and h_rd must have the same shape")
     if not 0 < obj.sigma2 < math.inf:
         raise ValueError("sigma2 must be finite and positive")
-    if min_gain_sd < EPS_GAIN:
-        raise ValueError(f"|h_sd| < {EPS_GAIN:g}: direct gain too small to "
-                         "divide by in the cancellation signal")
+    if np.count_nonzero(obj.h_sd == 0):
+        raise ValueError("h_sd must be nonzero: the second-phase cancellation "
+                         "signal divides by it")
 
 
 @dataclass(frozen=True)
@@ -293,7 +287,8 @@ class IndividualDiagnostics:
     of clamped relay indices, the rest floats.
 
     clamped: (N, M) mask of relays fixed at their amplitude caps.
-    t1, t2, tau: (N,) offsets and active norm of the final magnitude problem.
+    t1, t2, tau: (N,) offsets and active norm of the final magnitude problem,
+        t1 and tau in channel units (those of DerivedModel.c).
     chosen_r: (N,) radius of the final solve.
 
     A clamped row's root candidates are not kept: select_root gives them for

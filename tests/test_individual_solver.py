@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anbeam import individual_solver
-from anbeam.errors import InfeasibleBudget, NonFiniteSolution
+from anbeam.errors import BeamformingError, InfeasibleBudget, NonFiniteSolution
 from anbeam.individual_solver import (
     MagnitudeProblem,
     initial_problem,
@@ -27,6 +27,7 @@ from anbeam.model import (
     relay_input_powers,
 )
 from anbeam.oracles import golden_section
+from anbeam.total_solver import solve_total
 from anbeam.types import (
     IndividualBudget,
     InstanceBatch,
@@ -173,6 +174,25 @@ def test_quartic_reduces_to_closed_form():
     q = quartic_coeffs(prob)
     assert (q[0], q[1], q[3]) == (0.0, 0.0, 0.0)
     assert -q[4] / q[2] == pytest.approx(1.0 / 5.0, rel=1e-12)
+
+
+def test_quartic_roots_of_every_degree_are_np_roots():
+    """Each degree left after stripping is solved on its own companion
+    matrices, to np.roots' roots; a zero constant term gives an exact root 0,
+    an all-zero row none, and negligible leading coefficients are dropped."""
+    rng = np.random.default_rng(0x9E7)
+    q = rng.normal(size=(60, 5))
+    for i in range(60):
+        q[i, :i % 5] = 0.0  # degree 4 - i % 5
+    q[1::2, 4] = 0.0
+    q[::7, 0] *= 1e-15
+    roots = individual_solver._quartic_roots(q)
+    for i in range(60):
+        got = roots[i][~np.isnan(roots[i])]
+        want = np.roots(np.where(np.abs(q[i]) > 1e-14 * np.abs(q[i]).max(), q[i], 0.0))
+        np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(want),
+                                   rtol=1e-12, atol=1e-14)
+        assert np.sum(got == 0) == np.sum(want == 0) == (q[i, 4] == 0) * (i % 5 < 4)
 
 
 @settings(max_examples=80, deadline=None)
@@ -490,3 +510,97 @@ def test_select_root_on_the_rebuilt_final_problem_gives_chosen_r():
                 # rows with a relay left active solved a quartic
                 checked[m] = checked.get(m, 0) + int(diag.tau[i] > 0.0)
     assert len(checked) == 3 and min(checked.values()) >= 20
+
+
+# ---------------------------------------------------------------------------
+# gain scale: (k h, k^2 sigma2) is the same network as (h, sigma2)
+
+
+def _gain_scaled(inst, k):
+    return NetworkInstance(h_sd=k * inst.h_sd, h_sr=k * inst.h_sr, h_rd=k * inst.h_rd,
+                           sigma2=k * k * inst.sigma2)
+
+
+def _scaled_outcomes(m, seed, alpha, budget, gain=1.0, power=1.0):
+    """Outcomes (a BeamSolution or the error raised) of one seeded network
+    and of its copy with gains scaled by `gain` and sigma2, p1 and the
+    budget by `power` on top."""
+    rng = np.random.default_rng(seed)
+    inst = make_instance(rng, m)
+    p1, p_s = 10.0 ** rng.uniform(-1.0, 1.0, 2)
+    p_i = 10.0 ** rng.uniform(-3.0, 0.0, m)
+    outcomes = []
+    for net, k in ((inst, 1.0), (_gain_scaled(inst, gain), power)):
+        net = NetworkInstance(h_sd=net.h_sd, h_sr=net.h_sr, h_rd=net.h_rd,
+                              sigma2=k * net.sigma2)
+        if budget == "total":
+            solve, params = solve_total, SystemParams(k * p1, None, TotalBudget(k * p_s))
+        else:
+            solve, params = solve_individual, SystemParams(
+                k * p1, None, IndividualBudget(k * p_s, k * p_i))
+        try:
+            outcomes.append(solve(net, params, alpha=alpha))
+        except (BeamformingError, ValueError) as err:
+            outcomes.append(err)
+    return outcomes
+
+
+def _same_answer(plain, scaled):
+    if isinstance(plain, Exception) or isinstance(scaled, Exception):
+        assert type(scaled) is type(plain)
+    else:
+        assert scaled.c_d == pytest.approx(plain.c_d, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(0, 8), seed=st.integers(0, 2 ** 31 - 1),
+       log10_k=st.floats(-150.0, 150.0), alpha=st.floats(0.05, 1.0),
+       budget=st.sampled_from(["total", "individual"]))
+def test_gain_scaled_copy_gets_the_same_answer(m, seed, log10_k, alpha, budget):
+    """Both budgets see gains, powers and sigma2 only through |h|^2 p / sigma2:
+    solving (k h, k^2 sigma2) gives the C_d of (h, sigma2) to rounding, or
+    the same named error."""
+    _same_answer(*_scaled_outcomes(m, seed, alpha, budget, gain=10.0 ** log10_k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(0, 8), seed=st.integers(0, 2 ** 31 - 1),
+       log10_k=st.floats(-100.0, 100.0), alpha=st.floats(0.05, 1.0),
+       budget=st.sampled_from(["total", "individual"]))
+def test_power_scaled_copy_gets_the_same_answer(m, seed, log10_k, alpha, budget):
+    """Scaling sigma2, p1 and the budget by one k leaves every SNR, and so
+    C_d, as it was (or the same named error)."""
+    _same_answer(*_scaled_outcomes(m, seed, alpha, budget, power=10.0 ** log10_k))
+
+
+def test_power_of_two_gain_scale_is_bit_exact():
+    """At k = 2^j the individual solve rounds nothing differently: wherever
+    every |k h|^2 and k^2 sigma2 is a normal float, C_d, w0, chosen_r, t2 and
+    the clamped set are bit for bit those of (h, sigma2), and w_relay k,
+    t1 / k and tau / k too."""
+    rng = np.random.default_rng(0x2E)
+    tiny = np.finfo(float).tiny
+    compared = clamped = 0
+    for m in range(1, 7):
+        for alpha in (0.6, 1.0):
+            for _ in range(5):
+                inst = make_instance(rng, m)
+                params = _params(m, p_i=0.1 * rng.uniform(0.1, 1.0))
+                base = solve_individual(inst, params, alpha=alpha)
+                d0 = base.diagnostics
+                clamped += bool(d0.clamped)
+                for j in (-500, -300, -60, -1, 1, 60, 300, 500):
+                    k = 2.0 ** j
+                    scaled = _gain_scaled(inst, k)
+                    squares = np.abs(np.concatenate(([scaled.h_sd], scaled.h_sr,
+                                                     scaled.h_rd))) ** 2
+                    if not np.all(squares >= tiny) or scaled.sigma2 < tiny:
+                        continue
+                    sol = solve_individual(scaled, params, alpha=alpha)
+                    d = sol.diagnostics
+                    assert (sol.c_d, sol.w[0], d.chosen_r, d.t2, d.clamped) == (
+                        base.c_d, base.w[0], d0.chosen_r, d0.t2, d0.clamped)
+                    np.testing.assert_array_equal(sol.w[1:] * k, base.w[1:])
+                    assert (d.t1 / k, d.tau / k) == (d0.t1, d0.tau)
+                    compared += 1
+    assert compared >= 400 and clamped >= 20

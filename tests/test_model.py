@@ -54,8 +54,14 @@ def test_instance_rejects_nonpositive_noise():
 
 
 def test_instance_rejects_vanishing_direct_gain():
+    # h_sd = 0 is the one direct gain rejected: the cancellation signal
+    # divides by it.  Any nonzero gain is accepted, however small
     with pytest.raises(ValueError, match="h_sd"):
-        NetworkInstance(h_sd=1e-12, h_sr=[1.0], h_rd=[1.0], sigma2=1.0)
+        NetworkInstance(h_sd=0.0, h_sr=[1.0], h_rd=[1.0], sigma2=1.0)
+    with pytest.raises(ValueError, match="h_sd"):
+        InstanceBatch(h_sd=[1.0, 0.0, 0.5j], h_sr=np.ones((3, 1)), h_rd=np.ones((3, 1)),
+                      sigma2=1.0)
+    NetworkInstance(h_sd=5e-324, h_sr=[1.0], h_rd=[1.0], sigma2=1.0)
 
 
 def test_instance_rejects_mismatched_relay_vectors():

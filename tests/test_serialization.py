@@ -34,7 +34,7 @@ nonzeroish = st.floats(min_value=0.1, max_value=1e3, allow_nan=False)
        re_rd=finite, im_rd=finite, sigma2=nonzeroish)
 def test_instance_round_trip(re_sd, im_sd, re_sr, im_sr, re_rd, im_rd, sigma2):
     h_sd = complex(re_sd, im_sd)
-    if abs(h_sd) < 1e-6:
+    if h_sd == 0:
         h_sd = 1.0 + 0.0j
     inst = NetworkInstance(h_sd=h_sd, h_sr=[complex(re_sr, im_sr)],
                            h_rd=[complex(re_rd, im_rd)], sigma2=sigma2)
