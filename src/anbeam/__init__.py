@@ -65,11 +65,9 @@ from .oracles import (
 )
 from .total_solver import build_d_tilde, solve_total, solve_total_batch
 from .types import (
-    BatchSolution,
     BeamSolution,
     DerivedModel,
     IndividualBudget,
-    InstanceBatch,
     NetworkInstance,
     SignalRealization,
     SystemParams,

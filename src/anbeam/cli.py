@@ -41,6 +41,8 @@ VALIDATE_SIGMAS = 7.0
 
 def _cmd_solve(args) -> int:
     instance, params = serialization.load_scenario(args.input)
+    if params.gamma is None:  # a scenario has no alpha to take its place
+        raise ValueError("params.gamma: solve derives alpha from it, so it must not be null")
     if isinstance(params.budget, TotalBudget):
         solution = solve_total(instance, params)
     else:

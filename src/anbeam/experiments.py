@@ -16,7 +16,7 @@ All grid points of one relay count are solved as one batch per budget mode
 (solve_grid_points): each row is one (grid point, slot), with p1 and a fixed
 alpha per row.  Every row's instance is drawn (each (slot, attempt) key's
 stream is seeded once per relay-count chunk and restored from its saved start
-for every other row that draws it), stacked into an InstanceBatch
+for every other row that draws it), stacked into one NetworkInstance
 and handed to solve_total_batch and solve_individual_batch, which report
 failures per row (the batch is split in equal parts of at most
 BATCH_ELEMENTS rows x relays and BATCH_ROWS rows, which changes no value).
@@ -41,8 +41,7 @@ import numpy as np
 from .individual_solver import solve_individual_batch
 from .serialization import _integer, _list_of, _real, _reject_unknown
 from .total_solver import solve_total_batch
-from .types import (IndividualBudget, InstanceBatch, NetworkInstance, SystemParams,
-                    TotalBudget, check_gamma)
+from .types import IndividualBudget, NetworkInstance, SystemParams, TotalBudget, check_gamma
 
 log = logging.getLogger(__name__)
 
@@ -266,7 +265,7 @@ def solve_grid_points(spec: ExperimentSpec, m: int,
         failed = []
         parts = max(-(-pending.size * m // BATCH_ELEMENTS), -(-pending.size // BATCH_ROWS))
         for rows in np.array_split(pending, parts):
-            batch = InstanceBatch.stack(
+            batch = NetworkInstance.stack(
                 sample_instance(m, variances, stream(int(row % n), int(attempts[row])),
                                 spec.sigma2)
                 for row in rows)

@@ -49,12 +49,10 @@ import numpy as np
 from .errors import InfeasibleBudget, NonFiniteSolution
 from .model import _check_rows, _dot, _per_relay, derive_model, resolve_alphas, solved_values
 from .types import (
-    BatchSolution,
     BeamSolution,
     DerivedModel,
     IndividualBudget,
     IndividualDiagnostics,
-    InstanceBatch,
     NetworkInstance,
     SystemParams,
     _frozen_array,
@@ -415,8 +413,8 @@ def _clamp_scan(ratio0, cap, c1, c2, eta1, eta2):
 # never read, and every non-finite value a healthy row can reach is tested for
 # explicitly.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def solve_individual_batch(batch: InstanceBatch, params: SystemParams,
-                           alpha=None) -> BatchSolution:
+def solve_individual_batch(batch: NetworkInstance, params: SystemParams,
+                           alpha=None) -> BeamSolution:
     """Optimal weights under separate source and per-relay power caps for
     every row of a batch; alpha as in solve_total_batch.
 
@@ -505,5 +503,4 @@ def solve_individual(instance: NetworkInstance, params: SystemParams,
     """Optimal weights under separate source and per-relay power caps for one
     instance: the N = 1 case of solve_individual_batch."""
     _check_rows(instance, params.p1, "p1")
-    return solve_individual_batch(InstanceBatch.stack([instance]), params,
-                                  alpha).solution(0)
+    return solve_individual_batch(NetworkInstance.stack([instance]), params, alpha).row(0)

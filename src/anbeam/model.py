@@ -13,9 +13,9 @@ Conventions used throughout:
   message symbol.
 * The solver-side formulas (phase-1 SINRs, gain vectors, beam SINR,
   capacity, second-phase power, the threshold split and derive_model) work
-  over a trailing relay axis.  They take a NetworkInstance or an
-  InstanceBatch alike, with p1 and alpha each a scalar or one value per row,
-  so the batched solvers share every formula with the single-instance ones.
+  over a trailing relay axis.  They take a single NetworkInstance or a
+  stack alike, with p1 and alpha each a scalar or one value per row, so the
+  batched solvers share every formula with the single-instance ones.
 * The signal-level functions propagate one symbol or an array of them, so
   the cancellation check and the Monte Carlo oracle share one reception.
 """
@@ -29,11 +29,10 @@ import numpy as np
 
 from .errors import InfeasibleThreshold, NonFiniteSolution, RowErrors, SingularObservation
 from .types import (
-    BatchSolution,
+    BeamSolution,
     Budget,
     DerivedModel,
     IndividualBudget,
-    InstanceBatch,
     NetworkInstance,
     SignalRealization,
     check_gamma,
@@ -71,7 +70,7 @@ def alpha_for_threshold(instance: NetworkInstance, p1: float, gamma: float) -> f
     only wastes destination SNR, so the solvers pin alpha here.
     """
     _check_rows(instance, p1, "p1")
-    alphas, errors = resolve_alphas(InstanceBatch.stack([instance]), p1, gamma, None)
+    alphas, errors = resolve_alphas(NetworkInstance.stack([instance]), p1, gamma, None)
     if errors.errors[0] is not None:
         raise errors.errors[0]
     return float(alphas[0])
@@ -206,9 +205,9 @@ def second_phase_power(instance: NetworkInstance, p1: float, alpha,
     return source + relays
 
 
-def solved_values(batch: InstanceBatch, p1, alpha: np.ndarray, w: np.ndarray,
-                  errors: RowErrors, diagnostics) -> BatchSolution:
-    """The BatchSolution of a solved batch, with each row's C_d and
+def solved_values(batch: NetworkInstance, p1, alpha: np.ndarray, w: np.ndarray,
+                  errors: RowErrors, diagnostics) -> BeamSolution:
+    """The BeamSolution of a solved stack, with each row's C_d and
     second-phase power: the tail both solvers share.  A row whose weights or
     C_d is not finite fails with NonFiniteSolution: its SNRs or powers
     overflow a float, so the row has no answer to report.  Call under
@@ -218,23 +217,24 @@ def solved_values(batch: InstanceBatch, p1, alpha: np.ndarray, w: np.ndarray,
         "the weights are not finite: the inputs' powers overflow a float"))
     errors.fail(np.flatnonzero(~np.isfinite(c_d)), lambda i: NonFiniteSolution(
         f"C_d={float(c_d[i])!r}: the destination SNR overflows a float"))
-    return BatchSolution(w=w, alpha=alpha, c_d=c_d,
-                         second_phase_power=second_phase_power(batch, p1, alpha, w),
-                         errors=tuple(errors.errors), diagnostics=diagnostics)
+    return BeamSolution(w=w, alpha=alpha, c_d=c_d,
+                        second_phase_power=second_phase_power(batch, p1, alpha, w),
+                        diagnostics=diagnostics, errors=tuple(errors.errors))
 
 
 def derive_model(instance: NetworkInstance, p1: float, alpha: float,
                  budget: Optional[Budget] = None) -> DerivedModel:
     """Bundle every vector the solvers need for one (instance, p1, alpha), or
-    for every row of an InstanceBatch with p1 and alpha each a scalar or one
-    value per row.
+    for every row of a stack of networks with p1 and alpha each a scalar or
+    one value per row.
 
     With an IndividualBudget, also computes the per-relay amplitude caps and
     the eta constants of the magnitude problem:
 
-    * u_max,i = |h_id| sqrt(P_i / (|h_si|^2 p1 + sigma2)) — the cap on the
-      effective amplitude u_i = |w_i h_id| implied by relay i's power cap.
-      (The |h_id| factor is required by that change of variables.)
+    * u_max,i = |h_id| sqrt(P_i) / sqrt(|h_si|^2 p1 + sigma2) — the cap on
+      the effective amplitude u_i = |w_i h_id| implied by relay i's power
+      cap.  (The |h_id| factor is required by that change of variables; the
+      roots are taken apart, as P_i / T_i loses digits when it is subnormal.)
     * eta1 = P_s/(alpha p1), eta2 = (1-alpha)/(alpha c1^2), eta3 = 1+eta2 c1^2.
     """
     _check_rows(instance, p1, "p1")
@@ -248,8 +248,8 @@ def derive_model(instance: NetworkInstance, p1: float, alpha: float,
         if len(budget.p_i) != instance.m:
             raise ValueError("budget.p_i length must equal the relay count")
         extras = dict(
-            u_max=np.abs(instance.h_rd)
-            * np.sqrt(budget.p_i / relay_input_powers(instance, p1)),
+            u_max=np.abs(instance.h_rd) * np.sqrt(budget.p_i)
+            / np.sqrt(relay_input_powers(instance, p1)),
             eta1=budget.p_s / (alpha * p1),
             eta2=(1.0 - alpha) / (alpha * c1 ** 2),
         )
@@ -267,11 +267,11 @@ def derive_model(instance: NetworkInstance, p1: float, alpha: float,
 
 
 def _check_rows(instance, value, name: str) -> None:
-    """A per-row parameter is a scalar, or, for an InstanceBatch, holds
+    """A per-row parameter is a scalar, or, for a stack of networks, holds
     exactly one value per row."""
     if not np.ndim(value):
         return
-    if not isinstance(instance, InstanceBatch):
+    if not np.ndim(instance.h_sd):
         raise ValueError(f"{name} must be a scalar for a single instance, "
                          f"got shape {np.shape(value)}")
     if np.shape(value) != (instance.n,):
@@ -279,7 +279,7 @@ def _check_rows(instance, value, name: str) -> None:
                          f"({instance.n}), got shape {np.shape(value)}")
 
 
-def resolve_alphas(batch: InstanceBatch, p1, gamma: Optional[float],
+def resolve_alphas(batch: NetworkInstance, p1, gamma: Optional[float],
                    alpha) -> "tuple[np.ndarray, RowErrors]":
     """Pick the power split of every row of a batch, the one place a solve's
     alpha is judged: an explicit alpha (a scalar or one per row, as p1 is)

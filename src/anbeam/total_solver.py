@@ -18,10 +18,8 @@ import numpy as np
 from .model import (_check_rows, _dot, derive_model, resolve_alphas, second_phase_power,
                     solved_values)
 from .types import (
-    BatchSolution,
     BeamSolution,
     DerivedModel,
-    InstanceBatch,
     NetworkInstance,
     SystemParams,
     TotalBudget,
@@ -59,8 +57,8 @@ def build_d_tilde(derived: DerivedModel, p_tot: float) -> np.ndarray:
 # Failed rows compute numbers that are never read, quietly; a healthy row's
 # overflow is caught by solved_values' finiteness tests on w and C_d.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def solve_total_batch(batch: InstanceBatch, params: SystemParams,
-                      alpha=None) -> BatchSolution:
+def solve_total_batch(batch: NetworkInstance, params: SystemParams,
+                      alpha=None) -> BeamSolution:
     """Optimal weights under the total budget for every row of a batch;
     alpha from params.gamma (per row) unless given explicitly.  params.p1 and
     an explicit alpha are each a scalar or one value per row.
@@ -111,4 +109,4 @@ def solve_total(instance: NetworkInstance, params: SystemParams,
     """Optimal weights under the total budget for one instance: the N = 1
     case of solve_total_batch."""
     _check_rows(instance, params.p1, "p1")
-    return solve_total_batch(InstanceBatch.stack([instance]), params, alpha).solution(0)
+    return solve_total_batch(NetworkInstance.stack([instance]), params, alpha).row(0)

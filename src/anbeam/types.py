@@ -48,65 +48,61 @@ def _freeze_in_place(obj) -> None:
 
 @dataclass(frozen=True, eq=False)
 class NetworkInstance:
-    """One channel realization of the two-hop network.
+    """One channel realization of the two-hop network, or a stack of N of
+    them with a common relay count and noise power.
 
-    h_sd: complex source->destination gain.
-    h_sr: complex source->relay gains, one per relay.
-    h_rd: complex relay->destination gains, one per relay.
-    sigma2: receiver noise power, identical at every node.
+    h_sd: complex source->destination gain; (N,) for a stack.
+    h_sr: complex source->relay gains, one per relay; (M,), or (N, M).
+    h_rd: complex relay->destination gains, one per relay, shaped as h_sr.
+    sigma2: receiver noise power, identical at every node and row.
+
+    The rank of h_sd tells the two apart.  Row i of a stack is one network;
+    every model formula reads these fields over a trailing relay axis, so it
+    serves a stack as it serves a single network.
     """
 
-    h_sd: complex
+    h_sd: Union[complex, np.ndarray]
     h_sr: np.ndarray
     h_rd: np.ndarray
     sigma2: float
 
     def __post_init__(self):
-        _set(self, "h_sd", complex(self.h_sd))
+        # numpy's complex128 is a complex: the common scalar case skips np.ndim
+        single = isinstance(self.h_sd, complex) or not np.ndim(self.h_sd)
+        _set(self, "h_sd", complex(self.h_sd) if single else _frozen_array(self.h_sd, complex))
         _set(self, "h_sr", _frozen_array(self.h_sr, complex))
         _set(self, "h_rd", _frozen_array(self.h_rd, complex))
         _set(self, "sigma2", float(self.sigma2))
-        _check_channels(self, relay_ndim=1)
-
-    @property
-    def m(self) -> int:
-        """Number of relays."""
-        return len(self.h_sr)
-
-
-@dataclass(frozen=True, eq=False)
-class InstanceBatch:
-    """N channel realizations with a common relay count and noise power, as
-    stacked arrays: h_sd (N,), h_sr and h_rd (N, M).
-
-    Row i is one NetworkInstance.  Every model formula reads these fields
-    over a trailing relay axis, so it serves a batch as it serves a single
-    instance.
-    """
-
-    h_sd: np.ndarray
-    h_sr: np.ndarray
-    h_rd: np.ndarray
-    sigma2: float
-
-    def __post_init__(self):
-        _set(self, "h_sd", _frozen_array(self.h_sd, complex))
-        _set(self, "h_sr", _frozen_array(self.h_sr, complex))
-        _set(self, "h_rd", _frozen_array(self.h_rd, complex))
-        _set(self, "sigma2", float(self.sigma2))
-        _check_channels(self, relay_ndim=2)
-        if self.h_sd.shape != self.h_sr.shape[:1]:
+        for name in ("h_sd", "h_sr", "h_rd"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        relay_ndim = 1 if single else 2
+        if self.h_sr.ndim != relay_ndim or self.h_rd.ndim != relay_ndim:
+            raise ValueError(f"h_sr and h_rd must be {relay_ndim}-dimensional")
+        if self.h_sr.shape != self.h_rd.shape:
+            raise ValueError("h_sr and h_rd must have the same shape")
+        if not 0 < self.sigma2 < math.inf:
+            raise ValueError("sigma2 must be finite and positive")
+        if np.count_nonzero(self.h_sd == 0):
+            raise ValueError("h_sd must be nonzero: the second-phase cancellation "
+                             "signal divides by it")
+        if not single and self.h_sd.shape != self.h_sr.shape[:1]:
             raise ValueError("h_sd must hold one gain per row of h_sr")
 
     @classmethod
-    def stack(cls, instances) -> "InstanceBatch":
-        """Batch of the given instances, in order; they must share M and sigma2."""
+    def stack(cls, instances) -> "NetworkInstance":
+        """Stack of the given single networks, in order; they must share M and
+        sigma2."""
         instances = list(instances)
         if not instances:
             raise ValueError("cannot stack an empty list of instances")
         sigma2 = instances[0].sigma2
         if any(inst.sigma2 != sigma2 for inst in instances):
             raise ValueError("stacked instances must share sigma2")
+        counts = {len(inst.h_sr) for inst in instances}
+        if len(counts) > 1:
+            raise ValueError(f"stacked instances must share the relay count, "
+                             f"got M in {sorted(counts)}")
         return cls(h_sd=np.array([inst.h_sd for inst in instances]),
                    h_sr=np.stack([inst.h_sr for inst in instances]),
                    h_rd=np.stack([inst.h_rd for inst in instances]),
@@ -114,29 +110,13 @@ class InstanceBatch:
 
     @property
     def n(self) -> int:
-        """Number of instances."""
+        """Number of networks in a stack."""
         return len(self.h_sd)
 
     @property
     def m(self) -> int:
-        """Number of relays of every instance."""
+        """Number of relays (of every network in a stack)."""
         return self.h_sr.shape[-1]
-
-
-def _check_channels(obj, relay_ndim: int) -> None:
-    """Checks shared by NetworkInstance and InstanceBatch."""
-    for name in ("h_sd", "h_sr", "h_rd"):
-        if not np.isfinite(getattr(obj, name)).all():
-            raise ValueError(f"{name} must be finite")
-    if obj.h_sr.ndim != relay_ndim or obj.h_rd.ndim != relay_ndim:
-        raise ValueError(f"h_sr and h_rd must be {relay_ndim}-dimensional")
-    if obj.h_sr.shape != obj.h_rd.shape:
-        raise ValueError("h_sr and h_rd must have the same shape")
-    if not 0 < obj.sigma2 < math.inf:
-        raise ValueError("sigma2 must be finite and positive")
-    if np.count_nonzero(obj.h_sd == 0):
-        raise ValueError("h_sd must be nonzero: the second-phase cancellation "
-                         "signal divides by it")
 
 
 @dataclass(frozen=True)
@@ -174,10 +154,10 @@ Budget = Union[TotalBudget, IndividualBudget]
 class SystemParams:
     """First-phase power, relay SNR ceiling and the second-phase budget.
 
-    p1 is a scalar, or a vector of one value per row of the InstanceBatch it
-    is solved with; everything that works on a single instance (the oracles,
-    serialization, derive_model of a NetworkInstance) rejects a vector with a
-    ValueError naming p1.  gamma may be None when the power split alpha is
+    p1 is a scalar, or a vector of one value per row of the stack of networks
+    it is solved with; everything that works on a single network (the
+    oracles, serialization, derive_model of one network) rejects a vector
+    with a ValueError naming p1.  gamma may be None when the power split alpha is
     supplied explicitly to a solver; when present it must pass check_gamma,
     and the feasibility bound gamma <= |h_se|^2 * p1 / sigma2 is checked at
     solve time.
@@ -204,7 +184,7 @@ class SystemParams:
 class DerivedModel:
     """Precomputed vectors for one (instance, p1, alpha) triple.
 
-    For an InstanceBatch every field gains a leading row axis: alpha and the
+    For a stack of networks every field gains a leading row axis: alpha and the
     eta constants are (N,) arrays and the vectors below are (N, M) or
     (N, M+1).
 
@@ -314,38 +294,28 @@ class IndividualDiagnostics:
 
 @dataclass(frozen=True, eq=False)
 class BeamSolution:
-    """Optimal weights plus the quantities callers typically inspect."""
+    """Optimal weights plus the quantities callers typically inspect, of one
+    network or of every row of a stack solved together: w (M+1,) or
+    (N, M+1), the rest floats or (N,) arrays.
 
-    w: np.ndarray
-    alpha: float
-    c_d: float
-    second_phase_power: float
-    diagnostics: Union[TotalDiagnostics, IndividualDiagnostics, None] = None
-
-    def __post_init__(self):
-        _set(self, "w", _frozen_array(self.w, complex))
-
-
-@dataclass(frozen=True, eq=False)
-class BatchSolution:
-    """Solutions of the rows of an InstanceBatch, solved together.
-
-    errors[i] is the BeamformingError row i raised, or None; the numbers of
-    a failed row are unspecified.  One failed row never changes another.
+    errors[i] is the BeamformingError row i of a stack raised, or None; the
+    numbers of a failed row are unspecified, and one failed row never
+    changes another.  A single solve raises instead, so its errors are ().
     """
 
-    w: np.ndarray                   # (N, M+1)
-    alpha: np.ndarray               # (N,)
-    c_d: np.ndarray                 # (N,)
-    second_phase_power: np.ndarray  # (N,)
-    errors: tuple
-    diagnostics: Union[TotalDiagnostics, IndividualDiagnostics]
+    w: np.ndarray
+    alpha: Union[np.ndarray, float]
+    c_d: Union[np.ndarray, float]
+    second_phase_power: Union[np.ndarray, float]
+    diagnostics: Union[TotalDiagnostics, IndividualDiagnostics, None] = None
+    errors: tuple = ()
 
     def __post_init__(self):
         _freeze_in_place(self)
 
-    def solution(self, i: int) -> BeamSolution:
-        """Row i as a BeamSolution; raises the row's error if it failed."""
+    def row(self, i: int) -> "BeamSolution":
+        """Row i of a stack's solution as a single solve reports it, w a
+        view; raises the row's error if it failed."""
         if self.errors[i] is not None:
             raise self.errors[i]
         return BeamSolution(w=self.w[i], alpha=float(self.alpha[i]), c_d=float(self.c_d[i]),

@@ -17,10 +17,10 @@ from anbeam.errors import InfeasibleBudget, NonFiniteSolution
 from anbeam.individual_solver import (_active_norm, _best, _candidates, _quartic,
                                       _source_only_r, optimal_phases)
 from anbeam.model import capacity_dest, derive_model, resolve_alphas
-from anbeam.types import InstanceBatch, SystemParams
+from anbeam.types import NetworkInstance, SystemParams
 
 
-def greedy_reference(batch: InstanceBatch, params: SystemParams, alpha=None):
+def greedy_reference(batch: NetworkInstance, params: SystemParams, alpha=None):
     """(errors, clamped, t1, t2, tau, c_d) of every row: errors holds one
     exception object or None per row, clamped is the (N, M) mask of clamped
     relays, and the rest are (N,) arrays."""

@@ -125,6 +125,17 @@ def test_solve_unknown_field_exits_2_naming_it(total_scenario, tmp_path, capsys)
     assert capsys.readouterr().err == "error: unknown field(s): params.gama\n"
 
 
+def test_solve_null_gamma_exits_2_naming_it(total_scenario, tmp_path, capsys):
+    """A scenario has no alpha field, so solve needs gamma to derive it."""
+    doc = json.loads(total_scenario.read_text())
+    doc["params"]["gamma"] = None
+    path = tmp_path / "no-gamma.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: params.gamma:") and err.count("\n") == 1
+
+
 def test_solve_p_i_of_wrong_length_exits_2_naming_it(tmp_path, rng, capsys):
     inst = make_instance(rng, 2)
     path = tmp_path / "ind.json"

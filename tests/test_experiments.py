@@ -35,7 +35,7 @@ from anbeam.model import alpha_for_threshold, derive_model
 from anbeam.oracles import oracle_total
 from anbeam.serialization import params_to_dict
 from anbeam.total_solver import build_d_tilde, solve_total, solve_total_batch
-from anbeam.types import (IndividualBudget, InstanceBatch, NetworkInstance, SystemParams,
+from anbeam.types import (IndividualBudget, NetworkInstance, SystemParams,
                           TotalBudget)
 
 GOLDEN = Path(__file__).with_name("data") / "grid_point_golden.json"
@@ -348,9 +348,9 @@ def test_batched_grid_point_matches_slot_by_slot_solves(m, split):
     for mode in spec.modes:
         expected = np.array([sol.c_d for sol in solutions[mode]])
         np.testing.assert_allclose(result.c_d[mode], expected, rtol=1e-13, atol=0)
-    batch = solve_individual_batch(InstanceBatch.stack(instances),
+    batch = solve_individual_batch(NetworkInstance.stack(instances),
                                    _params(spec, m, 2.0)["individual"], alpha=alpha)
-    clamped = [batch.solution(i).diagnostics.clamped for i in range(len(instances))]
+    clamped = [batch.row(i).diagnostics.clamped for i in range(len(instances))]
     assert clamped == [sol.diagnostics.clamped for sol in solutions["individual"]]
     if m >= 10:
         assert any(clamped)
@@ -368,7 +368,7 @@ def test_single_solve_diagnostics_are_its_batch_row(kernel, single):
                  for slot in range(24)]
     params = _params(_tiny_spec(m_values=(m,), p_i=0.05), m, 2.0)[
         "total" if single is solve_total else "individual"]
-    batch = kernel(InstanceBatch.stack(instances), params, alpha=0.6)
+    batch = kernel(NetworkInstance.stack(instances), params, alpha=0.6)
     diag = batch.diagnostics
     assert not any(batch.errors)
     for i, inst in enumerate(instances):
@@ -411,7 +411,7 @@ def test_batch_with_infeasible_rows_leaves_feasible_rows_unchanged():
     instances[5] = NetworkInstance(h_sd=instances[5].h_sd, h_sr=instances[5].h_sr * 1e-3,
                                    h_rd=instances[5].h_rd, sigma2=1.0)
     params = _params(spec, 4, 2.0)
-    batch = InstanceBatch.stack(instances)
+    batch = NetworkInstance.stack(instances)
     for mode, kernel, single in (("total", solve_total_batch, solve_total),
                                  ("individual", solve_individual_batch, solve_individual)):
         solved = kernel(batch, params[mode])
@@ -424,7 +424,7 @@ def test_batch_with_infeasible_rows_leaves_feasible_rows_unchanged():
                     single(inst, params[mode])
                 continue
             alone = single(inst, params[mode])
-            row = solved.solution(i)
+            row = solved.row(i)
             assert (row.c_d, row.alpha) == (alone.c_d, alone.alpha)
             assert np.array_equal(row.w, alone.w)
 
@@ -619,8 +619,8 @@ def test_headline_sweep_csv_bytes_are_pinned(sweep, tmp_path):
 
 
 def _draws(m, n, seed=3):
-    return InstanceBatch.stack(sample_instance(m, ChannelVariances(), instance_stream(seed, slot))
-                               for slot in range(n))
+    return NetworkInstance.stack(
+        sample_instance(m, ChannelVariances(), instance_stream(seed, slot)) for slot in range(n))
 
 
 SOLVERS = {"total": solve_total_batch, "individual": solve_individual_batch}
@@ -682,10 +682,10 @@ def test_row_whose_answer_is_not_finite_fails_by_name(mode, cause):
     twin = NetworkInstance(**gains)
     params = SystemParams(2.0, None, BUDGETS[mode])
     overflowing = NetworkInstance(**{**gains, **change})
-    solved = SOLVERS[mode](InstanceBatch.stack([overflowing, twin]), params, alpha=0.5)
+    solved = SOLVERS[mode](NetworkInstance.stack([overflowing, twin]), params, alpha=0.5)
     assert isinstance(solved.errors[0], NonFiniteSolution)
     assert str(solved.errors[0]) == message
-    alone = SOLVERS[mode](InstanceBatch.stack([twin]), params, alpha=0.5)
+    alone = SOLVERS[mode](NetworkInstance.stack([twin]), params, alpha=0.5)
     assert solved.errors[1] is None and np.isfinite(solved.c_d[1])
     assert solved.c_d[1] == alone.c_d[0] and np.array_equal(solved.w[1], alone.w[0])
 
@@ -704,7 +704,7 @@ OVERFLOWING_AT_ORDINARY_ALPHA = {
 @pytest.mark.parametrize("mode", sorted(OVERFLOWING_AT_ORDINARY_ALPHA))
 def test_overflow_from_gains_or_budgets_does_not_blame_alpha(mode):
     instance, budget, message = OVERFLOWING_AT_ORDINARY_ALPHA[mode]
-    solved = SOLVERS[mode](InstanceBatch.stack([instance]), SystemParams(2.0, None, budget),
+    solved = SOLVERS[mode](NetworkInstance.stack([instance]), SystemParams(2.0, None, budget),
                            alpha=0.5)
     assert isinstance(solved.errors[0], NonFiniteSolution)
     assert str(solved.errors[0]) == message and "alpha" not in message

@@ -30,7 +30,6 @@ from anbeam.oracles import golden_section
 from anbeam.total_solver import solve_total
 from anbeam.types import (
     IndividualBudget,
-    InstanceBatch,
     NetworkInstance,
     SystemParams,
     TotalBudget,
@@ -336,6 +335,18 @@ def test_clamped_relays_sit_exactly_at_their_caps(rng):
     assert found >= 10
 
 
+@pytest.mark.parametrize("p_i", [3e-77, 1e-80])
+def test_a_cap_far_below_the_relay_input_power_is_met_exactly(p_i):
+    """p_i / T goes subnormal at T = 1e242, which once put a clamped relay
+    2.7e-6 above its cap at p_i = 3e-77 and 0.6% below it at 1e-80."""
+    inst = NetworkInstance(h_sd=1e121, h_sr=[1e121], h_rd=[1.0], sigma2=1.0)
+    sol = solve_individual(inst, SystemParams(1.0, None, IndividualBudget(1.0, [p_i])),
+                           alpha=0.5)
+    assert sol.diagnostics.clamped == (0,)
+    amplitude = math.sqrt(relay_input_powers(inst, 1.0)[0]) * abs(sol.w[1])
+    assert amplitude == pytest.approx(math.sqrt(p_i), rel=1e-15, abs=0.0)
+
+
 def test_value_monotone_in_relay_caps(rng):
     inst = make_instance(rng, 3)
     previous = math.inf
@@ -407,7 +418,7 @@ def test_clamp_bookkeeping_on_the_kernel(rng):
     h_sr[1] = 1e-6  # relay 1 then receives almost nothing and stays under its cap
     quiet = NetworkInstance(h_sd=inst.h_sd, h_sr=h_sr, h_rd=inst.h_rd, sigma2=inst.sigma2)
     budget = IndividualBudget(5.0, np.array([1e9, 1e-4, 1e9]))
-    sol = solve_individual_batch(InstanceBatch.stack([inst, quiet]),
+    sol = solve_individual_batch(NetworkInstance.stack([inst, quiet]),
                                  SystemParams(2.0, None, budget), alpha=0.6)
     assert sol.errors == (None, None)
     diag = sol.diagnostics
@@ -445,7 +456,7 @@ def _random_batch(rng, n, m):
     h_sr, h_rd = cn((n, m), 1.0), cn((n, m), 1.0)
     h_sr[rng.random((n, m)) < 0.1] = 0.0
     h_rd[rng.random((n, m)) < 0.1] = 0.0
-    return InstanceBatch(h_sd=cn(n, 0.25), h_sr=h_sr, h_rd=h_rd, sigma2=1.0)
+    return NetworkInstance(h_sd=cn(n, 0.25), h_sr=h_sr, h_rd=h_rd, sigma2=1.0)
 
 
 @pytest.mark.parametrize("slack", (1e-12, 1e-10, 1e-8), ids=("strict", "default", "loose"))

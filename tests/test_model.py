@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anbeam.errors import InfeasibleThreshold, SingularObservation
+from anbeam.errors import BeamformingError, InfeasibleThreshold, SingularObservation
 from anbeam.experiments import ExperimentSpec
 from anbeam.individual_solver import solve_individual, solve_individual_batch
 from anbeam.model import (
@@ -18,11 +18,13 @@ from anbeam.model import (
     beam_sinr,
     capacity_dest,
     capacity_relay,
+    cancellation_gains,
     combined_gains,
     derive_model,
     destination_phase2_rx,
     direct_sinr,
     noise_residual_scale,
+    relay_input_powers,
     relay_snrs,
     resolve_alphas,
     second_phase_power,
@@ -35,7 +37,6 @@ from anbeam.oracles import oracle_individual_grid, oracle_total
 from anbeam.total_solver import dense_power_matrix, solve_total, solve_total_batch
 from anbeam.types import (
     IndividualBudget,
-    InstanceBatch,
     NetworkInstance,
     SignalRealization,
     SystemParams,
@@ -59,8 +60,8 @@ def test_instance_rejects_vanishing_direct_gain():
     with pytest.raises(ValueError, match="h_sd"):
         NetworkInstance(h_sd=0.0, h_sr=[1.0], h_rd=[1.0], sigma2=1.0)
     with pytest.raises(ValueError, match="h_sd"):
-        InstanceBatch(h_sd=[1.0, 0.0, 0.5j], h_sr=np.ones((3, 1)), h_rd=np.ones((3, 1)),
-                      sigma2=1.0)
+        NetworkInstance(h_sd=[1.0, 0.0, 0.5j], h_sr=np.ones((3, 1)), h_rd=np.ones((3, 1)),
+                        sigma2=1.0)
     NetworkInstance(h_sd=5e-324, h_sr=[1.0], h_rd=[1.0], sigma2=1.0)
 
 
@@ -70,15 +71,18 @@ def test_instance_rejects_mismatched_relay_vectors():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: InstanceBatch(h_sd=np.ones(3), h_sr=np.ones((2, 2)), h_rd=np.ones((2, 2)),
-                           sigma2=1.0), "h_sd must hold one gain per row of h_sr"),
-    (lambda: InstanceBatch.stack([]), "cannot stack an empty list"),
-    (lambda: InstanceBatch.stack([
+    (lambda: NetworkInstance(h_sd=np.ones(3), h_sr=np.ones((2, 2)), h_rd=np.ones((2, 2)),
+                             sigma2=1.0), "h_sd must hold one gain per row of h_sr"),
+    (lambda: NetworkInstance.stack([]), "cannot stack an empty list"),
+    (lambda: NetworkInstance.stack([
         NetworkInstance(h_sd=1.0, h_sr=[1.0], h_rd=[1.0], sigma2=sigma2)
         for sigma2 in (1.0, 2.0)]), "stacked instances must share sigma2"),
+    (lambda: NetworkInstance.stack([
+        NetworkInstance(h_sd=1.0, h_sr=np.ones(m), h_rd=np.ones(m), sigma2=1.0)
+        for m in (2, 3, 2)]), r"stacked instances must share the relay count, got M in \[2, 3\]"),
     (lambda: NetworkInstance(h_sd=1.0, h_sr=[[1.0, 2.0]], h_rd=[1.0, 2.0], sigma2=1.0),
      "h_sr and h_rd must be 1-dimensional"),
-], ids=["short-h_sd", "empty-stack", "mixed-sigma2", "2d-h_sr"])
+], ids=["short-h_sd", "empty-stack", "mixed-sigma2", "mixed-m", "2d-h_sr"])
 def test_instance_and_batch_shapes_are_checked(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -178,7 +182,7 @@ def test_alpha_for_zero_relay_gains_is_infeasible_without_warnings():
 
 @pytest.mark.parametrize("split", [
     lambda p1, gamma: alpha_for_threshold(UNIT, p1, gamma),
-    lambda p1, gamma: resolve_alphas(InstanceBatch.stack([UNIT]), p1, gamma, None),
+    lambda p1, gamma: resolve_alphas(NetworkInstance.stack([UNIT]), p1, gamma, None),
 ], ids=["alpha_for_threshold", "resolve_alphas"])
 @pytest.mark.parametrize("p1, gamma, name", [
     (1.0, math.nan, "gamma"),
@@ -199,7 +203,7 @@ def test_threshold_split_rejects_bad_inputs_by_name(split, p1, gamma, name):
 
 @pytest.mark.parametrize("split, message", [
     (lambda: alpha_for_threshold(UNIT, 1.0, None), "^either alpha or gamma must be given$"),
-    (lambda: solve_total_batch(InstanceBatch.stack([NetworkInstance(
+    (lambda: solve_total_batch(NetworkInstance.stack([NetworkInstance(
         h_sd=1.0, h_sr=[], h_rd=[], sigma2=1.0)] * 2), SystemParams(1.0, 0.5, TotalBudget(1.0))),
      "^instance has no relays: gamma, a relay SNR threshold, needs one$"),
 ], ids=["neither-alpha-nor-gamma", "gamma-without-relays"])
@@ -263,7 +267,7 @@ def test_gamma_whose_split_underflows_fails_each_row(solve):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=underflow):
-            resolve_alphas(InstanceBatch.stack([EDGE, EDGE]), 3.0, np.float64(1e-310), None)
+            resolve_alphas(NetworkInstance.stack([EDGE, EDGE]), 3.0, np.float64(1e-310), None)
         smallest = float(np.nextafter(1.0 / np.finfo(float).max, 1.0))
         assert math.isfinite(1.0 / smallest)
         SystemParams(3.0, smallest, EDGE_BUDGETS[solve])
@@ -275,9 +279,9 @@ def test_gamma_whose_split_underflows_fails_each_row(solve):
     (lambda inst, params: solve_total(inst, params, alpha=0.0), solve_total),
     (lambda inst, params: solve_individual(inst, params, alpha=0.0), solve_individual),
     (lambda inst, params: solve_total_batch(
-        InstanceBatch.stack([inst, inst]), params, alpha=np.array([0.5, 0.0])), solve_total),
+        NetworkInstance.stack([inst, inst]), params, alpha=np.array([0.5, 0.0])), solve_total),
     (lambda inst, params: solve_individual_batch(
-        InstanceBatch.stack([inst, inst]), params, alpha=np.array([0.5, 0.0])),
+        NetworkInstance.stack([inst, inst]), params, alpha=np.array([0.5, 0.0])),
      solve_individual),
     (lambda inst, params: oracle_total(inst, params, 16, alpha=0.0), solve_total),
     (lambda inst, params: oracle_individual_grid(inst, params, alpha=0.0), solve_individual),
@@ -617,3 +621,50 @@ def test_relay_snr_bounded_by_full_power(gains, alpha, p1):
     for i in range(m):
         snr = relay_snrs(inst, p1, alpha)[i]
         assert 0.0 <= snr <= gains[i] * p1 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the whole float range: a finite answer within budget, or a named error
+
+
+def _power_amplitudes(inst, p1, alpha, w):
+    """(source, relays): the square roots of the source's second-phase power
+    and of each relay's, formed from amplitudes, so that none of them passes
+    through a square that goes subnormal."""
+    source = math.sqrt(alpha * p1) * abs(w[0])
+    if alpha < 1.0:  # at alpha = 1 the cancellation term carries no power
+        cancel = math.sqrt((1.0 - alpha) * p1) * abs(np.dot(cancellation_gains(inst), w[1:]))
+        source = math.hypot(source, cancel)
+    return source, np.sqrt(relay_input_powers(inst, p1)) * np.abs(w[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+       log10_alpha=st.floats(-30.0, 0.0))
+def test_every_solve_is_finite_within_budget_or_a_named_error(m, seed, log10_alpha):
+    """Gains, sigma2, p1 and the budgets log-uniform over 1e-100 .. 1e100:
+    each solve returns a finite w whose C_d is capacity_dest(w) and which
+    meets its budget to 1e-12, or raises a BeamformingError or ValueError."""
+    rng = np.random.default_rng(seed)
+    gains = 10.0 ** rng.uniform(-100.0, 100.0, 2 * m + 1) * np.exp(
+        2j * np.pi * rng.uniform(size=2 * m + 1))
+    sigma2, p1, p_s, p_tot = 10.0 ** rng.uniform(-100.0, 100.0, 4)
+    p_i = 10.0 ** rng.uniform(-100.0, 100.0, m)
+    inst = NetworkInstance(h_sd=gains[0], h_sr=gains[1::2], h_rd=gains[2::2], sigma2=sigma2)
+    alpha = 10.0 ** log10_alpha
+    slack = 1.0 + 1e-12
+    for solve, budget in ((solve_total, TotalBudget(p_tot)),
+                          (solve_individual, IndividualBudget(p_s, p_i))):
+        try:
+            sol = solve(inst, SystemParams(p1, None, budget), alpha=alpha)
+        except (BeamformingError, ValueError):
+            continue
+        assert np.isfinite(sol.w).all() and math.isfinite(sol.c_d)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            assert sol.c_d == capacity_dest(inst, p1, sol.alpha, sol.w)
+        source, relays = _power_amplitudes(inst, p1, sol.alpha, sol.w)
+        if isinstance(budget, TotalBudget):
+            assert math.hypot(source, *relays) <= math.sqrt(p_tot) * slack
+        else:
+            assert source <= math.sqrt(p_s) * slack
+            assert np.all(relays <= np.sqrt(p_i) * slack)
