@@ -28,10 +28,14 @@ stacked companion matrices.  solve_individual is the N = 1 call, and
 MagnitudeProblem, solve_source_only, quartic_coeffs and select_root are
 one-row views of the same array expressions.
 
-Each row is solved with c -> c 2^-e and eta2 -> eta2 4^e, e the binary
-exponent of |h_sd|: r and u do not move, y, t1, tau and the quartic scale by
-powers of two, and nothing rounds differently, so a gain-scaled copy of a
-network (h -> k h, sigma2 -> k^2 sigma2) gets the same answer.
+_magnitude_problem is the one place the problem's constants are formed,
+for one network or a stack, and it forms them in the problem's own units:
+c = [|h_sd|, |h_s1|, ...] 2^-e, e the binary exponent of |h_sd|, with eta2
+taken on that c.  Next to channel units, r, u, eta1, eta3 and t2 are the
+same and y, t1, tau and the quartic differ by powers of two, so nothing
+rounds differently, and a gain-scaled copy of a network (h -> k h,
+sigma2 -> k^2 sigma2) gets the same problem.  A solve reports t1 and tau
+in these units.
 
 The batch keeps each row's clamped set, offsets and chosen r, not the
 candidates its quartic solve compared: select_root on the row's final
@@ -47,10 +51,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InfeasibleBudget, NonFiniteSolution
-from .model import _check_rows, _dot, _per_relay, derive_model, resolve_alphas, solved_values
+from .model import (_check_rows, _dot, _per_relay, relay_input_powers, resolve_alphas,
+                    solved_values)
 from .types import (
     BeamSolution,
-    DerivedModel,
+    Budget,
     IndividualBudget,
     IndividualDiagnostics,
     NetworkInstance,
@@ -83,6 +88,39 @@ def optimal_phases(instance: NetworkInstance) -> np.ndarray:
 # Array expressions of the magnitude problem; each takes floats or arrays.
 
 
+def _magnitude_problem(instance: NetworkInstance, p1, alpha, budget: Budget):
+    """(c, u_max, eta1, eta2, eta3) of the magnitude problem of one network,
+    or of every row of a stack with p1 and alpha each a scalar or one value
+    per row: the one place they are formed.
+
+    * c = [|h_sd|, |h_s1|, ..., |h_sM|] 2^-e, e the binary exponent of |h_sd|
+      (np.frexp), so c1 = c[..., 0] is in [0.5, 1) (module docstring).
+    * u_max,i = |h_id| sqrt(P_i) / sqrt(|h_si|^2 p1 + sigma2) — the cap on
+      the effective amplitude u_i = |w_i h_id| implied by relay i's power
+      cap.  (The |h_id| factor is required by that change of variables; the
+      roots are taken apart, as P_i / T_i loses digits when it is subnormal.)
+    * eta1 = P_s/(alpha p1), eta2 = (1-alpha)/(alpha c1^2), eta3 = 1+eta2 c1^2.
+    """
+    if not isinstance(budget, IndividualBudget):
+        raise TypeError("solve_individual requires an IndividualBudget")
+    _check_rows(instance, p1, "p1")
+    _check_rows(instance, alpha, "alpha")
+    if not np.all((0.0 < alpha) & (alpha <= 1.0)):
+        raise ValueError(f"alpha={alpha!r} outside (0, 1]: the individual-budget "
+                         "constants divide by alpha")
+    if len(budget.p_i) != instance.m:
+        raise ValueError("budget.p_i length must equal the relay count")
+    gain_sd = np.abs(instance.h_sd)
+    e = np.frexp(gain_sd)[1]
+    c = np.ldexp(np.concatenate((_per_relay(gain_sd), np.abs(instance.h_sr)), axis=-1),
+                 -_per_relay(e))
+    c1 = c[..., 0]
+    eta2 = (1.0 - alpha) / (alpha * c1 ** 2)
+    u_max = (np.abs(instance.h_rd) * np.sqrt(budget.p_i)
+             / np.sqrt(relay_input_powers(instance, p1)))
+    return c, u_max, budget.p_s / (alpha * p1), eta2, 1.0 + eta2 * c1 ** 2
+
+
 def _radicand(eta1, eta2, t1, tau, r):
     """(y, u1^2) at total relay contribution r: y = t1 + tau r and
     u1^2 = eta1 - eta2 y^2."""
@@ -103,17 +141,20 @@ def _active_norm(c2: np.ndarray, active: Optional[np.ndarray] = None):
     return np.sqrt(_dot(c2, c2))
 
 
-def _source_only_r(tau, eta1, eta2, c1):
-    """(r*, finite) of the unclamped problem:
-    r* = sqrt(tau^2 eta1 / (eta2 tau^4 + (eta1 + tau^2 eta2)^2 c1^2)).
-    Every term can overflow (huge gains or budgets, or alpha -> 0), and an
-    infinite denominator gives r* = 0, so `finite` covers the intermediates."""
+def _source_only(tau, eta1, eta2, c1, c2):
+    """(r*, u, finite) of the unclamped problem with tau > 0:
+    r* = sqrt(tau^2 eta1 / (eta2 tau^4 + (eta1 + tau^2 eta2)^2 c1^2)), and
+    the relay amplitudes u = c2 r* / tau along c2 (Cauchy-Schwarz), over a
+    trailing relay axis.  Every term can overflow (huge gains or budgets, or
+    alpha -> 0), and an infinite denominator gives r* = 0, so `finite`
+    covers the intermediates."""
     tau, c1 = np.asarray(tau, dtype=float), np.asarray(c1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         num = tau ** 2 * eta1
         den = eta2 * tau ** 4 + (eta1 + tau ** 2 * eta2) ** 2 * c1 ** 2
         r = np.sqrt(num / den)
-    return r, np.isfinite(num) & np.isfinite(den) & np.isfinite(r)
+        u = c2 / _per_relay(tau) * _per_relay(r)
+    return r, u, np.isfinite(num) & np.isfinite(den) & np.isfinite(r)
 
 
 def _quartic(e1, e2, e3, t1, t2, tau, c1):
@@ -227,10 +268,11 @@ def _r_star_overflow(eta1) -> NonFiniteSolution:
 class MagnitudeProblem:
     """State of the reduced magnitude optimization over the active relays.
 
-    c: channel magnitudes [|h_sd|, |h_s1|, ...]; u_max: per-relay amplitude
-    caps; t1/t2: contributions accumulated from clamped relays (t1 in
-    amplitude units, t2 = 1 + sum of squared clamped amplitudes); active:
-    relay indices still free; tau: ||c over active relays||.
+    c: magnitudes [|h_sd|, |h_s1|, ...] (initial_problem scales them by
+    2^-e); u_max: per-relay amplitude caps; t1/t2: contributions accumulated
+    from clamped relays (t1 in the units of c times amplitude, t2 = 1 + sum
+    of squared clamped amplitudes); active: relay indices still free; tau:
+    ||c over active relays||.
     """
 
     c: np.ndarray
@@ -269,43 +311,36 @@ class MagnitudeProblem:
         return float(_surface_value(y, rad, self.c1, self.t2, r))
 
 
-def initial_problem(derived: DerivedModel) -> MagnitudeProblem:
-    """Magnitude problem before any clamping: all relays active, no offsets."""
-    if derived.u_max is None:
-        raise ValueError("derived model lacks individual-budget quantities")
-    return MagnitudeProblem(
-        c=derived.c,
-        u_max=derived.u_max,
-        eta1=derived.eta1,
-        eta2=derived.eta2,
-        eta3=derived.eta3,
-        active=tuple(range(derived.m)),
-        tau=float(_active_norm(derived.c[1:])),
-    )
+def initial_problem(instance: NetworkInstance, p1: float, alpha: float,
+                    budget: Budget) -> MagnitudeProblem:
+    """Magnitude problem of one network before any clamping: all relays
+    active, no offsets, in the problem's own units (_magnitude_problem)."""
+    c, u_max, eta1, eta2, eta3 = _magnitude_problem(instance, p1, alpha, budget)
+    return MagnitudeProblem(c=c, u_max=u_max, eta1=float(eta1), eta2=float(eta2),
+                            eta3=float(eta3), active=tuple(range(instance.m)),
+                            tau=float(_active_norm(c[1:])))
 
 
 def solve_source_only(problem: MagnitudeProblem) -> Tuple[float, np.ndarray, float]:
     """Closed-form optimum when only the source power constraint binds.
 
-    r* = sqrt(tau^2 eta1 / (eta2 tau^4 + (eta1 + tau^2 eta2)^2 c1^2)), relay
-    amplitudes along the c-direction (Cauchy-Schwarz), and
-    u1 = sqrt(eta1 - eta2 tau^2 r*^2) from power equality.  Valid only for the
-    unclamped problem (t1 = 0, t2 = 1).
+    r* and the relay amplitudes along the active c as _source_only gives
+    them, and u1 = sqrt(eta1 - eta2 tau^2 r*^2) from power equality.  Valid
+    only for the unclamped problem (t1 = 0, t2 = 1).
     """
     if problem.eta1 <= 0:
         raise InfeasibleBudget(f"eta1={problem.eta1!r} <= 0: no source power available")
     if problem.t1 != 0.0 or problem.t2 != 1.0:
         raise ValueError("solve_source_only expects the unclamped problem")
-    tau = problem.tau
-    u = np.zeros(len(problem.u_max))
-    if tau <= 0.0:
-        return math.sqrt(problem.eta1), u, 0.0
-    r, finite = _source_only_r(tau, problem.eta1, problem.eta2, problem.c1)
+    if problem.tau <= 0.0:
+        return math.sqrt(problem.eta1), np.zeros(len(problem.u_max)), 0.0
+    active = list(problem.active)
+    c2 = np.zeros(len(problem.u_max))
+    c2[active] = problem.c[1:][active]
+    r, u, finite = _source_only(problem.tau, problem.eta1, problem.eta2, problem.c1, c2)
     if not finite:
         raise _r_star_overflow(problem.eta1)
     r = float(r)
-    active = list(problem.active)
-    u[active] = problem.c[1:][active] / tau * r
     return math.sqrt(max(problem.radicand(r), 0.0)), u, r
 
 
@@ -430,20 +465,13 @@ def solve_individual_batch(batch: NetworkInstance, params: SystemParams,
 
     Rows fail independently: InfeasibleThreshold (gamma out of reach),
     InfeasibleBudget (the source cannot cancel the noise the clamped relays
-    forward) or NonFiniteSolution (r*, the quartic, w or C_d leaves the
-    float range).
+    forward) or NonFiniteSolution (r*, the quartic, w, C_d or the
+    second-phase power leaves the float range).
     """
-    budget = params.budget
-    if not isinstance(budget, IndividualBudget):
-        raise TypeError("solve_individual requires an IndividualBudget")
     p1 = params.p1
     a, errors = resolve_alphas(batch, p1, params.gamma, alpha)
-    derived = derive_model(batch, p1, a, budget)
-    e = np.frexp(derived.c[:, 0])[1]  # |h_sd| 2^-e is in [0.5, 1): module docstring
-    c = np.ldexp(derived.c, -e[:, None])
+    c, u_max, eta1, eta2, eta3 = _magnitude_problem(batch, p1, a, params.budget)
     c1, c2 = c[:, 0], c[:, 1:]
-    u_max, eta1, eta3 = derived.u_max, derived.eta1, derived.eta3
-    eta2 = np.ldexp(derived.eta2, 2 * e)
     n, m = batch.n, batch.m
     clamped = np.zeros((n, m), dtype=bool)
     t1, t2 = np.zeros(n), np.ones(n)
@@ -452,10 +480,9 @@ def solve_individual_batch(batch: NetworkInstance, params: SystemParams,
     u = np.zeros((n, m))
 
     rows = np.flatnonzero(~errors.failed & (tau > 0.0))
-    r_rows, finite = _source_only_r(tau[rows], eta1[rows], eta2[rows], c1[rows])
+    r[rows], u[rows], finite = _source_only(tau[rows], eta1[rows], eta2[rows], c1[rows],
+                                            c2[rows])
     errors.fail(rows[~finite], lambda i: _r_star_overflow(eta1[i]))
-    r[rows] = r_rows
-    u[rows] = c2[rows] / tau[rows, None] * r_rows[:, None]
 
     live = np.flatnonzero(~errors.failed)
     ratio0 = np.where(u_max[live] > 0.0, u[live] / u_max[live], np.inf)
@@ -495,7 +522,7 @@ def solve_individual_batch(batch: NetworkInstance, params: SystemParams,
         ((np.sqrt(np.maximum(rad, 0.0)) * np.exp(1j * phases[:, 0]))[:, None], relay_w),
         axis=-1)
     return solved_values(batch, p1, a, w, errors, IndividualDiagnostics(
-        clamped=clamped, t1=np.ldexp(t1, e), t2=t2, tau=np.ldexp(tau, e), chosen_r=r))
+        clamped=clamped, t1=t1, t2=t2, tau=tau, chosen_r=r))
 
 
 def solve_individual(instance: NetworkInstance, params: SystemParams,

@@ -30,9 +30,7 @@ import numpy as np
 from .errors import InfeasibleThreshold, NonFiniteSolution, RowErrors, SingularObservation
 from .types import (
     BeamSolution,
-    Budget,
     DerivedModel,
-    IndividualBudget,
     NetworkInstance,
     SignalRealization,
     check_gamma,
@@ -208,61 +206,36 @@ def second_phase_power(instance: NetworkInstance, p1: float, alpha,
 def solved_values(batch: NetworkInstance, p1, alpha: np.ndarray, w: np.ndarray,
                   errors: RowErrors, diagnostics) -> BeamSolution:
     """The BeamSolution of a solved stack, with each row's C_d and
-    second-phase power: the tail both solvers share.  A row whose weights or
-    C_d is not finite fails with NonFiniteSolution: its SNRs or powers
-    overflow a float, so the row has no answer to report.  Call under
-    np.errstate(over="ignore")."""
+    second-phase power: the tail both solvers share.  A row whose weights,
+    C_d or second-phase power is not finite fails with NonFiniteSolution:
+    its SNRs or powers overflow a float, so the row has no answer to report.
+    Call under np.errstate(over="ignore", invalid="ignore")."""
     c_d = capacity_dest(batch, p1, alpha, w)
+    power = second_phase_power(batch, p1, alpha, w)
     errors.fail(np.flatnonzero(~np.isfinite(w).all(axis=-1)), lambda i: NonFiniteSolution(
         "the weights are not finite: the inputs' powers overflow a float"))
     errors.fail(np.flatnonzero(~np.isfinite(c_d)), lambda i: NonFiniteSolution(
         f"C_d={float(c_d[i])!r}: the destination SNR overflows a float"))
-    return BeamSolution(w=w, alpha=alpha, c_d=c_d,
-                        second_phase_power=second_phase_power(batch, p1, alpha, w),
+    errors.fail(np.flatnonzero(~np.isfinite(power)), lambda i: NonFiniteSolution(
+        f"second_phase_power={float(power[i])!r}: a relay's input power or weight "
+        "overflows a float"))
+    return BeamSolution(w=w, alpha=alpha, c_d=c_d, second_phase_power=power,
                         diagnostics=diagnostics, errors=tuple(errors.errors))
 
 
-def derive_model(instance: NetworkInstance, p1: float, alpha: float,
-                 budget: Optional[Budget] = None) -> DerivedModel:
+def derive_model(instance: NetworkInstance, p1: float, alpha: float) -> DerivedModel:
     """Bundle every vector the solvers need for one (instance, p1, alpha), or
     for every row of a stack of networks with p1 and alpha each a scalar or
-    one value per row.
-
-    With an IndividualBudget, also computes the per-relay amplitude caps and
-    the eta constants of the magnitude problem:
-
-    * u_max,i = |h_id| sqrt(P_i) / sqrt(|h_si|^2 p1 + sigma2) — the cap on
-      the effective amplitude u_i = |w_i h_id| implied by relay i's power
-      cap.  (The |h_id| factor is required by that change of variables; the
-      roots are taken apart, as P_i / T_i loses digits when it is subnormal.)
-    * eta1 = P_s/(alpha p1), eta2 = (1-alpha)/(alpha c1^2), eta3 = 1+eta2 c1^2.
-    """
+    one value per row."""
     _check_rows(instance, p1, "p1")
     _check_rows(instance, alpha, "alpha")
-    extras = {}
-    c1 = np.abs(instance.h_sd)
-    if isinstance(budget, IndividualBudget):
-        if not np.all((0.0 < alpha) & (alpha <= 1.0)):
-            raise ValueError(f"alpha={alpha!r} outside (0, 1]: the individual-budget "
-                             "constants divide by alpha")
-        if len(budget.p_i) != instance.m:
-            raise ValueError("budget.p_i length must equal the relay count")
-        extras = dict(
-            u_max=np.abs(instance.h_rd) * np.sqrt(budget.p_i)
-            / np.sqrt(relay_input_powers(instance, p1)),
-            eta1=budget.p_s / (alpha * p1),
-            eta2=(1.0 - alpha) / (alpha * c1 ** 2),
-        )
-        extras["eta3"] = 1.0 + extras["eta2"] * c1 ** 2
     return DerivedModel(
         alpha=alpha,
         p1=p1,
         h=combined_gains(instance),
         g=cancellation_gains(instance),
-        c=np.concatenate((_per_relay(c1), np.abs(instance.h_sr)), axis=-1),
         d_h_diag=noise_amp_diag(instance),
         t_diag=relay_input_powers(instance, p1),
-        **extras,
     )
 
 

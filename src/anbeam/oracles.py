@@ -280,7 +280,10 @@ def oracle_individual_grid(instance: NetworkInstance, params: SystemParams,
     zoom-in refinement around the best cell until the cell size drops below
     1e-3 of the search box.  Each axis is pre-clipped at the source-budget
     feasibility bound sqrt(eta1/eta2)/c_i so that generous relay caps do not
-    inflate the box.  Guarded to M <= 3.
+    inflate the box.  Guarded to M <= 3.  The caps u_max,i =
+    |h_id| sqrt(p_i / (|h_si|^2 p1 + sigma2)), eta1 = p_s/(alpha p1) and
+    eta2 = (1-alpha)/(alpha |h_sd|^2) are formed here, in channel units,
+    from the channels and the budget, not taken from the solver.
 
     The oracle value is 0.5 log2(1 + direct SINR + alpha p1 / sigma2 psi*) for
     the grid's best psi* of psi(u) = (c1 u1 + c2 . u)^2 / (1 + |u|^2): the
@@ -293,11 +296,11 @@ def oracle_individual_grid(instance: NetworkInstance, params: SystemParams,
     if not isinstance(params.budget, IndividualBudget):
         raise TypeError("oracle_individual_grid requires an IndividualBudget")
     solution = solve_individual(instance, params, alpha=alpha)
-    a = solution.alpha
-    derived = derive_model(instance, params.p1, a, params.budget)
-    c1, c2 = derived.c[0], derived.c[1:]
-    u_max = derived.u_max
-    eta1, eta2 = derived.eta1, derived.eta2
+    a, p1, budget = solution.alpha, params.p1, params.budget
+    c1, c2 = np.abs(instance.h_sd), np.abs(instance.h_sr)
+    u_max = (np.abs(instance.h_rd) * np.sqrt(budget.p_i)
+             / np.sqrt(c2 ** 2 * p1 + instance.sigma2))
+    eta1, eta2 = budget.p_s / (a * p1), (1.0 - a) / (a * c1 ** 2)
 
     def batch_value(u_batch: np.ndarray) -> np.ndarray:
         total = u_batch @ c2
@@ -336,8 +339,8 @@ def oracle_individual_grid(instance: NetworkInstance, params: SystemParams,
         lo = np.clip(best_u - 1.5 * span, 0.0, u_max)
         hi = np.clip(best_u + 1.5 * span, 0.0, u_max)
         n = 21
-    oracle_cd = 0.5 * math.log2(1.0 + direct_sinr(instance, params.p1, a)
-                                + a * params.p1 / instance.sigma2 * best_psi)
+    oracle_cd = 0.5 * math.log2(1.0 + direct_sinr(instance, p1, a)
+                                + a * p1 / instance.sigma2 * best_psi)
 
     return OracleReport(
         analytic_value=solution.c_d,

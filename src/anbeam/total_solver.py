@@ -76,7 +76,8 @@ def solve_total_batch(batch: NetworkInstance, params: SystemParams,
     exactly; this form skips a subtraction that cancels when |h_sd| is small.
 
     Rows fail independently: InfeasibleThreshold (gamma out of reach) or
-    NonFiniteSolution (v, w or C_d leaves the float range).  resolve_alphas
+    NonFiniteSolution (v, w, C_d or the second-phase power leaves the float
+    range).  resolve_alphas
     judges alpha, so every row's alpha is in (0, 1].
     """
     budget = params.budget

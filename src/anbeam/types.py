@@ -184,41 +184,27 @@ class SystemParams:
 class DerivedModel:
     """Precomputed vectors for one (instance, p1, alpha) triple.
 
-    For a stack of networks every field gains a leading row axis: alpha and the
-    eta constants are (N,) arrays and the vectors below are (N, M) or
-    (N, M+1).
+    For a stack of networks every field gains a leading row axis: alpha is
+    an (N,) array and the vectors below are (N, M) or (N, M+1).
 
     h: length-(M+1) combined gains [h_sd, h_s1*h_1d, ...] seen by the
        second-phase beam at the destination.
     g: length-M cancellation gains h_si*h_id/h_sd.
-    c: length-(M+1) magnitudes [|h_sd|, |h_s1|, ..., |h_sM|].
     d_h_diag: relay-noise amplification diagonal [0, |h_1d|^2, ...].
     t_diag: per-relay received power |h_si|^2 * p1 + sigma2.
-    u_max: per-relay cap on |w_i * h_id| implied by the individual budget
-        (None for a total budget).
-    eta1, eta2, eta3: individual-budget solve constants (None for total):
-        eta1 = p_s/(alpha*p1), eta2 = (1-alpha)/(alpha*c[0]^2),
-        eta3 = 1 + eta2*c[0]^2.
     """
 
     alpha: float
     p1: float
     h: np.ndarray
     g: np.ndarray
-    c: np.ndarray
     d_h_diag: np.ndarray
     t_diag: np.ndarray
-    u_max: Optional[np.ndarray] = None
-    eta1: Optional[float] = None
-    eta2: Optional[float] = None
-    eta3: Optional[float] = None
 
     def __post_init__(self):
-        for name, dtype in (("h", complex), ("g", complex), ("c", float),
-                            ("d_h_diag", float), ("t_diag", float)):
+        for name, dtype in (("h", complex), ("g", complex), ("d_h_diag", float),
+                            ("t_diag", float)):
             _set(self, name, _frozen_array(getattr(self, name), dtype))
-        if self.u_max is not None:
-            _set(self, "u_max", _frozen_array(self.u_max, float))
 
     @property
     def m(self) -> int:
@@ -268,12 +254,13 @@ class IndividualDiagnostics:
 
     clamped: (N, M) mask of relays fixed at their amplitude caps.
     t1, t2, tau: (N,) offsets and active norm of the final magnitude problem,
-        t1 and tau in channel units (those of DerivedModel.c).
+        in the problem's own units (those of initial_problem's c, the
+        channel magnitudes scaled by 2^-e, e the binary exponent of |h_sd|).
     chosen_r: (N,) radius of the final solve.
 
     A clamped row's root candidates are not kept: select_root gives them for
-    the row's final MagnitudeProblem, rebuilt from derive_model and these
-    fields.
+    the row's final MagnitudeProblem, dataclasses.replace(initial_problem(...),
+    t1=, t2=, active=, tau=) with these fields.
     """
 
     clamped: Union[np.ndarray, tuple]

@@ -14,9 +14,9 @@ import numpy as np
 
 from anbeam import individual_solver
 from anbeam.errors import InfeasibleBudget, NonFiniteSolution
-from anbeam.individual_solver import (_active_norm, _best, _candidates, _quartic,
-                                      _source_only_r, optimal_phases)
-from anbeam.model import capacity_dest, derive_model, resolve_alphas
+from anbeam.individual_solver import (_active_norm, _best, _candidates, _magnitude_problem,
+                                      _quartic, _source_only, optimal_phases)
+from anbeam.model import capacity_dest, resolve_alphas
 from anbeam.types import NetworkInstance, SystemParams
 
 
@@ -26,9 +26,8 @@ def greedy_reference(batch: NetworkInstance, params: SystemParams, alpha=None):
     relays, and the rest are (N,) arrays."""
     p1 = params.p1
     a, errors = resolve_alphas(batch, p1, params.gamma, alpha)
-    derived = derive_model(batch, p1, a, params.budget)
-    c1, c2 = derived.c[:, 0], derived.c[:, 1:]
-    u_max, eta1, eta2, eta3 = derived.u_max, derived.eta1, derived.eta2, derived.eta3
+    c, u_max, eta1, eta2, eta3 = _magnitude_problem(batch, p1, a, params.budget)
+    c1, c2 = c[:, 0], c[:, 1:]
     n, m = batch.n, batch.m
     active = np.ones((n, m), dtype=bool)
     t1, t2 = np.zeros(n), np.ones(n)
@@ -38,10 +37,9 @@ def greedy_reference(batch: NetworkInstance, params: SystemParams, alpha=None):
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         rows = np.flatnonzero(~errors.failed & (tau > 0.0))
-        r_rows, finite = _source_only_r(tau[rows], eta1[rows], eta2[rows], c1[rows])
+        r[rows], u[rows], finite = _source_only(tau[rows], eta1[rows], eta2[rows], c1[rows],
+                                                c2[rows])
         errors.fail(rows[~finite], lambda i: NonFiniteSolution(""))
-        r[rows] = r_rows
-        u[rows] = c2[rows] / tau[rows, None] * r_rows[:, None]
 
         live = np.flatnonzero(~errors.failed & active.any(axis=1))
         while live.size:

@@ -1,6 +1,7 @@
 """Phase alignment, the closed-form source-only optimum, the stationarity
 quartic and the clamp scan, checked against the greedy loop it replaces."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,6 @@ from anbeam.individual_solver import (
 )
 from anbeam.model import (
     combined_gains,
-    derive_model,
     direct_sinr,
     relay_input_powers,
 )
@@ -138,11 +138,10 @@ def test_source_only_power_equality(rng):
     # reconstructed on a real network: alpha p1 u1^2 + ((1-a)p1/c1^2)(c2.u)^2 = p_s
     inst = make_instance(rng, 3)
     p1, a, p_s = 2.0, 0.6, 5.0
-    derived = derive_model(inst, p1, a, IndividualBudget(p_s, np.full(3, 1e9)))
-    prob = initial_problem(derived)
+    prob = initial_problem(inst, p1, a, IndividualBudget(p_s, np.full(3, 1e9)))
     u1, u, r = solve_source_only(prob)
-    c1 = derived.c[0]
-    lhs = a * p1 * u1 ** 2 + (1 - a) * p1 / c1 ** 2 * float(np.dot(derived.c[1:], u)) ** 2
+    c1 = prob.c[0]  # c's common scale 2^-e cancels in the ratio below
+    lhs = a * p1 * u1 ** 2 + (1 - a) * p1 / c1 ** 2 * float(np.dot(prob.c[1:], u)) ** 2
     assert lhs == pytest.approx(p_s, rel=1e-10)
 
 
@@ -274,8 +273,8 @@ def test_generous_bounds_reduce_to_source_only(rng):
         p1, a = 2.0, float(rng.uniform(0.2, 0.95))
         sol = solve_individual(inst, _params(m, p_i=1e12, p1=p1), alpha=a)
         assert sol.diagnostics.clamped == ()
-        derived = derive_model(inst, p1, a, IndividualBudget(5.0, np.full(m, 1e12)))
-        u1, u, _ = solve_source_only(initial_problem(derived))
+        u1, u, _ = solve_source_only(
+            initial_problem(inst, p1, a, IndividualBudget(5.0, np.full(m, 1e12))))
         assert np.abs(sol.w[0]) == pytest.approx(u1, rel=1e-10)
         assert np.abs(sol.w[1:]) * np.abs(inst.h_rd) == pytest.approx(u, rel=1e-10)
 
@@ -327,10 +326,10 @@ def test_clamped_relays_sit_exactly_at_their_caps(rng):
         m = int(rng.integers(1, 4))
         inst = make_instance(rng, m)
         sol = solve_individual(inst, _params(m), alpha=0.6)
-        derived = derive_model(inst, 2.0, 0.6, IndividualBudget(5.0, np.full(m, 0.1)))
+        prob = initial_problem(inst, 2.0, 0.6, IndividualBudget(5.0, np.full(m, 0.1)))
         u = np.abs(sol.w[1:]) * np.abs(inst.h_rd)
         for i in sol.diagnostics.clamped:
-            assert u[i] == pytest.approx(derived.u_max[i], rel=1e-12)
+            assert u[i] == pytest.approx(prob.u_max[i], rel=1e-12)
             found += 1
     assert found >= 10
 
@@ -380,12 +379,12 @@ def test_rejects_total_budget(rng):
 @pytest.mark.parametrize("call, error, message", [
     (lambda inst, b: solve_individual(inst, SystemParams(2.0, None, b), alpha=0.0),
      ValueError, r"^alpha=0\.0 at row 0 outside \(0, 1\]"),
-    (lambda inst, b: derive_model(inst, 2.0, 0.0, b), ValueError,
+    (lambda inst, b: initial_problem(inst, 2.0, 0.0, b), ValueError,
      r"^alpha=0\.0 outside \(0, 1\]"),
     (lambda inst, b: solve_individual(inst, SystemParams(
         2.0, None, IndividualBudget(5.0, np.full(4, 0.1))), alpha=0.5),
      ValueError, "budget.p_i length must equal the relay count"),
-    (lambda inst, b: derive_model(inst, 2.0, 0.5, IndividualBudget(5.0, np.full(2, 0.1))),
+    (lambda inst, b: initial_problem(inst, 2.0, 0.5, IndividualBudget(5.0, np.full(2, 0.1))),
      ValueError, "budget.p_i length must equal the relay count"),
     (lambda inst, b: MagnitudeProblem([1.0, 1.0], [1.0], 1.0, 1.0, 2.0, t1=-0.1),
      ValueError, "^t1 must be >= 0 and t2 >= 1$"),
@@ -393,14 +392,14 @@ def test_rejects_total_budget(rng):
      ValueError, "^t1 must be >= 0 and t2 >= 1$"),
     (lambda inst, b: MagnitudeProblem([1.0, 1.0], [1.0], 1.0, 1.0, 2.0, tau=-1.0),
      ValueError, "^tau must be nonnegative$"),
-    (lambda inst, b: initial_problem(derive_model(inst, 2.0, 0.5)),
-     ValueError, "^derived model lacks individual-budget quantities$"),
+    (lambda inst, b: initial_problem(inst, 2.0, 0.5, TotalBudget(5.0)),
+     TypeError, "^solve_individual requires an IndividualBudget$"),
     (lambda inst, b: solve_source_only(MagnitudeProblem([1.0, 1.0], [1.0], 1.0, 1.0, 2.0, t1=0.5)),
      ValueError, "^solve_source_only expects the unclamped problem$"),
-    (lambda inst, b: solve_source_only(initial_problem(derive_model(
-        inst, 2.0, 0.5, IndividualBudget(1e300, b.p_i)))),
+    (lambda inst, b: solve_source_only(initial_problem(
+        inst, 2.0, 0.5, IndividualBudget(1e300, b.p_i))),
      NonFiniteSolution, r"^the closed-form r\* overflows a float \(eta1=1e\+300\)$"),
-], ids=["solve-zero-alpha", "derive-zero-alpha", "solve-long-p_i", "derive-short-p_i",
+], ids=["solve-zero-alpha", "initial-zero-alpha", "solve-long-p_i", "initial-short-p_i",
         "negative-t1", "t2-below-1", "negative-tau", "initial-total-budget",
         "source-only-clamped", "source-only-overflow"])
 def test_individual_budget_rejects_zero_alpha_and_mismatched_caps(rng, call, error,
@@ -422,12 +421,12 @@ def test_clamp_bookkeeping_on_the_kernel(rng):
                                  SystemParams(2.0, None, budget), alpha=0.6)
     assert sol.errors == (None, None)
     diag = sol.diagnostics
-    prob = initial_problem(derive_model(inst, 2.0, 0.6, budget))
+    prob = initial_problem(inst, 2.0, 0.6, budget)
     assert tuple(np.flatnonzero(diag.clamped[0])) == (1,)
     assert diag.t1[0] == pytest.approx(prob.c[2] * prob.u_max[1])
     assert diag.t2[0] == pytest.approx(1.0 + prob.u_max[1] ** 2)
     assert diag.tau[0] == pytest.approx(math.hypot(prob.c[1], prob.c[3]))
-    quiet_prob = initial_problem(derive_model(quiet, 2.0, 0.6, budget))
+    quiet_prob = initial_problem(quiet, 2.0, 0.6, budget)
     assert not diag.clamped[1].any()
     assert (diag.t1[1], diag.t2[1]) == (0.0, 1.0)
     assert diag.tau[1] == pytest.approx(quiet_prob.tau)
@@ -445,6 +444,33 @@ def test_vanishing_alpha_raises_degenerate_alpha(rng, tiny, via):
     params = SystemParams(2.0, gamma, IndividualBudget(5.0, np.full(3, 0.1)))
     with pytest.raises(NonFiniteSolution, match=r"^the closed-form r\* overflows a float"):
         solve_individual(inst, params, alpha=alpha)
+
+
+# Rows whose weights are finite but whose second-phase power is not.  The
+# first network's relay 0 has an input power |h_s0|^2 p1 = inf and weight 0,
+# so its power term is inf * 0 = nan (its C_d came out finite, as 393.4).
+# The second is a gain-scaled copy (k = 1e-155) of a regular network with
+# sigma2 = |h_sd|^2: its relay weights, about 1/k, square to inf.
+NON_FINITE_POWER = {
+    "nan-power": (
+        NetworkInstance(h_sd=1e89, h_sr=[3e95, 7.6e37, 1.5e52], h_rd=[4e-72, 7.2e79, 1e-113],
+                        sigma2=1.4e-146),
+        SystemParams(1.24e149, 2.45e-21, IndividualBudget(1e-87, [4.4e-88, 4.9e-30, 8.7e86])),
+        None, "nan"),
+    "subnormal-sigma2": (
+        NetworkInstance(h_sd=1e-155, h_sr=[1e-155, 5e-156], h_rd=[8e-156, 1.2e-155],
+                        sigma2=1e-155 ** 2),
+        SystemParams(2.0, None, IndividualBudget(5.0, [0.1, 0.1])), 0.6, "inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_POWER))
+def test_a_non_finite_second_phase_power_fails_the_row(case):
+    inst, params, alpha, value = NON_FINITE_POWER[case]
+    with pytest.raises(NonFiniteSolution, match=rf"^second_phase_power={value}: "):
+        solve_individual(inst, params, alpha=alpha)
+    sol = solve_individual_batch(NetworkInstance.stack([inst]), params, alpha=alpha)
+    assert isinstance(sol.errors[0], NonFiniteSolution)
 
 
 def _random_batch(rng, n, m):
@@ -495,9 +521,9 @@ def test_clamp_scan_reproduces_the_greedy_loop(slack, monkeypatch):
 
 def test_select_root_on_the_rebuilt_final_problem_gives_chosen_r():
     """The batch keeps no root candidates: select_root on a clamped row's
-    final MagnitudeProblem, rebuilt from derive_model and the row's clamped
-    set, offsets and tau, picks the batch's chosen_r bit for bit (also r = 0
-    where every relay is clamped)."""
+    final MagnitudeProblem, its initial_problem with the row's clamped set,
+    offsets and tau put in, picks the batch's chosen_r bit for bit (also
+    r = 0 where every relay is clamped)."""
     rng = np.random.default_rng(0xCA4D)
     checked = {}
     for m in (4, 10, 64):
@@ -511,10 +537,8 @@ def test_select_root_on_the_rebuilt_final_problem_gives_chosen_r():
                     continue
                 inst = NetworkInstance(h_sd=batch.h_sd[i], h_sr=batch.h_sr[i],
                                        h_rd=batch.h_rd[i], sigma2=batch.sigma2)
-                derived = derive_model(inst, 2.0, 0.6, budget)
-                prob = MagnitudeProblem(
-                    c=derived.c, u_max=derived.u_max, eta1=derived.eta1,
-                    eta2=derived.eta2, eta3=derived.eta3, t1=diag.t1[i], t2=diag.t2[i],
+                prob = dataclasses.replace(
+                    initial_problem(inst, 2.0, 0.6, budget), t1=diag.t1[i], t2=diag.t2[i],
                     active=np.flatnonzero(~diag.clamped[i]), tau=diag.tau[i])
                 best, _ = select_root(quartic_coeffs(prob), prob)
                 assert best.r == diag.chosen_r[i]
@@ -586,9 +610,9 @@ def test_power_scaled_copy_gets_the_same_answer(m, seed, log10_k, alpha, budget)
 
 def test_power_of_two_gain_scale_is_bit_exact():
     """At k = 2^j the individual solve rounds nothing differently: wherever
-    every |k h|^2 and k^2 sigma2 is a normal float, C_d, w0, chosen_r, t2 and
-    the clamped set are bit for bit those of (h, sigma2), and w_relay k,
-    t1 / k and tau / k too."""
+    every |k h|^2 and k^2 sigma2 is a normal float, C_d, w0, chosen_r, t1,
+    t2, tau (all in the problem's own units) and the clamped set are bit for
+    bit those of (h, sigma2), and w_relay k too."""
     rng = np.random.default_rng(0x2E)
     tiny = np.finfo(float).tiny
     compared = clamped = 0
@@ -612,6 +636,27 @@ def test_power_of_two_gain_scale_is_bit_exact():
                     assert (sol.c_d, sol.w[0], d.chosen_r, d.t2, d.clamped) == (
                         base.c_d, base.w[0], d0.chosen_r, d0.t2, d0.clamped)
                     np.testing.assert_array_equal(sol.w[1:] * k, base.w[1:])
-                    assert (d.t1 / k, d.tau / k) == (d0.t1, d0.tau)
+                    assert (d.t1, d.tau) == (d0.t1, d0.tau)
                     compared += 1
     assert compared >= 400 and clamped >= 20
+
+
+def test_source_only_view_is_scale_free(rng):
+    """solve_source_only on initial_problem works in the problem's own units,
+    as the batch does: a gain-scaled copy gets the unscaled r* and u within
+    1e-14 at k = 1e80 .. 1e150, where r* once overflowed in channel units,
+    and bit for bit at k = 2^j."""
+    budget = IndividualBudget(5.0, np.full(4, 1e12))
+    for _ in range(20):
+        inst = make_instance(rng, 4)
+        a = float(rng.uniform(0.2, 0.95))
+        _, u0, r0 = solve_source_only(initial_problem(inst, 2.0, a, budget))
+        for k in (1e80, 1e100, 1e150):
+            _, u, r = solve_source_only(initial_problem(_gain_scaled(inst, k), 2.0, a, budget))
+            assert r == pytest.approx(r0, rel=1e-14, abs=0.0)
+            assert u == pytest.approx(u0, rel=1e-14, abs=0.0)
+        for j in (-300, -60, 60, 300):
+            _, u, r = solve_source_only(
+                initial_problem(_gain_scaled(inst, 2.0 ** j), 2.0, a, budget))
+            assert r == r0
+            np.testing.assert_array_equal(u, u0)

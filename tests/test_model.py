@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from anbeam.errors import BeamformingError, InfeasibleThreshold, SingularObservation
 from anbeam.experiments import ExperimentSpec
-from anbeam.individual_solver import solve_individual, solve_individual_batch
+from anbeam.individual_solver import initial_problem, solve_individual, solve_individual_batch
 from anbeam.model import (
     alpha_for_threshold,
     alpha_monotonicity_threshold,
@@ -572,20 +572,26 @@ def test_phase2_reception_is_the_linear_form_of_its_basis_responses(rng, m):
 # derived model
 
 
-def test_derive_model_individual_constants(rng):
+def test_magnitude_problem_constants(rng):
+    """The individual-budget constants come from initial_problem, with c the
+    channel magnitudes scaled by a power of two that puts c1 in [0.5, 1);
+    derive_model keeps the vectors both budgets share."""
     inst = make_instance(rng, 3)
     p1, a = 2.0, 0.6
     budget = IndividualBudget(p_s=5.0, p_i=np.full(3, 0.1))
-    derived = derive_model(inst, p1, a, budget)
-    c1 = abs(inst.h_sd)
-    assert derived.eta1 == pytest.approx(5.0 / (a * p1))
-    assert derived.eta2 == pytest.approx((1 - a) / (a * c1 ** 2))
-    assert derived.eta3 == pytest.approx(1 + derived.eta2 * c1 ** 2)
+    prob = initial_problem(inst, p1, a, budget)
+    scale = prob.c1 / abs(inst.h_sd)
+    assert 0.5 <= prob.c1 < 1.0 and scale == 2.0 ** round(math.log2(scale))
+    assert prob.c[1:] == pytest.approx(scale * np.abs(inst.h_sr))
+    c1 = prob.c1
+    assert prob.eta1 == pytest.approx(5.0 / (a * p1))
+    assert prob.eta2 == pytest.approx((1 - a) / (a * c1 ** 2))
+    assert prob.eta3 == pytest.approx(1 + prob.eta2 * c1 ** 2)
     expected_umax = np.abs(inst.h_rd) * np.sqrt(
         0.1 / (np.abs(inst.h_sr) ** 2 * p1 + inst.sigma2))
-    assert derived.u_max == pytest.approx(expected_umax)
-    assert np.all(derived.u_max >= 0)
-    assert derived.h == pytest.approx(combined_gains(inst))
+    assert prob.u_max == pytest.approx(expected_umax)
+    assert np.all(prob.u_max >= 0)
+    assert derive_model(inst, p1, a).h == pytest.approx(combined_gains(inst))
 
 
 def test_derive_model_power_matrix_definite(rng):
@@ -660,6 +666,7 @@ def test_every_solve_is_finite_within_budget_or_a_named_error(m, seed, log10_alp
         except (BeamformingError, ValueError):
             continue
         assert np.isfinite(sol.w).all() and math.isfinite(sol.c_d)
+        assert math.isfinite(sol.second_phase_power)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             assert sol.c_d == capacity_dest(inst, p1, sol.alpha, sol.w)
         source, relays = _power_amplitudes(inst, p1, sol.alpha, sol.w)

@@ -47,7 +47,6 @@ def test_d_tilde_diagonal_when_cancellation_gains_vanish():
         alpha=0.5, p1=2.0,
         h=np.array([1.0, 0.5, 0.25], dtype=complex),
         g=np.zeros(2, dtype=complex),
-        c=np.array([1.0, 0.7, 0.4]),
         d_h_diag=np.array([0.0, 0.6, 0.8]),
         t_diag=np.array([1.9, 1.3]),
     )
