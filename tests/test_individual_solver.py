@@ -399,7 +399,7 @@ def test_rejects_total_budget(rng):
     (lambda inst, b: solve_source_only(initial_problem(
         inst, 2.0, 0.5, IndividualBudget(1e300, b.p_i))),
      NonFiniteSolution, r"^the closed-form r\* overflows a float \(eta1=1e\+300\)$"),
-], ids=["solve-zero-alpha", "initial-zero-alpha", "solve-long-p_i", "initial-short-p_i",
+], ids=["solve-zero-alpha", "derive-zero-alpha", "solve-long-p_i", "derive-short-p_i",
         "negative-t1", "t2-below-1", "negative-tau", "initial-total-budget",
         "source-only-clamped", "source-only-overflow"])
 def test_individual_budget_rejects_zero_alpha_and_mismatched_caps(rng, call, error,
