@@ -265,10 +265,10 @@ def solve_grid_points(spec: ExperimentSpec, m: int,
         failed = []
         parts = max(-(-pending.size * m // BATCH_ELEMENTS), -(-pending.size // BATCH_ROWS))
         for rows in np.array_split(pending, parts):
+            # slots and attempts as Python ints: int() of a numpy scalar costs per row
             batch = NetworkInstance.stack(
-                sample_instance(m, variances, stream(int(row % n), int(attempts[row])),
-                                spec.sigma2)
-                for row in rows)
+                sample_instance(m, variances, stream(slot, attempt), spec.sigma2)
+                for slot, attempt in zip((rows % n).tolist(), attempts[rows].tolist()))
             alphas = None if alpha_rows is None else alpha_rows[rows]
             errors = [None] * len(rows)
             for mode in spec.modes:

@@ -50,6 +50,8 @@ def _c2pair(z: complex) -> list:
 
 def _integer(value, name: str) -> int:
     """value as an int; a bool or a non-integral number is rejected."""
+    if type(value) is int:  # the common case; a bool's type is bool, not int
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name}: expected an integer, got {value!r}")
     return int(value)

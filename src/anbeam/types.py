@@ -6,6 +6,7 @@ values can be shared freely across threads and processes.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -69,12 +70,15 @@ class NetworkInstance:
     def __post_init__(self):
         # numpy's complex128 is a complex: the common scalar case skips np.ndim
         single = isinstance(self.h_sd, complex) or not np.ndim(self.h_sd)
-        _set(self, "h_sd", complex(self.h_sd) if single else _frozen_array(self.h_sd, complex))
-        _set(self, "h_sr", _frozen_array(self.h_sr, complex))
-        _set(self, "h_rd", _frozen_array(self.h_rd, complex))
-        _set(self, "sigma2", float(self.sigma2))
-        for name in ("h_sd", "h_sr", "h_rd"):
-            if not np.isfinite(getattr(self, name)).all():
+        h_sd = complex(self.h_sd) if single else _frozen_array(self.h_sd, complex)
+        h_sr, h_rd = _frozen_array(self.h_sr, complex), _frozen_array(self.h_rd, complex)
+        # one write for the four fields, which the frozen dataclass keeps in __dict__
+        self.__dict__.update(h_sd=h_sd, h_sr=h_sr, h_rd=h_rd, sigma2=float(self.sigma2))
+        # a single h_sd is a Python complex, which cmath tests far faster than numpy
+        if not (cmath.isfinite(h_sd) if single else np.isfinite(h_sd).all()):
+            raise ValueError("h_sd must be finite")
+        for name, value in (("h_sr", h_sr), ("h_rd", h_rd)):
+            if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
         relay_ndim = 1 if single else 2
         if self.h_sr.ndim != relay_ndim or self.h_rd.ndim != relay_ndim:
@@ -83,7 +87,7 @@ class NetworkInstance:
             raise ValueError("h_sr and h_rd must have the same shape")
         if not 0 < self.sigma2 < math.inf:
             raise ValueError("sigma2 must be finite and positive")
-        if np.count_nonzero(self.h_sd == 0):
+        if (h_sd == 0) if single else np.count_nonzero(h_sd == 0):
             raise ValueError("h_sd must be nonzero: the second-phase cancellation "
                              "signal divides by it")
         if not single and self.h_sd.shape != self.h_sr.shape[:1]:

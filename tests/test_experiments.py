@@ -115,6 +115,51 @@ def test_sample_instance_rejects_zero_relays():
         sample_instance(0, ChannelVariances(), instance_stream(0, 0))
 
 
+class _RecordingStream:
+    """A generator whose standard_normal draws are kept for inspection."""
+
+    def __init__(self, stream):
+        self.stream, self.draws = stream, []
+
+    def standard_normal(self, size):
+        self.draws.append(self.stream.standard_normal(size))
+        return self.draws[-1]
+
+
+def test_sample_instance_shares_no_memory_with_the_draw():
+    """The instance copies the generator's draw: neither a later draw from
+    the same generator nor a write into the drawn array changes it, and its
+    relay gains are read-only."""
+    stream = _RecordingStream(instance_stream(5, 2))
+    first = sample_instance(4, ChannelVariances(), stream)
+    kept = (first.h_sd, first.h_sr.copy(), first.h_rd.copy())
+    second = sample_instance(4, ChannelVariances(), stream)
+    assert second.h_sd != kept[0]
+    for draw in stream.draws:
+        for gains in (first.h_sr, first.h_rd):
+            assert not np.shares_memory(gains, draw)
+    stream.draws[0][:] = np.nan
+    assert first.h_sd == kept[0]
+    assert np.array_equal(first.h_sr, kept[1]) and np.array_equal(first.h_rd, kept[2])
+    for gains in (first.h_sr, first.h_rd):
+        assert not gains.flags.writeable
+        with pytest.raises(ValueError):
+            gains[0] = 0.0
+
+
+@pytest.mark.parametrize("m", [True, 2.0, "3"], ids=["bool", "float", "string"])
+def test_sample_instance_rejects_a_count_that_is_not_an_int(m):
+    with pytest.raises(ValueError, match=f"^m: expected an integer, got {m!r}$"):
+        sample_instance(m, ChannelVariances(), instance_stream(0, 0))
+
+
+def test_sample_instance_accepts_a_numpy_integer_count():
+    want = sample_instance(4, ChannelVariances(), instance_stream(0, 3))
+    got = sample_instance(np.int64(4), ChannelVariances(), instance_stream(0, 3))
+    assert got.m == 4 and got.h_sd == want.h_sd
+    assert np.array_equal(got.h_sr, want.h_sr) and np.array_equal(got.h_rd, want.h_rd)
+
+
 # ---------------------------------------------------------------------------
 # spec validation
 

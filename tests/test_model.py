@@ -110,6 +110,47 @@ def test_domain_types_reject_non_finite_fields(name, value):
         _FIELD_BUILDERS[name](value)
 
 
+_NAN, _INF = math.nan, math.inf
+
+
+# a single network's h_sd is checked as a Python complex, a stack's as an
+# array; both must reject a non-finite real or imaginary part by name
+@pytest.mark.parametrize("name, build", [
+    ("h_sd", lambda: NetworkInstance(h_sd=complex(1, _NAN), h_sr=[1.0], h_rd=[1.0], sigma2=1.0)),
+    ("h_sd", lambda: NetworkInstance(h_sd=complex(_INF, 0), h_sr=[1.0], h_rd=[1.0], sigma2=1.0)),
+    ("h_sd", lambda: NetworkInstance(h_sd=np.complex128(_NAN), h_sr=[1.0], h_rd=[1.0],
+                                     sigma2=1.0)),
+    ("h_sd", lambda: NetworkInstance(h_sd=np.array(complex(0.5, -_INF)), h_sr=[1.0],
+                                     h_rd=[1.0], sigma2=1.0)),
+    ("h_sr", lambda: NetworkInstance(h_sd=1.0, h_sr=[1.0, complex(1, _NAN)], h_rd=[1.0, 1.0],
+                                     sigma2=1.0)),
+    ("h_rd", lambda: NetworkInstance(h_sd=1.0, h_sr=[1.0, 1.0], h_rd=[complex(0, _INF), 1.0],
+                                     sigma2=1.0)),
+    ("h_sd", lambda: NetworkInstance(h_sd=[1.0, complex(1, _NAN), 0.5], h_sr=np.ones((3, 2)),
+                                     h_rd=np.ones((3, 2)), sigma2=1.0)),
+    ("h_sr", lambda: NetworkInstance(h_sd=np.ones(2), h_sr=[[1.0, 1.0], [1.0, complex(0, _NAN)]],
+                                     h_rd=np.ones((2, 2)), sigma2=1.0)),
+    ("h_rd", lambda: NetworkInstance(h_sd=np.ones(2), h_sr=np.ones((2, 2)),
+                                     h_rd=[[complex(1, -_INF), 1.0], [1.0, 1.0]], sigma2=1.0)),
+], ids=["h_sd-nan-imag", "h_sd-inf-real", "h_sd-complex128-nan", "h_sd-0d-array",
+        "h_sr-nan-imag", "h_rd-inf-imag", "stack-h_sd-row", "stack-h_sr-row", "stack-h_rd-row"])
+def test_non_finite_complex_channels_are_rejected_by_name(name, build):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        build()
+
+
+@pytest.mark.parametrize("h_sd", [-0.0, 0j, complex(-0.0, -0.0), np.array(0j)],
+                         ids=["negative-zero", "complex-zero", "signed-complex-zero", "0d-zero"])
+def test_every_zero_direct_gain_is_rejected(h_sd):
+    with pytest.raises(ValueError, match="^h_sd must be nonzero"):
+        NetworkInstance(h_sd=h_sd, h_sr=[1.0], h_rd=[1.0], sigma2=1.0)
+
+
+def test_smallest_imaginary_direct_gain_is_accepted():
+    inst = NetworkInstance(h_sd=5e-324j, h_sr=[1.0], h_rd=[1.0], sigma2=1.0)
+    assert inst.h_sd == 5e-324j and type(inst.h_sd) is complex
+
+
 def test_instance_arrays_are_immutable():
     inst = NetworkInstance(h_sd=1.0, h_sr=[1.0], h_rd=[2.0], sigma2=1.0)
     with pytest.raises(ValueError):
