@@ -7,17 +7,21 @@ The solve decomposes cleanly:
    objective denominator, and the source's cancellation-term power depends on
    the same aligned sum).
 2. Magnitudes: with u_i = |w_i h_id| and u1 = |w_0|, the source power
-   constraint is an ellipse in (u1, c2.u) and the SINR reduces to a
-   one-dimensional problem in r = ||u_active||.  Unconstrained in the relay
-   bounds, r* has a closed form; with bounds, the greedy active-set answer
-   clamps the worst violators at their caps and re-solves the 1-D problem,
-   now with offset terms t1 (clamped amplitude mass, weighted by c) and t2
-   (1 + clamped squared amplitudes), via a quartic stationarity polynomial.
+   constraint is the ellipse u1^2 + eta2 y^2 = eta1 in u1 and y = c2.u, and
+   the SINR reduces to a one-dimensional problem in r = ||u_active||.
+   Unconstrained in the relay bounds, the optimum has a closed form; with
+   bounds, the greedy active-set answer clamps the worst violators at their
+   caps and re-solves the 1-D problem, now with offset terms t1 (clamped
+   amplitude mass, weighted by c) and t2 (1 + clamped squared amplitudes).
 
-The quartic here is the exact stationarity condition of the reduced
-objective obtained by squaring the derivative once; squaring can introduce
-spurious roots, so the root is always selected by direct objective
-comparison rather than sign reasoning.
+The 1-D problem is solved in the angle theta of the ellipse, y = t1 + tau r
+= y_max cos(theta) and u1 = sqrt(eta1) sin(theta) (quartic_coeffs).  Its
+closed form and its stationarity quartic in t = tan(theta/2) need no
+squaring, so the quartic has no spurious roots, and nothing overflows where
+the angle's constants are finite.  The optimum is still chosen by comparing
+the objective at r = 0, at theta = 0 (u1 = 0) and at each admissible root.
+At alpha = 1 (eta2 = 0) there is no ellipse: u1 = sqrt(eta1), and the
+stationary r = tau t2 / (t1 + c1 sqrt(eta1)) is compared against r = 0.
 
 The greedy never needs to be run: it clamps in the fixed order of the
 closed form's ratios u_i/u_max,i, so one sort, prefix sums of the offsets and
@@ -31,11 +35,11 @@ one-row views of the same array expressions.
 _magnitude_problem is the one place the problem's constants are formed,
 for one network or a stack, and it forms them in the problem's own units:
 c = [|h_sd|, |h_s1|, ...] 2^-e, e the binary exponent of |h_sd|, with eta2
-taken on that c.  Next to channel units, r, u, eta1, eta3 and t2 are the
-same and y, t1, tau and the quartic differ by powers of two, so nothing
-rounds differently, and a gain-scaled copy of a network (h -> k h,
-sigma2 -> k^2 sigma2) gets the same problem.  A solve reports t1 and tau
-in these units.
+taken on that c.  Next to channel units, r, u, eta1, t2, A, B, phi and the
+quartic are the same and y, t1, tau and y_max differ by powers of two, so
+nothing rounds differently, and a gain-scaled copy of a network
+(h -> k h, sigma2 -> k^2 sigma2) gets the same problem.  A solve reports t1
+and tau in these units.
 
 The batch keeps each row's clamped set, offsets and chosen r, not the
 candidates its quartic solve compared: select_root on the row's final
@@ -69,9 +73,6 @@ from .types import (
 BOUND_SLACK = 1e-10
 # A polynomial root counts as real when |Im| <= REAL_ROOT * max(1, |Re|).
 REAL_ROOT = 1e-9
-# A source-power radicand in [-RADICAND_GUARD * max(eta1, 1), 0) is rounding:
-# it is scored as u1 = 0 rather than rejected.
-RADICAND_GUARD = 1e-12
 
 
 def optimal_phases(instance: NetworkInstance) -> np.ndarray:
@@ -89,9 +90,9 @@ def optimal_phases(instance: NetworkInstance) -> np.ndarray:
 
 
 def _magnitude_problem(instance: NetworkInstance, p1, alpha, budget: Budget):
-    """(c, u_max, eta1, eta2, eta3) of the magnitude problem of one network,
-    or of every row of a stack with p1 and alpha each a scalar or one value
-    per row: the one place they are formed.
+    """(c, u_max, eta1, eta2) of the magnitude problem of one network, or of
+    every row of a stack with p1 and alpha each a scalar or one value per
+    row: the one place they are formed.
 
     * c = [|h_sd|, |h_s1|, ..., |h_sM|] 2^-e, e the binary exponent of |h_sd|
       (np.frexp), so c1 = c[..., 0] is in [0.5, 1) (module docstring).
@@ -99,7 +100,7 @@ def _magnitude_problem(instance: NetworkInstance, p1, alpha, budget: Budget):
       the effective amplitude u_i = |w_i h_id| implied by relay i's power
       cap.  (The |h_id| factor is required by that change of variables; the
       roots are taken apart, as P_i / T_i loses digits when it is subnormal.)
-    * eta1 = P_s/(alpha p1), eta2 = (1-alpha)/(alpha c1^2), eta3 = 1+eta2 c1^2.
+    * eta1 = P_s/(alpha p1), eta2 = (1-alpha)/(alpha c1^2) (module docstring).
     """
     if not isinstance(budget, IndividualBudget):
         raise TypeError("solve_individual requires an IndividualBudget")
@@ -114,24 +115,9 @@ def _magnitude_problem(instance: NetworkInstance, p1, alpha, budget: Budget):
     e = np.frexp(gain_sd)[1]
     c = np.ldexp(np.concatenate((_per_relay(gain_sd), np.abs(instance.h_sr)), axis=-1),
                  -_per_relay(e))
-    c1 = c[..., 0]
-    eta2 = (1.0 - alpha) / (alpha * c1 ** 2)
     u_max = (np.abs(instance.h_rd) * np.sqrt(budget.p_i)
              / np.sqrt(relay_input_powers(instance, p1)))
-    return c, u_max, budget.p_s / (alpha * p1), eta2, 1.0 + eta2 * c1 ** 2
-
-
-def _radicand(eta1, eta2, t1, tau, r):
-    """(y, u1^2) at total relay contribution r: y = t1 + tau r and
-    u1^2 = eta1 - eta2 y^2."""
-    y = t1 + tau * r
-    return y, eta1 - eta2 * y * y
-
-
-def _surface_value(y, rad, c1, t2, r):
-    """Scaled destination SINR (y + c1 u1)^2 / (t2 + r^2) with u1 = sqrt(rad)
-    on the source-power surface."""
-    return (y + c1 * np.sqrt(rad)) ** 2 / (t2 + r * r)
+    return c, u_max, budget.p_s / (alpha * p1), (1.0 - alpha) / (alpha * c[..., 0] ** 2)
 
 
 def _active_norm(c2: np.ndarray, active: Optional[np.ndarray] = None):
@@ -141,34 +127,49 @@ def _active_norm(c2: np.ndarray, active: Optional[np.ndarray] = None):
     return np.sqrt(_dot(c2, c2))
 
 
+def _angles(eta1, eta2, t1, t2, tau, c1):
+    """(y_max, cos phi, sin phi, ka, kb, B) of the 1-D problem in the angle
+    (quartic_coeffs): y_max = sqrt(eta1) / sqrt(eta2) is inf at alpha = 1,
+    phi is taken apart without a trigonometric call, and A enters as the pair
+    (ka, kb) = (A, 1) / (1 + A), which stays in [0, 1] also where A^2
+    overflows or A is 0 or inf."""
+    tan_phi = c1 * np.sqrt(eta2)
+    cos_phi = 1.0 / np.hypot(1.0, tan_phi)
+    y_max = np.sqrt(eta1) / np.sqrt(eta2)
+    big_a = tau * np.sqrt(t2) / y_max
+    return (y_max, cos_phi, tan_phi * cos_phi, 1.0 / (1.0 + 1.0 / big_a),
+            1.0 / (1.0 + big_a), t1 / y_max)
+
+
 def _source_only(tau, eta1, eta2, c1, c2):
-    """(r*, u, finite) of the unclamped problem with tau > 0:
-    r* = sqrt(tau^2 eta1 / (eta2 tau^4 + (eta1 + tau^2 eta2)^2 c1^2)), and
-    the relay amplitudes u = c2 r* / tau along c2 (Cauchy-Schwarz), over a
-    trailing relay axis.  Every term can overflow (huge gains or budgets, or
-    alpha -> 0), and an infinite denominator gives r* = 0, so `finite`
-    covers the intermediates."""
-    tau, c1 = np.asarray(tau, dtype=float), np.asarray(c1, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        num = tau ** 2 * eta1
-        den = eta2 * tau ** 4 + (eta1 + tau ** 2 * eta2) ** 2 * c1 ** 2
-        r = np.sqrt(num / den)
-        u = c2 / _per_relay(tau) * _per_relay(r)
-    return r, u, np.isfinite(num) & np.isfinite(den) & np.isfinite(r)
+    """(r*, u1, u) of the unclamped problem (t1 = 0, t2 = 1) with tau > 0,
+    the relay amplitudes u = c2 r* / tau along c2 (Cauchy-Schwarz) over a
+    trailing relay axis.
+
+    tan(theta*) = (1 + A^-2) tan(phi), and theta* itself is never formed:
+    atan near pi/2 loses the relative precision of cos(theta*).  r* =
+    y_max cos(theta*) / tau is at most about tan(phi)^-1/2, so it cannot
+    overflow.  At alpha = 1, r* = tau / (c1 sqrt(eta1)) and u1 = sqrt(eta1).
+    """
+    y_max, cos_phi, sin_phi, ka, kb, _ = _angles(eta1, eta2, 0.0, 1.0, tau, c1)
+    root_eta1 = np.sqrt(eta1)
+    tan_t = (ka * ka + kb * kb) / (ka * ka) * (sin_phi / cos_phi)
+    flat = eta2 == 0.0
+    r = np.where(flat, tau / (c1 * root_eta1), y_max / np.hypot(1.0, tan_t) / tau)
+    u1 = np.where(flat, root_eta1, root_eta1 / np.hypot(1.0, 1.0 / tan_t))
+    return r, u1, c2 / _per_relay(tau) * _per_relay(r)
 
 
-def _quartic(e1, e2, e3, t1, t2, tau, c1):
+def _quartic(eta1, eta2, t1, t2, tau, c1):
     """Coefficients (q0, ..., q4), highest power first, of the stationarity
-    quartic of the clamped 1-D problem (see quartic_coeffs)."""
-    x = tau * tau * t2 - t1 * t1
-    q0 = e2 * e3 * tau * tau * t1 * t1
-    q1 = -2.0 * e2 * t1 * tau * (e3 * x + c1 * c1 * e1)
-    q2 = (-e1 * t1 * t1
-          + e2 * e3 * (x * x - 2.0 * t1 * t1 * t2 * tau * tau)
-          + c1 * c1 * e1 * (e1 + 2.0 * e2 * x))
-    q3 = 2.0 * tau * t2 * t1 * e3 * (e1 - e2 * t1 * t1 + e2 * tau * tau * t2)
-    q4 = -t2 * t2 * tau * tau * (e1 - e2 * e3 * t1 * t1)
-    return q0, q1, q2, q3, q4
+    quartic in t = tan(theta/2) on the last axis (see quartic_coeffs)."""
+    _, cos_phi, sin_phi, ka, kb, big_b = _angles(eta1, eta2, t1, t2, tau, c1)
+    a2, b2 = ka * ka, kb * kb
+    return np.stack((sin_phi * (a2 + (1.0 + big_b) ** 2 * b2),
+                     2.0 * cos_phi * (a2 + big_b * (1.0 + big_b) * b2),
+                     np.zeros_like(big_b),
+                     2.0 * cos_phi * (a2 - big_b * (1.0 - big_b) * b2),
+                     -sin_phi * (a2 + (1.0 - big_b) ** 2 * b2)), axis=-1)
 
 
 def _quartic_roots(q: np.ndarray) -> np.ndarray:
@@ -177,8 +178,8 @@ def _quartic_roots(q: np.ndarray) -> np.ndarray:
     Leading coefficients below 1e-14 of a row's largest are stripped; the
     rows of each remaining degree share one eigvals call on their stacked
     companion matrices (those np.roots builds).  A zero constant term gives
-    an exact root 0 (a zero column), which the r > 0 filter drops.  Rows
-    with a non-finite coefficient get no roots.
+    an exact root 0 (a zero column).  Rows with a non-finite coefficient, or
+    none that is nonzero, get no roots.
     """
     roots = np.full((len(q), 4), np.nan, dtype=complex)
     mag = np.abs(q)
@@ -199,7 +200,7 @@ def _quartic_roots(q: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class RootCandidate:
     """One admissible point of the clamped 1-D magnitude problem with its
-    objective value."""
+    value, the objective up to a factor common to the problem's candidates."""
 
     r: float
     value: float
@@ -207,39 +208,46 @@ class RootCandidate:
 
 
 # Kind of each candidate column of _candidates: r = 0, the radicand-zero
-# boundary, then up to four roots of the stationarity quartic.
+# boundary theta = 0, then up to four roots of the stationarity quartic.
 CANDIDATE_KINDS = ("zero", "radicand-boundary", "root", "root", "root", "root")
 
 
 def _candidates(q, eta1, eta2, t1, t2, tau, c1):
-    """Candidates of K clamped 1-D problems at once, as (r, value, valid),
-    each (K, 6) with the columns of CANDIDATE_KINDS: r = 0, the radicand-zero
-    boundary where u1 hits 0, and the real positive quartic roots.
-
-    A present candidate is valid when its radicand is not below
-    -RADICAND_GUARD * max(eta1, 1) and its value is finite; a radicand inside
-    that guard band is scored as the u1 = 0 boundary point.
-    """
-    shape = (len(q), len(CANDIDATE_KINDS))
-    r = np.zeros(shape)
-    present = np.zeros(shape, dtype=bool)
-    present[:, 0] = True
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        r_ub = (np.sqrt(eta1 / eta2) - t1) / tau
-        present[:, 1] = (eta2 > 0.0) & (tau > 0.0) & (r_ub > 0.0)
-        r[:, 1] = np.where(present[:, 1], r_ub, 0.0)
-        roots = _quartic_roots(q)
-        present[:, 2:] = ((roots.real > 0.0)
-                          & (np.abs(roots.imag)
-                             <= REAL_ROOT * np.maximum(1.0, np.abs(roots.real))))
-        r[:, 2:] = np.where(present[:, 2:], roots.real, 0.0)
-        col = (slice(None), None)
-        y, rad = _radicand(eta1[col], eta2[col], t1[col], tau[col], r)
-        value = np.where(rad >= 0.0, _surface_value(y, rad, c1[col], t2[col], r),
-                         y * y / (t2[col] + r * r))
-    guard = RADICAND_GUARD * np.maximum(eta1, 1.0)
-    valid = present & ~(rad < -guard[col]) & np.isfinite(value)
-    return r, value, valid
+    """Candidates of K clamped 1-D problems at once, as (r, u1, value,
+    valid), each (K, 6) with the columns of CANDIDATE_KINDS: r = 0 (u1 the
+    root of its radicand, as the batch takes it), theta = 0 (u1 = 0) and each
+    real root t >= 0 of q with cos(theta) >= B, valid where its value is not
+    nan.  value is cos^2(theta - phi) / (A^2 + (cos(theta) - B)^2) / (1 + A)^2,
+    and at alpha = 1, for r = 0 and tau t2 / (t1 + c1 u1), the objective."""
+    y_max, cos_phi, sin_phi, ka, kb, big_b = _angles(eta1, eta2, t1, t2, tau, c1)
+    col = (slice(None), None)
+    t = _quartic_roots(q)
+    t = np.where((t.real >= 0.0)
+                 & (np.abs(t.imag) <= REAL_ROOT * np.maximum(1.0, np.abs(t.real))),
+                 t.real, np.nan)
+    root_eta1 = np.sqrt(eta1)[col]
+    edge = np.ones((len(q), 1))
+    u1 = np.concatenate((np.sqrt(eta1 - eta2 * t1 * t1)[col], 0.0 * edge,
+                         root_eta1 * (2.0 * t / (1.0 + t * t))), axis=1)
+    cos = np.concatenate((big_b[col], edge, (1.0 - t) * (1.0 + t) / (1.0 + t * t)), axis=1)
+    gap = cos - big_b[col]
+    value = ((cos * cos_phi[col] + u1 / root_eta1 * sin_phi[col]) ** 2
+             / (ka[col] ** 2 + (gap * kb[col]) ** 2))
+    r = gap * y_max[col] / tau[col]
+    r[:, 0] = 0.0  # also at tau = 0
+    present = gap >= 0.0
+    present[:, 1:] &= tau[col] > 0.0  # without active relays only r = 0 is left
+    flat = np.flatnonzero(eta2 == 0.0)
+    if flat.size:  # alpha = 1: no ellipse
+        source = c1[flat] * np.sqrt(eta1[flat])
+        r[flat, 1:] = np.nan
+        r[flat, 2] = tau[flat] * t2[flat] / (t1[flat] + source)
+        rf = r[flat]
+        value[flat] = ((t1[flat, None] + tau[flat, None] * rf + source[:, None]) ** 2
+                       / (t2[flat, None] + rf * rf))
+        u1[flat] = root_eta1[flat]
+        present[flat] = ~np.isnan(rf)
+    return r, u1, value, present & ~np.isnan(value)
 
 
 def _best(r: np.ndarray, value: np.ndarray, valid: np.ndarray):
@@ -256,10 +264,6 @@ def _infeasible_budget(rad) -> InfeasibleBudget:
                             f"forward (source-power radicand {float(rad)!r})")
 
 
-def _r_star_overflow(eta1) -> NonFiniteSolution:
-    return NonFiniteSolution(f"the closed-form r* overflows a float (eta1={float(eta1)!r})")
-
-
 # ---------------------------------------------------------------------------
 # One-row views
 
@@ -269,9 +273,10 @@ class MagnitudeProblem:
     """State of the reduced magnitude optimization over the active relays.
 
     c: magnitudes [|h_sd|, |h_s1|, ...] (initial_problem scales them by
-    2^-e); u_max: per-relay amplitude caps; t1/t2: contributions accumulated
-    from clamped relays (t1 in the units of c times amplitude, t2 = 1 + sum
-    of squared clamped amplitudes); active: relay indices still free; tau:
+    2^-e); u_max: per-relay amplitude caps; eta1, eta2: the source-power
+    constants, eta3 = 1 + eta2 c1^2; t1/t2: contributions accumulated from
+    clamped relays (t1 in the units of c times amplitude, t2 = 1 + sum of
+    squared clamped amplitudes); active: relay indices still free; tau:
     ||c over active relays||.
     """
 
@@ -300,33 +305,35 @@ class MagnitudeProblem:
 
     def radicand(self, r: float) -> float:
         """eta1 - eta2 (t1 + tau r)^2 = u1^2 at total relay contribution r."""
-        return _radicand(self.eta1, self.eta2, self.t1, self.tau, r)[1]
+        y = self.t1 + self.tau * r
+        return self.eta1 - self.eta2 * y * y
 
     def objective(self, r: float) -> float:
         """Scaled destination SINR (c1 u1 + c2.u)^2 / (t2 + r^2) at radius r,
         with u1 on the source-power surface; -inf when r is infeasible."""
-        y, rad = _radicand(self.eta1, self.eta2, self.t1, self.tau, r)
+        rad = self.radicand(r)
         if rad < 0:
             return -math.inf
-        return float(_surface_value(y, rad, self.c1, self.t2, r))
+        return float((self.t1 + self.tau * r + self.c1 * math.sqrt(rad)) ** 2
+                     / (self.t2 + r * r))
 
 
 def initial_problem(instance: NetworkInstance, p1: float, alpha: float,
                     budget: Budget) -> MagnitudeProblem:
     """Magnitude problem of one network before any clamping: all relays
     active, no offsets, in the problem's own units (_magnitude_problem)."""
-    c, u_max, eta1, eta2, eta3 = _magnitude_problem(instance, p1, alpha, budget)
+    c, u_max, eta1, eta2 = _magnitude_problem(instance, p1, alpha, budget)
     return MagnitudeProblem(c=c, u_max=u_max, eta1=float(eta1), eta2=float(eta2),
-                            eta3=float(eta3), active=tuple(range(instance.m)),
-                            tau=float(_active_norm(c[1:])))
+                            eta3=float(1.0 + eta2 * c[0] ** 2),
+                            active=tuple(range(instance.m)), tau=float(_active_norm(c[1:])))
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def solve_source_only(problem: MagnitudeProblem) -> Tuple[float, np.ndarray, float]:
     """Closed-form optimum when only the source power constraint binds.
 
-    r* and the relay amplitudes along the active c as _source_only gives
-    them, and u1 = sqrt(eta1 - eta2 tau^2 r*^2) from power equality.  Valid
-    only for the unclamped problem (t1 = 0, t2 = 1).
+    (u1, u, r*) as _source_only gives them, the relay amplitudes along the
+    active c.  Valid only for the unclamped problem (t1 = 0, t2 = 1).
     """
     if problem.eta1 <= 0:
         raise InfeasibleBudget(f"eta1={problem.eta1!r} <= 0: no source power available")
@@ -337,43 +344,42 @@ def solve_source_only(problem: MagnitudeProblem) -> Tuple[float, np.ndarray, flo
     active = list(problem.active)
     c2 = np.zeros(len(problem.u_max))
     c2[active] = problem.c[1:][active]
-    r, u, finite = _source_only(problem.tau, problem.eta1, problem.eta2, problem.c1, c2)
-    if not finite:
-        raise _r_star_overflow(problem.eta1)
-    r = float(r)
-    return math.sqrt(max(problem.radicand(r), 0.0)), u, r
+    r, u1, u = _source_only(problem.tau, problem.eta1, problem.eta2, problem.c1, c2)
+    return float(u1), u, float(r)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def quartic_coeffs(problem: MagnitudeProblem) -> np.ndarray:
     """Coefficients (q0, ..., q4), highest power first, of the stationarity
-    quartic q0 r^4 + q1 r^3 + q2 r^2 + q3 r + q4 = 0 of the clamped 1-D
-    problem, as a (5,) float array.
+    quartic q0 t^4 + q1 t^3 + q2 t^2 + q3 t + q4 = 0 of the clamped 1-D
+    problem in t = tan(theta/2), as a (5,) float array.
 
-    Derivation sketch: with y = t1 + tau r the objective is
-    psi(r) = (y + c1 sqrt(eta1 - eta2 y^2))^2 / (t2 + r^2).  Setting psi' = 0,
-    isolating the square root and squaring once yields
-    (eta1 - eta2 y^2) Q^2 = c1^2 (eta2 y Q + eta1 r)^2 with Q = tau t2 - t1 r,
-    which expands to the quartic below.  At t1 = 0, t2 = 1 the odd and leading
-    coefficients vanish and -q4/q2 is the square of the closed-form r* of
-    solve_source_only.
+    Derivation sketch: on the ellipse, y = y_max cos(theta) and u1 =
+    sqrt(eta1) sin(theta), y_max = sqrt(eta1/eta2).  With tan(phi) = c1
+    sqrt(eta2), A = tau sqrt(t2) / y_max and B = t1 / y_max, the objective is
+    proportional to cos^2(theta - phi) / (A^2 + (cos(theta) - B)^2) on
+    [0, arccos B] (B > 1 leaves none), maximal unclamped at tan(theta*) =
+    (1 + A^-2) tan(phi).  With K = A^2 + B^2, c = cos(phi), s = sin(phi), its
+    derivative vanishes where -K sin(theta - phi) + s cos(theta) + (B/2)
+    sin(2 theta - phi) - (3B/2) s = 0, in t: s (K + 1 + 2B) t^4 + 2c (K + B)
+    t^3 + 2c (K - B) t - s (K + 1 - 2B) = 0, returned times 1/(1 + A)^2 so
+    that A^2 does not overflow.  At alpha = 1 (s = 0) every coefficient is 0.
     """
-    return np.array(_quartic(problem.eta1, problem.eta2, problem.eta3, problem.t1,
-                             problem.t2, problem.tau, problem.c1), dtype=float)
+    return _quartic(problem.eta1, problem.eta2, problem.t1, problem.t2, problem.tau,
+                    problem.c1)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def select_root(coeffs: np.ndarray, problem: MagnitudeProblem,
                 ) -> Tuple[RootCandidate, Tuple[RootCandidate, ...]]:
     """Pick the best admissible candidate of the clamped 1-D problem.
 
-    Candidates: real positive polynomial roots with nonnegative radicand, the
-    r = 0 boundary, and the radicand-zero boundary where u1 hits 0.  The
-    winner is whichever maximizes the objective directly — squaring in the
-    derivation can introduce roots that are stationary points of the squared
-    equation only, and those lose the comparison automatically.
+    Candidates: the real admissible roots of the quartic in t, the r = 0
+    boundary, and the radicand-zero boundary where u1 hits 0.
     """
     row = [np.array([x], dtype=float) for x in (
         problem.eta1, problem.eta2, problem.t1, problem.t2, problem.tau, problem.c1)]
-    r, value, valid = _candidates(coeffs[None, :], *row)
+    r, _, value, valid = _candidates(coeffs[None, :], *row)
     best, ok = _best(r, value, valid)
     if not ok[0]:
         raise _infeasible_budget(problem.radicand(0.0))
@@ -399,21 +405,17 @@ def _clamp_scan(ratio0, cap, c1, c2, eta1, eta2):
     N = y + c1 sqrt(eta1 - eta2 y^2) and y = t1 + tau r, is quasi-concave on
     its feasible interval (N concave and >= 0 over a convex positive
     sqrt(t2 + r^2)), so its optimum passes the breakpoint x of relay
-    order[K] exactly when psi_K'(x) > 0:
+    order[K] exactly when psi_K'(x) > 0, written so that no terms cancel:
 
-        tau (1 - c1 eta2 y / s) (t2 + x^2) - (y + c1 s) x > 0,  s = sqrt(rad).
+        (tau t2 - t1 x) (1 - c1 eta2 y / s) - c1 eta1 x / s > 0,  s = sqrt(rad).
 
     A relay with a zero cap is always clamped.  Every row must violate at
     K = 0 (the greedy's ratio test on the closed form, which the caller
     applies).  A row stops at the first K that does not violate, which is
     also where a greedy re-solve without admissible candidates stops: that
-    needs rad < 0 at r = 0, hence at x.  A quartic that overflows at an
-    earlier K is not tested for: with only zero caps clamped (t1 = 0, t2 = 1)
-    its q2 is the closed form's finite denominator, and an alpha small enough
-    to overflow it otherwise shrinks r* like sqrt(alpha), far below the
-    breakpoints of positive caps.  Returns
-    (clamped, t1, t2): the (N, M) mask of its first K relays in clamp order,
-    and the offsets after those K clamps (N,).
+    needs rad < 0 at r = 0, hence at x.  Returns (clamped, t1, t2): the
+    (N, M) mask of its first K relays in clamp order, and the offsets after
+    those K clamps (N,).
     """
     n, m = cap.shape
     order = np.argsort(-ratio0, axis=1, kind="stable")
@@ -431,10 +433,11 @@ def _clamp_scan(ratio0, cap, c1, c2, eta1, eta2):
     # relay order[K]'s breakpoint x in r, and the sign of psi_K'(x)
     col = (slice(None), None)
     x = (1.0 + BOUND_SLACK) * (cap / c2) * tau
-    y, rad = _radicand(eta1[col], eta2[col], t1[:, :m], tau, x)
+    y = t1[:, :m] + tau * x
+    rad = eta1[col] - eta2[col] * y * y
     s = np.sqrt(rad)
-    slope = (tau * (1.0 - c1[col] * eta2[col] * y / s) * (t2[:, :m] + x * x)
-             - (y + c1[col] * s) * x)
+    slope = ((tau * t2[:, :m] - t1[:, :m] * x) * (1.0 - c1[col] * eta2[col] * y / s)
+             - c1[col] * eta1[col] * x / s)
     violates = (rad > 0.0) & (tau > 0.0) & np.isfinite(x) & (slope > 0.0)
     violates |= cap == 0.0
     violates[:, 0] = True  # the caller's ratio test on the closed form
@@ -459,30 +462,34 @@ def solve_individual_batch(batch: NetworkInstance, params: SystemParams,
     folded into (t1, t2), and the 1-D problem over the remaining relays is
     re-solved by the stationarity quartic.  The clamp count comes from one
     breakpoint scan per row (_clamp_scan), so each row solves one quartic,
-    and all of them share one eigvals call.  The source amplitude then
-    follows from power equality, phases are applied, and relay weights are
+    and all of them share one eigvals call.  The source amplitude comes
+    from the chosen angle, phases are applied, and relay weights are
     recovered as w_i = u_i/|h_id| * exp(j phi_i).
 
     Rows fail independently: InfeasibleThreshold (gamma out of reach),
     InfeasibleBudget (the source cannot cancel the noise the clamped relays
-    forward) or NonFiniteSolution (r*, the quartic, w, C_d or the
+    forward) or NonFiniteSolution (eta1, eta2, tau, w, C_d or the
     second-phase power leaves the float range).
     """
     p1 = params.p1
     a, errors = resolve_alphas(batch, p1, params.gamma, alpha)
-    c, u_max, eta1, eta2, eta3 = _magnitude_problem(batch, p1, a, params.budget)
+    c, u_max, eta1, eta2 = _magnitude_problem(batch, p1, a, params.budget)
     c1, c2 = c[:, 0], c[:, 1:]
     n, m = batch.n, batch.m
     clamped = np.zeros((n, m), dtype=bool)
     t1, t2 = np.zeros(n), np.ones(n)
     tau = _active_norm(c2)
     r = np.zeros(n)
+    u1 = np.sqrt(eta1)
     u = np.zeros((n, m))
+    errors.fail(np.flatnonzero(~(np.isfinite(eta1) & np.isfinite(eta2) & np.isfinite(tau))),
+                lambda i: NonFiniteSolution(
+                    f"the magnitude problem overflows a float (eta1={float(eta1[i])!r}, "
+                    f"eta2={float(eta2[i])!r}, tau={float(tau[i])!r})"))
 
     rows = np.flatnonzero(~errors.failed & (tau > 0.0))
-    r[rows], u[rows], finite = _source_only(tau[rows], eta1[rows], eta2[rows], c1[rows],
-                                            c2[rows])
-    errors.fail(rows[~finite], lambda i: _r_star_overflow(eta1[i]))
+    r[rows], u1[rows], u[rows] = _source_only(tau[rows], eta1[rows], eta2[rows], c1[rows],
+                                              c2[rows])
 
     live = np.flatnonzero(~errors.failed)
     ratio0 = np.where(u_max[live] > 0.0, u[live] / u_max[live], np.inf)
@@ -493,34 +500,26 @@ def solve_individual_batch(batch: NetworkInstance, params: SystemParams,
             ratio0[over], u_max[live], c1[live], c2[live], eta1[live], eta2[live])
 
     tau[live] = _active_norm(c2[live], ~clamped[live])
-    r[live] = 0.0  # also the answer where nothing is left to re-solve
+    rad = eta1 - eta2 * t1 * t1  # u1^2 at r = 0
+    errors.fail(live[rad[live] < 0.0], lambda i: _infeasible_budget(rad[i]))
+    # r = 0, also the answer where nothing is left to re-solve
+    r[live] = 0.0
+    u1[live] = np.sqrt(rad[live])
     u[live] = np.where(clamped[live], u_max[live], 0.0)
     rows = live[tau[live] > 0.0]
     if rows.size:
-        q = np.stack(_quartic(eta1[rows], eta2[rows], eta3[rows], t1[rows], t2[rows],
-                              tau[rows], c1[rows]), axis=-1)
-        errors.fail(rows[~np.isfinite(q).all(axis=1)], lambda i: NonFiniteSolution(
-            "the stationarity quartic's coefficients overflow a float"))
-        cand = _candidates(q, eta1[rows], eta2[rows], t1[rows], t2[rows], tau[rows],
-                           c1[rows])
-        best, ok = _best(*cand)
-        errors.fail(rows[~ok], lambda i: _infeasible_budget(
-            eta1[i] - eta2[i] * t1[i] * t1[i]))
-        r[rows] = cand[0][np.arange(len(rows)), best]
+        args = (eta1[rows], eta2[rows], t1[rows], t2[rows], tau[rows], c1[rows])
+        r_c, u1_c, value, valid = _candidates(_quartic(*args), *args)
+        pick = np.arange(len(rows)), _best(r_c, value, valid)[0]
+        r[rows], u1[rows] = r_c[pick], u1_c[pick]
         u[rows] = np.where(clamped[rows], u[rows],
                            c2[rows] / tau[rows, None] * r[rows, None])
 
-    total = t1 + tau * r
-    rad = eta1 - eta2 * total * total
-    errors.fail(np.flatnonzero(rad < -RADICAND_GUARD * np.maximum(eta1, 1.0)),
-                lambda i: _infeasible_budget(rad[i]))
     phases = optimal_phases(batch)
     gains_rd = np.abs(batch.h_rd)
     relay_w = np.where((gains_rd > 0.0) & (u > 0.0),
                        u / gains_rd * np.exp(1j * phases[:, 1:]), 0.0)
-    w = np.concatenate(
-        ((np.sqrt(np.maximum(rad, 0.0)) * np.exp(1j * phases[:, 0]))[:, None], relay_w),
-        axis=-1)
+    w = np.concatenate(((u1 * np.exp(1j * phases[:, 0]))[:, None], relay_w), axis=-1)
     return solved_values(batch, p1, a, w, errors, IndividualDiagnostics(
         clamped=clamped, t1=t1, t2=t2, tau=tau, chosen_r=r))
 

@@ -13,9 +13,10 @@ import pytest
 from anbeam import cli
 from anbeam.cli import main
 from anbeam.experiments import CSV_HEADER, relay_count_sweep_spec, spec_to_dict
+from anbeam.individual_solver import solve_individual
 from anbeam.serialization import dump_scenario
 from anbeam.types import IndividualBudget, NetworkInstance, SystemParams, TotalBudget
-from conftest import make_instance
+from conftest import assert_individual_answer, make_instance
 
 
 @pytest.fixture
@@ -69,17 +70,20 @@ def test_solve_infeasible_threshold_is_clean_error(tmp_path, rng, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_solve_vanishing_alpha_is_clean_error(tmp_path, rng, capsys):
-    # gamma = 1e-160 pins alpha near 1e-160, where the individual solver's
-    # closed-form radius overflows a float
+def test_solve_vanishing_alpha_is_answered(tmp_path, rng, capsys):
+    """gamma = 1e-160 pins alpha near 1e-160, where the individual solver's
+    closed-form radius, formed in r, overflowed a float: solve prints the
+    answer of solve_individual, which meets the budget."""
     inst = make_instance(rng, 3)
+    params = SystemParams(2.0, 1e-160, IndividualBudget(5.0, np.full(3, 0.1)))
     path = tmp_path / "tiny.json"
-    dump_scenario(inst, SystemParams(2.0, 1e-160, IndividualBudget(5.0, np.full(3, 0.1))),
-                  path)
-    assert main(["solve", "--input", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: the closed-form r* overflows a float (eta1=")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    dump_scenario(inst, params, path)
+    assert main(["solve", "--input", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    sol = solve_individual(inst, params)
+    assert_individual_answer(inst, params, sol)
+    assert doc["c_d"] == sol.c_d
+    assert [complex(*pair) for pair in doc["w"]] == list(sol.w)
 
 
 def test_solve_malformed_scenario_exits_2_naming_the_field(total_scenario, tmp_path,

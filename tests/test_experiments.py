@@ -736,13 +736,15 @@ def test_row_whose_answer_is_not_finite_fails_by_name(mode, cause):
 
 
 # Overflows that come from the gains or the budgets at an ordinary alpha: the
-# error names what overflowed, not alpha.
+# error names what overflowed, not alpha.  The individual budget's relay gain,
+# 1e400 times |h_sd|, overflows tau in the magnitude problem's own units.
 OVERFLOWING_AT_ORDINARY_ALPHA = {
     "total": (NetworkInstance(h_sd=1.0, h_sr=[1e160], h_rd=[1.0], sigma2=1.0),
               TotalBudget(4.0), "the weights are not finite: the inputs' powers overflow a float"),
-    "individual": (sample_instance(2, ChannelVariances(), instance_stream(0, 0)),
-                   IndividualBudget(1e300, np.full(2, 0.1)),
-                   "the closed-form r* overflows a float (eta1=1e+300)"),
+    "individual": (NetworkInstance(h_sd=1e-200, h_sr=[1e200, 1.0], h_rd=[1.0, 1.0], sigma2=1.0),
+                   IndividualBudget(4.0, np.full(2, 0.1)),
+                   "the magnitude problem overflows a float (eta1=4.0, "
+                   "eta2=1.7067336779066409, tau=inf)"),
 }
 
 

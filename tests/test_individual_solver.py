@@ -34,7 +34,7 @@ from anbeam.types import (
     SystemParams,
     TotalBudget,
 )
-from conftest import make_instance
+from conftest import assert_individual_answer, make_instance
 from greedy_reference import greedy_reference
 
 
@@ -168,10 +168,15 @@ def _clamped_problem(rng):
 
 
 def test_quartic_reduces_to_closed_form():
+    """Worked example, with y_max = A = 1 and phi = pi/4: tan(theta*) = 2, so
+    r* = cos(theta*) = 1/sqrt(5), and the quartic in t = tan(theta/2) is
+    (t^2 + 1)(q0 t^2 + q1 t - q0), whose positive root is tan(theta*/2) =
+    (sqrt(5) - 1)/2."""
     prob = _bare_problem(1.0, [1.0], eta1=1.0, eta2=1.0)
     q = quartic_coeffs(prob)
-    assert (q[0], q[1], q[3]) == (0.0, 0.0, 0.0)
-    assert -q[4] / q[2] == pytest.approx(1.0 / 5.0, rel=1e-12)
+    assert (q[0], q[1], q[2]) == (-q[4], q[3], 0.0)
+    t = (math.sqrt(q[1] ** 2 + 4.0 * q[0] ** 2) - q[1]) / (2.0 * q[0])
+    assert t == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, rel=1e-12)
 
 
 def test_quartic_roots_of_every_degree_are_np_roots():
@@ -206,13 +211,15 @@ def test_quartic_reduction_identity(c1, tau, eta1, eta2):
     assert best.r == pytest.approx(r_closed, rel=1e-10, abs=1e-13)
 
 
-def test_quartic_odd_coefficients_vanish_without_offsets(rng):
+def test_quartic_factors_without_t1(rng):
+    """At B = t1 / y_max = 0 the quartic is (t^2 + 1)(q0 t^2 + q1 t - q0),
+    whatever t2 is, and q2 is always 0."""
     prob = _bare_problem(1.3, rng.uniform(0.1, 2.0, 2),
                          eta1=2.0, eta2=0.7)
-    # t1 = 0 kills every coefficient carrying a clamp offset
     object.__setattr__(prob, "t2", 1.9)
     q = quartic_coeffs(prob)
-    assert (q[0], q[1], q[3]) == (0.0, 0.0, 0.0)
+    assert (q[0], q[1], q[2]) == (-q[4], q[3], 0.0)
+    assert q[0] > 0.0 and q[1] > 0.0
 
 
 def test_quartic_root_matches_golden_section_when_clamped(rng):
@@ -229,15 +236,19 @@ def test_quartic_root_matches_golden_section_when_clamped(rng):
 
 
 def test_select_root_prefers_higher_objective_among_roots(rng):
-    seen_multi = 0
+    """The winner has the highest value, and the values rank the candidates
+    as the objective does.  Nothing is squared in the quartic, so it has no
+    spurious roots: at most one is admissible."""
+    compared = 0
     for _ in range(300):
         prob = _clamped_problem(rng)
         best, candidates = select_root(quartic_coeffs(prob), prob)
-        values = [c.value for c in candidates]
-        assert best.value == max(values)
-        if sum(1 for c in candidates if c.kind == "root") >= 2:
-            seen_multi += 1
-    assert seen_multi >= 3
+        assert best.value == max(c.value for c in candidates)
+        assert sum(c.kind == "root" for c in candidates) <= 1
+        top = prob.objective(best.r)
+        assert all(prob.objective(c.r) <= top * (1.0 + 1e-12) for c in candidates)
+        compared += len(candidates) == 3
+    assert compared >= 100
 
 
 def test_select_root_zero_boundary_fallback():
@@ -250,7 +261,7 @@ def test_select_root_zero_boundary_fallback():
     assert best.kind == "zero" and best.r == 0.0
     assert not any(c.kind == "root" for c in candidates)
     ref = golden_section(prob.objective, 0.0, (math.sqrt(1.5) - 1.0) / 0.2, tol=1e-11)
-    assert best.value >= ref.value - 1e-10
+    assert prob.objective(best.r) >= ref.value - 1e-10
 
 
 def test_select_root_infeasible_offsets():
@@ -396,12 +407,9 @@ def test_rejects_total_budget(rng):
      TypeError, "^solve_individual requires an IndividualBudget$"),
     (lambda inst, b: solve_source_only(MagnitudeProblem([1.0, 1.0], [1.0], 1.0, 1.0, 2.0, t1=0.5)),
      ValueError, "^solve_source_only expects the unclamped problem$"),
-    (lambda inst, b: solve_source_only(initial_problem(
-        inst, 2.0, 0.5, IndividualBudget(1e300, b.p_i))),
-     NonFiniteSolution, r"^the closed-form r\* overflows a float \(eta1=1e\+300\)$"),
 ], ids=["solve-zero-alpha", "derive-zero-alpha", "solve-long-p_i", "derive-short-p_i",
         "negative-t1", "t2-below-1", "negative-tau", "initial-total-budget",
-        "source-only-clamped", "source-only-overflow"])
+        "source-only-clamped"])
 def test_individual_budget_rejects_zero_alpha_and_mismatched_caps(rng, call, error,
                                                                  message):
     inst = make_instance(rng, 3)
@@ -432,18 +440,31 @@ def test_clamp_bookkeeping_on_the_kernel(rng):
     assert diag.tau[1] == pytest.approx(quiet_prob.tau)
 
 
-@pytest.mark.parametrize("tiny", [1e-160, 1e-300])
-@pytest.mark.parametrize("via", ["alpha", "gamma"])
-def test_vanishing_alpha_raises_degenerate_alpha(rng, tiny, via):
-    # a vanishing alpha is still inside (0, 1], so the failure is not a
-    # rejected alpha but the r* it makes overflow, named as NonFiniteSolution.
-    # An explicit alpha is a Python float, which overflows with OverflowError;
-    # one derived from gamma is a numpy scalar, which overflows to inf
+# Inputs whose closed-form r*, formed in r, overflowed a float: a vanishing
+# alpha, explicit or derived from gamma, and a source cap of 1e300.  Each is
+# (gamma, alpha, p_s).
+ONCE_OVERFLOWING = {
+    "alpha-1e-160": (None, 1e-160, 5.0), "alpha-1e-300": (None, 1e-300, 5.0),
+    "gamma-1e-160": (1e-160, None, 5.0), "gamma-1e-300": (1e-300, None, 5.0),
+    "huge-p_s": (None, 0.5, 1e300),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONCE_OVERFLOWING))
+def test_vanishing_alpha_or_huge_source_cap_is_answered(rng, case):
+    """Each is answered within budget, at or above the source-only point, and
+    the source-only view of its unclamped problem is finite and spends the
+    source cap exactly."""
+    gamma, alpha, p_s = ONCE_OVERFLOWING[case]
     inst = make_instance(rng, 3)
-    gamma, alpha = (tiny, None) if via == "gamma" else (None, tiny)
-    params = SystemParams(2.0, gamma, IndividualBudget(5.0, np.full(3, 0.1)))
-    with pytest.raises(NonFiniteSolution, match=r"^the closed-form r\* overflows a float"):
-        solve_individual(inst, params, alpha=alpha)
+    params = SystemParams(2.0, gamma, IndividualBudget(p_s, np.full(3, 0.1)))
+    sol = solve_individual(inst, params, alpha=alpha)
+    assert_individual_answer(inst, params, sol)
+    prob = initial_problem(inst, 2.0, sol.alpha, IndividualBudget(p_s, np.full(3, 1e300)))
+    u1, u, r = solve_source_only(prob)
+    assert math.isfinite(u1) and math.isfinite(r) and np.isfinite(u).all()
+    y = float(np.dot(prob.c[1:], u))
+    assert u1 ** 2 + prob.eta2 * y * y == pytest.approx(prob.eta1, rel=1e-12)
 
 
 # Rows whose weights are finite but whose second-phase power is not.  The
@@ -491,8 +512,8 @@ def test_clamp_scan_reproduces_the_greedy_loop(slack, monkeypatch):
     set and offsets (t1, t2 bit for bit: both add in clamp order), and the
     same C_d.  BOUND_SLACK enters the scan's breakpoints, so slacks on both
     sides of the default are checked as well.  Besides the fixed alphas,
-    alpha = 1e-160 fails every row in the closed form, and gamma = 1 gives
-    each row its own alpha and fails the rows that cannot reach it."""
+    gamma = 1 gives each row its own alpha and fails the rows that cannot
+    reach it."""
     monkeypatch.setattr(individual_solver, "BOUND_SLACK", slack)
     rng = np.random.default_rng(0x5CA7)
     multi_clamp = failed = 0

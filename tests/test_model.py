@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anbeam.errors import BeamformingError, InfeasibleThreshold, SingularObservation
@@ -18,7 +18,6 @@ from anbeam.model import (
     beam_sinr,
     capacity_dest,
     capacity_relay,
-    cancellation_gains,
     combined_gains,
     derive_model,
     destination_phase2_rx,
@@ -42,7 +41,7 @@ from anbeam.types import (
     SystemParams,
     TotalBudget,
 )
-from conftest import make_instance, random_weights
+from conftest import assert_individual_answer, make_instance, power_amplitudes, random_weights
 
 
 # ---------------------------------------------------------------------------
@@ -674,24 +673,19 @@ def test_relay_snr_bounded_by_full_power(gains, alpha, p1):
 # the whole float range: a finite answer within budget, or a named error
 
 
-def _power_amplitudes(inst, p1, alpha, w):
-    """(source, relays): the square roots of the source's second-phase power
-    and of each relay's, formed from amplitudes, so that none of them passes
-    through a square that goes subnormal."""
-    source = math.sqrt(alpha * p1) * abs(w[0])
-    if alpha < 1.0:  # at alpha = 1 the cancellation term carries no power
-        cancel = math.sqrt((1.0 - alpha) * p1) * abs(np.dot(cancellation_gains(inst), w[1:]))
-        source = math.hypot(source, cancel)
-    return source, np.sqrt(relay_input_powers(inst, p1)) * np.abs(w[1:])
-
-
 @settings(max_examples=300, deadline=None)
 @given(m=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
        log10_alpha=st.floats(-30.0, 0.0))
+@example(m=7, seed=0, log10_alpha=0.0)
 def test_every_solve_is_finite_within_budget_or_a_named_error(m, seed, log10_alpha):
     """Gains, sigma2, p1 and the budgets log-uniform over 1e-100 .. 1e100:
     each solve returns a finite w whose C_d is capacity_dest(w) and which
-    meets its budget to 1e-12, or raises a BeamformingError or ValueError."""
+    meets its budget to 1e-12, or raises a BeamformingError or ValueError.
+    An individual-budget answer also reaches the C_d of the feasible points
+    feasible_c_d builds from the channels.  The example is an alpha = 1
+    network whose clamp scan, with a slope lost to cancellation, once
+    stopped one relay short: C_d = 3.547 against 189.556 with every relay
+    at its cap."""
     rng = np.random.default_rng(seed)
     gains = 10.0 ** rng.uniform(-100.0, 100.0, 2 * m + 1) * np.exp(
         2j * np.pi * rng.uniform(size=2 * m + 1))
@@ -699,20 +693,19 @@ def test_every_solve_is_finite_within_budget_or_a_named_error(m, seed, log10_alp
     p_i = 10.0 ** rng.uniform(-100.0, 100.0, m)
     inst = NetworkInstance(h_sd=gains[0], h_sr=gains[1::2], h_rd=gains[2::2], sigma2=sigma2)
     alpha = 10.0 ** log10_alpha
-    slack = 1.0 + 1e-12
     for solve, budget in ((solve_total, TotalBudget(p_tot)),
                           (solve_individual, IndividualBudget(p_s, p_i))):
+        params = SystemParams(p1, None, budget)
         try:
-            sol = solve(inst, SystemParams(p1, None, budget), alpha=alpha)
+            sol = solve(inst, params, alpha=alpha)
         except (BeamformingError, ValueError):
+            continue
+        if isinstance(budget, IndividualBudget):
+            assert_individual_answer(inst, params, sol)
             continue
         assert np.isfinite(sol.w).all() and math.isfinite(sol.c_d)
         assert math.isfinite(sol.second_phase_power)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             assert sol.c_d == capacity_dest(inst, p1, sol.alpha, sol.w)
-        source, relays = _power_amplitudes(inst, p1, sol.alpha, sol.w)
-        if isinstance(budget, TotalBudget):
-            assert math.hypot(source, *relays) <= math.sqrt(p_tot) * slack
-        else:
-            assert source <= math.sqrt(p_s) * slack
-            assert np.all(relays <= np.sqrt(p_i) * slack)
+        source, relays = power_amplitudes(inst, p1, sol.alpha, sol.w)
+        assert math.hypot(source, *relays) <= math.sqrt(p_tot) * (1.0 + 1e-12)

@@ -283,6 +283,16 @@ def test_grid_gap_small_across_random_instances(rng):
         assert report.gap >= -1e-4
 
 
+def test_grid_confirms_an_alpha_1_network_with_a_near_double_root():
+    """At alpha = 1 a squared stationarity condition of this network had a
+    near-double root that read as complex, and the solve fell back to r = 0:
+    a gap of -9.675 bits."""
+    inst = NetworkInstance(h_sd=2.34e-6, h_sr=[8.05e6, 1.41e5], h_rd=[8.04e5, 5.72e-3],
+                           sigma2=209.0)
+    params = SystemParams(1.3e-5, None, IndividualBudget(9.36e-7, [2.36e7, 3.23e7]))
+    assert oracle_individual_grid(inst, params, alpha=1.0).gap >= -1e-4
+
+
 def _patch_every_binding(monkeypatch, name, faulty):
     """Replace the function `name` in every anbeam module that binds it, as a
     fault in the function itself would show."""
