@@ -22,8 +22,8 @@ class SingularObservation(BeamformingError):
 
 
 class NonFiniteSolution(BeamformingError):
-    """A quantity of the solve left the float range, through the gains, the
-    budgets or a vanishing alpha: the weights, C_d, r* or the quartic."""
+    """eta1, eta2 or tau, the weights, C_d or the second-phase power left the
+    float range, through the gains, the budgets or a vanishing alpha."""
 
 
 class OracleEvalError(BeamformingError):

@@ -18,8 +18,9 @@ The 1-D problem is solved in the angle theta of the ellipse, y = t1 + tau r
 = y_max cos(theta) and u1 = sqrt(eta1) sin(theta) (quartic_coeffs).  Its
 closed form and its stationarity quartic in t = tan(theta/2) need no
 squaring, so the quartic has no spurious roots, and nothing overflows where
-the angle's constants are finite.  The optimum is still chosen by comparing
-the objective at r = 0, at theta = 0 (u1 = 0) and at each admissible root.
+the angle's constants are finite.  On t >= 0 the quartic is convex and
+nonpositive at 0, so it has one root there, found by Newton's method (_root)
+and compared against r = 0.
 At alpha = 1 (eta2 = 0) there is no ellipse: u1 = sqrt(eta1), and the
 stationary r = tau t2 / (t1 + c1 sqrt(eta1)) is compared against r = 0.
 
@@ -27,10 +28,10 @@ The greedy never needs to be run: it clamps in the fixed order of the
 closed form's ratios u_i/u_max,i, so one sort, prefix sums of the offsets and
 a sign test of the reduced objective's slope at each breakpoint give the
 number of clamps directly (_clamp_scan).  solve_individual_batch then solves
-one quartic per row, the rows of each degree in one eigvals call on their
-stacked companion matrices.  solve_individual is the N = 1 call, and
-MagnitudeProblem, solve_source_only, quartic_coeffs and select_root are
-one-row views of the same array expressions.
+one quartic per row, all rows in one vectorized Newton iteration.
+solve_individual is the N = 1 call, and MagnitudeProblem, solve_source_only,
+quartic_coeffs and select_root are one-row views of the same array
+expressions.
 
 _magnitude_problem is the one place the problem's constants are formed,
 for one network or a stack, and it forms them in the problem's own units:
@@ -71,8 +72,6 @@ from .types import (
 # Relative slack accepted on the per-relay amplitude caps before a relay counts
 # as violating its cap.
 BOUND_SLACK = 1e-10
-# A polynomial root counts as real when |Im| <= REAL_ROOT * max(1, |Re|).
-REAL_ROOT = 1e-9
 
 
 def optimal_phases(instance: NetworkInstance) -> np.ndarray:
@@ -172,29 +171,33 @@ def _quartic(eta1, eta2, t1, t2, tau, c1):
                      -sin_phi * (a2 + (1.0 - big_b) ** 2 * b2)), axis=-1)
 
 
-def _quartic_roots(q: np.ndarray) -> np.ndarray:
-    """Roots of each row of q (K, 5), padded with NaN to (K, 4).
+def _root(q: np.ndarray, t_hi: np.ndarray) -> np.ndarray:
+    """The root in [0, t_hi] of each row's quartic q (K, 5), nan where there
+    is none.
 
-    Leading coefficients below 1e-14 of a row's largest are stripped; the
-    rows of each remaining degree share one eigvals call on their stacked
-    companion matrices (those np.roots builds).  A zero constant term gives
-    an exact root 0 (a zero column).  Rows with a non-finite coefficient, or
-    none that is nonzero, get no roots.
+    On t >= 0 the quartic is convex (q0, q1 >= 0 and q2 = 0) and q4 <= 0, so
+    it has one root there, in [0, t_hi] exactly where P(t_hi) >= 0.  Newton's
+    method from t_hi descends onto it without overshooting; a row steps while
+    (|P(t)|, t) decreases, which floats cannot do forever, so a long step that
+    rounds to below the root is followed by the one back onto it.
     """
-    roots = np.full((len(q), 4), np.nan, dtype=complex)
-    mag = np.abs(q)
-    scale = np.max(mag, axis=1)
-    usable = np.isfinite(scale) & (scale > 0.0)
-    first = np.argmax(mag > 1e-14 * scale[:, None], axis=1)
-    for degree in range(1, 5):
-        rows = np.flatnonzero(usable & (first == 4 - degree))
-        if rows.size:
-            lead = q[rows, 4 - degree:]
-            companion = np.zeros((len(rows), degree, degree))
-            companion[:, 0, :] = -lead[:, 1:] / lead[:, :1]
-            companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
-            roots[rows, :degree] = np.linalg.eigvals(companion)
-    return roots
+    def newton(rows, t):  # (P(t), t - P(t) / P'(t)) of the rows
+        q0, q1, _, q3, q4 = q[rows].T
+        value = ((q0 * t + q1) * t * t + q3) * t + q4
+        return value, t - value / ((4.0 * q0 * t + 3.0 * q1) * t * t + q3)
+
+    value, step = newton(slice(None), t_hi)
+    t = np.where(value >= 0.0, t_hi, np.nan)
+    rows = np.flatnonzero(t >= 0.0)
+    value, step = value[rows], step[rows]
+    while rows.size:
+        new_value, new_step = newton(rows, step)
+        now, new = np.abs(value), np.abs(new_value)
+        better = (new < now) | ((new == now) & (step < t[rows]))
+        rows = rows[better]
+        t[rows] = step[better]
+        value, step = new_value[better], new_step[better]
+    return t
 
 
 @dataclass(frozen=True)
@@ -204,44 +207,40 @@ class RootCandidate:
 
     r: float
     value: float
-    kind: str  # "root" | "zero" | "radicand-boundary"
+    kind: str  # "zero" | "root"
 
 
-# Kind of each candidate column of _candidates: r = 0, the radicand-zero
-# boundary theta = 0, then up to four roots of the stationarity quartic.
-CANDIDATE_KINDS = ("zero", "radicand-boundary", "root", "root", "root", "root")
+# Kind of each candidate column of _candidates: r = 0, then the quartic's root.
+CANDIDATE_KINDS = ("zero", "root")
 
 
 def _candidates(q, eta1, eta2, t1, t2, tau, c1):
     """Candidates of K clamped 1-D problems at once, as (r, u1, value,
-    valid), each (K, 6) with the columns of CANDIDATE_KINDS: r = 0 (u1 the
-    root of its radicand, as the batch takes it), theta = 0 (u1 = 0) and each
-    real root t >= 0 of q with cos(theta) >= B, valid where its value is not
-    nan.  value is cos^2(theta - phi) / (A^2 + (cos(theta) - B)^2) / (1 + A)^2,
-    and at alpha = 1, for r = 0 and tau t2 / (t1 + c1 u1), the objective."""
+    valid), each (K, 2) with the columns of CANDIDATE_KINDS: r = 0 (u1 the
+    root of its radicand, as the batch takes it) and the root of q in the
+    admissible [0, tan(arccos(B) / 2)], valid where its value is not nan
+    (where A << 1 the root's gap cos(theta) - B is rounding noise, and r = 0
+    far better).  value is cos^2(theta - phi) / (A^2 + (cos(theta) - B)^2) /
+    (1 + A)^2, and at alpha = 1, for r = 0 and tau t2 / (t1 + c1 u1), the
+    objective."""
     y_max, cos_phi, sin_phi, ka, kb, big_b = _angles(eta1, eta2, t1, t2, tau, c1)
     col = (slice(None), None)
-    t = _quartic_roots(q)
-    t = np.where((t.real >= 0.0)
-                 & (np.abs(t.imag) <= REAL_ROOT * np.maximum(1.0, np.abs(t.real))),
-                 t.real, np.nan)
+    t = _root(q, np.sqrt((1.0 - big_b) / (1.0 + big_b)))[col]
     root_eta1 = np.sqrt(eta1)[col]
-    edge = np.ones((len(q), 1))
-    u1 = np.concatenate((np.sqrt(eta1 - eta2 * t1 * t1)[col], 0.0 * edge,
+    u1 = np.concatenate((np.sqrt(eta1 - eta2 * t1 * t1)[col],
                          root_eta1 * (2.0 * t / (1.0 + t * t))), axis=1)
-    cos = np.concatenate((big_b[col], edge, (1.0 - t) * (1.0 + t) / (1.0 + t * t)), axis=1)
+    cos = np.concatenate((big_b[col], (1.0 - t) * (1.0 + t) / (1.0 + t * t)), axis=1)
     gap = cos - big_b[col]
     value = ((cos * cos_phi[col] + u1 / root_eta1 * sin_phi[col]) ** 2
              / (ka[col] ** 2 + (gap * kb[col]) ** 2))
     r = gap * y_max[col] / tau[col]
     r[:, 0] = 0.0  # also at tau = 0
     present = gap >= 0.0
-    present[:, 1:] &= tau[col] > 0.0  # without active relays only r = 0 is left
+    present[:, 1] &= tau > 0.0  # without active relays only r = 0 is left
     flat = np.flatnonzero(eta2 == 0.0)
     if flat.size:  # alpha = 1: no ellipse
         source = c1[flat] * np.sqrt(eta1[flat])
-        r[flat, 1:] = np.nan
-        r[flat, 2] = tau[flat] * t2[flat] / (t1[flat] + source)
+        r[flat, 1] = tau[flat] * t2[flat] / (t1[flat] + source)
         rf = r[flat]
         value[flat] = ((t1[flat, None] + tau[flat, None] * rf + source[:, None]) ** 2
                        / (t2[flat, None] + rf * rf))
@@ -374,8 +373,8 @@ def select_root(coeffs: np.ndarray, problem: MagnitudeProblem,
                 ) -> Tuple[RootCandidate, Tuple[RootCandidate, ...]]:
     """Pick the best admissible candidate of the clamped 1-D problem.
 
-    Candidates: the real admissible roots of the quartic in t, the r = 0
-    boundary, and the radicand-zero boundary where u1 hits 0.
+    Candidates: the r = 0 boundary and the quartic's root in the admissible
+    interval of t, where it has one.
     """
     row = [np.array([x], dtype=float) for x in (
         problem.eta1, problem.eta2, problem.t1, problem.t2, problem.tau, problem.c1)]
@@ -462,9 +461,9 @@ def solve_individual_batch(batch: NetworkInstance, params: SystemParams,
     folded into (t1, t2), and the 1-D problem over the remaining relays is
     re-solved by the stationarity quartic.  The clamp count comes from one
     breakpoint scan per row (_clamp_scan), so each row solves one quartic,
-    and all of them share one eigvals call.  The source amplitude comes
-    from the chosen angle, phases are applied, and relay weights are
-    recovered as w_i = u_i/|h_id| * exp(j phi_i).
+    and all of them share one Newton iteration (_root).  The source
+    amplitude comes from the chosen angle, phases are applied, and relay
+    weights are recovered as w_i = u_i/|h_id| * exp(j phi_i).
 
     Rows fail independently: InfeasibleThreshold (gamma out of reach),
     InfeasibleBudget (the source cannot cancel the noise the clamped relays

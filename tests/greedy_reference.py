@@ -10,11 +10,11 @@ is read from individual_solver at call time, so a test that patches it
 there changes both sides.
 
 Only the loop is independent: the closed form, the per-round 1-D solve
-(_quartic, _candidates, _best) and the final feasibility test (a negative
-source-power radicand eta1 - eta2 t1^2 at r = 0) are the solver's own, so a
-fault in those is shared and this reference cannot catch it.  It passed
-alpha = 1 rows whose 1-D solve had lost its only root; the grid oracle
-caught them.
+(_quartic, _candidates with its Newton root _root, _best) and the final
+feasibility test (a negative source-power radicand eta1 - eta2 t1^2 at
+r = 0) are the solver's own, so a fault in those is shared and this
+reference cannot catch it.  It passed alpha = 1 rows whose 1-D solve had
+lost its only root; the grid oracle caught them.
 """
 
 import numpy as np

@@ -179,23 +179,39 @@ def test_quartic_reduces_to_closed_form():
     assert t == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, rel=1e-12)
 
 
-def test_quartic_roots_of_every_degree_are_np_roots():
-    """Each degree left after stripping is solved on its own companion
-    matrices, to np.roots' roots; a zero constant term gives an exact root 0,
-    an all-zero row none, and negligible leading coefficients are dropped."""
-    rng = np.random.default_rng(0x9E7)
-    q = rng.normal(size=(60, 5))
-    for i in range(60):
-        q[i, :i % 5] = 0.0  # degree 4 - i % 5
-    q[1::2, 4] = 0.0
-    q[::7, 0] *= 1e-15
-    roots = individual_solver._quartic_roots(q)
-    for i in range(60):
-        got = roots[i][~np.isnan(roots[i])]
-        want = np.roots(np.where(np.abs(q[i]) > 1e-14 * np.abs(q[i]).max(), q[i], 0.0))
-        np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(want),
-                                   rtol=1e-12, atol=1e-14)
-        assert np.sum(got == 0) == np.sum(want == 0) == (q[i, 4] == 0) * (i % 5 < 4)
+_DECADES = st.floats(-30.0, 30.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    _DECADES,  # log10 A
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(-30.0, 0.0).map(lambda e: 10.0 ** e)),  # B
+    _DECADES,  # log10 tan(phi)
+    st.floats(0.0, 30.0),  # log10 t2
+), min_size=1, max_size=8))
+def test_quartic_has_one_root_in_the_admissible_interval(rows):
+    """On t >= 0 the quartic is convex and q4 <= 0 (q0, q1 >= 0, q2 = 0), and
+    _root gives its one root there: nan exactly where P(t_hi) < 0, otherwise
+    a t in [0, t_hi] where P vanishes to rounding.  A, B, phi and t2 span
+    +-30 decades, several rows per call."""
+    log_a, big_b, log_tan_phi, log_t2 = map(np.array, zip(*rows))
+    c1 = np.full(len(rows), 0.75)
+    eta2 = (10.0 ** log_tan_phi / c1) ** 2
+    y_max = 1.0 / np.sqrt(eta2)  # at eta1 = 1
+    t2 = 10.0 ** log_t2
+    args = (np.ones(len(rows)), eta2, big_b * y_max, t2, 10.0 ** log_a * y_max / np.sqrt(t2), c1)
+    q = individual_solver._quartic(*args)
+    assert np.all(q[:, :2] >= 0.0) and np.all(q[:, 2] == 0.0) and np.all(q[:, 4] <= 0.0)
+    b = individual_solver._angles(*args)[5]  # t1 / y_max <= 1, as rounding is monotone
+    t_hi = np.sqrt((1.0 - b) / (1.0 + b))
+    t = individual_solver._root(q, t_hi)
+    p_hi = np.array([np.polyval(row, x) for row, x in zip(q, t_hi)])
+    np.testing.assert_array_equal(np.isnan(t), p_hi < 0.0)
+    ok = ~np.isnan(t)
+    assert np.all((0.0 <= t[ok]) & (t[ok] <= t_hi[ok]))
+    terms = q[ok] * t[ok, None] ** np.arange(4, -1, -1)
+    assert np.all(np.abs(terms.sum(axis=1))
+                  <= 16.0 * np.finfo(float).eps * np.abs(terms).sum(axis=1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -247,7 +263,7 @@ def test_select_root_prefers_higher_objective_among_roots(rng):
         assert sum(c.kind == "root" for c in candidates) <= 1
         top = prob.objective(best.r)
         assert all(prob.objective(c.r) <= top * (1.0 + 1e-12) for c in candidates)
-        compared += len(candidates) == 3
+        compared += len(candidates) == 2
     assert compared >= 100
 
 
@@ -262,6 +278,21 @@ def test_select_root_zero_boundary_fallback():
     assert not any(c.kind == "root" for c in candidates)
     ref = golden_section(prob.objective, 0.0, (math.sqrt(1.5) - 1.0) / 0.2, tol=1e-11)
     assert prob.objective(best.r) >= ref.value - 1e-10
+
+
+def test_select_root_keeps_r_zero_where_the_root_is_rounding_noise():
+    """With A << 1 the root's gap cos(theta) - B is rounding noise: its r,
+    about 4.5e9, has an objective about 2e-18 against 46.8 at r = 0, so the
+    r = 0 candidate must stay in the comparison."""
+    c1, eta2 = 0.583876665250324, 1997828.8838633308
+    prob = MagnitudeProblem(c=np.array([c1, 1.0]), u_max=np.array([1.0]),
+                            eta1=137.27849063287317, eta2=eta2, eta3=1.0 + eta2 * c1 * c1,
+                            t1=9.076737924223587e-06, t2=1.0, active=(0,),
+                            tau=9.011787887269493e-29)
+    best, candidates = select_root(quartic_coeffs(prob), prob)
+    assert best.kind == "zero" and best.r == 0.0
+    root = next(c for c in candidates if c.kind == "root")
+    assert prob.objective(root.r) < 1e-10 < 46.0 < prob.objective(0.0)
 
 
 def test_select_root_infeasible_offsets():
@@ -465,6 +496,37 @@ def test_vanishing_alpha_or_huge_source_cap_is_answered(rng, case):
     assert math.isfinite(u1) and math.isfinite(r) and np.isfinite(u).all()
     y = float(np.dot(prob.c[1:], u))
     assert u1 ** 2 + prob.eta2 * y * y == pytest.approx(prob.eta1, rel=1e-12)
+
+
+def test_clamped_row_at_alpha_just_below_one_takes_its_stationary_root():
+    """An M = 4 network at alpha = 1 - 1.1e-16 whose final problem (relays 0
+    and 2 clamped) is optimal just above r = 0, at r = 2.92e-4: the answer
+    beats C_d = 1.1565682545939293, the r = 0 point, and on the final problem
+    the chosen r reaches the optimum 9247075.4292751582 (found with 60-digit
+    arithmetic) to 1e-10."""
+    inst = NetworkInstance(
+        h_sd=126.11250899133591 - 1655.9846710542904j,
+        h_sr=[2107.479890474965 - 144.44504158630434j, -0.08890812225695385 + 0.06084937445389548j,
+              19.065166828506094 - 4.940454649541868j, 1665.8306449111053 + 722.1191557048583j],
+        h_rd=[-9.59068050862079e-05 - 0.0002907123978673281j,
+              1.549462062296498e-07 - 7.505560869863355e-09j,
+              -0.0028469201228535695 + 0.0008620638578878754j,
+              570791.3896461966 + 259179.59459232248j],
+        sigma2=378124.90691040584)
+    params = SystemParams(3.870083062044825e-08, None, IndividualBudget(
+        0.5442023817573749,
+        [0.05167996335950992, 10696.043057956282, 0.0002293923872895543, 2536304.0971100167]))
+    sol = solve_individual(inst, params, alpha=0.9999999999999999)
+    assert sol.c_d > 1.1565683
+    assert_individual_answer(inst, params, sol)
+
+    c1, eta2 = 0.8109276443045531, 1.688285997580597e-16
+    prob = MagnitudeProblem(c=np.array([c1, 1.0]), u_max=np.array([1.0]),
+                            eta1=14061775.239258982, eta2=eta2, eta3=1.0 + eta2 * c1 * c1,
+                            t1=1.1743704187383643e-07, t2=1.0000000000000182, active=(0,),
+                            tau=0.8865294165004379)
+    best, _ = select_root(quartic_coeffs(prob), prob)
+    assert prob.objective(best.r) >= 9247075.4292751582 * (1.0 - 1e-10)
 
 
 # Rows whose weights are finite but whose second-phase power is not.  The
