@@ -7,11 +7,9 @@ ignores --workers.
 
 from __future__ import annotations
 
-import argparse
-import json
 import logging
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -29,6 +27,11 @@ from .model import (
 from .total_solver import build_d_tilde, solve_total
 from .types import IndividualBudget, SignalRealization, SystemParams, TotalBudget
 
+# argparse and json are imported where they are used, so that importing this
+# module costs neither
+if TYPE_CHECKING:
+    import argparse
+
 # Gap tolerances the validate suites enforce (analytic must not lose to the
 # oracle by more than this).
 VALIDATE_GAP_TOTAL = 1e-6
@@ -40,6 +43,7 @@ VALIDATE_SIGMAS = 7.0
 
 
 def _cmd_solve(args) -> int:
+    import json
     instance, params = serialization.load_scenario(args.input)
     if params.gamma is None:  # a scenario has no alpha to take its place
         raise ValueError("params.gamma: solve derives alpha from it, so it must not be null")
@@ -59,6 +63,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    import json
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = experiments.spec_from_dict(json.load(fh))
     rows = experiments.run_sweep(spec, workers=args.workers)
@@ -166,6 +171,7 @@ def _cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="anbeam",
         description="Two-phase relay beamforming with source-injected "

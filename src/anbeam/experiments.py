@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -321,6 +320,8 @@ def run_sweep(spec: ExperimentSpec, workers: Optional[int] = None) -> List[Exper
     n_workers = resolve_workers(workers)
     tasks = _tasks(spec, n_workers)
     if n_workers > 1 and len(tasks) > 1:
+        # imported here: importing the package starts no pool machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             chunks = list(pool.map(solve_grid_points, [spec] * len(tasks), *zip(*tasks)))
     else:

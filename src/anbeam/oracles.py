@@ -4,9 +4,14 @@ Everything here is deliberately brute-force: random sampling plus projected
 coordinate ascent for the total-budget problem, dense grids for small
 individually-constrained problems, one dense LU solve for the rank-1 eigen
 identity, and signal-level Monte Carlo for the SNR formulas.  Oracles are
-slow by design and never used in the production solve path.  The ascent
-scores each trial step in O(1) by rank-one updates of the dense quadratic
-forms, and recomputes them from w after each accepted step.  No oracle or
+slow by design and never used in the production solve path.  The
+total-budget oracle draws all its normals at once but scores the boundary
+samples SAMPLE_BLOCK rows at a time, so its complex samples and their
+temporaries never take more than SAMPLE_BLOCK rows, and it keeps the sample
+one scan over all rows would pick.  The ascent scores the four steps of each
+coordinate in one O(1) pass by rank-one updates of the dense quadratic
+forms, in real arithmetic that rounds as the complex updates do, and
+recomputes the forms from w after each accepted step.  No oracle or
 validate suite calls golden_section: the acceptance gate and the magnitude
 tests check the closed-form r* and the quartic's root against it.
 
@@ -40,6 +45,11 @@ from .types import (IndividualBudget, NetworkInstance, SignalRealization, System
 
 # Seed-sequence entropy tag for all oracle RNG streams.
 ORACLE_NAMESPACE = 0xC0FFEE
+
+# Rows of boundary samples oracle_total scores at once, so that a block's
+# complex samples and temporaries stay within a few hundred KiB at M <= 8.
+# Every block size picks the same sample.
+SAMPLE_BLOCK = 2048
 
 
 def _oracle_rng(seed: int, *key: int) -> np.random.Generator:
@@ -141,39 +151,54 @@ def _cd_evaluator(instance: NetworkInstance, p1: float, alpha: float,
 def _step_scorer(instance: NetworkInstance, p1: float, alpha: float, d: np.ndarray,
                  p_tot: float) -> Tuple[Callable, Callable]:
     """refresh(w) -> (state, C_d(w)), the state (w, Dw, w'Dw, h^T w,
-    sum_i |w_i|^2 d_h,i) computed densely; trial(state, k, s) -> the power
-    of w + s e_k and its C_d rescaled onto w'Dw = p_tot (None at power <= 0),
-    in O(1): w'Dw moves by 2 Re(conj(s) (Dw)_k) + |s|^2 D_kk, h^T w by s h_k
-    and the noise term by (2 Re(conj(w_k) s) + |s|^2) d_h,k."""
+    sum_i |w_i|^2 d_h,i) computed densely; scores(state, k, step) -> the four
+    trials w + s e_k, s in (step, -step, i step, -i step), each as its power
+    and its C_d rescaled onto w'Dw = p_tot (None at power <= 0), in one O(1)
+    pass.  w'Dw moves by 2 Re(conj(s) (Dw)_k) + |s|^2 D_kk, h^T w by s h_k and
+    the noise term by (2 Re(conj(w_k) s) + |s|^2) d_h,k.  Re(conj(s) z) is
+    +-step Re z at s = +-step and +-step Im z at s = +-i step, and |s|^2 is
+    step**2: each real product rounds to the bits of its complex form."""
     h, d_h = combined_gains(instance), noise_amp_diag(instance)
     h_k, dh_k, d_kk = h.tolist(), d_h.tolist(), np.real(np.diag(d)).tolist()
-    direct = float(direct_sinr(instance, p1, alpha))
+    base = 1.0 + float(direct_sinr(instance, p1, alpha))
     snr = float(alpha * p1 / instance.sigma2)
+    log2 = math.log2
 
-    def trial(state, k, s):
+    def scores(state, k, step):
         w, dw, power, b, n = state
-        s2 = abs(s) ** 2
-        power += 2.0 * (s.conjugate() * dw[k]).real + s2 * d_kk[k]
-        if not power > 0.0:
-            return None
-        b += s * h_k[k]
-        n += (2.0 * (w[k].conjugate() * s).real + s2) * dh_k[k]
+        step2 = step ** 2
+        grow, dh = step2 * d_kk[k], dh_k[k]
+        p_re, p_im = 2.0 * (step * dw[k].real), 2.0 * (step * dw[k].imag)
+        n_re, n_im = 2.0 * (w[k].real * step), 2.0 * (w[k].imag * step)
+        b_re = step * h_k[k]  # s h_k at s = step, and 1j * b_re at s = i step
+        b_im = 1j * b_re
+        pa, pb, pc, pd = (power + (p_re + grow), power + (grow - p_re),
+                          power + (p_im + grow), power + (grow - p_im))
+        na, nb, nc, nd = (n + (n_re + step2) * dh, n + (step2 - n_re) * dh,
+                          n + (n_im + step2) * dh, n + (step2 - n_im) * dh)
         # c^2 |b|^2 / (1 + c^2 n) with c^2 = p_tot/power
-        return power, 0.5 * math.log2(1.0 + direct + snr * abs(b) ** 2 / (power / p_tot + n))
+        return ((pa, 0.5 * log2(base + snr * abs(b + b_re) ** 2 / (pa / p_tot + na)))
+                if pa > 0.0 else None,
+                (pb, 0.5 * log2(base + snr * abs(b - b_re) ** 2 / (pb / p_tot + nb)))
+                if pb > 0.0 else None,
+                (pc, 0.5 * log2(base + snr * abs(b + b_im) ** 2 / (pc / p_tot + nc)))
+                if pc > 0.0 else None,
+                (pd, 0.5 * log2(base + snr * abs(b - b_im) ** 2 / (pd / p_tot + nd)))
+                if pd > 0.0 else None)
 
     def refresh(w):
         dw = d @ w
         state = (w.tolist(), dw.tolist(), float(np.vdot(w, dw).real), complex(h @ w),
                  float(np.abs(w) ** 2 @ d_h))
-        return state, trial(state, 0, 0.0)[1]  # the zero step scores w itself
+        return state, scores(state, 0, 0.0)[0][1]  # the zero step scores w itself
 
-    return refresh, trial
+    return refresh, scores
 
 
-def _projected_ascent(refresh: Callable, trial: Callable, p_tot: float, w0: np.ndarray,
+def _projected_ascent(refresh: Callable, scores: Callable, p_tot: float, w0: np.ndarray,
                       max_sweeps: int, min_step: float) -> Tuple[float, np.ndarray, int]:
     """Greedy coordinate ascent of C_d on the power boundary w'Dw = p_tot,
-    scored by _step_scorer's refresh and trial; the state is refreshed from
+    scored by _step_scorer's refresh and scores; the state is refreshed from
     w after each move, so rounding does not accumulate."""
     w = w0
     state, best = refresh(w)
@@ -186,8 +211,7 @@ def _projected_ascent(refresh: Callable, trial: Callable, p_tot: float, w0: np.n
         steps = (step, -step, 1j * step, -1j * step)
         for k in range(len(w)):
             top, move = best, None
-            for s in steps:
-                scored = trial(state, k, s)
+            for s, scored in zip(steps, scores(state, k, step)):
                 if scored is not None:
                     evals += 1
                     if scored[1] > top:
@@ -201,6 +225,28 @@ def _projected_ascent(refresh: Callable, trial: Callable, p_tot: float, w0: np.n
         if not improved:
             step *= 0.5
     return best, w, evals
+
+
+def _best_sample(re: np.ndarray, im: np.ndarray, d: np.ndarray, p_tot: float,
+                 cd: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The sample w = re + 1j im, rescaled onto w'Dw = p_tot, that
+    np.argmax(cd(w)) picks over all rows: the first maximum, or the first
+    NaN.  The rows are scored SAMPLE_BLOCK at a time, so the complex samples
+    and the temporaries never take more than SAMPLE_BLOCK rows."""
+    best, best_w = math.nan, None
+    for start in range(0, len(re), SAMPLE_BLOCK):
+        rows = slice(start, start + SAMPLE_BLOCK)
+        w = np.stack((re[rows], im[rows]), -1).view(complex)[..., 0]
+        # one zgemm: row n of w D^T is D w_n
+        power = np.real(np.einsum("ni,ni->n", np.conj(w), w @ d.T))
+        w *= np.sqrt(p_tot / power)[:, None]
+        values = cd(w)
+        j = int(np.argmax(values))
+        # a later block wins only with a strictly larger value, or with the
+        # first NaN, as np.argmax over all rows would pick
+        if best_w is None or not (math.isnan(best) or values[j] <= best):
+            best, best_w = float(values[j]), w[j]
+    return best_w
 
 
 def oracle_total(instance: NetworkInstance, params: SystemParams,
@@ -223,15 +269,12 @@ def oracle_total(instance: NetworkInstance, params: SystemParams,
     p_tot = params.budget.p_tot
 
     rng = _oracle_rng(seed, 0)
-    m1 = instance.m + 1
-    w = rng.normal(size=(n_samples, m1)) + 1j * rng.normal(size=(n_samples, m1))
-    # one zgemm: row n of w D^T is D w_n
-    power = np.real(np.einsum("ni,ni->n", np.conj(w), w @ d.T))
-    w *= np.sqrt(p_tot / power)[:, None]
-    best_w = w[int(np.argmax(_cd_evaluator(instance, params.p1, a)(w)))]
-    refresh, trial = _step_scorer(instance, params.p1, a, d, p_tot)
+    shape = (n_samples, instance.m + 1)
+    re, im = rng.normal(size=shape), rng.normal(size=shape)
+    best_w = _best_sample(re, im, d, p_tot, _cd_evaluator(instance, params.p1, a))
+    refresh, scores = _step_scorer(instance, params.p1, a, d, p_tot)
     best_cd, best_w, ascent_evals = _projected_ascent(
-        refresh, trial, p_tot, best_w, max_sweeps=ascent_sweeps, min_step=ascent_min_step)
+        refresh, scores, p_tot, best_w, max_sweeps=ascent_sweeps, min_step=ascent_min_step)
 
     # weights are compared up to the global phase the objective ignores
     cross = abs(np.vdot(solution.w, best_w))

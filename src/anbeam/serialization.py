@@ -23,7 +23,6 @@ Scenario document::
 
 from __future__ import annotations
 
-import json
 import numbers
 from typing import TYPE_CHECKING, Tuple
 
@@ -176,11 +175,13 @@ def scenario_from_dict(doc: dict) -> Tuple[NetworkInstance, SystemParams]:
 
 
 def load_scenario(path) -> Tuple[NetworkInstance, SystemParams]:
+    import json
     with open(path, "r", encoding="utf-8") as fh:
         return scenario_from_dict(json.load(fh))
 
 
 def dump_scenario(instance: NetworkInstance, params: SystemParams, path) -> None:
+    import json
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(scenario_to_dict(instance, params), fh, indent=2)
         fh.write("\n")

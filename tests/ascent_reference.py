@@ -1,18 +1,25 @@
 """The dense per-coordinate ascent that oracle_total used to run, kept as the
-independent reference for its O(1) trial scores.
+independent reference for its O(1) trial scores, and two bit-exact
+references for oracle_total's faster arithmetic.
 
 Each coordinate stacks its four trials w + s e_k, s in (step, -step,
 j step, -j step), into a (4, M+1) array, finds their powers with a
 three-operand einsum over the dense D, rescales them onto the boundary and
 scores them with the batch evaluator _cd_evaluator.  The sampling stage
 finds the sample powers with the same einsum.
+
+one_array_scan scores all boundary samples as one array, with the zgemm and
+einsum oracle_total applies to each block of them, and complex_step_score
+scores one trial by rank-one updates in complex arithmetic: oracle_total's
+blocked scan and its one-pass real step scores must match them to the bit.
 """
 
+import math
 from typing import Callable, Tuple
 
 import numpy as np
 
-from anbeam.model import derive_model
+from anbeam.model import combined_gains, derive_model, direct_sinr, noise_amp_diag
 from anbeam.oracles import _cd_evaluator, _oracle_rng
 from anbeam.total_solver import dense_power_matrix, solve_total
 from anbeam.types import NetworkInstance, SystemParams
@@ -72,3 +79,38 @@ def ascent_reference(instance: NetworkInstance, params: SystemParams, n_samples:
     best, _, evals = _projected_ascent(cd, d, p_tot, best_w, max_sweeps=ascent_sweeps,
                                        min_step=ascent_min_step)
     return best, n_samples + evals
+
+
+def one_array_scan(d: np.ndarray, cd: Callable[[np.ndarray], np.ndarray], p_tot: float,
+                   n_samples: int, m1: int, seed: int) -> Tuple[int, np.ndarray]:
+    """(index, row) of the best of oracle_total's n_samples boundary samples
+    on the (seed, 0) oracle stream, scored all at once: one zgemm and einsum
+    for the powers, one np.argmax."""
+    rng = _oracle_rng(seed, 0)
+    w = rng.normal(size=(n_samples, m1)) + 1j * rng.normal(size=(n_samples, m1))
+    power = np.real(np.einsum("ni,ni->n", np.conj(w), w @ d.T))
+    w *= np.sqrt(p_tot / power)[:, None]
+    j = int(np.argmax(cd(w)))
+    return j, w[j]
+
+
+def complex_step_score(instance: NetworkInstance, p1: float, alpha: float, d: np.ndarray,
+                       p_tot: float, w: np.ndarray, k: int, s: complex):
+    """(power, C_d) of w + s e_k rescaled onto w'Dw = p_tot, or None at power
+    <= 0: the quadratic forms of w are computed densely, then moved by s in
+    complex arithmetic (w'Dw by 2 Re(conj(s) (Dw)_k) + |s|^2 D_kk, h^T w by
+    s h_k, the noise term by (2 Re(conj(w_k) s) + |s|^2) d_h,k)."""
+    h, d_h = combined_gains(instance), noise_amp_diag(instance)
+    dw = d @ w
+    power = float(np.vdot(w, dw).real)
+    b = complex(h @ w)
+    n = float(np.abs(w) ** 2 @ d_h)
+    s2 = abs(s) ** 2
+    power += 2.0 * (s.conjugate() * complex(dw[k])).real + s2 * float(d[k, k].real)
+    if not power > 0.0:
+        return None
+    b += s * complex(h[k])
+    n += (2.0 * (complex(w[k]).conjugate() * s).real + s2) * float(d_h[k])
+    direct = float(direct_sinr(instance, p1, alpha))
+    snr = float(alpha * p1 / instance.sigma2)
+    return power, 0.5 * math.log2(1.0 + direct + snr * abs(b) ** 2 / (power / p_tot + n))

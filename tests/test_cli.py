@@ -18,6 +18,8 @@ from anbeam.serialization import dump_scenario
 from anbeam.types import IndividualBudget, NetworkInstance, SystemParams, TotalBudget
 from conftest import assert_individual_answer, make_instance
 
+REPO = Path(__file__).resolve().parents[1]
+
 
 @pytest.fixture
 def total_scenario(tmp_path, rng):
@@ -262,6 +264,23 @@ def test_validate_suites_pass(suite, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == SIGNALS_SEED3_SHA256
 
 
+# sha256 of the stdout of `validate --suite SUITE --seed 0` at the default
+# counts, with numpy 2.4.6: a change to an oracle's draws or arithmetic that
+# moves a printed digit or an eval count shows here, as the sweep digests show
+# a solver's.
+VALIDATE_SEED0_SHA256 = {
+    "total": "7c39409d8a9de1ffe5504b4160295a233c0461a9c550e1b8d9e8b68e3559fb41",
+    "individual": "0bb5423bbf646ae7ed06c54e2b166748d2613656341311244bf5303c70bdb97a",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VALIDATE_SEED0_SHA256))
+def test_validate_stdout_at_seed_0_is_pinned(suite, capsys):
+    assert main(["validate", "--suite", suite, "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_SEED0_SHA256[suite]
+
+
 def test_validate_signals_passes_on_seeds_0_to_199(capsys):
     """The relay-snr limit is 7 sigma, so a correct solver passes every seed
     (a false alarm has probability 2.6e-12 per comparison)."""
@@ -277,7 +296,6 @@ def test_validate_total_ignores_workers_and_starts_no_pool(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("validate started a process pool")
 
-    monkeypatch.setattr("anbeam.experiments.ProcessPoolExecutor", no_pool)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     outputs = []
     for workers in ("1", "2"):
@@ -285,6 +303,17 @@ def test_validate_total_ignores_workers_and_starts_no_pool(monkeypatch, capsys):
                      "--workers", workers]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Only a pooled sweep imports the process pool: a fresh interpreter that
+    imports the package and its CLI has not loaded it."""
+    code = ("import sys, anbeam, anbeam.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True, timeout=120)
+    assert result.stdout.strip() == "False"
 
 
 def test_validate_singular_d_tilde_is_a_failed_check(monkeypatch, capsys):
@@ -315,9 +344,6 @@ def test_validate_bad_flag_exits_2_before_any_check(flags, name, capsys):
 def test_validate_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         main(["validate", "--suite", "everything"])
-
-
-REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("script, rows", [

@@ -35,10 +35,10 @@ from anbeam.oracles import (
     oracle_total,
     power_iteration_rank1,
 )
-from anbeam.total_solver import build_d_tilde, dense_power_matrix
+from anbeam.total_solver import build_d_tilde, dense_power_matrix, solve_total
 from anbeam.types import (IndividualBudget, NetworkInstance, SignalRealization, SystemParams,
                           TotalBudget)
-from ascent_reference import ascent_reference
+from ascent_reference import ascent_reference, complex_step_score, one_array_scan
 from conftest import make_instance, random_weights
 
 
@@ -172,16 +172,67 @@ def test_oracle_total_follows_the_dense_reference_ascent(m):
         assert abs(report.oracle_value - value) <= 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_oracle_total_scores_sample_blocks_as_one_array(m):
+    """Across block boundaries (three blocks, the last one partial) the
+    blocked scan picks the one-array scan's sample to the bit: each report
+    equals that sample's ascent exactly."""
+    rng = np.random.default_rng(0xB10C + m)
+    n = 2 * oracles.SAMPLE_BLOCK + 17
+    blocks = set()
+    for k in range(6):
+        inst = make_instance(rng, m)
+        p1 = float(rng.uniform(0.5, 5.0))
+        params = SystemParams(p1, _gamma_for(inst, p1, float(rng.uniform(0.2, 0.9))),
+                              TotalBudget(float(rng.uniform(1.0, 10.0))))
+        report = oracle_total(inst, params, n, seed=k, ascent_sweeps=60, ascent_min_step=1e-5)
+        a = solve_total(inst, params).alpha
+        d = dense_power_matrix(derive_model(inst, p1, a))
+        p_tot = params.budget.p_tot
+        j, w0 = one_array_scan(d, oracles._cd_evaluator(inst, p1, a), p_tot, n, m + 1, k)
+        value, _, evals = oracles._projected_ascent(
+            *oracles._step_scorer(inst, p1, a, d, p_tot), p_tot, w0, max_sweeps=60,
+            min_step=1e-5)
+        assert (report.oracle_value, report.samples_or_evals) == (value, n + evals)
+        blocks.add(j // oracles.SAMPLE_BLOCK)
+    assert max(blocks) > 0  # some best sample lies beyond the first block
+
+
+@pytest.mark.parametrize("case", ["tie", "later-max", "nan-later", "nan-first", "all-inf"])
+def test_best_sample_picks_what_argmax_over_all_rows_picks(case):
+    """Block by block, _best_sample keeps the first maximum over all rows,
+    or the first NaN, as np.argmax over the whole score array does."""
+    block = oracles.SAMPLE_BLOCK
+    n = 2 * block + 17
+    values = np.linspace(0.0, 1.0, n)[::-1].copy()  # row 0 is the maximum
+    if case == "tie":
+        values[block + 3] = values[0]
+    elif case == "later-max":
+        values[2 * block + 5] = 2.0
+    elif case == "nan-later":
+        values[block + 7], values[2 * block + 1] = np.nan, 2.0
+    elif case == "nan-first":
+        values[3], values[block + 1] = np.nan, 2.0
+    else:
+        values[:] = -np.inf
+    # row i points along (1, i), so the picked row names its index
+    re = np.stack([np.ones(n), np.arange(n, dtype=float)], axis=1)
+    scored = iter(values[i:i + block] for i in range(0, n, block))
+    best = oracles._best_sample(re, np.zeros((n, 2)), np.eye(2), 1.0, lambda w: next(scored))
+    assert round(best[1].real / best[0].real) == int(np.argmax(values))
+
+
 @pytest.mark.parametrize("m", [1, 4, 16, 64])
 def test_step_score_matches_the_rescaled_trial(rng, m):
-    """trial's rank-one update of (w'Dw, h^T w, noise term) scores w + s e_k
-    as _cd_evaluator scores that trial explicitly rescaled onto w'Dw = p_tot,
-    and refresh scores w itself."""
+    """The one pass scores each axis step w + s e_k, s in (step, -step,
+    i step, -i step), as _cd_evaluator scores that trial explicitly rescaled
+    onto w'Dw = p_tot, and bit for bit as the rank-one update in complex
+    arithmetic does; refresh scores w itself."""
     inst = make_instance(rng, m)
     p1, alpha, p_tot = 2.0, 0.6, 3.0
     d = dense_power_matrix(derive_model(inst, p1, alpha))
     cd = oracles._cd_evaluator(inst, p1, alpha)
-    refresh, trial = oracles._step_scorer(inst, p1, alpha, d, p_tot)
+    refresh, scores = oracles._step_scorer(inst, p1, alpha, d, p_tot)
 
     def explicit(w):
         power = float(np.real(np.vdot(w, d @ w)))
@@ -191,11 +242,14 @@ def test_step_score_matches_the_rescaled_trial(rng, m):
         w = random_weights(rng, m, scale=float(rng.uniform(0.1, 3.0)))
         state, value = refresh(w)
         assert value == pytest.approx(explicit(w)[1], rel=1e-12)
-        for s in (0.3, -0.3, 0.3j, -1e-5j, complex(*rng.normal(size=2))):
+        for step in (0.3, 1e-5, float(rng.uniform(1e-7, 2.0))):
             k = int(rng.integers(m + 1))
-            stepped = w.copy()
-            stepped[k] += s
-            assert trial(state, k, s) == pytest.approx(explicit(stepped), rel=1e-12)
+            steps = (step, -step, 1j * step, -1j * step)
+            for s, scored in zip(steps, scores(state, k, step), strict=True):
+                stepped = w.copy()
+                stepped[k] += s
+                assert scored == pytest.approx(explicit(stepped), rel=1e-12)
+                assert scored == complex_step_score(inst, p1, alpha, d, p_tot, w, k, s)
 
 
 def test_oracle_total_rejects_bad_args(rng):
