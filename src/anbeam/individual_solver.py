@@ -24,11 +24,16 @@ and compared against r = 0.
 At alpha = 1 (eta2 = 0) there is no ellipse: u1 = sqrt(eta1), and the
 stationary r = tau t2 / (t1 + c1 sqrt(eta1)) is compared against r = 0.
 
-The greedy never needs to be run: it clamps in the fixed order of the
-closed form's ratios u_i/u_max,i, so one sort, prefix sums of the offsets and
-a sign test of the reduced objective's slope at each breakpoint give the
-number of clamps directly (_clamp_scan).  solve_individual_batch then solves
-one quartic per row, all rows in one vectorized Newton iteration.
+The greedy never needs to be run.  The active amplitudes u_i = c_i r / tau
+share the factor r / tau, so the greedy clamps in the fixed order of
+descending c_i/u_max,i, compared in logs so that no ratio overflows or
+underflows.  One test decides every clamp count K: whether the optimum of
+the K-clamped problem passes the next relay's breakpoint, by the sign of
+the reduced objective's slope there (_passes).  It runs on each row's first
+relay alone, and only the rows that clamp it are sorted and scanned through
+prefix sums of the offsets (_clamp_scan).  solve_individual_batch then
+solves one quartic per clamped row, all rows in one vectorized Newton
+iteration, and the closed form answers the rest.
 solve_individual is the N = 1 call, and MagnitudeProblem, solve_source_only,
 quartic_coeffs and select_root are one-row views of the same array
 expressions.
@@ -140,10 +145,9 @@ def _angles(eta1, eta2, t1, t2, tau, c1):
             1.0 / (1.0 + big_a), t1 / y_max)
 
 
-def _source_only(tau, eta1, eta2, c1, c2):
-    """(r*, u1, u) of the unclamped problem (t1 = 0, t2 = 1) with tau > 0,
-    the relay amplitudes u = c2 r* / tau along c2 (Cauchy-Schwarz) over a
-    trailing relay axis.
+def _source_only(tau, eta1, eta2, c1):
+    """(r*, u1) of the unclamped problem (t1 = 0, t2 = 1) with tau > 0; the
+    relay amplitudes are u = c2 r* / tau, along c2 (Cauchy-Schwarz).
 
     tan(theta*) = (1 + A^-2) tan(phi), and theta* itself is never formed:
     atan near pi/2 loses the relative precision of cos(theta*).  r* =
@@ -155,8 +159,7 @@ def _source_only(tau, eta1, eta2, c1, c2):
     tan_t = (ka * ka + kb * kb) / (ka * ka) * (sin_phi / cos_phi)
     flat = eta2 == 0.0
     r = np.where(flat, tau / (c1 * root_eta1), y_max / np.hypot(1.0, tan_t) / tau)
-    u1 = np.where(flat, root_eta1, root_eta1 / np.hypot(1.0, 1.0 / tan_t))
-    return r, u1, c2 / _per_relay(tau) * _per_relay(r)
+    return r, np.where(flat, root_eta1, root_eta1 / np.hypot(1.0, 1.0 / tan_t))
 
 
 def _quartic(eta1, eta2, t1, t2, tau, c1):
@@ -331,8 +334,9 @@ def initial_problem(instance: NetworkInstance, p1: float, alpha: float,
 def solve_source_only(problem: MagnitudeProblem) -> Tuple[float, np.ndarray, float]:
     """Closed-form optimum when only the source power constraint binds.
 
-    (u1, u, r*) as _source_only gives them, the relay amplitudes along the
-    active c.  Valid only for the unclamped problem (t1 = 0, t2 = 1).
+    (u1, u, r*): u1 and r* as _source_only gives them, and the relay
+    amplitudes u = c2 r* / tau along the active c.  Valid only for the
+    unclamped problem (t1 = 0, t2 = 1).
     """
     if problem.eta1 <= 0:
         raise InfeasibleBudget(f"eta1={problem.eta1!r} <= 0: no source power available")
@@ -343,8 +347,8 @@ def solve_source_only(problem: MagnitudeProblem) -> Tuple[float, np.ndarray, flo
     active = list(problem.active)
     c2 = np.zeros(len(problem.u_max))
     c2[active] = problem.c[1:][active]
-    r, u1, u = _source_only(problem.tau, problem.eta1, problem.eta2, problem.c1, c2)
-    return float(u1), u, float(r)
+    r, u1 = _source_only(problem.tau, problem.eta1, problem.eta2, problem.c1)
+    return float(u1), c2 / problem.tau * r, float(r)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -391,33 +395,47 @@ def select_root(coeffs: np.ndarray, problem: MagnitudeProblem,
 # The solvers
 
 
-def _clamp_scan(ratio0, cap, c1, c2, eta1, eta2):
+def _passes(cap, c2, tau, t1, t2, c1, eta1, eta2):
+    """Whether the optimum of the 1-D problem with offsets (t1, t2) over
+    active relays of norm tau passes the breakpoint of one of them, of
+    amplitude cap `cap` and gain c2, so that the relay must be clamped.
+
+    The breakpoint is x = (1 + BOUND_SLACK) cap (tau / c2) in r: tau >= c2,
+    so tau / c2 cannot underflow where cap / c2 can.  The objective psi(r) =
+    N(r)^2 / (t2 + r^2), N = y + c1 sqrt(eta1 - eta2 y^2) and y = t1 + tau r,
+    is quasi-concave on its feasible interval (N concave and >= 0 over a
+    convex positive sqrt(t2 + r^2)), so its optimum passes x exactly when
+    psi'(x) > 0, written so that no terms cancel:
+
+        (tau t2 - t1 x) (1 - c1 eta2 y / s) - c1 eta1 x / s > 0,
+
+    with s = sqrt(eta1 - eta2 y^2) > 0 at y = t1 + tau x.  A relay with a
+    zero cap always passes.  Takes arrays that broadcast.
+    """
+    x = (1.0 + BOUND_SLACK) * cap * (tau / c2)
+    y = t1 + tau * x
+    s = np.sqrt(eta1 - eta2 * y * y)
+    slope = (tau * t2 - t1 * x) * (1.0 - c1 * eta2 * y / s) - c1 * eta1 * x / s
+    return (cap == 0.0) | ((s > 0.0) & (tau > 0.0) & np.isfinite(x) & (slope > 0.0))
+
+
+def _clamp_scan(key, cap, c1, c2, eta1, eta2):
     """Where the greedy clamp sequence of each row stops, found in one pass.
 
     On the active relays u_i = c_i r / tau, so every active ratio u_i/cap_i
     scales by the same factor after each re-solve, and the greedy clamps the
-    relays in one fixed order: descending ratio0 = u/cap at the closed form,
-    first index on ties (ratio0 is inf where the cap is 0).  With the first K
-    of that order clamped, the offsets are prefix sums (np.cumsum adds in the
+    relays in one fixed order: ascending key = log2(cap) - log2(c2), first
+    index on ties (key is -inf where the cap is 0).  With the first K of
+    that order clamped, the offsets are prefix sums (np.cumsum adds in the
     greedy's order, so they are its t1 and t2 bit for bit) and tau_K is a
-    suffix sum.  The K-clamped objective psi_K(r) = N(r)^2 / (t2 + r^2),
-    N = y + c1 sqrt(eta1 - eta2 y^2) and y = t1 + tau r, is quasi-concave on
-    its feasible interval (N concave and >= 0 over a convex positive
-    sqrt(t2 + r^2)), so its optimum passes the breakpoint x of relay
-    order[K] exactly when psi_K'(x) > 0, written so that no terms cancel:
-
-        (tau t2 - t1 x) (1 - c1 eta2 y / s) - c1 eta1 x / s > 0,  s = sqrt(rad).
-
-    A relay with a zero cap is always clamped.  Every row must violate at
-    K = 0 (the greedy's ratio test on the closed form, which the caller
-    applies).  A row stops at the first K that does not violate, which is
-    also where a greedy re-solve without admissible candidates stops: that
-    needs rad < 0 at r = 0, hence at x.  Returns (clamped, t1, t2): the
-    (N, M) mask of its first K relays in clamp order, and the offsets after
-    those K clamps (N,).
+    suffix sum.  A row stops at the first K whose relay order[K] does not
+    pass (_passes), which is also where a greedy re-solve without admissible
+    candidates stops: that needs rad < 0 at r = 0, hence at the breakpoint.
+    Returns (clamped, t1, t2): the (N, M) mask of its first K relays in
+    clamp order, and the offsets after those K clamps (N,).
     """
     n, m = cap.shape
-    order = np.argsort(-ratio0, axis=1, kind="stable")
+    order = np.argsort(key, axis=1, kind="stable")
     cap = np.take_along_axis(cap, order, axis=1)
     c2 = np.take_along_axis(c2, order, axis=1)
     t1 = np.zeros((n, m + 1))
@@ -428,18 +446,8 @@ def _clamp_scan(ratio0, cap, c1, c2, eta1, eta2):
     np.cumsum(t2, axis=1, out=t2)
     tau = np.cumsum((c2 * c2)[:, ::-1], axis=1)[:, ::-1]
     np.sqrt(tau, out=tau)
-
-    # relay order[K]'s breakpoint x in r, and the sign of psi_K'(x)
     col = (slice(None), None)
-    x = (1.0 + BOUND_SLACK) * (cap / c2) * tau
-    y = t1[:, :m] + tau * x
-    rad = eta1[col] - eta2[col] * y * y
-    s = np.sqrt(rad)
-    slope = ((tau * t2[:, :m] - t1[:, :m] * x) * (1.0 - c1[col] * eta2[col] * y / s)
-             - c1[col] * eta1[col] * x / s)
-    violates = (rad > 0.0) & (tau > 0.0) & np.isfinite(x) & (slope > 0.0)
-    violates |= cap == 0.0
-    violates[:, 0] = True  # the caller's ratio test on the closed form
+    violates = _passes(cap, c2, tau, t1[:, :m], t2[:, :m], c1[col], eta1[col], eta2[col])
     k = np.where(violates.all(axis=1), m, np.argmin(violates, axis=1))
     clamped = np.zeros((n, m), dtype=bool)
     np.put_along_axis(clamped, order, np.arange(m) < k[:, None], axis=1)
@@ -455,20 +463,24 @@ def solve_individual_batch(batch: NetworkInstance, params: SystemParams,
     """Optimal weights under separate source and per-relay power caps for
     every row of a batch; alpha as in solve_total_batch.
 
-    The closed form solves the problem without relay caps.  Where a cap is
-    exceeded, the greedy active-set answer follows: the proportionally worst
-    violators are clamped at their caps exactly (ties to the lowest index),
-    folded into (t1, t2), and the 1-D problem over the remaining relays is
-    re-solved by the stationarity quartic.  The clamp count comes from one
-    breakpoint scan per row (_clamp_scan), so each row solves one quartic,
-    and all of them share one Newton iteration (_root).  The source
-    amplitude comes from the chosen angle, phases are applied, and relay
-    weights are recovered as w_i = u_i/|h_id| * exp(j phi_i).
+    The greedy active-set answer: the proportionally worst violators of
+    their caps are clamped there exactly (ties to the lowest index), folded
+    into (t1, t2), and the 1-D problem over the remaining relays is solved
+    again.  The clamp count K comes from one breakpoint test (_passes), on
+    each row's first relay in clamp order and then, for the rows that clamp
+    it, on every relay in one scan (_clamp_scan).  Rows with K = 0 take the
+    closed form, the others solve one quartic each, all of them in one
+    Newton iteration (_root).  The source amplitude comes from the chosen
+    angle, phases are applied, and relay weights are recovered as w_i =
+    u_i/|h_id| * exp(j phi_i).  Where a relay weight is subnormal, its
+    amplitude rounds to a few bits, so u1 is capped again on the rounded
+    amplitudes.
 
     Rows fail independently: InfeasibleThreshold (gamma out of reach),
     InfeasibleBudget (the source cannot cancel the noise the clamped relays
-    forward) or NonFiniteSolution (eta1, eta2, tau, w, C_d or the
-    second-phase power leaves the float range).
+    forward, or the rounded amplitudes of subnormal weights) or
+    NonFiniteSolution (eta1, eta2, tau, w, C_d or the second-phase power
+    leaves the float range).
     """
     p1 = params.p1
     a, errors = resolve_alphas(batch, p1, params.gamma, alpha)
@@ -478,46 +490,46 @@ def solve_individual_batch(batch: NetworkInstance, params: SystemParams,
     clamped = np.zeros((n, m), dtype=bool)
     t1, t2 = np.zeros(n), np.ones(n)
     tau = _active_norm(c2)
-    r = np.zeros(n)
-    u1 = np.sqrt(eta1)
-    u = np.zeros((n, m))
     errors.fail(np.flatnonzero(~(np.isfinite(eta1) & np.isfinite(eta2) & np.isfinite(tau))),
                 lambda i: NonFiniteSolution(
                     f"the magnitude problem overflows a float (eta1={float(eta1[i])!r}, "
                     f"eta2={float(eta2[i])!r}, tau={float(tau[i])!r})"))
 
-    rows = np.flatnonzero(~errors.failed & (tau > 0.0))
-    r[rows], u1[rows], u[rows] = _source_only(tau[rows], eta1[rows], eta2[rows], c1[rows],
-                                              c2[rows])
-
-    live = np.flatnonzero(~errors.failed)
-    ratio0 = np.where(u_max[live] > 0.0, u[live] / u_max[live], np.inf)
-    over = np.max(ratio0, axis=1, initial=-np.inf) > 1.0 + BOUND_SLACK
-    live = live[over]
-    if live.size:  # no row violates a cap at M = 0
+    if m:  # only the rows whose optimum passes their first relay's breakpoint clamp
+        key = np.where(u_max > 0.0, np.log2(u_max) - np.log2(c2), -np.inf)
+        live = np.flatnonzero(~errors.failed)
+        top = live, np.argmin(key[live], axis=1)
+        live = live[_passes(u_max[top], c2[top], tau[live], 0.0, 1.0, c1[live], eta1[live],
+                            eta2[live])]
         clamped[live], t1[live], t2[live] = _clamp_scan(
-            ratio0[over], u_max[live], c1[live], c2[live], eta1[live], eta2[live])
-
-    tau[live] = _active_norm(c2[live], ~clamped[live])
-    rad = eta1 - eta2 * t1 * t1  # u1^2 at r = 0
-    errors.fail(live[rad[live] < 0.0], lambda i: _infeasible_budget(rad[i]))
-    # r = 0, also the answer where nothing is left to re-solve
-    r[live] = 0.0
-    u1[live] = np.sqrt(rad[live])
-    u[live] = np.where(clamped[live], u_max[live], 0.0)
-    rows = live[tau[live] > 0.0]
+            key[live], u_max[live], c1[live], c2[live], eta1[live], eta2[live])
+    free = ~clamped.any(axis=1)
+    tau[~free] = _active_norm(c2[~free], ~clamped[~free])
+    rad = eta1 - eta2 * t1 * t1  # u1^2 at r = 0, the answer where no relay is active
+    errors.fail(np.flatnonzero(rad < 0.0), lambda i: _infeasible_budget(rad[i]))
+    r, u1 = np.zeros(n), np.sqrt(rad)
+    solved = ~errors.failed & (tau > 0.0)
+    rows = np.flatnonzero(solved & free)
+    r[rows], u1[rows] = _source_only(tau[rows], eta1[rows], eta2[rows], c1[rows])
+    rows = np.flatnonzero(solved & ~free)
     if rows.size:
         args = (eta1[rows], eta2[rows], t1[rows], t2[rows], tau[rows], c1[rows])
         r_c, u1_c, value, valid = _candidates(_quartic(*args), *args)
         pick = np.arange(len(rows)), _best(r_c, value, valid)[0]
         r[rows], u1[rows] = r_c[pick], u1_c[pick]
-        u[rows] = np.where(clamped[rows], u[rows],
-                           c2[rows] / tau[rows, None] * r[rows, None])
+    # nan on the active relays where tau = 0, which relay_w's u > 0 test zeroes
+    u = np.where(clamped, u_max, c2 / tau[:, None] * r[:, None])
 
     phases = optimal_phases(batch)
     gains_rd = np.abs(batch.h_rd)
-    relay_w = np.where((gains_rd > 0.0) & (u > 0.0),
-                       u / gains_rd * np.exp(1j * phases[:, 1:]), 0.0)
+    mag = u / gains_rd
+    relay_w = np.where((gains_rd > 0.0) & (u > 0.0), mag * np.exp(1j * phases[:, 1:]), 0.0)
+    rows = np.flatnonzero(np.any((0.0 < mag) & (mag < np.finfo(float).tiny), axis=1))
+    if rows.size:  # subnormal weights round their amplitudes: cap u1 on the rounded ones
+        y = _dot(c2[rows], np.abs(relay_w[rows] * gains_rd[rows]))
+        rad[rows] = eta1[rows] - eta2[rows] * y * y
+        errors.fail(rows[rad[rows] < 0.0], lambda i: _infeasible_budget(rad[i]))
+        u1[rows] = np.minimum(u1[rows], np.sqrt(rad[rows]))
     w = np.concatenate(((u1 * np.exp(1j * phases[:, 0]))[:, None], relay_w), axis=-1)
     return solved_values(batch, p1, a, w, errors, IndividualDiagnostics(
         clamped=clamped, t1=t1, t2=t2, tau=tau, chosen_r=r))

@@ -55,7 +55,7 @@ def strongest_relay(instance: NetworkInstance) -> int:
     """
     if instance.m == 0:
         raise ValueError("instance has no relays: strongest_relay needs at least one")
-    return int(np.argmax(np.abs(instance.h_sr) ** 2))
+    return int(np.argmax(np.square(np.abs(instance.h_sr))))
 
 
 def alpha_for_threshold(instance: NetworkInstance, p1: float, gamma: float) -> float:
@@ -84,7 +84,7 @@ def _phase1_sinr(gain2, sigma2: float, p1: float, alpha):
 def relay_snrs(instance: NetworkInstance, p1, alpha) -> np.ndarray:
     """First-phase SNR at every relay, the artificial noise acting as
     interference."""
-    return _phase1_sinr(np.abs(instance.h_sr) ** 2, instance.sigma2, _per_relay(p1),
+    return _phase1_sinr(np.square(np.abs(instance.h_sr)), instance.sigma2, _per_relay(p1),
                         _per_relay(alpha))
 
 
@@ -95,7 +95,7 @@ def capacity_relay(instance: NetworkInstance, p1: float, alpha: float, i: int) -
 def direct_sinr(instance: NetworkInstance, p1: float, alpha) -> float:
     """First-phase destination SINR on the direct link, artificial noise
     counted as interference."""
-    return _phase1_sinr(np.abs(instance.h_sd) ** 2, instance.sigma2, p1, alpha)
+    return _phase1_sinr(np.square(np.abs(instance.h_sd)), instance.sigma2, p1, alpha)
 
 
 def combined_gains(instance: NetworkInstance) -> np.ndarray:
@@ -108,7 +108,7 @@ def combined_gains(instance: NetworkInstance) -> np.ndarray:
 def noise_amp_diag(instance: NetworkInstance) -> np.ndarray:
     """Diagonal [0, |h_1d|^2, ...]: how relay weights amplify relay noise at
     the destination (the source's own weight forwards no receiver noise)."""
-    gains = np.abs(instance.h_rd) ** 2
+    gains = np.square(np.abs(instance.h_rd))
     return np.concatenate((np.zeros(gains.shape[:-1] + (1,)), gains), axis=-1)
 
 
@@ -127,8 +127,8 @@ def beam_sinr(instance: NetworkInstance, p1: float, alpha, w: np.ndarray) -> flo
     w = np.asarray(w, dtype=complex)
     b = _dot(combined_gains(instance), w)
     dh = noise_amp_diag(instance)
-    return (alpha * p1 * np.abs(b) ** 2
-            / (instance.sigma2 * (1.0 + np.sum(dh * np.abs(w) ** 2, axis=-1))))
+    return (alpha * p1 * np.square(np.abs(b))
+            / (instance.sigma2 * (1.0 + np.sum(dh * np.square(np.abs(w)), axis=-1))))
 
 
 def capacity_dest(instance: NetworkInstance, p1: float, alpha, w: np.ndarray) -> float:
@@ -184,7 +184,7 @@ def cancellation_gains(instance: NetworkInstance) -> np.ndarray:
 def relay_input_powers(instance: NetworkInstance, p1) -> np.ndarray:
     """Expected received power at each relay, |h_si|^2 p1 + sigma2 — the factor
     a relay weight multiplies when spending transmit power."""
-    return np.abs(instance.h_sr) ** 2 * _per_relay(p1) + instance.sigma2
+    return np.square(np.abs(instance.h_sr)) * _per_relay(p1) + instance.sigma2
 
 
 def second_phase_power(instance: NetworkInstance, p1: float, alpha,
@@ -197,9 +197,9 @@ def second_phase_power(instance: NetworkInstance, p1: float, alpha,
     """
     w = np.asarray(w, dtype=complex)
     relay_w = w[..., 1:]
-    source = (alpha * p1 * np.abs(w[..., 0]) ** 2
-              + (1.0 - alpha) * p1 * np.abs(_dot(cancellation_gains(instance), relay_w)) ** 2)
-    relays = np.sum(relay_input_powers(instance, p1) * np.abs(relay_w) ** 2, axis=-1)
+    source = (alpha * p1 * np.square(np.abs(w[..., 0]))
+              + (1.0 - alpha) * p1 * np.square(np.abs(_dot(cancellation_gains(instance), relay_w))))
+    relays = np.sum(relay_input_powers(instance, p1) * np.square(np.abs(relay_w)), axis=-1)
     return source + relays
 
 
@@ -279,7 +279,7 @@ def resolve_alphas(batch: NetworkInstance, p1, gamma: Optional[float],
     check_gamma(gamma)
     if batch.m == 0:
         raise ValueError("instance has no relays: gamma, a relay SNR threshold, needs one")
-    gain2 = np.max(np.abs(batch.h_sr) ** 2, axis=-1)
+    gain2 = np.max(np.square(np.abs(batch.h_sr)), axis=-1)
     ceiling = gain2 * p1 / batch.sigma2
     # a zero gain gives alpha = inf, but its ceiling 0 < gamma marks it infeasible
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -7,7 +7,10 @@ clamps that relay at its cap, folds it into (t1, t2) and re-solves the 1-D
 problem over the remaining relays with the stationarity quartic.  The loop
 ends when no row has a violator left; rows fail independently.  BOUND_SLACK
 is read from individual_solver at call time, so a test that patches it
-there changes both sides.
+there changes both sides.  The ratio test reads u = c2 r / tau, so it is
+exact only where u does not underflow: where it does, ratios of 0 tie and
+the loop clamps them in index order, which the solver's log-domain order
+does not.
 
 Only the loop is independent: the closed form, the per-round 1-D solve
 (_quartic, _candidates with its Newton root _root, _best) and the final
@@ -47,8 +50,8 @@ def greedy_reference(batch: NetworkInstance, params: SystemParams, alpha=None):
         errors.fail(np.flatnonzero(~(np.isfinite(eta1) & np.isfinite(eta2) & np.isfinite(tau))),
                     lambda i: NonFiniteSolution(""))
         rows = np.flatnonzero(~errors.failed & (tau > 0.0))
-        r[rows], u1[rows], u[rows] = _source_only(tau[rows], eta1[rows], eta2[rows],
-                                                  c1[rows], c2[rows])
+        r[rows], u1[rows] = _source_only(tau[rows], eta1[rows], eta2[rows], c1[rows])
+        u[rows] = c2[rows] / tau[rows, None] * r[rows, None]
 
         live = np.flatnonzero(~errors.failed & active.any(axis=1))
         while live.size:

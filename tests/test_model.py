@@ -673,25 +673,49 @@ def test_relay_snr_bounded_by_full_power(gains, alpha, p1):
 # the whole float range: a finite answer within budget, or a named error
 
 
-@settings(max_examples=300, deadline=None)
-@given(m=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
-       log10_alpha=st.floats(-30.0, 0.0))
-@example(m=7, seed=0, log10_alpha=0.0)
-def test_every_solve_is_finite_within_budget_or_a_named_error(m, seed, log10_alpha):
-    """Gains, sigma2, p1 and the budgets log-uniform over 1e-100 .. 1e100:
-    each solve returns a finite w whose C_d is capacity_dest(w) and which
-    meets its budget to 1e-12, or raises a BeamformingError or ValueError.
-    An individual-budget answer also reaches the C_d of the feasible points
-    feasible_c_d builds from the channels.  The example is an alpha = 1
-    network whose clamp scan, with a slope lost to cancellation, once
-    stopped one relay short: C_d = 3.547 against 189.556 with every relay
-    at its cap."""
+def _wide_network(m, seed):
+    """(inst, p1, p_s, p_i, p_tot): gains, sigma2, p1 and the budgets of an
+    m-relay network drawn log-uniform over 1e-100 .. 1e100."""
     rng = np.random.default_rng(seed)
     gains = 10.0 ** rng.uniform(-100.0, 100.0, 2 * m + 1) * np.exp(
         2j * np.pi * rng.uniform(size=2 * m + 1))
     sigma2, p1, p_s, p_tot = 10.0 ** rng.uniform(-100.0, 100.0, 4)
     p_i = 10.0 ** rng.uniform(-100.0, 100.0, m)
     inst = NetworkInstance(h_sd=gains[0], h_sr=gains[1::2], h_rd=gains[2::2], sigma2=sigma2)
+    return inst, p1, p_s, p_i, p_tot
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+       log10_alpha=st.floats(-30.0, 0.0))
+@example(m=7, seed=0, log10_alpha=0.0)
+# a subnormal relay weight, rounded to a few bits, broke the source cap
+@example(m=7, seed=946878792, log10_alpha=-4.5)
+@example(m=5, seed=3152834176, log10_alpha=-6.043805110406808)
+@example(m=3, seed=3008052171, log10_alpha=-0.44678930416713314)
+@example(m=7, seed=2101998809, log10_alpha=-2.4412225800998506)
+# u = c2 r / tau underflowed to 0, so the clamp order broke a relay cap
+@example(m=5, seed=2216671964, log10_alpha=-1.3458074243268285)
+@example(m=4, seed=1323884864, log10_alpha=-10.355822312022568)
+@example(m=7, seed=3211390890, log10_alpha=-2.0036911779033844)
+@example(m=6, seed=2253889584, log10_alpha=-11.019473696015773)
+@example(m=7, seed=853316708, log10_alpha=-3.3791366797652422)
+@example(m=8, seed=852081386, log10_alpha=-9.257053718610745)
+@example(m=4, seed=1355296502, log10_alpha=-9.777148997975665)
+# a scalar's ** 2 rounded apart from an array's, so C_d missed its recomputation
+@example(m=7, seed=3309908785, log10_alpha=-11.842377479119243)
+@example(m=8, seed=982268199, log10_alpha=-0.497563515105373)
+@example(m=4, seed=341470222, log10_alpha=-19.240544845441523)
+def test_every_solve_is_finite_within_budget_or_a_named_error(m, seed, log10_alpha):
+    """On _wide_network, each solve returns a finite w whose C_d is
+    capacity_dest(w) and which meets its budget to 1e-12, or raises a
+    BeamformingError or ValueError.  An individual-budget answer also
+    reaches the C_d of the feasible points feasible_c_d builds from the
+    channels.  The first example is an alpha = 1 network whose clamp scan,
+    with a slope lost to cancellation, once stopped one relay short: C_d =
+    3.547 against 189.556 with every relay at its cap.  The others once
+    broke a cap or C_d, as the comments above them say."""
+    inst, p1, p_s, p_i, p_tot = _wide_network(m, seed)
     alpha = 10.0 ** log10_alpha
     for solve, budget in ((solve_total, TotalBudget(p_tot)),
                           (solve_individual, IndividualBudget(p_s, p_i))):
@@ -709,3 +733,15 @@ def test_every_solve_is_finite_within_budget_or_a_named_error(m, seed, log10_alp
             assert sol.c_d == capacity_dest(inst, p1, sol.alpha, sol.w)
         source, relays = power_amplitudes(inst, p1, sol.alpha, sol.w)
         assert math.hypot(source, *relays) <= math.sqrt(p_tot) * (1.0 + 1e-12)
+
+
+def test_a_breakpoint_whose_cap_over_c2_underflows_clamps_nothing():
+    """The last relay comes first in clamp order, and its cap / c2 (1.0e-202
+    / 9.7e132) underflows to 0, but tau / c2 >= 1 does not: formed as cap
+    (tau / c2), its breakpoint is 1.0e-202, above the optimum's r = 3.3e-224,
+    and the network is answered with every relay active."""
+    inst, p1, p_s, p_i, _ = _wide_network(4, 4070546912)
+    params = SystemParams(p1, None, IndividualBudget(p_s, p_i))
+    sol = solve_individual(inst, params, alpha=10.0 ** -16.189634050056018)
+    assert sol.diagnostics.clamped == ()
+    assert_individual_answer(inst, params, sol)
