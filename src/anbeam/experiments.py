@@ -16,9 +16,11 @@ All grid points of one relay count are solved as one batch per budget mode
 (solve_grid_points): each row is one (grid point, slot), with p1 and a fixed
 alpha per row.  Every row's instance is drawn (each (slot, attempt) key's
 stream is seeded once per relay-count chunk and restored from its saved start
-for every other row that draws it), stacked into one NetworkInstance
-and handed to solve_total_batch and solve_individual_batch, which report
-failures per row (the batch is split in equal parts of at most
+for every other row that draws it; the drawn gains are scaled in place, so
+the NetworkInstance's frozen copy is their one copy), stacked into one
+NetworkInstance and handed to solve_total_batch and solve_individual_batch,
+which share the stack's channel arrays (model.py forms each once per stack)
+and report failures per row (the batch is split in equal parts of at most
 BATCH_ELEMENTS rows x relays and BATCH_ROWS rows, which changes no value).
 A row that fails in either mode (e.g. an infeasible SNR threshold at low p1)
 advances its slot's attempt counter at its own grid point; the failed rows
@@ -49,6 +51,12 @@ log = logging.getLogger(__name__)
 HARNESS_NAMESPACE = 0xBEA7
 
 BUDGET_MODES = ("total", "individual")
+
+# numpy sizes an array in bytes by an np.intp.  A sweep's largest arrays are
+# a row's 2 + 4m float64 normal draws and one float64 per row of every grid
+# point, n_instances rows each, so larger counts fail inside numpy.
+_MAX_FLOAT64S = np.iinfo(np.intp).max // 8
+_MAX_RELAYS = (_MAX_FLOAT64S - 2) // 4
 
 
 def resolve_workers(explicit: Optional[int] = None) -> int:
@@ -86,17 +94,19 @@ def sample_instance(m: int, variances: ChannelVariances,
                     stream: np.random.Generator, sigma2: float = 1.0) -> NetworkInstance:
     """Draw one network: h_sd ~ CN(0, sd), each relay's h_si ~ CN(0, sr) and
     h_id ~ CN(0, rd), with the per-relay draws interleaved so a smaller relay
-    count consumes a prefix of the same stream.  An m that is not an integer
-    of at least 1 is a ValueError naming it."""
+    count consumes a prefix of the same stream.  The gains are scaled in the
+    drawn array, so the NetworkInstance's frozen copy is the one copy made.
+    An m that is not an integer of at least 1 is a ValueError naming it."""
     m = _integer(m, "m")
     if m < 1:
         raise ValueError(f"m={m}: need at least one relay")
     # read as complex: h_sd, then (h_si, h_id) for each relay
     gains = stream.standard_normal(2 + 4 * m).view(complex)
+    h_sr, h_rd = gains[1::2], gains[2::2]
+    h_sr *= math.sqrt(variances.sr / 2.0)
+    h_rd *= math.sqrt(variances.rd / 2.0)
     return NetworkInstance(h_sd=complex(gains[0]) * math.sqrt(variances.sd / 2.0),
-                           h_sr=gains[1::2] * math.sqrt(variances.sr / 2.0),
-                           h_rd=gains[2::2] * math.sqrt(variances.rd / 2.0),
-                           sigma2=sigma2)
+                           h_sr=h_sr, h_rd=h_rd, sigma2=sigma2)
 
 
 @dataclass(frozen=True)
@@ -155,6 +165,13 @@ class ExperimentSpec:
             raise ValueError("seed must be nonnegative")
         if min(self.m_values) < 1:
             raise ValueError("m_values: relay counts must be >= 1")
+        if max(self.m_values) > _MAX_RELAYS:
+            raise ValueError(f"m_values: relay counts must be <= {_MAX_RELAYS}, "
+                             "whose draw of 2 + 4m normals fills numpy's largest array")
+        points = len(self.p1_values) * len(self.alpha_grid())
+        if self.n_instances > _MAX_FLOAT64S // points:
+            raise ValueError(f"n_instances must be <= {_MAX_FLOAT64S // points} at {points} "
+                             "grid point(s), whose rows fill numpy's largest array")
         ChannelVariances(self.variance_sr, self.variance_rd, self.variance_sd)
         if not 0.0 < self.sigma2 < math.inf:
             raise ValueError("sigma2 must be finite and positive")
@@ -209,10 +226,12 @@ def alpha_label(spec: ExperimentSpec, alpha: Optional[float]) -> str:
 # dozen arrays of that size, so this bounds a batch's memory at large M or
 # n_instances; with 100 slots, every M <= 163 is still one part per grid point.
 BATCH_ELEMENTS = 1 << 14
-# Largest batch the solvers get, in rows.  At a few hundred rows the per-call
-# cost of the solvers is already spread thin; larger parts only raise the peak
-# memory (the 3,300 rows of the power sweep as one part: +13% peak RSS).
-BATCH_ROWS = 512
+# Largest batch the solvers get, in rows.  A part's stack and two batch solves
+# take 0.68 ms at 1 row and 1.91 ms at 412 rows (M = 4, a 2-vCPU x86 VM), so
+# fewer parts save a fixed cost each.  Peak RSS of three power sweeps (3,300
+# rows) in one process: 37.0 MiB at 512 rows (7 parts), 37.6 MiB at 1,024
+# (4 parts, +1.6%) and 41.6 MiB as one part (+12.5%), hence a cap.
+BATCH_ROWS = 1 << 10
 
 
 def solve_grid_points(spec: ExperimentSpec, m: int,
@@ -262,8 +281,8 @@ def solve_grid_points(spec: ExperimentSpec, m: int,
 
     while pending.size:
         failed = []
-        parts = max(-(-pending.size * m // BATCH_ELEMENTS), -(-pending.size // BATCH_ROWS))
-        for rows in np.array_split(pending, parts):
+        per_part = min(max(1, BATCH_ELEMENTS // m), BATCH_ROWS)
+        for rows in np.array_split(pending, -(-pending.size // per_part)):
             # slots and attempts as Python ints: int() of a numpy scalar costs per row
             batch = NetworkInstance.stack(
                 sample_instance(m, variances, stream(slot, attempt), spec.sigma2)

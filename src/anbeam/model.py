@@ -16,12 +16,18 @@ Conventions used throughout:
   over a trailing relay axis.  They take a single NetworkInstance or a
   stack alike, with p1 and alpha each a scalar or one value per row, so the
   batched solvers share every formula with the single-instance ones.
+* The arrays that depend on the channels alone (combined_gains,
+  cancellation_gains, noise_amp_diag, relay_power_gains) are formed the
+  first time a formula needs them and kept in the instance or stack, so the
+  two budget solves of a stack form each once; they are returned read-only,
+  and, as an instance is immutable, never go stale.
 * The signal-level functions propagate one symbol or an array of them, so
   the cancellation check and the Monte Carlo oracle share one reception.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -46,6 +52,27 @@ def _per_relay(x) -> np.ndarray:
     return np.asarray(x)[..., None]
 
 
+def _kept(form):
+    """form(instance) formed once per NetworkInstance: the first call keeps
+    its array, read-only, in the instance, and later calls return it."""
+    key = "_kept_" + form.__name__
+
+    @functools.wraps(form)
+    def kept(instance: NetworkInstance) -> np.ndarray:
+        value = instance.__dict__.get(key)
+        if value is None:
+            value = instance.__dict__[key] = form(instance)
+            value.setflags(write=False)
+        return value
+    return kept
+
+
+@_kept
+def relay_power_gains(instance: NetworkInstance) -> np.ndarray:
+    """|h_si|^2 of every relay: the source->relay power gains."""
+    return np.square(np.abs(instance.h_sr))
+
+
 def strongest_relay(instance: NetworkInstance) -> int:
     """Index of the relay with the largest source-side gain |h_si|^2.
 
@@ -55,7 +82,7 @@ def strongest_relay(instance: NetworkInstance) -> int:
     """
     if instance.m == 0:
         raise ValueError("instance has no relays: strongest_relay needs at least one")
-    return int(np.argmax(np.square(np.abs(instance.h_sr))))
+    return int(np.argmax(relay_power_gains(instance)))
 
 
 def alpha_for_threshold(instance: NetworkInstance, p1: float, gamma: float) -> float:
@@ -84,7 +111,7 @@ def _phase1_sinr(gain2, sigma2: float, p1: float, alpha):
 def relay_snrs(instance: NetworkInstance, p1, alpha) -> np.ndarray:
     """First-phase SNR at every relay, the artificial noise acting as
     interference."""
-    return _phase1_sinr(np.square(np.abs(instance.h_sr)), instance.sigma2, _per_relay(p1),
+    return _phase1_sinr(relay_power_gains(instance), instance.sigma2, _per_relay(p1),
                         _per_relay(alpha))
 
 
@@ -98,6 +125,7 @@ def direct_sinr(instance: NetworkInstance, p1: float, alpha) -> float:
     return _phase1_sinr(np.square(np.abs(instance.h_sd)), instance.sigma2, p1, alpha)
 
 
+@_kept
 def combined_gains(instance: NetworkInstance) -> np.ndarray:
     """Length-(M+1) vector [h_sd, h_s1*h_1d, ..., h_sM*h_Md] of end-to-end
     gains seen by the second-phase weights."""
@@ -105,6 +133,7 @@ def combined_gains(instance: NetworkInstance) -> np.ndarray:
                           axis=-1)
 
 
+@_kept
 def noise_amp_diag(instance: NetworkInstance) -> np.ndarray:
     """Diagonal [0, |h_1d|^2, ...]: how relay weights amplify relay noise at
     the destination (the source's own weight forwards no receiver noise)."""
@@ -175,6 +204,7 @@ def secrecy_monotone_in_alpha(instance: NetworkInstance, p1: float, w: np.ndarra
     return f >= alpha_monotonicity_threshold(instance, p1)
 
 
+@_kept
 def cancellation_gains(instance: NetworkInstance) -> np.ndarray:
     """g_i = h_si h_id / h_sd: per-relay coefficient the source needs in its
     second-phase transmission so the forwarded artificial noise cancels."""
@@ -184,7 +214,7 @@ def cancellation_gains(instance: NetworkInstance) -> np.ndarray:
 def relay_input_powers(instance: NetworkInstance, p1) -> np.ndarray:
     """Expected received power at each relay, |h_si|^2 p1 + sigma2 — the factor
     a relay weight multiplies when spending transmit power."""
-    return np.square(np.abs(instance.h_sr)) * _per_relay(p1) + instance.sigma2
+    return relay_power_gains(instance) * _per_relay(p1) + instance.sigma2
 
 
 def second_phase_power(instance: NetworkInstance, p1: float, alpha,
@@ -279,7 +309,7 @@ def resolve_alphas(batch: NetworkInstance, p1, gamma: Optional[float],
     check_gamma(gamma)
     if batch.m == 0:
         raise ValueError("instance has no relays: gamma, a relay SNR threshold, needs one")
-    gain2 = np.max(np.square(np.abs(batch.h_sr)), axis=-1)
+    gain2 = np.max(relay_power_gains(batch), axis=-1)
     ceiling = gain2 * p1 / batch.sigma2
     # a zero gain gives alpha = inf, but its ceiling 0 < gamma marks it infeasible
     with np.errstate(divide="ignore", invalid="ignore"):

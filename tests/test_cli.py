@@ -195,8 +195,12 @@ def test_sweep_bad_spec_is_clean_error(tmp_path, capsys):
     ({"relays": 4}, "relays"),
     ({"m_values": 4}, "m_values"),
     ({"p_s": 10 ** 400}, "p_s: the integer is too large for a float"),
+    ({"m_values": [10 ** 400]}, "m_values: relay counts must be <="),
+    ({"n_instances": 2 ** 63}, "n_instances must be <="),
+    ({"m_values": [2 ** 63]}, "m_values: relay counts must be <="),
 ], ids=["fractional-m", "empty-p1", "fractional-count", "negative-seed", "unknown-key",
-        "scalar-m", "integer-too-large-for-a-float"])
+        "scalar-m", "integer-too-large-for-a-float", "m-too-large-for-a-float",
+        "count-beyond-numpy", "m-beyond-numpy"])
 def test_sweep_bad_field_exits_2_naming_it(override, field, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     doc = {**spec_to_dict(relay_count_sweep_spec(seed=1, n_instances=1)), **override}

@@ -200,6 +200,28 @@ def test_spec_rejects_bad_budgets_powers_and_splits(overrides):
         _tiny_spec(**overrides)
 
 
+@pytest.mark.parametrize("overrides, field", [
+    (dict(m_values=(2, 10 ** 400)), "m_values"),
+    (dict(m_values=(2 ** 63,)), "m_values"),
+    (dict(m_values=(experiments._MAX_RELAYS + 1,)), "m_values"),
+    (dict(n_instances=2 ** 63), "n_instances"),
+    (dict(n_instances=(2 ** 63 - 1) // 8 // 3 + 1, p1_values=(1.0, 2.0, 3.0)), "n_instances"),
+], ids=["m-too-large-for-a-float", "m-2**63", "m-one-past-the-bound", "n-2**63",
+        "n-one-past-the-bound-at-3-points"])
+def test_spec_rejects_counts_numpy_cannot_size(overrides, field):
+    with pytest.raises(ValueError, match=f"^{field}"):
+        _tiny_spec(**overrides)
+
+
+def test_spec_accepts_the_largest_counts_numpy_can_size():
+    # (2 + 4m) float64 draws and one float64 per row of every grid point fill
+    # at most 2^63 - 1 bytes
+    m = experiments._MAX_RELAYS
+    assert 8 * (2 + 4 * m) <= 2 ** 63 - 1 < 8 * (2 + 4 * (m + 1))
+    _tiny_spec(m_values=(m,))
+    _tiny_spec(n_instances=(2 ** 63 - 1) // 8 // 3, p1_values=(1.0, 2.0, 3.0))
+
+
 def test_spec_accepts_boundary_values():
     _tiny_spec(p_i=0.0, alpha_values=(1.0,))
     _tiny_spec(alpha_values=None, gamma=1e-6)
@@ -440,11 +462,20 @@ def test_split_batches_give_the_same_grid_point(monkeypatch):
     spec = ExperimentSpec(m_values=(10,), p1_values=(0.5,), gamma=1.0, p_i=0.01,
                           n_instances=30, seed=0)
     whole = solve_grid_point(spec, 10, 0.5, None)
-    monkeypatch.setattr(experiments, "BATCH_ELEMENTS", 35)  # batches of at most 3 rows
-    split = solve_grid_point(spec, 10, 0.5, None)
-    assert whole.resamples > 0 and split.resamples == whole.resamples
-    for mode in spec.modes:
-        assert np.array_equal(split.c_d[mode], whole.c_d[mode])
+    sizes = []
+    monkeypatch.setattr(experiments, "solve_total_batch",
+                        lambda batch, *args, **kwargs: sizes.append(batch.n)
+                        or solve_total_batch(batch, *args, **kwargs))
+    # batches of at most 3 rows (3 x 10 of 35 elements), then at most 4 rows
+    for cap, value, rows in (("BATCH_ELEMENTS", 35, 3), ("BATCH_ROWS", 4, 4)):
+        sizes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, cap, value)
+            split = solve_grid_point(spec, 10, 0.5, None)
+        assert sizes[0] == rows and max(sizes) == rows
+        assert whole.resamples > 0 and split.resamples == whole.resamples
+        for mode in spec.modes:
+            assert np.array_equal(split.c_d[mode], whole.c_d[mode])
 
 
 def test_batch_with_infeasible_rows_leaves_feasible_rows_unchanged():

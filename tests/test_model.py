@@ -1,5 +1,6 @@
 """Formula-level tests for the channel model, capacities and signal propagation."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anbeam.errors import BeamformingError, InfeasibleThreshold, SingularObservation
-from anbeam.experiments import ExperimentSpec
+from anbeam.experiments import ChannelVariances, ExperimentSpec, instance_stream, sample_instance
 from anbeam.individual_solver import initial_problem, solve_individual, solve_individual_batch
 from anbeam.model import (
     alpha_for_threshold,
@@ -18,12 +19,15 @@ from anbeam.model import (
     beam_sinr,
     capacity_dest,
     capacity_relay,
+    cancellation_gains,
     combined_gains,
     derive_model,
     destination_phase2_rx,
     direct_sinr,
+    noise_amp_diag,
     noise_residual_scale,
     relay_input_powers,
+    relay_power_gains,
     relay_snrs,
     resolve_alphas,
     second_phase_power,
@@ -136,6 +140,60 @@ _NAN, _INF = math.nan, math.inf
 def test_non_finite_complex_channels_are_rejected_by_name(name, build):
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         build()
+
+
+def _drawn(m, n=None):
+    """A sampled network of m relays, or a stack of n of them."""
+    rows = [sample_instance(m, ChannelVariances(), instance_stream(5, slot))
+            for slot in range(n or 1)]
+    return rows[0] if n is None else NetworkInstance.stack(rows)
+
+
+@pytest.mark.parametrize("m", [1, 4, 256])
+def test_stack_is_np_stack_of_the_rows(m):
+    rows = [sample_instance(m, ChannelVariances(), instance_stream(2, slot)) for slot in range(7)]
+    batch = NetworkInstance.stack(rows)
+    for name in ("h_sr", "h_rd"):
+        want = np.stack([getattr(row, name) for row in rows])
+        got = getattr(batch, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes() and not got.flags.writeable
+    assert batch.h_sd.tobytes() == np.array([row.h_sd for row in rows]).tobytes()
+
+
+_KEPT = [combined_gains, cancellation_gains, noise_amp_diag, relay_power_gains]
+
+
+@pytest.mark.parametrize("form", _KEPT, ids=lambda form: form.__name__)
+@pytest.mark.parametrize("n", [None, 6], ids=["single", "stack"])
+def test_kept_channel_array_is_read_only_formula_formed_once(form, n):
+    instance = _drawn(4, n)
+    kept = form(instance)
+    fresh = form.__wrapped__(instance)  # the formula itself, evaluated anew
+    assert kept is not fresh and kept.tobytes() == fresh.tobytes()
+    assert kept.dtype == fresh.dtype and kept.shape == fresh.shape
+    assert not kept.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        kept[..., 0] = 0.0
+    assert form(instance) is kept
+
+
+@pytest.mark.parametrize("form", _KEPT, ids=lambda form: form.__name__)
+def test_kept_channel_arrays_are_not_shared_by_a_copy_or_a_new_stack(form):
+    rows = [_drawn(3) for _ in range(2)]
+    for old, new in [(rows[0], dataclasses.replace(rows[0])),
+                     (rows[0], dataclasses.replace(rows[0], h_sr=rows[0].h_sr * 2.0)),
+                     (NetworkInstance.stack(rows), NetworkInstance.stack(rows))]:
+        kept = form(old)
+        assert form(new) is not kept
+        assert form(new).tobytes() == form.__wrapped__(new).tobytes()
+
+
+def test_relay_input_powers_keep_their_bits():
+    batch = _drawn(5, 8)
+    p1 = np.linspace(0.5, 10.0, 8)
+    want = np.square(np.abs(batch.h_sr)) * p1[:, None] + batch.sigma2
+    assert relay_input_powers(batch, p1).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("h_sd", [-0.0, 0j, complex(-0.0, -0.0), np.array(0j)],
