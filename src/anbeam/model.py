@@ -12,9 +12,9 @@ Conventions used throughout:
   gains and weights, matching the physical received coefficient of the
   message symbol.
 * The solver-side formulas (phase-1 SINRs, gain vectors, beam SINR,
-  capacity, second-phase power, the threshold split and derive_model) work
-  over a trailing relay axis.  They take a single NetworkInstance or a
-  stack alike, with p1 and alpha each a scalar or one value per row, so the
+  capacity, second-phase power and the threshold split) work over a
+  trailing relay axis.  They take a single NetworkInstance or a stack
+  alike, with p1 and alpha each a scalar or one value per row, so the
   batched solvers share every formula with the single-instance ones.
 * The arrays that depend on the channels alone (combined_gains,
   cancellation_gains, noise_amp_diag, relay_power_gains) are formed the
@@ -42,7 +42,7 @@ from .types import (
     check_gamma,
 )
 
-# alpha_monotonicity_threshold rejects rho_e within this distance of its pole 2.
+# alpha_monotonicity_threshold rejects x_e within this relative distance of its pole 1.
 SINGULAR_GUARD = 1e-9
 
 
@@ -181,19 +181,23 @@ def alpha_monotonicity_threshold(instance: NetworkInstance, p1: float) -> float:
     """Threshold on the normalized beam factor above which the secrecy rate is
     nondecreasing in alpha.
 
-    With rho_j = sigma2/(|h_sj|^2 p1) + 1 for j in {destination, strongest
-    relay}, the threshold is (rho_d - rho_e) rho_d / ((rho_d - 1)^2 (rho_e - 2)).
-    The companion predicate compares f(w) = |h^T w|^2 p1 / (sigma2 (1 + w' D_h w))
-    against it.  The condition is sufficient only when rho_e > 2 (noisy relay
-    link); no claim is made for rho_e < 2, and rho_e = 2 is rejected outright.
+    With the full-power SNRs x_j = |h_sj|^2 p1/sigma2 (destination, strongest
+    relay), it is (1 + x_d)(x_e - x_d)/(1 - x_e): the rho form (rho_d - rho_e)
+    rho_d / ((rho_d - 1)^2 (rho_e - 2)) at rho_j = 1 + 1/x_j.  The predicate
+    compares f(w) = |h^T w|^2 p1 / (sigma2 (1 + w' D_h w)) against it.  It is
+    sufficient only for x_e < 1 (rho_e > 2, noisy relay link): no claim is made
+    for x_e > 1, x_e = 1 is rejected outright, and a non-finite SNR raises
+    NonFiniteSolution naming both.
     """
-    e = strongest_relay(instance)
-    rho_d = instance.sigma2 / (abs(instance.h_sd) ** 2 * p1) + 1.0
-    rho_e = instance.sigma2 / (abs(instance.h_sr[e]) ** 2 * p1) + 1.0
-    if abs(rho_e - 2.0) < SINGULAR_GUARD:
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_d = float(direct_sinr(instance, p1, 1.0))
+        x_e = float(np.max(relay_snrs(instance, p1, 1.0)))
+    if not (math.isfinite(x_d) and math.isfinite(x_e)):
+        raise NonFiniteSolution(f"the full-power SNRs x_d={x_d!r} and x_e={x_e!r} must be finite")
+    if abs(1.0 - x_e) < SINGULAR_GUARD * x_e:
         raise SingularObservation(
-            f"rho_e = {rho_e!r} is at the excluded value 2; the threshold is undefined")
-    return (rho_d - rho_e) * rho_d / ((rho_d - 1.0) ** 2 * (rho_e - 2.0))
+            f"x_e = {x_e!r} is at the excluded value 1 (rho_e = 2); the threshold is undefined")
+    return (1.0 + x_d) * (x_e - x_d) / (1.0 - x_e)
 
 
 def secrecy_monotone_in_alpha(instance: NetworkInstance, p1: float, w: np.ndarray) -> bool:
@@ -254,9 +258,9 @@ def solved_values(batch: NetworkInstance, p1, alpha: np.ndarray, w: np.ndarray,
 
 
 def derive_model(instance: NetworkInstance, p1: float, alpha: float) -> DerivedModel:
-    """Bundle every vector the solvers need for one (instance, p1, alpha), or
-    for every row of a stack of networks with p1 and alpha each a scalar or
-    one value per row."""
+    """The dense references' input (dense_power_matrix, build_d_tilde) for one
+    (instance, p1, alpha), or for every row of a stack of networks with p1 and
+    alpha each a scalar or one value per row; the solvers read the kept arrays."""
     _check_rows(instance, p1, "p1")
     _check_rows(instance, alpha, "alpha")
     return DerivedModel(

@@ -190,7 +190,10 @@ def _step_scorer(instance: NetworkInstance, p1: float, alpha: float, d: np.ndarr
         dw = d @ w
         state = (w.tolist(), dw.tolist(), float(np.vdot(w, dw).real), complex(h @ w),
                  float(np.abs(w) ** 2 @ d_h))
-        return state, scores(state, 0, 0.0)[0][1]  # the zero step scores w itself
+        zero = scores(state, 0, 0.0)[0]  # the zero step scores w itself
+        if zero is None:
+            raise OracleEvalError(f"the ascent's power w'Dw={state[2]!r} is not positive")
+        return state, zero[1]
 
     return refresh, scores
 
@@ -273,8 +276,11 @@ def oracle_total(instance: NetworkInstance, params: SystemParams,
     re, im = rng.normal(size=shape), rng.normal(size=shape)
     best_w = _best_sample(re, im, d, p_tot, _cd_evaluator(instance, params.p1, a))
     refresh, scores = _step_scorer(instance, params.p1, a, d, p_tot)
-    best_cd, best_w, ascent_evals = _projected_ascent(
-        refresh, scores, p_tot, best_w, max_sweeps=ascent_sweeps, min_step=ascent_min_step)
+    try:
+        best_cd, best_w, ascent_evals = _projected_ascent(
+            refresh, scores, p_tot, best_w, max_sweeps=ascent_sweeps, min_step=ascent_min_step)
+    except OverflowError as err:
+        raise OracleEvalError("an ascent step's SINR term |h^T w|^2 overflows a float") from err
 
     # weights are compared up to the global phase the objective ignores
     cross = abs(np.vdot(solution.w, best_w))

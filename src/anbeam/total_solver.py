@@ -5,8 +5,9 @@ Rayleigh quotient in disguise: substituting the power constraint (tight at the
 optimum) turns the objective into |h^T w|^2 / (w' (D/P_tot + D_h) w), whose
 maximizer for the rank-1 numerator is w* = mu * D_tilde^{-1} conj(h) scaled
 back onto the power boundary.  D_tilde is diagonal plus rank one, so the
-solve is an O(M) Sherman-Morrison update; the dense assemblies below are the
-reference for the validate eigen check and the tests, never the solve path.
+solve is an O(M) Sherman-Morrison update on model.py's kept channel arrays;
+the dense assemblies below, of a DerivedModel, are the reference for the
+oracles, the validate eigen check and the tests, never the solve path.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (_check_rows, _dot, derive_model, resolve_alphas, second_phase_power,
-                    solved_values)
+from .model import (_check_rows, _dot, cancellation_gains, combined_gains, noise_amp_diag,
+                    relay_input_powers, resolve_alphas, second_phase_power, solved_values)
 from .types import (
     BeamSolution,
     DerivedModel,
@@ -85,12 +86,11 @@ def solve_total_batch(batch: NetworkInstance, params: SystemParams,
         raise TypeError("solve_total requires a TotalBudget")
     p1, p_tot = params.p1, budget.p_tot
     a, errors = resolve_alphas(batch, p1, params.gamma, alpha)
-    derived = derive_model(batch, p1, a)
-    h = derived.h
+    h = combined_gains(batch)
     h_bar = np.conj(h)
-    d = derived.t_diag / p_tot + derived.d_h_diag[:, 1:]
+    d = relay_input_powers(batch, p1) / p_tot + noise_amp_diag(batch)[:, 1:]
     k = (1.0 - a) * p1 / p_tot
-    g_z = np.sum(np.abs(derived.g) ** 2 / d, axis=-1)
+    g_z = np.sum(np.abs(cancellation_gains(batch)) ** 2 / d, axis=-1)
     v = np.concatenate(((h_bar[:, 0] * p_tot / (a * p1))[:, None],
                         h_bar[:, 1:] / d / (1.0 + k * g_z)[:, None]), axis=-1)
     # |v_0|^2 overflows as alpha -> 0, so mu is taken on v rescaled to max 1;

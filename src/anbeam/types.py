@@ -193,8 +193,8 @@ class SystemParams:
 
 @dataclass(frozen=True, eq=False)
 class DerivedModel:
-    """Precomputed vectors for one (instance, p1, alpha) triple.
-
+    """Frozen copies of the vectors of one (instance, p1, alpha) triple, the
+    input of the dense references (the solvers read model.py's kept arrays).
     For a stack of networks every field gains a leading row axis: alpha is
     an (N,) array and the vectors below are (N, M) or (N, M+1).
 

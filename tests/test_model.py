@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anbeam.errors import BeamformingError, InfeasibleThreshold, SingularObservation
+from anbeam.errors import (BeamformingError, InfeasibleThreshold, NonFiniteSolution,
+                           SingularObservation)
 from anbeam.experiments import ChannelVariances, ExperimentSpec, instance_stream, sample_instance
 from anbeam.individual_solver import initial_problem, solve_individual, solve_individual_batch
 from anbeam.model import (
@@ -494,6 +495,44 @@ def test_monotonicity_threshold_singular_case():
     # sigma2 = |h_se|^2 p1 puts rho_e exactly at the excluded value 2
     with pytest.raises(SingularObservation):
         alpha_monotonicity_threshold(UNIT, 1.0)
+
+
+def _rho_threshold(instance, p1):
+    """The threshold in its rho_j = 1 + sigma2/(|h_sj|^2 p1) form, at the
+    strongest relay: the reference for the SNR form."""
+    e = strongest_relay(instance)
+    rho_d = instance.sigma2 / (abs(instance.h_sd) ** 2 * p1) + 1.0
+    rho_e = instance.sigma2 / (abs(instance.h_sr[e]) ** 2 * p1) + 1.0
+    return (rho_d - rho_e) * rho_d / ((rho_d - 1.0) ** 2 * (rho_e - 2.0))
+
+
+def test_monotonicity_threshold_matches_rho_form(rng):
+    for _ in range(1500):
+        inst = make_instance(rng, int(rng.integers(1, 6)))
+        p1 = float(rng.uniform(0.1, 10.0))
+        expected = _rho_threshold(inst, p1)
+        assert alpha_monotonicity_threshold(inst, p1) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("h_sd, h_sr, expected", [
+    (1e-170, [1.0, 0.5], -2.0),   # x_d = 0: the rho form divides by zero
+    (1e-100, [1.0, 0.5], -2.0),   # x_d = 2e-200: (rho_d - 1)^2 overflows
+    (1.0, [1e-170, 1e-170], -6.0),  # x_e = 0: rho_e is inf, the rho form nan
+])
+def test_monotonicity_threshold_at_extreme_networks(h_sd, h_sr, expected):
+    inst = NetworkInstance(h_sd=h_sd, h_sr=h_sr, h_rd=[1.0, 0.3], sigma2=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert alpha_monotonicity_threshold(inst, 2.0) == expected
+
+
+def test_monotonicity_threshold_names_an_overflowing_snr():
+    # |h_s1|^2 = 1e400 overflows a float, so x_e is not finite
+    inst = NetworkInstance(h_sd=1.0, h_sr=[1e200, 0.5], h_rd=[1.0, 0.3], sigma2=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSolution, match=r"x_d=2\.0 and x_e=nan"):
+            alpha_monotonicity_threshold(inst, 2.0)
 
 
 def test_monotonic_secrecy_when_predicate_holds(rng):

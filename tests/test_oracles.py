@@ -35,6 +35,7 @@ from anbeam.oracles import (
     oracle_total,
     power_iteration_rank1,
 )
+from anbeam.serialization import scenario_from_dict
 from anbeam.total_solver import build_d_tilde, dense_power_matrix, solve_total
 from anbeam.types import (IndividualBudget, NetworkInstance, SignalRealization, SystemParams,
                           TotalBudget)
@@ -259,6 +260,45 @@ def test_oracle_total_rejects_bad_args(rng):
     with pytest.raises(TypeError):
         oracle_total(inst, SystemParams(2.0, 0.1, IndividualBudget(1.0, [0.1])), 10)
 
+
+# Answered wide-range networks (gains, sigma2, p1 and p_tot many decades
+# apart) on which the ascent cannot score: (scenario, alpha, C_d of the
+# solve, what the OracleEvalError names).
+_UNSCORABLE_TOTAL = [
+    ('{"instance": {"h_sd": [-6.032716056626163e-76, -6.92938675269675e-76], '
+     '"h_sr": [[3.273244960165737e-41, 7.806250950630168e-41], '
+     '[-3.4171560717617463e+20, 6.229869967939486e+20], '
+     '[-1.7758542636902525e-42, -6.203046599761636e-42], '
+     '[-410454406130500.8, -1768070159312356.8]], '
+     '"h_rd": [[2.1608021719351926e-47, -3.066486150178256e-47], '
+     '[-2.2481700176860875e+99, -4.923052892215966e+99], '
+     '[2.251619411292146e-63, 1.2819937564838404e-62], '
+     '[3.40632361759928e-94, 6.485557172397614e-94]], "sigma2": 5.992159800975072e-25}, '
+     '"params": {"p1": 26948083451026.957, "gamma": null, '
+     '"budget": {"kind": "total", "p_tot": 1.5101972891689861e+65}}}',
+     0.003879360664486984, 0.0, r"power w'Dw=nan is not positive"),
+    ('{"instance": {"h_sd": [-5.047753594860419e+62, 5.14945556774593e+62], '
+     '"h_sr": [[-3.157762942754349e+98, 6.963352997635826e+96], '
+     '[-5.598520284123418e-64, 4.4211650064636864e-63]], '
+     '"h_rd": [[-3.641090799702676e+72, 6.1488528901718915e+72], '
+     '[4.78965874978048e-73, 3.241658688719271e-73]], "sigma2": 2.115084043372305e-17}, '
+     '"params": {"p1": 5.6187226454917545e-93, "gamma": null, '
+     '"budget": {"kind": "total", "p_tot": 8.221041571483093e+73}}}',
+     0.32951775543345474, 359.2757834568691, r"\|h\^T w\|\^2 overflows a float"),
+]
+
+
+# numpy warns as the dense D of the first network overflows, before the
+# ascent meets its nan power; the error is what this test pins
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n_samples", [64, 512, 20_000])
+@pytest.mark.parametrize("doc, alpha, c_d, named", _UNSCORABLE_TOTAL,
+                         ids=["nan-power", "overflowing-sinr"])
+def test_oracle_total_names_what_it_cannot_score(doc, alpha, c_d, named, n_samples):
+    inst, params = scenario_from_dict(json.loads(doc))
+    assert solve_total(inst, params, alpha=alpha).c_d == c_d
+    with pytest.raises(OracleEvalError, match=named):
+        oracle_total(inst, params, n_samples, alpha=alpha)
 
 def test_oracle_individual_grid_rejects_a_total_budget(rng):
     inst = make_instance(rng, 2)

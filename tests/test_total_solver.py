@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from anbeam import model
 from anbeam.errors import BeamformingError
 from anbeam.model import (capacity_dest, derive_model, relay_snrs, second_phase_power,
                           strongest_relay)
-from anbeam.total_solver import build_d_tilde, dense_power_matrix, solve_total
+from anbeam.total_solver import build_d_tilde, dense_power_matrix, solve_total, solve_total_batch
 from anbeam.types import (
     DerivedModel,
     IndividualBudget,
@@ -263,3 +264,20 @@ def test_solve_rejects_zero_alpha(rng):
     inst, params = _random_case(rng, 3)
     with pytest.raises(ValueError, match=r"^alpha=0\.0 at row 0 outside \(0, 1\]"):
         solve_total(inst, params, alpha=0.0)
+
+
+def test_batch_solve_builds_no_derived_model(monkeypatch):
+    def stack():
+        rng = np.random.default_rng(7)
+        return NetworkInstance.stack([make_instance(rng, 3) for _ in range(3)])
+    params = SystemParams(np.array([0.7, 2.0, 5.5]), None, TotalBudget(4.0))
+    alphas = np.array([0.2, 0.6, 1.0])
+    expected = solve_total_batch(stack(), params, alphas)
+
+    def built(*args, **kwargs):
+        raise AssertionError("solve_total_batch built a DerivedModel")
+    monkeypatch.setattr(model, "derive_model", built)
+    monkeypatch.setattr(DerivedModel, "__post_init__", built)
+    solved = solve_total_batch(stack(), params, alphas)
+    for name in ("w", "alpha", "c_d", "second_phase_power"):
+        assert np.array_equal(getattr(solved, name), getattr(expected, name))
