@@ -14,10 +14,10 @@ tasks; aggregation happens in fixed slot order).
 
 All grid points of one relay count are solved as one batch per budget mode
 (solve_grid_points): each row is one (grid point, slot), with p1 and a fixed
-alpha per row.  Every row's instance is drawn (each (slot, attempt) key's
-stream is seeded once per relay-count chunk and restored from its saved start
-for every other row that draws it; the drawn gains are scaled in place, so
-the NetworkInstance's frozen copy is their one copy), stacked into one
+alpha per row.  Every row's instance is drawn (each round takes its rows in
+(slot, attempt) key order, so a key's stream is seeded once per relay-count
+chunk and its one draw serves its consecutive rows, each scaling a copy in
+place that the NetworkInstance copies once more), stacked into one
 NetworkInstance and handed to solve_total_batch and solve_individual_batch,
 which share the stack's channel arrays (model.py forms each once per stack)
 and report failures per row (the batch is split in equal parts of at most
@@ -234,6 +234,23 @@ BATCH_ELEMENTS = 1 << 14
 BATCH_ROWS = 1 << 10
 
 
+class _KeyDraws:
+    """Stand-in generator caching one (slot, attempt) key's 2 + 4m normals:
+    standard_normal returns a copy, since sample_instance scales it in place."""
+
+    def __init__(self, seed: int, m: int):
+        self.seed, self.size, self.key, self.draw = seed, 2 + 4 * m, None, None
+
+    def of(self, slot: int, attempt: int) -> "_KeyDraws":
+        if (slot, attempt) != self.key:
+            self.key = slot, attempt
+            self.draw = instance_stream(self.seed, slot, attempt).standard_normal(self.size)
+        return self
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        return self.draw.copy()
+
+
 def solve_grid_points(spec: ExperimentSpec, m: int,
                       points: Sequence[Tuple[float, Optional[float]]]) -> List[GridPointResult]:
     """Solve all instance slots of the given (p1, alpha) grid points of one
@@ -243,11 +260,13 @@ def solve_grid_points(spec: ExperimentSpec, m: int,
     Row j * n_instances + s of the batch is slot s of point j; p1 and a
     fixed alpha are per-row values (alpha is None at every point, meaning
     derived per row from gamma, or at none).  Each round draws the pending
-    rows' instances and solves them as one batch per mode, split in equal
-    parts of at most BATCH_ELEMENTS rows x relays and BATCH_ROWS rows.  A row
-    whose solve fails in any mode is redrawn (next attempt of its slot at its
-    own grid point) for all modes together in the next round; the first
-    mode's error is the one logged, and is raised once a slot has failed its
+    rows' instances in (slot, point) order, so the rows of one (slot,
+    attempt) key are consecutive and share one draw, and solves them as one
+    batch per mode, split in equal parts of at most BATCH_ELEMENTS rows x
+    relays and BATCH_ROWS rows.  A row whose solve fails in any mode is
+    redrawn (next attempt of its slot at its own grid point) for all modes
+    together in the next round; the failures are logged in row order, the
+    first mode's error for each, which is raised once a slot has failed its
     draw and 100 resamples.
     """
     n = spec.n_instances
@@ -264,28 +283,17 @@ def solve_grid_points(spec: ExperimentSpec, m: int,
     attempts = np.zeros(p1_rows.size, dtype=int)
     resamples = np.zeros(len(points), dtype=int)
     pending = np.arange(p1_rows.size)
-    # A key recurs at every point that draws it, so it is seeded once and
-    # each repeat restarts one shared generator from the state saved then.
-    starts: Dict[Tuple[int, int], dict] = {}
-    shared = None
-
-    def stream(slot: int, attempt: int) -> np.random.Generator:
-        nonlocal shared
-        start = starts.get((slot, attempt))
-        if start is None:
-            shared = instance_stream(spec.seed, slot, attempt)
-            starts[slot, attempt] = shared.bit_generator.state
-        else:
-            shared.bit_generator.state = start
-        return shared
-
+    draws = _KeyDraws(spec.seed, m)
     while pending.size:
+        # (slot, point) order: every pending row is at the round's attempt,
+        # so the rows of one key are consecutive and share one draw
+        pending = pending[np.argsort(pending % n, kind="stable")]
         failed = []
         per_part = min(max(1, BATCH_ELEMENTS // m), BATCH_ROWS)
         for rows in np.array_split(pending, -(-pending.size // per_part)):
             # slots and attempts as Python ints: int() of a numpy scalar costs per row
             batch = NetworkInstance.stack(
-                sample_instance(m, variances, stream(slot, attempt), spec.sigma2)
+                sample_instance(m, variances, draws.of(slot, attempt), spec.sigma2)
                 for slot, attempt in zip((rows % n).tolist(), attempts[rows].tolist()))
             alphas = None if alpha_rows is None else alpha_rows[rows]
             errors = [None] * len(rows)
@@ -295,6 +303,7 @@ def solve_grid_points(spec: ExperimentSpec, m: int,
                 values[mode][rows] = solved.c_d  # a failed row's is rewritten on redraw
                 errors = [first or err for first, err in zip(errors, solved.errors)]
             failed += [(int(row), err) for row, err in zip(rows, errors) if err is not None]
+        failed.sort(key=lambda row_err: row_err[0])
         for row, err in failed:
             point, slot = divmod(row, n)
             resamples[point] += 1

@@ -314,9 +314,9 @@ def resolve_alphas(batch: NetworkInstance, p1, gamma: Optional[float],
     if batch.m == 0:
         raise ValueError("instance has no relays: gamma, a relay SNR threshold, needs one")
     gain2 = np.max(relay_power_gains(batch), axis=-1)
-    ceiling = gain2 * p1 / batch.sigma2
     # a zero gain gives alpha = inf, but its ceiling 0 < gamma marks it infeasible
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ceiling = gain2 * p1 / batch.sigma2
         alphas = (1.0 + batch.sigma2 / (gain2 * p1)) / (1.0 + 1.0 / gamma)
     errors.fail(np.flatnonzero(gamma > ceiling), lambda i: InfeasibleThreshold(
         f"gamma={float(gamma)!r} exceeds the strongest relay's full-power SNR "

@@ -622,9 +622,9 @@ def test_grid_points_redraw_failed_rows_at_their_own_point(monkeypatch, caplog):
 
 def test_every_row_draws_its_keys_network(monkeypatch, caplog):
     """A row's instance is the one a freshly seeded stream of its (slot,
-    attempt) gives, also where the key was drawn before, at another point,
-    and other keys were drawn in between (the slots resampled at p1 = 0.6
-    are resampled at 0.5 too, so replacement keys recur as well)."""
+    attempt) gives, also where the key's draw served a row at another point
+    before it (the slots resampled at p1 = 0.6 are resampled at 0.5 too, so
+    replacement keys recur as well)."""
     drawn = []
     sample = experiments.sample_instance
 
@@ -638,10 +638,12 @@ def test_every_row_draws_its_keys_network(monkeypatch, caplog):
     points = [(p1, None) for p1 in spec.p1_values]
     with caplog.at_level(logging.WARNING, logger="anbeam.experiments"):
         solve_grid_points(spec, 10, points)
-    # rows are drawn in row order, then each round's failed rows in the
-    # order their resamples are logged
-    keys = [(slot, 0) for _ in points for slot in range(spec.n_instances)]
-    keys += [(rec.args[0], rec.args[4]) for rec in caplog.records if "resampled" in rec.message]
+    # each round draws its rows in (slot, point) order; round k's rows are
+    # those whose resample to attempt k was logged
+    redrawn = [(rec.args[4], rec.args[0], spec.p1_values.index(rec.args[2]))
+               for rec in caplog.records if "resampled" in rec.message]
+    keys = [(slot, 0) for slot in range(spec.n_instances) for _ in points]
+    keys += [(slot, attempt) for attempt, slot, _ in sorted(redrawn)]
     replacements = [key for key in keys if key[1] > 0]
     assert max(attempt for _, attempt in replacements) == 3
     assert len(set(replacements)) < len(replacements)
@@ -651,6 +653,29 @@ def test_every_row_draws_its_keys_network(monkeypatch, caplog):
         assert complex(got.h_sd) == want.h_sd
         assert got.h_sr.tobytes() == want.h_sr.tobytes()
         assert got.h_rd.tobytes() == want.h_rd.tobytes()
+
+
+@pytest.mark.parametrize("batch_rows", [None, 4], ids=["default-parts", "4-row-parts"])
+def test_each_key_is_seeded_once_per_call(monkeypatch, caplog, batch_rows):
+    """However the rows of one (slot, attempt) key fall into parts, the key's
+    stream is seeded once, and each round's resamples are logged in (point,
+    slot) order."""
+    draws, sample = _count_draws(monkeypatch)
+    if batch_rows is not None:
+        monkeypatch.setattr(experiments, "BATCH_ROWS", batch_rows)
+    spec = ExperimentSpec(m_values=(10,), p1_values=(0.5, 0.6, 2.0), gamma=1.0, p_i=0.01,
+                          seed=0)
+    points = [(p1, None) for p1 in spec.p1_values]
+    with caplog.at_level(logging.WARNING, logger="anbeam.experiments"):
+        results = solve_grid_points(spec, 10, points)
+    records = [rec for rec in caplog.records if "resampled" in rec.message]
+    keys = {(slot, 0) for slot in range(spec.n_instances)}
+    keys |= {(rec.args[0], rec.args[4]) for rec in records}
+    assert sample.calls == len(points) * spec.n_instances + len(records)
+    assert sorted(draws) == sorted(keys)
+    assert len(records) == sum(result.resamples for result in results) > 0
+    logged = [(rec.args[4], spec.p1_values.index(rec.args[2]), rec.args[0]) for rec in records]
+    assert logged == sorted(logged)
 
 
 def test_grid_points_must_agree_on_how_alpha_is_set():

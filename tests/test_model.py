@@ -279,6 +279,17 @@ def test_alpha_for_zero_relay_gains_is_infeasible_without_warnings():
             alpha_for_threshold(inst, p1=2.0, gamma=1.0)
 
 
+def test_alpha_with_an_overflowing_ceiling_is_its_limit_without_warnings():
+    """|h_sr|^2 p1 = 1e310 overflows: the ceiling is inf, gamma is reached
+    and alpha is (1 + 0) / (1 + 1/gamma), with no overflow warning."""
+    inst = NetworkInstance(h_sd=1.0, h_sr=[1e150, 1.0], h_rd=[1.0, 1.0], sigma2=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert alpha_for_threshold(inst, p1=1e10, gamma=1.0) == 0.5
+        alphas, errors = resolve_alphas(NetworkInstance.stack([inst]), 1e10, 1.0, None)
+    assert alphas.tolist() == [0.5] and errors.errors == [None]
+
+
 @pytest.mark.parametrize("split", [
     lambda p1, gamma: alpha_for_threshold(UNIT, p1, gamma),
     lambda p1, gamma: resolve_alphas(NetworkInstance.stack([UNIT]), p1, gamma, None),
