@@ -16,9 +16,10 @@ All grid points of one relay count are solved as one batch per budget mode
 (solve_grid_points): each row is one (grid point, slot), with p1 and a fixed
 alpha per row.  Every row's instance is drawn (each round takes its rows in
 (slot, attempt) key order, so a key's stream is seeded once per relay-count
-chunk and its one draw serves its consecutive rows, each scaling a copy in
-place that the NetworkInstance copies once more), stacked into one
-NetworkInstance and handed to solve_total_batch and solve_individual_batch,
+chunk and its one read-only draw serves its consecutive rows, each scaling it
+in one out-of-place multiply whose product the row's NetworkInstance owns as
+its gain buffer), stacked into one NetworkInstance (one np.array of the rows'
+buffers) and handed to solve_total_batch and solve_individual_batch,
 which share the stack's channel arrays (model.py forms each once per stack)
 and report failures per row (the batch is split in equal parts of at most
 BATCH_ELEMENTS rows x relays and BATCH_ROWS rows, which changes no value).
@@ -32,6 +33,7 @@ call.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -42,7 +44,8 @@ import numpy as np
 from .individual_solver import solve_individual_batch
 from .serialization import _integer, _list_of, _real, _reject_unknown
 from .total_solver import solve_total_batch
-from .types import IndividualBudget, NetworkInstance, SystemParams, TotalBudget, check_gamma
+from .types import (IndividualBudget, NetworkInstance, SystemParams, TotalBudget, _frozen_array,
+                    check_gamma)
 
 log = logging.getLogger(__name__)
 
@@ -90,23 +93,26 @@ def instance_stream(seed: int, slot: int, attempt: int = 0) -> np.random.Generat
         np.random.SeedSequence(HARNESS_NAMESPACE, spawn_key=(seed, slot, attempt)))
 
 
+@functools.lru_cache(maxsize=64)
+def _gain_scales(m: int, sd: float, sr: float, rd: float) -> np.ndarray:
+    """sqrt(variance / 2) of each gain of a draw, in its order, read-only."""
+    return _frozen_array(np.sqrt(np.array([sd] + [sr, rd] * m) / 2.0), complex)
+
+
 def sample_instance(m: int, variances: ChannelVariances,
                     stream: np.random.Generator, sigma2: float = 1.0) -> NetworkInstance:
     """Draw one network: h_sd ~ CN(0, sd), each relay's h_si ~ CN(0, sr) and
     h_id ~ CN(0, rd), with the per-relay draws interleaved so a smaller relay
-    count consumes a prefix of the same stream.  The gains are scaled in the
-    drawn array, so the NetworkInstance's frozen copy is the one copy made.
+    count consumes a prefix of the same stream.  The draw, read as complex,
+    is scaled in one multiply whose product the NetworkInstance owns, so
+    the drawn array is neither written nor kept.
     An m that is not an integer of at least 1 is a ValueError naming it."""
     m = _integer(m, "m")
     if m < 1:
         raise ValueError(f"m={m}: need at least one relay")
-    # read as complex: h_sd, then (h_si, h_id) for each relay
-    gains = stream.standard_normal(2 + 4 * m).view(complex)
-    h_sr, h_rd = gains[1::2], gains[2::2]
-    h_sr *= math.sqrt(variances.sr / 2.0)
-    h_rd *= math.sqrt(variances.rd / 2.0)
-    return NetworkInstance(h_sd=complex(gains[0]) * math.sqrt(variances.sd / 2.0),
-                           h_sr=h_sr, h_rd=h_rd, sigma2=sigma2)
+    scales = _gain_scales(m, variances.sd, variances.sr, variances.rd)
+    return NetworkInstance._of_gains(stream.standard_normal(2 + 4 * m).view(complex) * scales,
+                                     sigma2)
 
 
 @dataclass(frozen=True)
@@ -227,16 +233,18 @@ def alpha_label(spec: ExperimentSpec, alpha: Optional[float]) -> str:
 # n_instances; with 100 slots, every M <= 163 is still one part per grid point.
 BATCH_ELEMENTS = 1 << 14
 # Largest batch the solvers get, in rows.  A part's stack and two batch solves
-# take 0.68 ms at 1 row and 1.91 ms at 412 rows (M = 4, a 2-vCPU x86 VM), so
-# fewer parts save a fixed cost each.  Peak RSS of three power sweeps (3,300
-# rows) in one process: 37.0 MiB at 512 rows (7 parts), 37.6 MiB at 1,024
-# (4 parts, +1.6%) and 41.6 MiB as one part (+12.5%), hence a cap.
+# take 0.7-1.3 ms at 1 row and 2.0 ms at 412 rows (M = 4, best of 7 x 50
+# calls, shared 2-vCPU x86 VM), so fewer parts save a fixed cost each.  Peak
+# RSS of three power sweeps (3,300 rows) in one process: 37.0 MiB at 512 rows
+# (7 parts), 37.8 MiB at 1,024 (4 parts, +2.2%) and 42.3 MiB as one part
+# (+14%), hence a cap.
 BATCH_ROWS = 1 << 10
 
 
 class _KeyDraws:
     """Stand-in generator caching one (slot, attempt) key's 2 + 4m normals:
-    standard_normal returns a copy, since sample_instance scales it in place."""
+    standard_normal returns the cached draw itself, read-only, which
+    sample_instance scales out of place."""
 
     def __init__(self, seed: int, m: int):
         self.seed, self.size, self.key, self.draw = seed, 2 + 4 * m, None, None
@@ -245,10 +253,11 @@ class _KeyDraws:
         if (slot, attempt) != self.key:
             self.key = slot, attempt
             self.draw = instance_stream(self.seed, slot, attempt).standard_normal(self.size)
+            self.draw.setflags(write=False)
         return self
 
     def standard_normal(self, size: int) -> np.ndarray:
-        return self.draw.copy()
+        return self.draw
 
 
 def solve_grid_points(spec: ExperimentSpec, m: int,

@@ -116,7 +116,13 @@ def relay_snrs(instance: NetworkInstance, p1, alpha) -> np.ndarray:
 
 
 def capacity_relay(instance: NetworkInstance, p1: float, alpha: float, i: int) -> float:
-    return 0.5 * math.log2(1.0 + relay_snrs(instance, p1, alpha)[i])
+    """Capacity of relay i's first-phase reception; an SNR that is not
+    finite raises NonFiniteSolution naming it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        snr = float(relay_snrs(instance, p1, alpha)[i])
+    if not math.isfinite(snr):
+        raise NonFiniteSolution(f"relay {i}'s SNR={snr!r} is not finite: it overflows a float")
+    return 0.5 * math.log2(1.0 + snr)
 
 
 def direct_sinr(instance: NetworkInstance, p1: float, alpha) -> float:
@@ -171,10 +177,15 @@ def secrecy_rate(instance: NetworkInstance, p1: float, alpha: float, w: np.ndarr
     """C_d minus the best relay's capacity; negative values mean no secrecy.
 
     The minimum of C_d - C_i over relays is attained at the strongest relay,
-    so only that one is evaluated.
+    so only that one is evaluated.  A destination or relay SNR that is not
+    finite raises NonFiniteSolution naming the value.
     """
-    e = strongest_relay(instance)
-    return capacity_dest(instance, p1, alpha, w) - capacity_relay(instance, p1, alpha, e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = strongest_relay(instance)
+        c_d = float(capacity_dest(instance, p1, alpha, w))
+    if not math.isfinite(c_d):
+        raise NonFiniteSolution(f"C_d={c_d!r} is not finite: the destination SNR overflows a float")
+    return c_d - capacity_relay(instance, p1, alpha, e)
 
 
 def alpha_monotonicity_threshold(instance: NetworkInstance, p1: float) -> float:

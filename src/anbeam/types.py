@@ -7,6 +7,7 @@ values can be shared freely across threads and processes.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -52,6 +53,29 @@ def _freeze_in_place(obj) -> None:
             value.setflags(write=False)
 
 
+def _check_network(h_sd, h_sr, h_rd, sigma2: float, single: bool) -> None:
+    """Raise the ValueError of the first check a network's fields fail; a
+    single network's h_sd is a Python complex, which cmath tests far faster
+    than numpy."""
+    if not (cmath.isfinite(h_sd) if single else _all_finite(h_sd)):
+        raise ValueError("h_sd must be finite")
+    for name, value in (("h_sr", h_sr), ("h_rd", h_rd)):
+        if not _all_finite(value):
+            raise ValueError(f"{name} must be finite")
+    relay_ndim = 1 if single else 2
+    if h_sr.ndim != relay_ndim or h_rd.ndim != relay_ndim:
+        raise ValueError(f"h_sr and h_rd must be {relay_ndim}-dimensional")
+    if h_sr.shape != h_rd.shape:
+        raise ValueError("h_sr and h_rd must have the same shape")
+    if not 0 < sigma2 < math.inf:
+        raise ValueError("sigma2 must be finite and positive")
+    if (h_sd == 0) if single else np.count_nonzero(h_sd == 0):
+        raise ValueError("h_sd must be nonzero: the second-phase cancellation "
+                         "signal divides by it")
+    if not single and h_sd.shape != h_sr.shape[:1]:
+        raise ValueError("h_sd must hold one gain per row of h_sr")
+
+
 @dataclass(frozen=True, eq=False)
 class NetworkInstance:
     """One channel realization of the two-hop network, or a stack of N of
@@ -66,6 +90,12 @@ class NetworkInstance:
     every model formula reads these fields over a trailing relay axis, so it
     serves a stack as it serves a single network.  model.py keeps the channel
     arrays it forms from a network in the network's __dict__, read-only.
+
+    A drawn network (experiments.sample_instance) holds its gains in one
+    frozen buffer, _gains, and its h_sr and h_rd are views of it; a network
+    built field by field forms that buffer when it is first stacked.  A
+    stack keeps only C-contiguous copies of its three fields, which the
+    solvers read faster than strided views.
     """
 
     h_sd: Union[complex, np.ndarray]
@@ -80,24 +110,40 @@ class NetworkInstance:
         h_sr, h_rd = _frozen_array(self.h_sr, complex), _frozen_array(self.h_rd, complex)
         # one write for the four fields, which the frozen dataclass keeps in __dict__
         self.__dict__.update(h_sd=h_sd, h_sr=h_sr, h_rd=h_rd, sigma2=float(self.sigma2))
-        # a single h_sd is a Python complex, which cmath tests far faster than numpy
-        if not (cmath.isfinite(h_sd) if single else _all_finite(h_sd)):
-            raise ValueError("h_sd must be finite")
-        for name, value in (("h_sr", h_sr), ("h_rd", h_rd)):
-            if not _all_finite(value):
-                raise ValueError(f"{name} must be finite")
-        relay_ndim = 1 if single else 2
-        if self.h_sr.ndim != relay_ndim or self.h_rd.ndim != relay_ndim:
-            raise ValueError(f"h_sr and h_rd must be {relay_ndim}-dimensional")
-        if self.h_sr.shape != self.h_rd.shape:
-            raise ValueError("h_sr and h_rd must have the same shape")
-        if not 0 < self.sigma2 < math.inf:
-            raise ValueError("sigma2 must be finite and positive")
-        if (h_sd == 0) if single else np.count_nonzero(h_sd == 0):
-            raise ValueError("h_sd must be nonzero: the second-phase cancellation "
-                             "signal divides by it")
-        if not single and self.h_sd.shape != self.h_sr.shape[:1]:
-            raise ValueError("h_sd must hold one gain per row of h_sr")
+        _check_network(h_sd, h_sr, h_rd, self.sigma2, single)
+
+    @classmethod
+    def _of_gains(cls, gains: np.ndarray, sigma2: float) -> "NetworkInstance":
+        """The network (1-D) or stack (2-D) of the complex buffer gains, laid
+        out as _gains, with the constructor's checks.  A network takes gains
+        as its _gains, uncopied, and its h_sr and h_rd are views of it; a
+        stack keeps C-contiguous copies of its three fields."""
+        self, sigma2, single = object.__new__(cls), float(sigma2), gains.ndim == 1
+        gains.setflags(write=False)
+        if single:
+            fields = dict(h_sd=gains.item(0), h_sr=gains[1::2], h_rd=gains[2::2], _gains=gains)
+        else:
+            fields = {name: _frozen_array(gains[..., k], complex) for name, k in
+                      (("h_sd", 0), ("h_sr", slice(1, None, 2)), ("h_rd", slice(2, None, 2)))}
+        self.__dict__.update(fields, sigma2=sigma2)
+        h_sd = self.h_sd
+        # one test of the whole buffer; _check_network names what failed
+        if not (gains.ndim <= 2 and gains.shape[-1] % 2 and _all_finite(gains)
+                and 0 < sigma2 < math.inf
+                and (h_sd != 0 if single else np.count_nonzero(h_sd) == h_sd.size)):
+            _check_network(h_sd, self.h_sr, self.h_rd, sigma2, single)
+        return self
+
+    @functools.cached_property
+    def _gains(self) -> np.ndarray:
+        """A single network's gains in one frozen buffer, in a draw's order
+        [h_sd, h_s1, h_1d, h_s2, ...]; stack() reads it.  A stack has none."""
+        if self.h_sr.ndim != 1:
+            raise AttributeError("a stack keeps no gain buffer")
+        gains = np.empty(1 + 2 * self.m, complex)
+        gains[0], gains[1::2], gains[2::2] = self.h_sd, self.h_sr, self.h_rd
+        gains.setflags(write=False)
+        return gains
 
     @classmethod
     def stack(cls, instances) -> "NetworkInstance":
@@ -113,11 +159,15 @@ class NetworkInstance:
         if len(counts) > 1:
             raise ValueError(f"stacked instances must share the relay count, "
                              f"got M in {sorted(counts)}")
-        # the relay counts agree, so np.array stacks the rows (faster than np.stack)
-        return cls(h_sd=np.array([inst.h_sd for inst in instances]),
-                   h_sr=np.array([inst.h_sr for inst in instances]),
-                   h_rd=np.array([inst.h_rd for inst in instances]),
-                   sigma2=sigma2)
+        try:
+            # the relay counts agree, so np.array stacks the rows (faster than np.stack)
+            gains = np.array([inst._gains for inst in instances])
+        except AttributeError:
+            # a stacked row has no buffer: the constructor names the fault
+            return cls(h_sd=np.array([inst.h_sd for inst in instances]),
+                       h_sr=np.array([inst.h_sr for inst in instances]),
+                       h_rd=np.array([inst.h_rd for inst in instances]), sigma2=sigma2)
+        return cls._of_gains(gains, sigma2)
 
     @property
     def n(self) -> int:

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,51 @@ def test_sample_instance_shares_no_memory_with_the_draw():
         assert not gains.flags.writeable
         with pytest.raises(ValueError):
             gains[0] = 0.0
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(a.ravel().view(np.uint64),
+                                                 b.ravel().view(np.uint64))
+
+
+def test_sample_instance_is_the_scaled_draw_bit_for_bit():
+    """Every drawn network is its draw scaled as written out below (a copy of
+    the draw, h_sr and h_rd scaled in place by sqrt(variance / 2), h_sd a
+    Python complex times its scale), bit for bit, through a fresh stream and
+    through a key's cached draw alike.  Two variance sets at each M in one
+    process check the key of the scale cache.  A key's cached draw is
+    read-only and unchanged by its rows.  A stack of the rows, or of networks
+    built field by field from them, keeps C-contiguous, read-only copies of
+    its fields and no gain buffer."""
+    for variances in (ChannelVariances(), ChannelVariances(sr=2.0, rd=0.5, sd=3.0)):
+        for m in (1, 4, 256):
+            for slot in range(3):
+                draws = experiments._KeyDraws(11, m).of(slot, 0)
+                cached = draws.draw.copy()
+                rows = [sample_instance(m, variances, draws, 2.0) for _ in range(2)]
+                rows.append(sample_instance(m, variances, instance_stream(11, slot), 2.0))
+                assert not draws.draw.flags.writeable
+                assert np.array_equal(draws.draw.view(np.uint64), cached.view(np.uint64))
+
+                gains = cached.copy().view(complex)
+                h_sr, h_rd = gains[1::2], gains[2::2]
+                h_sr *= math.sqrt(variances.sr / 2.0)
+                h_rd *= math.sqrt(variances.rd / 2.0)
+                h_sd = complex(gains[0]) * math.sqrt(variances.sd / 2.0)
+                for row in rows:
+                    assert type(row.h_sd) is complex and row.sigma2 == 2.0
+                    assert _same_bits(row.h_sd, h_sd)
+                    assert _same_bits(row.h_sr, h_sr) and _same_bits(row.h_rd, h_rd)
+
+                built = [NetworkInstance(h_sd=row.h_sd, h_sr=row.h_sr, h_rd=row.h_rd, sigma2=2.0)
+                         for row in rows]
+                for batch in (NetworkInstance.stack(rows), NetworkInstance.stack(built)):
+                    assert "_gains" not in vars(batch)
+                    for name, row in (("h_sd", h_sd), ("h_sr", h_sr), ("h_rd", h_rd)):
+                        value = getattr(batch, name)
+                        assert value.flags.c_contiguous and not value.flags.writeable
+                        assert _same_bits(value, [row] * 3)
 
 
 @pytest.mark.parametrize("m", [True, 2.0, "3"], ids=["bool", "float", "string"])

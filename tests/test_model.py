@@ -86,7 +86,23 @@ def test_instance_rejects_mismatched_relay_vectors():
         for m in (2, 3, 2)]), r"stacked instances must share the relay count, got M in \[2, 3\]"),
     (lambda: NetworkInstance(h_sd=1.0, h_sr=[[1.0, 2.0]], h_rd=[1.0, 2.0], sigma2=1.0),
      "h_sr and h_rd must be 1-dimensional"),
-], ids=["short-h_sd", "empty-stack", "mixed-sigma2", "mixed-m", "2d-h_sr"])
+    (lambda: NetworkInstance.stack([NetworkInstance.stack([
+        NetworkInstance(h_sd=1.0, h_sr=[1.0], h_rd=[1.0], sigma2=1.0)] * 2)] * 2),
+     "h_sr and h_rd must be 2-dimensional"),
+    # the owning path behind sample_instance and stack takes a 1-D or 2-D buffer
+    # [h_sd, h_s1, h_1d, ...], whose last axis is odd
+    (lambda: NetworkInstance._of_gains(np.ones((2, 2, 3), complex), 1.0),
+     "h_sr and h_rd must be 2-dimensional"),
+    (lambda: NetworkInstance._of_gains(np.ones((2, 4), complex), 1.0),
+     "h_sr and h_rd must have the same shape"),
+    (lambda: NetworkInstance._of_gains(np.ones(4, complex), 1.0),
+     "h_sr and h_rd must have the same shape"),
+    (lambda: NetworkInstance._of_gains(np.array([1.0, 1.0, np.nan], complex), 1.0),
+     "h_rd must be finite"),
+    (lambda: NetworkInstance._of_gains(np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], complex), 1.0),
+     "h_sd must be nonzero"),
+], ids=["short-h_sd", "empty-stack", "mixed-sigma2", "mixed-m", "2d-h_sr", "stack-of-stacks",
+        "3d-buffer", "even-stack-buffer", "even-buffer", "nan-buffer", "zero-h_sd-buffer"])
 def test_instance_and_batch_shapes_are_checked(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -484,6 +500,23 @@ def test_secrecy_rate_is_worst_case_over_relays(rng):
 def test_secrecy_rate_zero_at_zero_alpha(rng):
     inst = make_instance(rng, 2)
     assert secrecy_rate(inst, 3.0, 0.0, random_weights(rng, 2)) == 0.0
+
+
+def test_relay_and_secrecy_capacities_name_an_overflowing_snr():
+    """|h_sd|^2 and |h_s1|^2 overflow a float: capacity_relay and
+    secrecy_rate raise NonFiniteSolution naming the SNR that is not finite,
+    without a numpy warning, and the finite relay still has its capacity."""
+    inst = NetworkInstance(h_sd=1e160, h_sr=[1e160, 1.0], h_rd=[1.0, 1.0], sigma2=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSolution, match=r"^relay 0's SNR=nan is not finite"):
+            capacity_relay(inst, 1.0, 0.5, 0)
+        assert capacity_relay(inst, 1.0, 0.5, 1) == 0.5 * math.log2(1.0 + 0.5 / 1.5)
+        with pytest.raises(NonFiniteSolution, match=r"^C_d=nan is not finite"):
+            secrecy_rate(inst, 1.0, 0.5, np.array([1.0, 0.0, 0.0]))
+        direct = NetworkInstance(h_sd=1.0, h_sr=inst.h_sr, h_rd=inst.h_rd, sigma2=1.0)
+        with pytest.raises(NonFiniteSolution, match=r"^relay 0's SNR=nan is not finite"):
+            secrecy_rate(direct, 1.0, 0.5, np.array([1.0, 0.0, 0.0]))
 
 
 def test_secrecy_rate_needs_relays():
