@@ -14,15 +14,15 @@ tasks; aggregation happens in fixed slot order).
 
 All grid points of one relay count are solved as one batch per budget mode
 (solve_grid_points): each row is one (grid point, slot), with p1 and a fixed
-alpha per row.  Every row's instance is drawn (each round takes its rows in
-(slot, attempt) key order, so a key's stream is seeded once per relay-count
-chunk and its one read-only draw serves its consecutive rows, each scaling it
-in one out-of-place multiply whose product the row's NetworkInstance owns as
-its gain buffer), stacked into one NetworkInstance (one np.array of the rows'
-buffers) and handed to solve_total_batch and solve_individual_batch,
-which share the stack's channel arrays (model.py forms each once per stack)
-and report failures per row (the batch is split in equal parts of at most
-BATCH_ELEMENTS rows x relays and BATCH_ROWS rows, which changes no value).
+alpha per row, and the batch is split in equal parts of at most
+BATCH_ELEMENTS rows x relays and BATCH_ROWS rows, which changes no value.
+Each round takes its rows in (slot, attempt) key order, so a key's stream is
+seeded once per relay-count chunk and its one read-only draw serves its
+consecutive rows.  Each row scales the draw, out of place, into a gain
+buffer; one np.array stacks a part's buffers (each row's network is dropped
+once read), NetworkInstance._of_gains builds the part, and solve_total_batch
+and solve_individual_batch share it (model.py forms its channel arrays once)
+and report failures per row.
 A row that fails in either mode (e.g. an infeasible SNR threshold at low p1)
 advances its slot's attempt counter at its own grid point; the failed rows
 are redrawn together as a smaller batch, and each replacement is logged and
@@ -233,11 +233,11 @@ def alpha_label(spec: ExperimentSpec, alpha: Optional[float]) -> str:
 # n_instances; with 100 slots, every M <= 163 is still one part per grid point.
 BATCH_ELEMENTS = 1 << 14
 # Largest batch the solvers get, in rows.  A part's stack and two batch solves
-# take 0.7-1.3 ms at 1 row and 2.0 ms at 412 rows (M = 4, best of 7 x 50
-# calls, shared 2-vCPU x86 VM), so fewer parts save a fixed cost each.  Peak
-# RSS of three power sweeps (3,300 rows) in one process: 37.0 MiB at 512 rows
-# (7 parts), 37.8 MiB at 1,024 (4 parts, +2.2%) and 42.3 MiB as one part
-# (+14%), hence a cap.
+# take 0.8 ms at 1 row and 2.0 ms at 412 rows (M = 4, best of 7 x 50 calls,
+# shared 2-vCPU x86 VM), so fewer parts save a fixed cost each.  Peak RSS of
+# three power sweeps (3,300 rows) in one process: 36.9 MiB at 512 rows
+# (7 parts), 37.6 MiB at 1,024 (4 parts, +1.9%) and 40.8 MiB as one part
+# (+11%), hence a cap.
 BATCH_ROWS = 1 << 10
 
 
@@ -301,9 +301,10 @@ def solve_grid_points(spec: ExperimentSpec, m: int,
         per_part = min(max(1, BATCH_ELEMENTS // m), BATCH_ROWS)
         for rows in np.array_split(pending, -(-pending.size // per_part)):
             # slots and attempts as Python ints: int() of a numpy scalar costs per row
-            batch = NetworkInstance.stack(
-                sample_instance(m, variances, draws.of(slot, attempt), spec.sigma2)
-                for slot, attempt in zip((rows % n).tolist(), attempts[rows].tolist()))
+            batch = NetworkInstance._of_gains(np.array([
+                sample_instance(m, variances, draws.of(slot, attempt), spec.sigma2)._gains
+                for slot, attempt in zip((rows % n).tolist(), attempts[rows].tolist())]),
+                spec.sigma2)
             alphas = None if alpha_rows is None else alpha_rows[rows]
             errors = [None] * len(rows)
             for mode in spec.modes:

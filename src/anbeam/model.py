@@ -410,7 +410,13 @@ def simulate_noise_residual(instance: NetworkInstance, p1: float, alpha: float,
 def noise_residual_scale(instance: NetworkInstance, p1: float, alpha: float,
                          w: np.ndarray) -> float:
     """Natural magnitude scale of the two cancelling u-terms, for judging a
-    residual 'small': sqrt((1-alpha) p1) sum_i |w_i h_si h_id|."""
+    residual 'small': sqrt((1-alpha) p1) sum_i |w_i h_si h_id|.  A scale
+    that is not finite raises NonFiniteSolution naming it."""
     w = check_signal_inputs(instance, p1, alpha, w)
-    return float(math.sqrt((1.0 - alpha) * p1)
-                 * np.sum(np.abs(w[1:] * combined_gains(instance)[1:])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(math.sqrt((1.0 - alpha) * p1)
+                      * np.sum(np.abs(w[1:] * combined_gains(instance)[1:])))
+    if not math.isfinite(scale):
+        raise NonFiniteSolution(f"the noise residual scale={scale!r} is not finite: "
+                                "it overflows a float")
+    return scale

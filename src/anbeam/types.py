@@ -7,7 +7,6 @@ values can be shared freely across threads and processes.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -91,11 +90,11 @@ class NetworkInstance:
     serves a stack as it serves a single network.  model.py keeps the channel
     arrays it forms from a network in the network's __dict__, read-only.
 
-    A drawn network (experiments.sample_instance) holds its gains in one
-    frozen buffer, _gains, and its h_sr and h_rd are views of it; a network
-    built field by field forms that buffer when it is first stacked.  A
-    stack keeps only C-contiguous copies of its three fields, which the
-    solvers read faster than strided views.
+    Built from fields (this constructor, and stack) or from a drawn buffer
+    (_of_gains).  A drawn network (experiments.sample_instance) holds its
+    gains in one frozen buffer, _gains, and its h_sr and h_rd are views of
+    it.  A stack keeps only C-contiguous copies of its three fields, which
+    the solvers read faster than strided views.
     """
 
     h_sd: Union[complex, np.ndarray]
@@ -114,10 +113,10 @@ class NetworkInstance:
 
     @classmethod
     def _of_gains(cls, gains: np.ndarray, sigma2: float) -> "NetworkInstance":
-        """The network (1-D) or stack (2-D) of the complex buffer gains, laid
-        out as _gains, with the constructor's checks.  A network takes gains
-        as its _gains, uncopied, and its h_sr and h_rd are views of it; a
-        stack keeps C-contiguous copies of its three fields."""
+        """The network (1-D, a drawn row) or stack (2-D, a sweep part) of the
+        complex buffer gains, each row in a draw's order [h_sd, h_s1, h_1d,
+        ...], with the constructor's checks.  A network owns gains uncopied as
+        _gains; a stack keeps only C-contiguous copies of its three fields."""
         self, sigma2, single = object.__new__(cls), float(sigma2), gains.ndim == 1
         gains.setflags(write=False)
         if single:
@@ -134,21 +133,10 @@ class NetworkInstance:
             _check_network(h_sd, self.h_sr, self.h_rd, sigma2, single)
         return self
 
-    @functools.cached_property
-    def _gains(self) -> np.ndarray:
-        """A single network's gains in one frozen buffer, in a draw's order
-        [h_sd, h_s1, h_1d, h_s2, ...]; stack() reads it.  A stack has none."""
-        if self.h_sr.ndim != 1:
-            raise AttributeError("a stack keeps no gain buffer")
-        gains = np.empty(1 + 2 * self.m, complex)
-        gains[0], gains[1::2], gains[2::2] = self.h_sd, self.h_sr, self.h_rd
-        gains.setflags(write=False)
-        return gains
-
     @classmethod
     def stack(cls, instances) -> "NetworkInstance":
-        """Stack of the given single networks, in order; they must share M and
-        sigma2."""
+        """Stack of the given single networks, in order, through the field
+        constructor (one copy per field); they must share M and sigma2."""
         instances = list(instances)
         if not instances:
             raise ValueError("cannot stack an empty list of instances")
@@ -159,15 +147,9 @@ class NetworkInstance:
         if len(counts) > 1:
             raise ValueError(f"stacked instances must share the relay count, "
                              f"got M in {sorted(counts)}")
-        try:
-            # the relay counts agree, so np.array stacks the rows (faster than np.stack)
-            gains = np.array([inst._gains for inst in instances])
-        except AttributeError:
-            # a stacked row has no buffer: the constructor names the fault
-            return cls(h_sd=np.array([inst.h_sd for inst in instances]),
-                       h_sr=np.array([inst.h_sr for inst in instances]),
-                       h_rd=np.array([inst.h_rd for inst in instances]), sigma2=sigma2)
-        return cls._of_gains(gains, sigma2)
+        return cls(h_sd=[inst.h_sd for inst in instances],
+                   h_sr=[inst.h_sr for inst in instances],
+                   h_rd=[inst.h_rd for inst in instances], sigma2=sigma2)
 
     @property
     def n(self) -> int:

@@ -160,9 +160,11 @@ def test_sample_instance_is_the_scaled_draw_bit_for_bit():
     Python complex times its scale), bit for bit, through a fresh stream and
     through a key's cached draw alike.  Two variance sets at each M in one
     process check the key of the scale cache.  A key's cached draw is
-    read-only and unchanged by its rows.  A stack of the rows, or of networks
-    built field by field from them, keeps C-contiguous, read-only copies of
-    its fields and no gain buffer."""
+    read-only and unchanged by its rows.  A part built as solve_grid_points
+    builds it (_of_gains of the rows' buffers), a stack of the rows and a
+    stack of networks built field by field from them all keep the same bits
+    in C-contiguous, read-only copies of their fields and no gain buffer;
+    neither stacking nor solving a network built field by field gives it one."""
     for variances in (ChannelVariances(), ChannelVariances(sr=2.0, rd=0.5, sd=3.0)):
         for m in (1, 4, 256):
             for slot in range(3):
@@ -185,12 +187,15 @@ def test_sample_instance_is_the_scaled_draw_bit_for_bit():
 
                 built = [NetworkInstance(h_sd=row.h_sd, h_sr=row.h_sr, h_rd=row.h_rd, sigma2=2.0)
                          for row in rows]
-                for batch in (NetworkInstance.stack(rows), NetworkInstance.stack(built)):
+                part = NetworkInstance._of_gains(np.array([row._gains for row in rows]), 2.0)
+                for batch in (part, NetworkInstance.stack(rows), NetworkInstance.stack(built)):
                     assert "_gains" not in vars(batch)
                     for name, row in (("h_sd", h_sd), ("h_sr", h_sr), ("h_rd", h_rd)):
                         value = getattr(batch, name)
                         assert value.flags.c_contiguous and not value.flags.writeable
                         assert _same_bits(value, [row] * 3)
+                solve_total(built[0], SystemParams(2.0, None, TotalBudget(4.0)), alpha=0.5)
+                assert not any("_gains" in vars(inst) for inst in built)
 
 
 @pytest.mark.parametrize("m", [True, 2.0, "3"], ids=["bool", "float", "string"])

@@ -31,7 +31,9 @@ NETWORKS_PER_RANGE = 40
 
 # Functions held to raising no numpy RuntimeWarning either; the others may
 # warn where a float overflows, which this test does not judge.
-WARNING_FREE = {"alpha_monotonicity_threshold"}
+WARNING_FREE = {"alpha_monotonicity_threshold", "capacity_relay", "secrecy_rate",
+                "alpha_for_threshold", "solve_total", "solve_individual",
+                "noise_residual_scale"}
 
 
 def _draw(rng, decades):
