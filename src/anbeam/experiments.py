@@ -18,11 +18,11 @@ alpha per row, and the batch is split in equal parts of at most
 BATCH_ELEMENTS rows x relays and BATCH_ROWS rows, which changes no value.
 Each round takes its rows in (slot, attempt) key order, so a key's stream is
 seeded once per relay-count chunk and its one read-only draw serves its
-consecutive rows.  Each row scales the draw, out of place, into a gain
-buffer; one np.array stacks a part's buffers (each row's network is dropped
-once read), NetworkInstance._of_gains builds the part, and solve_total_batch
-and solve_individual_batch share it (model.py forms its channel arrays once)
-and report failures per row.
+consecutive rows.  Its first row scales the draw, out of place, into the
+gain buffer of one network, which sample_instance returns to its later rows;
+one np.array stacks a part's buffers, NetworkInstance._of_gains builds the
+part, and solve_total_batch and solve_individual_batch share it (model.py
+forms its channel arrays once) and report failures per row.
 A row that fails in either mode (e.g. an infeasible SNR threshold at low p1)
 advances its slot's attempt counter at its own grid point; the failed rows
 are redrawn together as a smaller batch, and each replacement is logged and
@@ -60,6 +60,10 @@ BUDGET_MODES = ("total", "individual")
 # point, n_instances rows each, so larger counts fail inside numpy.
 _MAX_FLOAT64S = np.iinfo(np.intp).max // 8
 _MAX_RELAYS = (_MAX_FLOAT64S - 2) // 4
+# (draw, m, variances, sigma2, network) of sample_instance's last read-only owning
+# draw, read and replaced whole: a race between threads can cost a rebuild, never
+# a wrong network.  Drawing each part as one stack (ROADMAP item 4) deletes it.
+_kept_network = (None,) * 5
 
 
 def resolve_workers(explicit: Optional[int] = None) -> int:
@@ -105,14 +109,23 @@ def sample_instance(m: int, variances: ChannelVariances,
     h_id ~ CN(0, rd), with the per-relay draws interleaved so a smaller relay
     count consumes a prefix of the same stream.  The draw, read as complex,
     is scaled in one multiply whose product the NetworkInstance owns, so
-    the drawn array is neither written nor kept.
+    the drawn array is never written.  Handed the same read-only, owning
+    array object as the last call that had one, with the same m, variances
+    object and sigma2, it returns that call's network: one per _KeyDraws key.
     An m that is not an integer of at least 1 is a ValueError naming it."""
+    global _kept_network
     m = _integer(m, "m")
     if m < 1:
         raise ValueError(f"m={m}: need at least one relay")
+    draw, kept = stream.standard_normal(2 + 4 * m), _kept_network
+    if (draw is kept[0] and not draw.flags.writeable and m == kept[1] and variances is kept[2]
+            and sigma2 == kept[3]):
+        return kept[4]
     scales = _gain_scales(m, variances.sd, variances.sr, variances.rd)
-    return NetworkInstance._of_gains(stream.standard_normal(2 + 4 * m).view(complex) * scales,
-                                     sigma2)
+    network = NetworkInstance._of_gains(draw.view(complex) * scales, sigma2)
+    if draw.flags.owndata and not draw.flags.writeable:
+        _kept_network = draw, m, variances, sigma2, network
+    return network
 
 
 @dataclass(frozen=True)
@@ -243,8 +256,8 @@ BATCH_ROWS = 1 << 10
 
 class _KeyDraws:
     """Stand-in generator caching one (slot, attempt) key's 2 + 4m normals:
-    standard_normal returns the cached draw itself, read-only, which
-    sample_instance scales out of place."""
+    standard_normal returns the cached draw itself, read-only, so
+    sample_instance builds the key's network once, for all its rows."""
 
     def __init__(self, seed: int, m: int):
         self.seed, self.size, self.key, self.draw = seed, 2 + 4 * m, None, None

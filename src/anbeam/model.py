@@ -214,8 +214,12 @@ def alpha_monotonicity_threshold(instance: NetworkInstance, p1: float) -> float:
 def secrecy_monotone_in_alpha(instance: NetworkInstance, p1: float, w: np.ndarray) -> bool:
     """True when the fixed-w beam factor clears alpha_monotonicity_threshold,
     i.e. the sufficient condition for d(secrecy)/d(alpha) >= 0 holds.  The
-    beam factor f(w) is the beam SINR at alpha = 1."""
-    f = beam_sinr(instance, p1, 1.0, w)
+    beam factor f(w) is the beam SINR at alpha = 1; one that is not finite
+    raises NonFiniteSolution naming it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = float(beam_sinr(instance, p1, 1.0, w))
+    if not math.isfinite(f):
+        raise NonFiniteSolution(f"the beam factor f(w)={f!r} is not finite: it overflows a float")
     return f >= alpha_monotonicity_threshold(instance, p1)
 
 
@@ -274,14 +278,15 @@ def derive_model(instance: NetworkInstance, p1: float, alpha: float) -> DerivedM
     alpha each a scalar or one value per row; the solvers read the kept arrays."""
     _check_rows(instance, p1, "p1")
     _check_rows(instance, alpha, "alpha")
-    return DerivedModel(
-        alpha=alpha,
-        p1=p1,
-        h=combined_gains(instance),
-        g=cancellation_gains(instance),
-        d_h_diag=noise_amp_diag(instance),
-        t_diag=relay_input_powers(instance, p1),
-    )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return DerivedModel(
+            alpha=alpha,
+            p1=p1,
+            h=combined_gains(instance),
+            g=cancellation_gains(instance),
+            d_h_diag=noise_amp_diag(instance),
+            t_diag=relay_input_powers(instance, p1),
+        )
 
 
 def _check_rows(instance, value, name: str) -> None:

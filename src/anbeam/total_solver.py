@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import NonFiniteSolution
 from .model import (_check_rows, _dot, cancellation_gains, combined_gains, noise_amp_diag,
                     relay_input_powers, resolve_alphas, second_phase_power, solved_values)
 from .types import (
@@ -28,6 +29,7 @@ from .types import (
 )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def dense_power_matrix(derived: DerivedModel) -> np.ndarray:
     """Dense D = blockdiag(alpha*p1, diag(T) + (1-alpha)*p1*conj(g)g^T)."""
     m = derived.m
@@ -45,14 +47,19 @@ def build_d_tilde(derived: DerivedModel, p_tot: float) -> np.ndarray:
     denominator of the substituted Rayleigh quotient.
 
     Definiteness needs alpha > 0: the source row of D_h is zero, so with
-    alpha = 0 the first row/column of D_tilde vanishes entirely.
+    alpha = 0 the first row/column of D_tilde vanishes entirely.  An entry
+    that is not finite raises NonFiniteSolution naming D_tilde.
     """
     if derived.alpha <= 0.0:
         raise ValueError(f"alpha={float(derived.alpha)!r} must be positive: D_tilde is "
                          "singular at 0")
     if p_tot <= 0.0:
         raise ValueError("p_tot must be positive")
-    return dense_power_matrix(derived) / p_tot + np.diag(derived.d_h_diag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_tilde = dense_power_matrix(derived) / p_tot + np.diag(derived.d_h_diag)
+    if not np.isfinite(d_tilde).all():
+        raise NonFiniteSolution("D_tilde has an entry that is not finite: it overflows a float")
+    return d_tilde
 
 
 # Failed rows compute numbers that are never read, quietly; a healthy row's

@@ -198,6 +198,65 @@ def test_sample_instance_is_the_scaled_draw_bit_for_bit():
                 assert not any("_gains" in vars(inst) for inst in built)
 
 
+class _Returns:
+    """A stream whose standard_normal returns one given array, whatever the
+    size asked for."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def standard_normal(self, size):
+        return self.draw
+
+
+def test_sample_instance_keeps_only_a_read_only_draws_network():
+    """The network of a read-only draw that owns its memory comes back for
+    the same array object, m and variances object and an equal sigma2.  Any
+    other call builds a fresh network with the bits a fresh writable copy of
+    its draw gives (the path the bit-for-bit test above pins): a different m,
+    sigma2 or variances object, a writable draw, a read-only view of a
+    writable draw, and a kept draw made writable again, each mutated between
+    calls."""
+    variances = ChannelVariances()
+
+    def check_fresh(m, variances, draw, sigma2, previous):
+        got = sample_instance(m, variances, _Returns(draw), sigma2)
+        want = sample_instance(m, variances, _Returns(draw.copy()), sigma2)
+        assert got is not previous and got.m == m and got.sigma2 == sigma2
+        for name in ("h_sd", "h_sr", "h_rd"):
+            assert _same_bits(getattr(got, name), getattr(want, name))
+        return got
+
+    draws = experiments._KeyDraws(11, 4).of(2, 0)
+    first = sample_instance(4, variances, draws, 2.0)
+    assert sample_instance(4, variances, draws, 2) is first
+    other_sigma2 = check_fresh(4, variances, draws.draw, 3.0, first)
+    assert sample_instance(4, variances, draws, 3.0) is other_sigma2
+    check_fresh(4, ChannelVariances(), draws.draw, 3.0, other_sigma2)
+
+    # one complex normal broadcasts against the scales of every m
+    one = np.random.default_rng(1).standard_normal(2)
+    one.setflags(write=False)
+    for m, kept_m in ((1, 2), (2, 1)):
+        check_fresh(m, variances, one, 1.0, sample_instance(kept_m, variances, _Returns(one)))
+
+    rng = np.random.default_rng(2)
+    thawed = rng.standard_normal(18)
+    thawed.setflags(write=False)
+    kept = sample_instance(4, variances, _Returns(thawed))
+    assert sample_instance(4, variances, _Returns(thawed)) is kept
+    thawed.setflags(write=True)
+    thawed *= 2.0
+    check_fresh(4, variances, thawed, 1.0, kept)
+    writable, base = rng.standard_normal(18), rng.standard_normal(18)
+    view = base[:]
+    view.setflags(write=False)
+    for draw, written in ((writable, writable), (view, base)):
+        previous = sample_instance(4, variances, _Returns(draw))
+        written *= 2.0
+        check_fresh(4, variances, draw, 1.0, previous)
+
+
 @pytest.mark.parametrize("m", [True, 2.0, "3"], ids=["bool", "float", "string"])
 def test_sample_instance_rejects_a_count_that_is_not_an_int(m):
     with pytest.raises(ValueError, match=f"^m: expected an integer, got {m!r}$"):
@@ -727,6 +786,34 @@ def test_each_key_is_seeded_once_per_call(monkeypatch, caplog, batch_rows):
     assert len(records) == sum(result.resamples for result in results) > 0
     logged = [(rec.args[4], spec.p1_values.index(rec.args[2]), rec.args[0]) for rec in records]
     assert logged == sorted(logged)
+
+
+@pytest.mark.parametrize("batch_rows", [None, 4], ids=["default-parts", "4-row-parts"])
+def test_each_key_builds_one_network(monkeypatch, caplog, batch_rows):
+    """A row still gets its network from one sample_instance call, but the
+    rows of one (slot, attempt) key share the network its first row built,
+    however they fall into parts: one one-network build per key."""
+    draws, sample = _count_draws(monkeypatch)
+    of_gains = NetworkInstance._of_gains
+
+    def counting_of_gains(gains, sigma2):
+        counting_of_gains.one_network_builds += gains.ndim == 1
+        return of_gains(gains, sigma2)
+
+    counting_of_gains.one_network_builds = 0
+    monkeypatch.setattr(NetworkInstance, "_of_gains", staticmethod(counting_of_gains))
+    if batch_rows is not None:
+        monkeypatch.setattr(experiments, "BATCH_ROWS", batch_rows)
+    spec = ExperimentSpec(m_values=(10,), p1_values=(0.5, 0.6, 2.0), gamma=1.0, p_i=0.01,
+                          seed=0)
+    points = [(p1, None) for p1 in spec.p1_values]
+    with caplog.at_level(logging.WARNING, logger="anbeam.experiments"):
+        results = solve_grid_points(spec, 10, points)
+    resamples = sum(result.resamples for result in results)
+    assert resamples > 0
+    assert sample.calls == len(points) * spec.n_instances + resamples
+    # draws lists each seeded key once
+    assert counting_of_gains.one_network_builds == len(set(draws)) == len(draws)
 
 
 def test_grid_points_must_agree_on_how_alpha_is_set():

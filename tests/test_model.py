@@ -579,6 +579,15 @@ def test_monotonicity_threshold_names_an_overflowing_snr():
             alpha_monotonicity_threshold(inst, 2.0)
 
 
+def test_monotone_predicate_names_a_beam_factor_that_is_not_finite():
+    # |h_s1 h_1d|^2 and |h_1d|^2 overflow a float: f(w) = inf / inf
+    inst = NetworkInstance(h_sd=1.0, h_sr=[1e200], h_rd=[1e200], sigma2=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSolution, match=r"^the beam factor f\(w\)=nan is not finite"):
+            secrecy_monotone_in_alpha(inst, 2.0, np.array([1.0, 1.0]))
+
+
 def test_monotonic_secrecy_when_predicate_holds(rng):
     """Finite-difference check: while the beam factor clears the threshold
     (and the relay side sits in the rho_e > 2 regime), the secrecy rate is

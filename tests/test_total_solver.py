@@ -2,12 +2,13 @@
 matrix assembly."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from anbeam import model
-from anbeam.errors import BeamformingError
+from anbeam.errors import BeamformingError, NonFiniteSolution
 from anbeam.model import (capacity_dest, derive_model, relay_snrs, second_phase_power,
                           strongest_relay)
 from anbeam.total_solver import build_d_tilde, dense_power_matrix, solve_total, solve_total_batch
@@ -77,6 +78,23 @@ def test_d_tilde_rejects_nonpositive_budget(rng, p_tot):
     derived = derive_model(make_instance(rng, 2), 2.0, 0.5)
     with pytest.raises(ValueError, match="^p_tot must be positive$"):
         build_d_tilde(derived, p_tot)
+
+
+@pytest.mark.parametrize("h_sr, p_tot, d_finite", [
+    ([1e200, 0.5], 4.0, False),   # |h_s1|^2 p1 and |g_1|^2 overflow: D holds inf
+    ([1.0, 0.5], 1e-310, True),   # D is finite, D / p_tot overflows
+], ids=["gains", "budget"])
+def test_d_tilde_names_an_entry_that_is_not_finite(h_sr, p_tot, d_finite):
+    """The dense reference path forms overflowing entries without a numpy
+    warning; build_d_tilde then raises NonFiniteSolution naming D_tilde,
+    while dense_power_matrix returns D as it is."""
+    inst = NetworkInstance(h_sd=1.0, h_sr=h_sr, h_rd=[1.0, 0.3], sigma2=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        derived = derive_model(inst, 2.0, 0.5)
+        assert np.isfinite(dense_power_matrix(derived)).all() == d_finite
+        with pytest.raises(NonFiniteSolution, match="^D_tilde has an entry that is not finite"):
+            build_d_tilde(derived, p_tot)
 
 
 def test_d_tilde_hermitian_positive_definite(rng):

@@ -33,7 +33,7 @@ NETWORKS_PER_RANGE = 40
 # warn where a float overflows, which this test does not judge.
 WARNING_FREE = {"alpha_monotonicity_threshold", "capacity_relay", "secrecy_rate",
                 "alpha_for_threshold", "solve_total", "solve_individual",
-                "noise_residual_scale"}
+                "noise_residual_scale", "power_iteration_rank1", "secrecy_monotone_in_alpha"}
 
 
 def _draw(rng, decades):
