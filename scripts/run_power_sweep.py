@@ -2,7 +2,8 @@
 """Sweep destination capacity vs first-phase power for several fixed power
 splits (both budget modes, 4 relays) and write the CSV.
 
-Usage: python scripts/run_power_sweep.py --out power_sweep.csv [--seed 0] [--workers 4]
+Usage: python scripts/run_power_sweep.py --out power_sweep.csv [--seed 0] [--n-instances 100]
+       [--workers 1]  (more workers pay only from about 500 instances; see README)
 """
 
 import argparse

@@ -2,7 +2,9 @@
 """Sweep destination capacity vs relay count (2..10) at fixed first-phase
 power, both budget modes, and write the CSV.
 
-Usage: python scripts/run_relay_count_sweep.py --out relay_count_sweep.csv [--seed 0] [--workers 4]
+Usage: python scripts/run_relay_count_sweep.py --out relay_count_sweep.csv [--seed 0]
+       [--n-instances 100] [--workers 1]  (more workers pay only from about 500
+       instances; see README)
 """
 
 import argparse

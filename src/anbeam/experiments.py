@@ -16,13 +16,11 @@ All grid points of one relay count are solved as one batch per budget mode
 (solve_grid_points): each row is one (grid point, slot), with p1 and a fixed
 alpha per row, and the batch is split in equal parts of at most
 BATCH_ELEMENTS rows x relays and BATCH_ROWS rows, which changes no value.
-Each round takes its rows in (slot, attempt) key order, so a key's stream is
-seeded once per relay-count chunk and its one read-only draw serves its
-consecutive rows.  Its first row scales the draw, out of place, into the
-gain buffer of one network, which sample_instance returns to its later rows;
-one np.array stacks a part's buffers, NetworkInstance._of_gains builds the
-part, and solve_total_batch and solve_individual_batch share it (model.py
-forms its channel arrays once) and report failures per row.
+Each round takes its rows in (slot, attempt) key order; the call's _KeyDraws
+builds each key's network once, for sample_instance to return to each of the
+key's consecutive rows.  A part is the field constructor's stack of its rows'
+gain buffers, which solve_total_batch and solve_individual_batch share
+(model.py forms its channel arrays once); they report failures per row.
 A row that fails in either mode (e.g. an infeasible SNR threshold at low p1)
 advances its slot's attempt counter at its own grid point; the failed rows
 are redrawn together as a smaller batch, and each replacement is logged and
@@ -33,7 +31,6 @@ call.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -44,8 +41,7 @@ import numpy as np
 from .individual_solver import solve_individual_batch
 from .serialization import _integer, _list_of, _real, _reject_unknown
 from .total_solver import solve_total_batch
-from .types import (IndividualBudget, NetworkInstance, SystemParams, TotalBudget, _frozen_array,
-                    check_gamma)
+from .types import IndividualBudget, NetworkInstance, SystemParams, TotalBudget, check_gamma
 
 log = logging.getLogger(__name__)
 
@@ -60,10 +56,6 @@ BUDGET_MODES = ("total", "individual")
 # point, n_instances rows each, so larger counts fail inside numpy.
 _MAX_FLOAT64S = np.iinfo(np.intp).max // 8
 _MAX_RELAYS = (_MAX_FLOAT64S - 2) // 4
-# (draw, m, variances, sigma2, network) of sample_instance's last read-only owning
-# draw, read and replaced whole: a race between threads can cost a rebuild, never
-# a wrong network.  Drawing each part as one stack (ROADMAP item 4) deletes it.
-_kept_network = (None,) * 5
 
 
 def resolve_workers(explicit: Optional[int] = None) -> int:
@@ -97,10 +89,9 @@ def instance_stream(seed: int, slot: int, attempt: int = 0) -> np.random.Generat
         np.random.SeedSequence(HARNESS_NAMESPACE, spawn_key=(seed, slot, attempt)))
 
 
-@functools.lru_cache(maxsize=64)
-def _gain_scales(m: int, sd: float, sr: float, rd: float) -> np.ndarray:
-    """sqrt(variance / 2) of each gain of a draw, in its order, read-only."""
-    return _frozen_array(np.sqrt(np.array([sd] + [sr, rd] * m) / 2.0), complex)
+def _gain_scales(m: int, variances: ChannelVariances) -> np.ndarray:
+    """sqrt(variance / 2) of each gain of a draw, in its order, as complex."""
+    return np.sqrt(np.array([variances.sd] + [variances.sr, variances.rd] * m) / 2).astype(complex)
 
 
 def sample_instance(m: int, variances: ChannelVariances,
@@ -108,24 +99,17 @@ def sample_instance(m: int, variances: ChannelVariances,
     """Draw one network: h_sd ~ CN(0, sd), each relay's h_si ~ CN(0, sr) and
     h_id ~ CN(0, rd), with the per-relay draws interleaved so a smaller relay
     count consumes a prefix of the same stream.  The draw, read as complex,
-    is scaled in one multiply whose product the NetworkInstance owns, so
-    the drawn array is never written.  Handed the same read-only, owning
-    array object as the last call that had one, with the same m, variances
-    object and sigma2, it returns that call's network: one per _KeyDraws key.
-    An m that is not an integer of at least 1 is a ValueError naming it."""
-    global _kept_network
+    is scaled in one multiply whose product the network owns, so the drawn
+    array is never written.  A call keeps nothing; a _KeyDraws stream, made
+    with this m, variances and sigma2, returns its key's network instead.  An
+    m that is not an integer of at least 1 is a ValueError naming it."""
+    if isinstance(stream, _KeyDraws):
+        return stream.network
     m = _integer(m, "m")
     if m < 1:
         raise ValueError(f"m={m}: need at least one relay")
-    draw, kept = stream.standard_normal(2 + 4 * m), _kept_network
-    if (draw is kept[0] and not draw.flags.writeable and m == kept[1] and variances is kept[2]
-            and sigma2 == kept[3]):
-        return kept[4]
-    scales = _gain_scales(m, variances.sd, variances.sr, variances.rd)
-    network = NetworkInstance._of_gains(draw.view(complex) * scales, sigma2)
-    if draw.flags.owndata and not draw.flags.writeable:
-        _kept_network = draw, m, variances, sigma2, network
-    return network
+    draw = stream.standard_normal(2 + 4 * m)
+    return NetworkInstance._of_gains(draw.view(complex) * _gain_scales(m, variances), sigma2)
 
 
 @dataclass(frozen=True)
@@ -255,22 +239,21 @@ BATCH_ROWS = 1 << 10
 
 
 class _KeyDraws:
-    """Stand-in generator caching one (slot, attempt) key's 2 + 4m normals:
-    standard_normal returns the cached draw itself, read-only, so
-    sample_instance builds the key's network once, for all its rows."""
+    """One solve_grid_points call's cache of one (slot, attempt) key's
+    network, which sample_instance returns to each of the key's rows.  It
+    serves only the m, variances and sigma2 it was made with: of(slot,
+    attempt) seeds, draws and builds a new key's network once."""
 
-    def __init__(self, seed: int, m: int):
-        self.seed, self.size, self.key, self.draw = seed, 2 + 4 * m, None, None
+    def __init__(self, seed: int, m: int, variances: ChannelVariances, sigma2: float):
+        self.seed, self.size, self.sigma2 = seed, 2 + 4 * m, sigma2
+        self.scales, self.key, self.network = _gain_scales(m, variances), None, None
 
     def of(self, slot: int, attempt: int) -> "_KeyDraws":
         if (slot, attempt) != self.key:
             self.key = slot, attempt
-            self.draw = instance_stream(self.seed, slot, attempt).standard_normal(self.size)
-            self.draw.setflags(write=False)
+            draw = instance_stream(self.seed, slot, attempt).standard_normal(self.size)
+            self.network = NetworkInstance._of_gains(draw.view(complex) * self.scales, self.sigma2)
         return self
-
-    def standard_normal(self, size: int) -> np.ndarray:
-        return self.draw
 
 
 def solve_grid_points(spec: ExperimentSpec, m: int,
@@ -281,15 +264,14 @@ def solve_grid_points(spec: ExperimentSpec, m: int,
 
     Row j * n_instances + s of the batch is slot s of point j; p1 and a
     fixed alpha are per-row values (alpha is None at every point, meaning
-    derived per row from gamma, or at none).  Each round draws the pending
-    rows' instances in (slot, point) order, so the rows of one (slot,
-    attempt) key are consecutive and share one draw, and solves them as one
-    batch per mode, split in equal parts of at most BATCH_ELEMENTS rows x
-    relays and BATCH_ROWS rows.  A row whose solve fails in any mode is
-    redrawn (next attempt of its slot at its own grid point) for all modes
-    together in the next round; the failures are logged in row order, the
-    first mode's error for each, which is raised once a slot has failed its
-    draw and 100 resamples.
+    derived per row from gamma, or at none).  Each round solves the pending
+    rows in (slot, point) order, the rows of one (slot, attempt) key sharing
+    its network, as one batch per mode split in equal parts of at most
+    BATCH_ELEMENTS rows x relays and BATCH_ROWS rows.  A row whose solve
+    fails in any mode is redrawn (next attempt of its slot at its own grid
+    point) for all modes together in the next round; the failures are
+    logged in row order, the first mode's error for each, which is raised
+    once a slot has failed its draw and 100 resamples.
     """
     n = spec.n_instances
     p1_rows = np.repeat([p1 for p1, _ in points], n)
@@ -305,19 +287,21 @@ def solve_grid_points(spec: ExperimentSpec, m: int,
     attempts = np.zeros(p1_rows.size, dtype=int)
     resamples = np.zeros(len(points), dtype=int)
     pending = np.arange(p1_rows.size)
-    draws = _KeyDraws(spec.seed, m)
+    draws = _KeyDraws(spec.seed, m, variances, spec.sigma2)
     while pending.size:
         # (slot, point) order: every pending row is at the round's attempt,
-        # so the rows of one key are consecutive and share one draw
+        # so the rows of one key are consecutive and share one network
         pending = pending[np.argsort(pending % n, kind="stable")]
         failed = []
         per_part = min(max(1, BATCH_ELEMENTS // m), BATCH_ROWS)
         for rows in np.array_split(pending, -(-pending.size // per_part)):
             # slots and attempts as Python ints: int() of a numpy scalar costs per row
-            batch = NetworkInstance._of_gains(np.array([
+            gains = np.array([
                 sample_instance(m, variances, draws.of(slot, attempt), spec.sigma2)._gains
-                for slot, attempt in zip((rows % n).tolist(), attempts[rows].tolist())]),
-                spec.sigma2)
+                for slot, attempt in zip((rows % n).tolist(), attempts[rows].tolist())])
+            batch = NetworkInstance(h_sd=gains[:, 0], h_sr=gains[:, 1::2], h_rd=gains[:, 2::2],
+                                    sigma2=spec.sigma2)
+            del gains  # the fields are copies: free the buffer before the solves
             alphas = None if alpha_rows is None else alpha_rows[rows]
             errors = [None] * len(rows)
             for mode in spec.modes:

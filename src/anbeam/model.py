@@ -400,7 +400,8 @@ def simulate_noise_residual(instance: NetworkInstance, p1: float, alpha: float,
     rounding.  The reception is affine in u, so the coefficient is the
     propagated reception at u = 1 minus the one at u = 0, both with the
     realization's x and z: genuine cancellation error shows up rather than an
-    algebraic identity, whatever the realization's own u.
+    algebraic identity, whatever the realization's own u.  A residual that
+    is not finite raises NonFiniteSolution naming it.
     """
     w = check_signal_inputs(instance, p1, alpha, w)
     if np.shape(realization.z)[-1:] != (instance.m + 1,):
@@ -408,8 +409,12 @@ def simulate_noise_residual(instance: NetworkInstance, p1: float, alpha: float,
                          f"got shape {np.shape(realization.z)}")
     unit = SignalRealization(x=realization.x, u=1.0, z=realization.z)
     zeroed = SignalRealization(x=realization.x, u=0.0, z=realization.z)
-    return complex(destination_phase2_rx(instance, p1, alpha, w, unit)
-                   - destination_phase2_rx(instance, p1, alpha, w, zeroed))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = complex(destination_phase2_rx(instance, p1, alpha, w, unit)
+                           - destination_phase2_rx(instance, p1, alpha, w, zeroed))
+    if not np.isfinite(residual):
+        raise NonFiniteSolution(f"the noise residual={residual!r} is not finite")
+    return residual
 
 
 def noise_residual_scale(instance: NetworkInstance, p1: float, alpha: float,

@@ -338,6 +338,7 @@ def oracle_individual_grid(instance: NetworkInstance, params: SystemParams,
     the grid's best psi* of psi(u) = (c1 u1 + c2 . u)^2 / (1 + |u|^2): the
     capacity with every beam term phase-aligned, which is optimal (README,
     Limitations).  It uses neither the solver's phases nor capacity_dest.
+    A best C_d that is not finite raises OracleEvalError.
     """
     m = instance.m
     if m > _GRID_MAX_RELAYS:
@@ -351,6 +352,7 @@ def oracle_individual_grid(instance: NetworkInstance, params: SystemParams,
              / np.sqrt(c2 ** 2 * p1 + instance.sigma2))
     eta1, eta2 = budget.p_s / (a * p1), (1.0 - a) / (a * c1 ** 2)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def batch_value(u_batch: np.ndarray) -> np.ndarray:
         total = u_batch @ c2
         rad = eta1 - eta2 * total ** 2
@@ -390,6 +392,8 @@ def oracle_individual_grid(instance: NetworkInstance, params: SystemParams,
         n = 21
     oracle_cd = 0.5 * math.log2(1.0 + direct_sinr(instance, p1, a)
                                 + a * p1 / instance.sigma2 * best_psi)
+    if not math.isfinite(oracle_cd):
+        raise OracleEvalError(f"the grid's best C_d={oracle_cd!r} is not finite")
 
     return OracleReport(
         analytic_value=solution.c_d,

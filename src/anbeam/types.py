@@ -90,8 +90,8 @@ class NetworkInstance:
     serves a stack as it serves a single network.  model.py keeps the channel
     arrays it forms from a network in the network's __dict__, read-only.
 
-    Built from fields (this constructor, and stack) or from a drawn buffer
-    (_of_gains).  A drawn network (experiments.sample_instance) holds its
+    Built from fields (this constructor, which stack and a sweep part use)
+    or from one drawn row's buffer (_of_gains).  A drawn network holds its
     gains in one frozen buffer, _gains, and its h_sr and h_rd are views of
     it.  A stack keeps only C-contiguous copies of its three fields, which
     the solvers read faster than strided views.
@@ -113,24 +113,16 @@ class NetworkInstance:
 
     @classmethod
     def _of_gains(cls, gains: np.ndarray, sigma2: float) -> "NetworkInstance":
-        """The network (1-D, a drawn row) or stack (2-D, a sweep part) of the
-        complex buffer gains, each row in a draw's order [h_sd, h_s1, h_1d,
-        ...], with the constructor's checks.  A network owns gains uncopied as
-        _gains; a stack keeps only C-contiguous copies of its three fields."""
-        self, sigma2, single = object.__new__(cls), float(sigma2), gains.ndim == 1
+        """The network of one drawn row's complex buffer [h_sd, h_s1, h_1d, ...],
+        owned uncopied and frozen as _gains, with the constructor's checks."""
+        self, sigma2, h_sd = object.__new__(cls), float(sigma2), gains.item(0)
         gains.setflags(write=False)
-        if single:
-            fields = dict(h_sd=gains.item(0), h_sr=gains[1::2], h_rd=gains[2::2], _gains=gains)
-        else:
-            fields = {name: _frozen_array(gains[..., k], complex) for name, k in
-                      (("h_sd", 0), ("h_sr", slice(1, None, 2)), ("h_rd", slice(2, None, 2)))}
-        self.__dict__.update(fields, sigma2=sigma2)
-        h_sd = self.h_sd
+        self.__dict__.update(h_sd=h_sd, h_sr=gains[1::2], h_rd=gains[2::2], sigma2=sigma2,
+                             _gains=gains)
         # one test of the whole buffer; _check_network names what failed
-        if not (gains.ndim <= 2 and gains.shape[-1] % 2 and _all_finite(gains)
-                and 0 < sigma2 < math.inf
-                and (h_sd != 0 if single else np.count_nonzero(h_sd) == h_sd.size)):
-            _check_network(h_sd, self.h_sr, self.h_rd, sigma2, single)
+        if not (gains.ndim == 1 and gains.size % 2 and _all_finite(gains)
+                and 0 < sigma2 < math.inf and h_sd != 0):
+            _check_network(h_sd, self.h_sr, self.h_rd, sigma2, True)
         return self
 
     @classmethod

@@ -158,24 +158,23 @@ def test_sample_instance_is_the_scaled_draw_bit_for_bit():
     """Every drawn network is its draw scaled as written out below (a copy of
     the draw, h_sr and h_rd scaled in place by sqrt(variance / 2), h_sd a
     Python complex times its scale), bit for bit, through a fresh stream and
-    through a key's cached draw alike.  Two variance sets at each M in one
-    process check the key of the scale cache.  A key's cached draw is
-    read-only and unchanged by its rows.  A part built as solve_grid_points
-    builds it (_of_gains of the rows' buffers), a stack of the rows and a
-    stack of networks built field by field from them all keep the same bits
-    in C-contiguous, read-only copies of their fields and no gain buffer;
-    neither stacking nor solving a network built field by field gives it one."""
+    through a sweep call's _KeyDraws alike, at two variance sets and three
+    relay counts; every row of a key gets the key's one network, whose gain
+    buffer is read-only.  A part built as solve_grid_points builds it (the
+    field constructor on the column slices of one np.array of the rows'
+    buffers), a stack of the rows and a stack of networks built field by
+    field from them all keep the same bits in C-contiguous, read-only copies
+    of their fields and no gain buffer; neither stacking nor solving a
+    network built field by field gives it one."""
     for variances in (ChannelVariances(), ChannelVariances(sr=2.0, rd=0.5, sd=3.0)):
         for m in (1, 4, 256):
+            draws = experiments._KeyDraws(11, m, variances, 2.0)
             for slot in range(3):
-                draws = experiments._KeyDraws(11, m).of(slot, 0)
-                cached = draws.draw.copy()
-                rows = [sample_instance(m, variances, draws, 2.0) for _ in range(2)]
+                rows = [sample_instance(m, variances, draws.of(slot, 0), 2.0) for _ in range(2)]
+                assert rows[1] is rows[0] and not rows[0]._gains.flags.writeable
                 rows.append(sample_instance(m, variances, instance_stream(11, slot), 2.0))
-                assert not draws.draw.flags.writeable
-                assert np.array_equal(draws.draw.view(np.uint64), cached.view(np.uint64))
 
-                gains = cached.copy().view(complex)
+                gains = instance_stream(11, slot).standard_normal(2 + 4 * m).view(complex)
                 h_sr, h_rd = gains[1::2], gains[2::2]
                 h_sr *= math.sqrt(variances.sr / 2.0)
                 h_rd *= math.sqrt(variances.rd / 2.0)
@@ -187,7 +186,9 @@ def test_sample_instance_is_the_scaled_draw_bit_for_bit():
 
                 built = [NetworkInstance(h_sd=row.h_sd, h_sr=row.h_sr, h_rd=row.h_rd, sigma2=2.0)
                          for row in rows]
-                part = NetworkInstance._of_gains(np.array([row._gains for row in rows]), 2.0)
+                buffers = np.array([row._gains for row in rows])
+                part = NetworkInstance(h_sd=buffers[:, 0], h_sr=buffers[:, 1::2],
+                                       h_rd=buffers[:, 2::2], sigma2=2.0)
                 for batch in (part, NetworkInstance.stack(rows), NetworkInstance.stack(built)):
                     assert "_gains" not in vars(batch)
                     for name, row in (("h_sd", h_sd), ("h_sr", h_sr), ("h_rd", h_rd)):
@@ -209,14 +210,14 @@ class _Returns:
         return self.draw
 
 
-def test_sample_instance_keeps_only_a_read_only_draws_network():
-    """The network of a read-only draw that owns its memory comes back for
-    the same array object, m and variances object and an equal sigma2.  Any
-    other call builds a fresh network with the bits a fresh writable copy of
-    its draw gives (the path the bit-for-bit test above pins): a different m,
-    sigma2 or variances object, a writable draw, a read-only view of a
-    writable draw, and a kept draw made writable again, each mutated between
-    calls."""
+def test_sample_instance_keeps_no_state():
+    """Given any stream that is not a _KeyDraws, every call builds a fresh
+    network with the bits a fresh writable copy of its draw gives (the path
+    the bit-for-bit test above pins): also for the same read-only array that
+    owns its memory, handed back with the same m, variances object and
+    sigma2.  The other inputs are a different m, sigma2 or variances object,
+    a writable draw, a read-only view of a writable draw, and a read-only
+    draw made writable again, each mutated between calls."""
     variances = ChannelVariances()
 
     def check_fresh(m, variances, draw, sigma2, previous):
@@ -227,27 +228,30 @@ def test_sample_instance_keeps_only_a_read_only_draws_network():
             assert _same_bits(getattr(got, name), getattr(want, name))
         return got
 
-    draws = experiments._KeyDraws(11, 4).of(2, 0)
-    first = sample_instance(4, variances, draws, 2.0)
-    assert sample_instance(4, variances, draws, 2) is first
-    other_sigma2 = check_fresh(4, variances, draws.draw, 3.0, first)
-    assert sample_instance(4, variances, draws, 3.0) is other_sigma2
-    check_fresh(4, ChannelVariances(), draws.draw, 3.0, other_sigma2)
+    frozen = instance_stream(11, 2).standard_normal(18)
+    frozen.setflags(write=False)
+    assert frozen.flags.owndata
+    previous = None
+    for args in ((variances, 2.0), (variances, 2.0), (variances, 2), (variances, 3.0),
+                 (variances, 3.0), (ChannelVariances(), 3.0)):
+        previous = check_fresh(4, args[0], frozen, args[1], previous)
+    assert sample_instance(4, variances, instance_stream(11, 2)) is not \
+        sample_instance(4, variances, instance_stream(11, 2))
 
     # one complex normal broadcasts against the scales of every m
     one = np.random.default_rng(1).standard_normal(2)
     one.setflags(write=False)
-    for m, kept_m in ((1, 2), (2, 1)):
-        check_fresh(m, variances, one, 1.0, sample_instance(kept_m, variances, _Returns(one)))
+    for m, previous_m in ((1, 2), (2, 1)):
+        check_fresh(m, variances, one, 1.0, sample_instance(previous_m, variances, _Returns(one)))
 
     rng = np.random.default_rng(2)
     thawed = rng.standard_normal(18)
     thawed.setflags(write=False)
-    kept = sample_instance(4, variances, _Returns(thawed))
-    assert sample_instance(4, variances, _Returns(thawed)) is kept
+    previous = sample_instance(4, variances, _Returns(thawed))
+    previous = check_fresh(4, variances, thawed, 1.0, previous)
     thawed.setflags(write=True)
     thawed *= 2.0
-    check_fresh(4, variances, thawed, 1.0, kept)
+    check_fresh(4, variances, thawed, 1.0, previous)
     writable, base = rng.standard_normal(18), rng.standard_normal(18)
     view = base[:]
     view.setflags(write=False)
@@ -443,7 +447,7 @@ def test_run_sweep_deterministic():
     assert rows1 == rows2
 
 
-def test_run_sweep_worker_count_invariant():
+def test_run_sweep_worker_count_invariant(caplog):
     spec = ExperimentSpec(m_values=(1, 2), p1_values=(1.0, 3.0),
                           alpha_values=(0.5,), budget_mode="both",
                           n_instances=3, seed=2)
@@ -453,6 +457,12 @@ def test_run_sweep_worker_count_invariant():
                           alpha_values=(0.5,), budget_mode="both",
                           n_instances=3, seed=2)
     assert run_sweep(spec, workers=1) == run_sweep(spec, workers=2)
+    # gamma-derived alpha: the resampled rows are redrawn in each worker's own chunk
+    spec = ExperimentSpec(m_values=(10,), p1_values=(0.5, 0.6, 2.0), gamma=1.0, p_i=0.01, seed=0)
+    with caplog.at_level(logging.INFO, logger="anbeam.experiments"):
+        assert run_sweep(spec, workers=1) == run_sweep(spec, workers=2)
+    finished = [rec.args[0] for rec in caplog.records if "sweep finished" in rec.message]
+    assert len(finished) == 2 and finished[0] == finished[1] > 0
 
 
 def test_run_sweep_row_shape():

@@ -74,6 +74,12 @@ def test_instance_rejects_mismatched_relay_vectors():
         NetworkInstance(h_sd=1.0, h_sr=[1.0, 2.0], h_rd=[1.0], sigma2=1.0)
 
 
+def _part(gains):
+    """A sweep part of the given rows' buffers, built as solve_grid_points builds it."""
+    return NetworkInstance(h_sd=gains[:, 0], h_sr=gains[:, 1::2], h_rd=gains[:, 2::2],
+                           sigma2=1.0)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: NetworkInstance(h_sd=np.ones(3), h_sr=np.ones((2, 2)), h_rd=np.ones((2, 2)),
                              sigma2=1.0), "h_sd must hold one gain per row of h_sr"),
@@ -89,20 +95,22 @@ def test_instance_rejects_mismatched_relay_vectors():
     (lambda: NetworkInstance.stack([NetworkInstance.stack([
         NetworkInstance(h_sd=1.0, h_sr=[1.0], h_rd=[1.0], sigma2=1.0)] * 2)] * 2),
      "h_sr and h_rd must be 2-dimensional"),
-    # the owning path behind sample_instance and stack takes a 1-D or 2-D buffer
-    # [h_sd, h_s1, h_1d, ...], whose last axis is odd
-    (lambda: NetworkInstance._of_gains(np.ones((2, 2, 3), complex), 1.0),
-     "h_sr and h_rd must be 2-dimensional"),
-    (lambda: NetworkInstance._of_gains(np.ones((2, 4), complex), 1.0),
-     "h_sr and h_rd must have the same shape"),
+    # a sweep part is the field constructor on the column slices of its rows' drawn
+    # buffers [h_sd, h_s1, h_1d, ...]; the owning path behind sample_instance takes
+    # one such row, whose length is odd
+    (lambda: _part(np.ones((2, 2, 3), complex)), "h_sr and h_rd must be 2-dimensional"),
+    (lambda: _part(np.ones((2, 4), complex)), "h_sr and h_rd must have the same shape"),
     (lambda: NetworkInstance._of_gains(np.ones(4, complex), 1.0),
      "h_sr and h_rd must have the same shape"),
     (lambda: NetworkInstance._of_gains(np.array([1.0, 1.0, np.nan], complex), 1.0),
      "h_rd must be finite"),
-    (lambda: NetworkInstance._of_gains(np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], complex), 1.0),
+    (lambda: _part(np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], complex)),
      "h_sd must be nonzero"),
+    (lambda: NetworkInstance._of_gains(np.ones((2, 3), complex), 1.0),
+     "h_sr and h_rd must be 1-dimensional"),
 ], ids=["short-h_sd", "empty-stack", "mixed-sigma2", "mixed-m", "2d-h_sr", "stack-of-stacks",
-        "3d-buffer", "even-stack-buffer", "even-buffer", "nan-buffer", "zero-h_sd-buffer"])
+        "3d-buffer", "even-stack-buffer", "even-buffer", "nan-buffer", "zero-h_sd-buffer",
+        "2d-buffer"])
 def test_instance_and_batch_shapes_are_checked(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -517,6 +525,19 @@ def test_relay_and_secrecy_capacities_name_an_overflowing_snr():
         direct = NetworkInstance(h_sd=1.0, h_sr=inst.h_sr, h_rd=inst.h_rd, sigma2=1.0)
         with pytest.raises(NonFiniteSolution, match=r"^relay 0's SNR=nan is not finite"):
             secrecy_rate(direct, 1.0, 0.5, np.array([1.0, 0.0, 0.0]))
+
+
+def test_noise_residual_names_an_overflowing_reception():
+    """|h_s1 h_1d| overflows a float, so the forwarded and cancelling u-terms
+    are both infinite: simulate_noise_residual raises NonFiniteSolution
+    naming the residual, without a numpy warning."""
+    inst = NetworkInstance(h_sd=1.0, h_sr=[1e200], h_rd=[1e200], sigma2=1.0)
+    realization = SignalRealization(x=1.0, u=1.0, z=np.ones(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        named = r"^the noise residual=\(nan\+nanj\) is not finite$"
+        with pytest.raises(NonFiniteSolution, match=named):
+            simulate_noise_residual(inst, 1.0, 0.5, np.array([1.0, 1.0]), realization)
 
 
 def test_secrecy_rate_needs_relays():

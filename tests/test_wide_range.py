@@ -33,7 +33,8 @@ NETWORKS_PER_RANGE = 40
 # warn where a float overflows, which this test does not judge.
 WARNING_FREE = {"alpha_monotonicity_threshold", "capacity_relay", "secrecy_rate",
                 "alpha_for_threshold", "solve_total", "solve_individual",
-                "noise_residual_scale", "power_iteration_rank1", "secrecy_monotone_in_alpha"}
+                "noise_residual_scale", "power_iteration_rank1", "secrecy_monotone_in_alpha",
+                "simulate_noise_residual", "oracle_individual_grid"}
 
 
 def _draw(rng, decades):
