@@ -226,8 +226,9 @@ def alpha_label(spec: ExperimentSpec, alpha: Optional[float]) -> str:
 
 
 # Largest batch the solvers get, in rows x relays.  Their working set is a few
-# dozen arrays of that size, so this bounds a batch's memory at large M or
-# n_instances; with 100 slots, every M <= 163 is still one part per grid point.
+# dozen arrays of that size, so this bounds a batch's memory at large M.  A
+# part's rows span all grid points of a relay count, so BATCH_ROWS binds up to
+# M = 16 and this cap from M = 17 on (256 rows per part at M = 64).
 BATCH_ELEMENTS = 1 << 14
 # Largest batch the solvers get, in rows.  A part's stack and two batch solves
 # take 0.8 ms at 1 row and 2.0 ms at 412 rows (M = 4, best of 7 x 50 calls,

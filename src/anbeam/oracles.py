@@ -274,13 +274,17 @@ def oracle_total(instance: NetworkInstance, params: SystemParams,
     rng = _oracle_rng(seed, 0)
     shape = (n_samples, instance.m + 1)
     re, im = rng.normal(size=shape), rng.normal(size=shape)
-    best_w = _best_sample(re, im, d, p_tot, _cd_evaluator(instance, params.p1, a))
     refresh, scores = _step_scorer(instance, params.p1, a, d, p_tot)
-    try:
-        best_cd, best_w, ascent_evals = _projected_ascent(
-            refresh, scores, p_tot, best_w, max_sweeps=ascent_sweeps, min_step=ascent_min_step)
-    except OverflowError as err:
-        raise OracleEvalError("an ascent step's SINR term |h^T w|^2 overflows a float") from err
+    # a sample's or a step's power or C_d that overflows scores as inf or nan,
+    # without a warning; refresh names a power that is not positive
+    with np.errstate(over="ignore", invalid="ignore"):
+        best_w = _best_sample(re, im, d, p_tot, _cd_evaluator(instance, params.p1, a))
+        try:
+            best_cd, best_w, ascent_evals = _projected_ascent(
+                refresh, scores, p_tot, best_w, max_sweeps=ascent_sweeps,
+                min_step=ascent_min_step)
+        except OverflowError as err:
+            raise OracleEvalError("an ascent step's SINR term |h^T w|^2 overflows a float") from err
 
     # weights are compared up to the global phase the objective ignores
     cross = abs(np.vdot(solution.w, best_w))
@@ -457,7 +461,8 @@ def empirical_snr(instance: NetworkInstance, p1: float, alpha: float,
     read off one model.destination_phase2_rx call on the M+4 basis
     symbols; the leak row is that row minus the beam and noise rows.
     Estimates are ratios of sample-mean powers; their relative error is
-    ~ sqrt(2 / n_symbols).
+    ~ sqrt(2 / n_symbols).  An estimate that is not finite (a power that
+    overflows a float) raises OracleEvalError naming it.
     """
     if n_symbols < 10_000:
         raise ValueError("n_symbols must be >= 10^4 for meaningful estimates")
@@ -471,33 +476,34 @@ def empirical_snr(instance: NetworkInstance, p1: float, alpha: float,
     amp_x = math.sqrt(alpha * p1)
     amp_u = math.sqrt((1.0 - alpha) * p1)
 
-    # rows over v: relay signals, relay interferences, direct signal, direct
-    # interference, beam signal, beam noise, artificial-noise leak
-    basis = np.eye(m + 4, dtype=complex)
-    y2 = destination_phase2_rx(instance, p1, alpha, w, SignalRealization(
-        x=basis[0], u=basis[1], z=basis[:, np.r_[2:m + 2, m + 3]]))
-    rows = np.zeros((2 * m + 5, m + 4), dtype=complex)
-    rows[:m, 0] = amp_x * instance.h_sr
-    rows[m:2 * m, 1] = amp_u * instance.h_sr
-    rows[m:2 * m, 2:m + 2] = np.eye(m)
-    rows[2 * m, 0] = amp_x * instance.h_sd
-    rows[2 * m + 1, [1, m + 2]] = amp_u * instance.h_sd, 1.0
-    rows[2 * m + 2, 0] = amp_x * np.dot(combined_gains(instance), w)
-    rows[2 * m + 3, 2:] = np.r_[w[1:] * instance.h_rd, 0.0, 1.0]
-    rows[2 * m + 4] = y2 - rows[2 * m + 2] - rows[2 * m + 3]
-    # each v entry is scale * (re + 1j im) of two normals: v's real parts,
-    # then its imaginary parts
-    noise_sd = math.sqrt(instance.sigma2 / 2.0)
-    scaled = rows * np.r_[math.sqrt(0.5), math.sqrt(0.5), np.full(m + 2, noise_sd)]
-    coeffs = np.hstack([scaled, 1j * scaled])
+    # a power that overflows gives an estimate that is not finite, named below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # rows over v: relay signals, relay interferences, direct signal, direct
+        # interference, beam signal, beam noise, artificial-noise leak
+        basis = np.eye(m + 4, dtype=complex)
+        y2 = destination_phase2_rx(instance, p1, alpha, w, SignalRealization(
+            x=basis[0], u=basis[1], z=basis[:, np.r_[2:m + 2, m + 3]]))
+        rows = np.zeros((2 * m + 5, m + 4), dtype=complex)
+        rows[:m, 0] = amp_x * instance.h_sr
+        rows[m:2 * m, 1] = amp_u * instance.h_sr
+        rows[m:2 * m, 2:m + 2] = np.eye(m)
+        rows[2 * m, 0] = amp_x * instance.h_sd
+        rows[2 * m + 1, [1, m + 2]] = amp_u * instance.h_sd, 1.0
+        rows[2 * m + 2, 0] = amp_x * np.dot(combined_gains(instance), w)
+        rows[2 * m + 3, 2:] = np.r_[w[1:] * instance.h_rd, 0.0, 1.0]
+        rows[2 * m + 4] = y2 - rows[2 * m + 2] - rows[2 * m + 3]
+        # each v entry is scale * (re + 1j im) of two normals: v's real parts,
+        # then its imaginary parts
+        noise_sd = math.sqrt(instance.sigma2 / 2.0)
+        scaled = rows * np.r_[math.sqrt(0.5), math.sqrt(0.5), np.full(m + 2, noise_sd)]
+        coeffs = np.hstack([scaled, 1j * scaled])
 
-    gram = _normal_gram(_oracle_rng(seed, 0xE), per_symbol, n_symbols)
-    sums = np.einsum("ki,ij,kj->k", coeffs, gram, coeffs.conj()).real
-    direct_sig, direct_int, beam_sig, beam_noise, leak = sums[2 * m:]
-    return EmpiricalSnr(
-        direct=direct_sig / direct_int,
-        beam=beam_sig / beam_noise,
-        relays=sums[:m] / sums[m:2 * m],
-        u_leak_power=leak / n_symbols,
-        n_symbols=n_symbols,
-    )
+        gram = _normal_gram(_oracle_rng(seed, 0xE), per_symbol, n_symbols)
+        sums = np.einsum("ki,ij,kj->k", coeffs, gram, coeffs.conj()).real
+        direct_sig, direct_int, beam_sig, beam_noise, leak = sums[2 * m:]
+        estimates = {"direct": direct_sig / direct_int, "beam": beam_sig / beam_noise,
+                     "relays": sums[:m] / sums[m:2 * m], "u_leak_power": leak / n_symbols}
+    for name, value in estimates.items():
+        if not np.isfinite(value).all():
+            raise OracleEvalError(f"the estimate {name}={value} is not finite")
+    return EmpiricalSnr(n_symbols=n_symbols, **estimates)

@@ -6,7 +6,6 @@ values can be shared freely across threads and processes.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -35,11 +34,6 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
-def _all_finite(arr: np.ndarray) -> bool:
-    """np.isfinite(arr).all(), in half its time on a short array."""
-    return np.count_nonzero(np.isfinite(arr)) == arr.size
-
-
 def _set(obj, name, value):
     object.__setattr__(obj, name, value)
 
@@ -52,26 +46,23 @@ def _freeze_in_place(obj) -> None:
             value.setflags(write=False)
 
 
-def _check_network(h_sd, h_sr, h_rd, sigma2: float, single: bool) -> None:
-    """Raise the ValueError of the first check a network's fields fail; a
-    single network's h_sd is a Python complex, which cmath tests far faster
-    than numpy."""
-    if not (cmath.isfinite(h_sd) if single else _all_finite(h_sd)):
-        raise ValueError("h_sd must be finite")
-    for name, value in (("h_sr", h_sr), ("h_rd", h_rd)):
-        if not _all_finite(value):
+def _check_network(h_sd, h_sr, h_rd, sigma2: float) -> None:
+    """Raise the ValueError of the first check a network's fields fail; h_sd
+    is a complex for a single network and an (N,) array for a stack."""
+    for name, value in (("h_sd", h_sd), ("h_sr", h_sr), ("h_rd", h_rd)):
+        if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
-    relay_ndim = 1 if single else 2
+    relay_ndim = 2 if np.ndim(h_sd) else 1
     if h_sr.ndim != relay_ndim or h_rd.ndim != relay_ndim:
         raise ValueError(f"h_sr and h_rd must be {relay_ndim}-dimensional")
     if h_sr.shape != h_rd.shape:
         raise ValueError("h_sr and h_rd must have the same shape")
     if not 0 < sigma2 < math.inf:
         raise ValueError("sigma2 must be finite and positive")
-    if (h_sd == 0) if single else np.count_nonzero(h_sd == 0):
+    if np.count_nonzero(h_sd == 0):
         raise ValueError("h_sd must be nonzero: the second-phase cancellation "
                          "signal divides by it")
-    if not single and h_sd.shape != h_sr.shape[:1]:
+    if relay_ndim == 2 and h_sd.shape != h_sr.shape[:1]:
         raise ValueError("h_sd must hold one gain per row of h_sr")
 
 
@@ -80,15 +71,16 @@ class NetworkInstance:
     """One channel realization of the two-hop network, or a stack of N of
     them with a common relay count and noise power.
 
-    h_sd: complex source->destination gain; (N,) for a stack.
+    h_sd: complex source->destination gain, kept as a Python complex; (N,) for a stack.
     h_sr: complex source->relay gains, one per relay; (M,), or (N, M).
     h_rd: complex relay->destination gains, one per relay, shaped as h_sr.
     sigma2: receiver noise power, identical at every node and row.
 
-    The rank of h_sd tells the two apart.  Row i of a stack is one network;
-    every model formula reads these fields over a trailing relay axis, so it
-    serves a stack as it serves a single network.  model.py keeps the channel
-    arrays it forms from a network in the network's __dict__, read-only.
+    The rank of h_sd tells them apart; a 2-D one is refused.  Row i of a
+    stack is one network; every model formula reads these fields over a
+    trailing relay axis, so it serves a stack as it serves a single network.
+    model.py keeps the channel arrays it forms from a network in the
+    network's __dict__, read-only.
 
     Built from fields (this constructor, which stack and a sweep part use)
     or from one drawn row's buffer (_of_gains).  A drawn network holds its
@@ -103,13 +95,12 @@ class NetworkInstance:
     sigma2: float
 
     def __post_init__(self):
-        # numpy's complex128 is a complex: the common scalar case skips np.ndim
-        single = isinstance(self.h_sd, complex) or not np.ndim(self.h_sd)
-        h_sd = complex(self.h_sd) if single else _frozen_array(self.h_sd, complex)
-        h_sr, h_rd = _frozen_array(self.h_sr, complex), _frozen_array(self.h_rd, complex)
+        h_sd, h_sr, h_rd = (_frozen_array(x, complex) for x in (self.h_sd, self.h_sr, self.h_rd))
+        if not h_sd.ndim:
+            h_sd = h_sd.item()
         # one write for the four fields, which the frozen dataclass keeps in __dict__
         self.__dict__.update(h_sd=h_sd, h_sr=h_sr, h_rd=h_rd, sigma2=float(self.sigma2))
-        _check_network(h_sd, h_sr, h_rd, self.sigma2, single)
+        _check_network(h_sd, h_sr, h_rd, self.sigma2)
 
     @classmethod
     def _of_gains(cls, gains: np.ndarray, sigma2: float) -> "NetworkInstance":
@@ -119,10 +110,12 @@ class NetworkInstance:
         gains.setflags(write=False)
         self.__dict__.update(h_sd=h_sd, h_sr=gains[1::2], h_rd=gains[2::2], sigma2=sigma2,
                              _gains=gains)
-        # one test of the whole buffer; _check_network names what failed
-        if not (gains.ndim == 1 and gains.size % 2 and _all_finite(gains)
+        # one test of the whole buffer (count_nonzero is twice as fast as
+        # isfinite(...).all() on a short array); _check_network names what failed
+        if not (gains.ndim == 1 and gains.size % 2
+                and np.count_nonzero(np.isfinite(gains)) == gains.size
                 and 0 < sigma2 < math.inf and h_sd != 0):
-            _check_network(h_sd, self.h_sr, self.h_rd, sigma2, True)
+            _check_network(h_sd, self.h_sr, self.h_rd, sigma2)
         return self
 
     @classmethod

@@ -108,9 +108,19 @@ def _part(gains):
      "h_sd must be nonzero"),
     (lambda: NetworkInstance._of_gains(np.ones((2, 3), complex), 1.0),
      "h_sr and h_rd must be 1-dimensional"),
+    # a scalar h_sd of any form is a single network's, a 2-D one no stack's
+    (lambda: NetworkInstance(h_sd=np.complex128(1.0), h_sr=np.ones((1, 2)), h_rd=np.ones((1, 2)),
+                             sigma2=1.0), "h_sr and h_rd must be 1-dimensional"),
+    (lambda: NetworkInstance(h_sd=np.array(1.0), h_sr=np.ones((1, 2)), h_rd=np.ones((1, 2)),
+                             sigma2=1.0), "h_sr and h_rd must be 1-dimensional"),
+    (lambda: NetworkInstance(h_sd=2, h_sr=np.ones((1, 2)), h_rd=np.ones((1, 2)), sigma2=1.0),
+     "h_sr and h_rd must be 1-dimensional"),
+    (lambda: NetworkInstance(h_sd=np.ones((2, 1)), h_sr=np.ones((2, 2)), h_rd=np.ones((2, 2)),
+                             sigma2=1.0), "h_sd must hold one gain per row of h_sr"),
 ], ids=["short-h_sd", "empty-stack", "mixed-sigma2", "mixed-m", "2d-h_sr", "stack-of-stacks",
         "3d-buffer", "even-stack-buffer", "even-buffer", "nan-buffer", "zero-h_sd-buffer",
-        "2d-buffer"])
+        "2d-buffer", "complex128-h_sd-2d-h_sr", "0d-h_sd-2d-h_sr", "int-h_sd-2d-h_sr",
+        "2d-h_sd"])
 def test_instance_and_batch_shapes_are_checked(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -150,6 +160,8 @@ _NAN, _INF = math.nan, math.inf
                                      sigma2=1.0)),
     ("h_sd", lambda: NetworkInstance(h_sd=np.array(complex(0.5, -_INF)), h_sr=[1.0],
                                      h_rd=[1.0], sigma2=1.0)),
+    ("h_sd", lambda: NetworkInstance(h_sd=-_INF, h_sr=[1.0], h_rd=[1.0], sigma2=1.0)),
+    ("h_sd", lambda: NetworkInstance(h_sd=np.float64(_NAN), h_sr=[1.0], h_rd=[1.0], sigma2=1.0)),
     ("h_sr", lambda: NetworkInstance(h_sd=1.0, h_sr=[1.0, complex(1, _NAN)], h_rd=[1.0, 1.0],
                                      sigma2=1.0)),
     ("h_rd", lambda: NetworkInstance(h_sd=1.0, h_sr=[1.0, 1.0], h_rd=[complex(0, _INF), 1.0],
@@ -161,7 +173,8 @@ _NAN, _INF = math.nan, math.inf
     ("h_rd", lambda: NetworkInstance(h_sd=np.ones(2), h_sr=np.ones((2, 2)),
                                      h_rd=[[complex(1, -_INF), 1.0], [1.0, 1.0]], sigma2=1.0)),
 ], ids=["h_sd-nan-imag", "h_sd-inf-real", "h_sd-complex128-nan", "h_sd-0d-array",
-        "h_sr-nan-imag", "h_rd-inf-imag", "stack-h_sd-row", "stack-h_sr-row", "stack-h_rd-row"])
+        "h_sd-real-inf", "h_sd-float64-nan", "h_sr-nan-imag", "h_rd-inf-imag", "stack-h_sd-row",
+        "stack-h_sr-row", "stack-h_rd-row"])
 def test_non_finite_complex_channels_are_rejected_by_name(name, build):
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         build()
@@ -226,6 +239,14 @@ def test_relay_input_powers_keep_their_bits():
 def test_every_zero_direct_gain_is_rejected(h_sd):
     with pytest.raises(ValueError, match="^h_sd must be nonzero"):
         NetworkInstance(h_sd=h_sd, h_sr=[1.0], h_rd=[1.0], sigma2=1.0)
+
+
+@pytest.mark.parametrize("h_sd", [0.5 - 0.25j, np.complex128(0.5 - 0.25j),
+                                  np.array(0.5 - 0.25j), 0.5, np.float64(0.5), 2],
+                         ids=["complex", "complex128", "0d-array", "float", "float64", "int"])
+def test_a_single_networks_h_sd_is_kept_as_a_python_complex(h_sd):
+    inst = NetworkInstance(h_sd=h_sd, h_sr=[1.0], h_rd=[1.0], sigma2=1.0)
+    assert type(inst.h_sd) is complex and inst.h_sd == complex(h_sd)
 
 
 def test_smallest_imaginary_direct_gain_is_accepted():

@@ -544,6 +544,18 @@ def test_empirical_names_the_degrees_of_freedom_limit(rng):
     assert np.all(np.isfinite(gram)) and np.allclose(gram, gram.T)
 
 
+@pytest.mark.parametrize("h_sd, h_sr, named", [
+    (1e200, 1.0, "direct=nan"), (1.0, 1e200, "beam=inf"),
+], ids=["direct", "beam"])
+def test_empirical_names_an_estimate_that_is_not_finite(h_sd, h_sr, named):
+    """A gain of 1e200 overflows the powers of its signal: the first estimate
+    that is not finite is an OracleEvalError naming it, not a NaN or an
+    infinite SINR behind a RuntimeWarning."""
+    inst = NetworkInstance(h_sd=h_sd, h_sr=[h_sr], h_rd=[1.0], sigma2=1.0)
+    with pytest.raises(OracleEvalError, match=f"^the estimate {named} is not finite$"):
+        empirical_snr(inst, 2.0, 0.5, np.ones(2), 10_000)
+
+
 _SIGNAL_CHECKS = {
     "empirical_snr": lambda inst, p1, a, w: empirical_snr(inst, p1, a, w, 10_000),
     "simulate_noise_residual": lambda inst, p1, a, w: simulate_noise_residual(

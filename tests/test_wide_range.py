@@ -1,7 +1,8 @@
 """Seeded wide-range smoke test of the public single-network functions: on
 networks whose gains, noise power, powers and budgets lie many decades
 apart, each either answers or raises a named domain error (a
-BeamformingError) or a ValueError, never a foreign exception."""
+BeamformingError) or a ValueError, never a foreign exception, and none
+raises a numpy RuntimeWarning."""
 
 import warnings
 
@@ -28,13 +29,6 @@ from anbeam.types import (IndividualBudget, NetworkInstance, SignalRealization, 
                           TotalBudget)
 
 NETWORKS_PER_RANGE = 40
-
-# Functions held to raising no numpy RuntimeWarning either; the others may
-# warn where a float overflows, which this test does not judge.
-WARNING_FREE = {"alpha_monotonicity_threshold", "capacity_relay", "secrecy_rate",
-                "alpha_for_threshold", "solve_total", "solve_individual",
-                "noise_residual_scale", "power_iteration_rank1", "secrecy_monotone_in_alpha",
-                "simulate_noise_residual", "oracle_individual_grid"}
 
 
 def _draw(rng, decades):
@@ -90,8 +84,7 @@ def test_public_functions_answer_or_name_the_error(decades):
         for name, call in _calls(*_draw(rng, decades)):
             try:
                 with warnings.catch_warnings():
-                    warnings.simplefilter("error" if name in WARNING_FREE else "ignore",
-                                          RuntimeWarning)
+                    warnings.simplefilter("error", RuntimeWarning)
                     call()
             except (BeamformingError, ValueError):
                 pass
